@@ -963,6 +963,8 @@ let render_text (r : report) =
 let render_json (r : report) =
   let b = Buffer.create 1024 in
   let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  (* JSON array elements; [idx_str]'s ';' is for the text reports only. *)
+  let idx l = String.concat "," (List.map string_of_int l) in
   let s = summarize r in
   Buffer.add_string b
     (Printf.sprintf "{\"design\":%s,\"rounds\":%d,\"summary\":{" (str r.r_design) r.r_rounds);
@@ -1019,7 +1021,7 @@ let render_json (r : report) =
             Buffer.add_string b
               (Printf.sprintf
                  "\"banking\":{\"status\":\"conflict\",\"lane_a\":%d,\"lane_b\":%d,\"index_a\":[%s],\"index_b\":[%s],\"bank\":%d}}"
-                 k.k_lane_a k.k_lane_b (idx_str k.k_index_a) (idx_str k.k_index_b) k.k_bank)
+                 k.k_lane_a k.k_lane_b (idx k.k_index_a) (idx k.k_index_b) k.k_bank)
           | Bank_unknown reason ->
             Buffer.add_string b
               (Printf.sprintf "\"banking\":{\"status\":\"unknown\",\"reason\":%s}}" (str reason)))

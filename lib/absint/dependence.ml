@@ -1240,6 +1240,8 @@ let render_json (r : report) =
   let iters ws =
     "{" ^ String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s:%d" (str n) v) ws) ^ "}"
   in
+  (* JSON array elements; [idx_str]'s ';' is for the text reports only. *)
+  let idx l = String.concat "," (List.map string_of_int l) in
   let s = summarize r in
   Buffer.add_string b (Printf.sprintf "{\"design\":%s,\"summary\":{" (str r.r_design));
   Buffer.add_string b
@@ -1273,7 +1275,7 @@ let render_json (r : report) =
                  "\"status\":\"carried\",\"distance\":%d,\"witness\":{\"src\":%s,\"dst\":%s%s}}"
                  distance (iters witness.wt_src_iters) (iters witness.wt_dst_iters)
                  (match witness.wt_index with
-                 | Some idx -> Printf.sprintf ",\"index\":[%s]" (idx_str idx)
+                 | Some ix -> Printf.sprintf ",\"index\":[%s]" (idx ix)
                  | None -> ""))
           | Unknown reason ->
             Buffer.add_string b
@@ -1288,7 +1290,7 @@ let render_json (r : report) =
              (str k.lc_mem)
              (str (kind_str k.lc_kind))
              k.lc_lane_a k.lc_lane_b (iters k.lc_iters_a) (iters k.lc_iters_b)
-             (idx_str k.lc_index))
+             (idx k.lc_index))
       | None -> ());
       Buffer.add_string b "}")
     r.r_pipes;
@@ -1305,7 +1307,7 @@ let render_json (r : report) =
       | Race_overlap o ->
         Buffer.add_string b
           (Printf.sprintf "\"status\":\"overlap\",\"index\":[%s],\"iters_a\":%s,\"iters_b\":%s}"
-             (idx_str o.ro_index) (iters o.ro_iters_a) (iters o.ro_iters_b))
+             (idx o.ro_index) (iters o.ro_iters_a) (iters o.ro_iters_b))
       | Race_unknown reason ->
         Buffer.add_string b (Printf.sprintf "\"status\":\"unknown\",\"reason\":%s}" (str reason)))
     r.r_races;

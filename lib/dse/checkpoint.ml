@@ -38,22 +38,28 @@ let escape s =
 let hex f = Printf.sprintf "\"%h\"" f
 let ints xs = "[" ^ String.concat "," (List.map string_of_int xs) ^ "]"
 
-let render_entry i (e : Outcome.entry) =
+(* A writer is the rendered file so far: the header line, then one line
+   per appended entry. Each entry is rendered once, when it is appended,
+   so a sweep that rewrites its checkpoint every few points pays for the
+   bytes once and the rewrites only copy the buffer to disk. *)
+type writer = Buffer.t
+
+let append (buf : writer) i (e : Outcome.entry) =
   match e with
-  | Outcome.Pruned -> Printf.sprintf "{\"kind\":\"pruned\",\"i\":%d}" i
-  | Outcome.Absint_pruned -> Printf.sprintf "{\"kind\":\"absint_pruned\",\"i\":%d}" i
-  | Outcome.Dep_pruned -> Printf.sprintf "{\"kind\":\"dep_pruned\",\"i\":%d}" i
-  | Outcome.Sym_pruned -> Printf.sprintf "{\"kind\":\"sym_pruned\",\"i\":%d}" i
+  | Outcome.Pruned -> Printf.bprintf buf "{\"kind\":\"pruned\",\"i\":%d}\n" i
+  | Outcome.Absint_pruned -> Printf.bprintf buf "{\"kind\":\"absint_pruned\",\"i\":%d}\n" i
+  | Outcome.Dep_pruned -> Printf.bprintf buf "{\"kind\":\"dep_pruned\",\"i\":%d}\n" i
+  | Outcome.Sym_pruned -> Printf.bprintf buf "{\"kind\":\"sym_pruned\",\"i\":%d}\n" i
   | Outcome.Failed (stage, msg) ->
-    Printf.sprintf "{\"kind\":\"failed\",\"i\":%d,\"stage\":\"%s\",\"msg\":\"%s\"}" i
+    Printf.bprintf buf "{\"kind\":\"failed\",\"i\":%d,\"stage\":\"%s\",\"msg\":\"%s\"}\n" i
       (Outcome.stage_name stage) (escape msg)
   | Outcome.Evaluated ev ->
     let est = ev.Outcome.estimate in
     let a = est.Estimator.area in
     let raw = est.Estimator.raw in
     let res = raw.Area_model.resources in
-    Printf.sprintf
-      "{\"kind\":\"eval\",\"i\":%d,\"point\":%s,\"valid\":%b,\"alm_pct\":%s,\"dsp_pct\":%s,\"bram_pct\":%s,\"cycles\":%s,\"seconds\":%s,\"area\":%s,\"raw\":%s,\"avg_fanout\":%s}"
+    Printf.bprintf buf
+      "{\"kind\":\"eval\",\"i\":%d,\"point\":%s,\"valid\":%b,\"alm_pct\":%s,\"dsp_pct\":%s,\"bram_pct\":%s,\"cycles\":%s,\"seconds\":%s,\"area\":%s,\"raw\":%s,\"avg_fanout\":%s}\n"
       i
       (ints (List.map snd ev.Outcome.point))
       ev.Outcome.valid (hex ev.Outcome.alm_pct) (hex ev.Outcome.dsp_pct) (hex ev.Outcome.bram_pct)
@@ -68,27 +74,25 @@ let render_entry i (e : Outcome.entry) =
            raw.Area_model.ctrl_count; raw.Area_model.double_buffers; raw.Area_model.prim_count ])
       (hex raw.Area_model.avg_fanout)
 
-let render t =
+let writer t =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"kind\":\"header\",\"version\":%d,\"space\":\"%s\",\"seed\":%d,\"max_points\":%d,\"total\":%d,\"params\":[%s]}\n"
-       version (escape t.space_name) t.seed t.max_points t.total
-       (String.concat "," (List.map (fun p -> "\"" ^ escape p ^ "\"") t.params)));
-  List.iter
-    (fun (i, e) ->
-      Buffer.add_string buf (render_entry i e);
-      Buffer.add_char buf '\n')
-    t.entries;
-  Buffer.contents buf
+  Printf.bprintf buf
+    "{\"kind\":\"header\",\"version\":%d,\"space\":\"%s\",\"seed\":%d,\"max_points\":%d,\"total\":%d,\"params\":[%s]}\n"
+    version (escape t.space_name) t.seed t.max_points t.total
+    (String.concat "," (List.map (fun p -> "\"" ^ escape p ^ "\"") t.params));
+  List.iter (fun (i, e) -> append buf i e) t.entries;
+  buf
 
 (* Atomic write: the checkpoint on disk is always a complete, parseable
    snapshot — a crash mid-write leaves the previous checkpoint intact. *)
-let save ~path t =
+let flush ~path w =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (render t));
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc w);
   Sys.rename tmp path
+
+let render t = Buffer.contents (writer t)
+let save ~path t = flush ~path (writer t)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: a minimal JSON reader covering exactly the subset above. *)

@@ -13,6 +13,12 @@
     makes a resumed sweep's evaluations structurally equal to an
     uninterrupted run's.
 
+    A sweep that rewrites its checkpoint as it goes keeps a {!writer}: it
+    renders each entry once, on {!append}, and every {!flush} replaces the
+    file with the rendered bytes by the same atomic protocol. {!render}
+    and {!save} are a writer filled from a whole [t], so there is one
+    rendering path and the bytes are the same either way.
+
     {!load} additionally tolerates a {e torn tail}: when only the final
     JSONL line fails to parse (a crash truncated an append from a
     non-atomic writer, or a copy was cut short), the line is dropped, the
@@ -42,6 +48,25 @@ val render : t -> string
 val save : path:string -> t -> unit
 (** Atomically replace [path] with [render t] (writes [path ^ ".tmp"],
     then renames). *)
+
+type writer
+(** A checkpoint being built: the header and the entries appended so
+    far, already rendered. Single owner; not thread-safe. *)
+
+val writer : t -> writer
+(** A writer holding [t]'s header and [t.entries] ([truncated_tail] is
+    ignored). A sweep starts one with no entries. *)
+
+val append : writer -> int -> Outcome.entry -> unit
+(** [append w i e] renders entry [e] at point index [i] onto [w]. Entries
+    are written in append order; a sweep appends in ascending index
+    order. *)
+
+val flush : path:string -> writer -> unit
+(** Atomically replace [path] with the writer's bytes, which equal
+    [render] of its header and entries so far. The buffer is written as
+    is (no copy) and stays in [w], so later appends and flushes extend
+    it. *)
 
 val load : path:string -> (t, string) result
 (** Parse a checkpoint; [Error] describes a missing, unreadable, corrupt,

@@ -55,7 +55,9 @@ type cached_eval = {
 (* Bounded content-addressed memo table. FIFO eviction in insertion order:
    deterministic, and cheap enough to run under the same mutex as the
    probe. Hit/miss/eviction counts are atomics so the accounting itself
-   never extends the critical section or races across domains. *)
+   never extends the critical section or races across domains; [obs]
+   names the Obs counter family ([obs ^ ".hit"] etc.) each table reports
+   under. *)
 module Cache = struct
   type 'a t = {
     cap : int;
@@ -65,9 +67,12 @@ module Cache = struct
     hits : int Atomic.t;
     misses : int Atomic.t;
     evictions : int Atomic.t;
+    hit_counter : string;
+    miss_counter : string;
+    evict_counter : string;
   }
 
-  let create cap =
+  let create ~obs cap =
     {
       cap;
       m = Mutex.create ();
@@ -76,6 +81,9 @@ module Cache = struct
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       evictions = Atomic.make 0;
+      hit_counter = obs ^ ".hit";
+      miss_counter = obs ^ ".miss";
+      evict_counter = obs ^ ".evict";
     }
 
   let enabled c = c.cap > 0
@@ -87,10 +95,10 @@ module Cache = struct
     (match r with
     | Some _ ->
       Atomic.incr c.hits;
-      if Obs.enabled () then Obs.count "dse.cache.hit"
+      if Obs.enabled () then Obs.count c.hit_counter
     | None ->
       Atomic.incr c.misses;
-      if Obs.enabled () then Obs.count "dse.cache.miss");
+      if Obs.enabled () then Obs.count c.miss_counter);
     r
 
   (* Two domains can race the same miss; the second [add] is a no-op so
@@ -109,7 +117,7 @@ module Cache = struct
     Mutex.unlock c.m;
     if !evicted > 0 then begin
       ignore (Atomic.fetch_and_add c.evictions !evicted);
-      if Obs.enabled () then Obs.count ~by:!evicted "dse.cache.evict"
+      if Obs.enabled () then Obs.count ~by:!evicted c.evict_counter
     end
 end
 
@@ -117,6 +125,7 @@ type t = {
   est : Estimator.t;
   analysis : verdict Cache.t;
   estimates : cached_eval Cache.t;
+  gates : Symgate.t Cache.t;
 }
 
 type stats = { hits : int; misses : int; evictions : int }
@@ -126,12 +135,21 @@ type stats = { hits : int; misses : int; evictions : int }
    long-running server stays bounded. *)
 let default_cap = 131_072
 
+(* One gate per (space, sizes) a process sweeps: a handful per app. Each
+   entry holds a few KB of key and the derived systems. *)
+let gate_cap = 64
+
 let create ?(analysis_cap = default_cap) ?(estimate_cap = default_cap) est =
   if analysis_cap < 0 then
     failwith (Printf.sprintf "analysis_cap must be >= 0 (got %d)" analysis_cap);
   if estimate_cap < 0 then
     failwith (Printf.sprintf "estimate_cap must be >= 0 (got %d)" estimate_cap);
-  { est; analysis = Cache.create analysis_cap; estimates = Cache.create estimate_cap }
+  {
+    est;
+    analysis = Cache.create ~obs:"dse.cache" analysis_cap;
+    estimates = Cache.create ~obs:"dse.cache" estimate_cap;
+    gates = Cache.create ~obs:"dse.symgate" (if analysis_cap = 0 then 0 else gate_cap);
+  }
 
 let estimator t = t.est
 
@@ -278,6 +296,37 @@ let evaluate t ?stages ~lint ~absint ~index ~generate point =
           Outcome.Failed
             (Outcome.Non_finite_estimate, "estimate not finite: " ^ non_finite_detail e)
       with exn -> Outcome.Failed (Outcome.Estimator_error, describe exn)))
+
+(* The gate memo key is exactly what [Symgate.of_probes] reads: the
+   parameter names and every generated probe's point and design, the
+   design by its [Design_key]. It is built from content because callers
+   (the server, each CLI sweep) pass a fresh [generate] closure per
+   session, so a key naming the closure would never hit; and two spaces
+   that share a name but not their sizes generate different probes. *)
+let gate_key ~params probes =
+  let b = Buffer.create 8192 in
+  List.iter (fun p -> Printf.bprintf b "%S," p) params;
+  List.iter
+    (fun (p : Symgate.probe) ->
+      Buffer.add_char b '\n';
+      List.iter (fun (n, v) -> Printf.bprintf b "%S=%d," n v) p.Symgate.point;
+      Buffer.add_string b (Design_key.to_string p.Symgate.key))
+    probes;
+  Buffer.contents b
+
+let gate t ~space ~generate =
+  let params = List.map fst (Space.dims space) in
+  let probes = Symgate.probes ~space ~generate () in
+  if not (Cache.enabled t.gates) then Symgate.of_probes ~params probes
+  else begin
+    let k = gate_key ~params probes in
+    match Cache.find t.gates k with
+    | Some g -> g
+    | None ->
+      let g = Symgate.of_probes ~params probes in
+      Cache.add t.gates k g;
+      g
+  end
 
 let cached_eval_of ?(cache = true) t design =
   let bypass = (not cache) || Faults.active () in

@@ -272,6 +272,8 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     Obs.count ~by:0 "dse.cache.hit";
     Obs.count ~by:0 "dse.cache.miss";
     Obs.count ~by:0 "dse.cache.evict";
+    Obs.count ~by:0 "dse.symgate.hit";
+    Obs.count ~by:0 "dse.symgate.miss";
     List.iter
       (fun stage -> Obs.count ~by:0 (stage_counter stage))
       [ Generator_error; Lint_error; Estimator_error; Non_finite_estimate ]
@@ -282,17 +284,19 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       load_resume ~path ~space ~seed ~max_points ~total ~param_names
     | _ -> Hashtbl.create 1
   in
-  (* The symbolic gate is derived once, before any worker starts, from a
+  (* The symbolic gate is fetched once, before any worker starts, from a
      fixed-seed probe sample — so every point (on every domain, at every
      chunk size) consults the identical constraint system and the
-     bit-identical-checkpoint guarantee survives. It only runs when both
-     analysis passes it fronts for are on (otherwise pruning points the
-     concrete pipeline would have kept changes results), and stands down
-     while fault injection is armed, because its probe elaborations
-     would consume fault sites the per-point replay expects. *)
+     bit-identical-checkpoint guarantee survives. [Eval.gate] derives it
+     on the first sweep of a space and answers later sweeps on the same
+     [Eval.t] from its memo. It only runs when both analysis passes it
+     fronts for are on (otherwise pruning points the concrete pipeline
+     would have kept changes results), and stands down while fault
+     injection is armed, because its probe elaborations would consume
+     fault sites the per-point replay expects. *)
   let gate =
     if symbolic && lint && absint && not (Faults.active ()) then
-      Some (Obs.span "dse.symgate" (fun () -> Symgate.derive ~space ~generate ()))
+      Some (Obs.span "dse.symgate" (fun () -> Eval.gate ev ~space ~generate))
     else None
   in
   let stats0 = Eval.stats ev in
@@ -369,7 +373,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   in
   (* Collector state. Only the domain running the collector touches any of
      this — in particular the checkpoint file has a single writer, so the
-     atomic temp-file + rename protocol (and PR 3's resume guarantees) are
+     atomic temp-file + rename protocol (and the resume guarantees) are
      untouched by parallelism. *)
   let entries = ref [] (* (index, entry), newest first *) in
   let lint_pruned = ref 0 in
@@ -380,26 +384,40 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let failures = ref [] in
   let processed = ref 0 in
   let cpu_seconds = ref 0.0 in
-  (* Profiled checkpoint writes accumulate into the collector's [write]
-     category; only the collector (or the sequential loop) calls this. *)
+  (* The checkpoint is rendered as entries are recorded, each once;
+     periodic writes flush the rendered bytes. Profiled rendering and
+     writes both accumulate into the collector's [write] category; only
+     the collector (or the sequential loop) calls these. *)
+  let writer =
+    Option.map
+      (fun path ->
+        ( path,
+          Checkpoint.writer
+            {
+              Checkpoint.space_name = Space.name space;
+              seed;
+              max_points;
+              total;
+              params = param_names;
+              entries = [];
+              truncated_tail = false;
+            } ))
+      checkpoint
+  in
   let write_seconds = ref 0.0 in
+  let timed_write f =
+    if profile then begin
+      let t0 = Unix.gettimeofday () in
+      f ();
+      write_seconds := !write_seconds +. (Unix.gettimeofday () -. t0)
+    end
+    else f ()
+  in
   let write_checkpoint () =
-    match checkpoint with
+    match writer with
     | None -> ()
-    | Some path ->
-      Obs.span "dse.checkpoint" @@ fun () ->
-      let t0 = if profile then Unix.gettimeofday () else 0.0 in
-      Checkpoint.save ~path
-        {
-          Checkpoint.space_name = Space.name space;
-          seed;
-          max_points;
-          total;
-          params = param_names;
-          entries = List.rev !entries;
-          truncated_tail = false;
-        };
-      if profile then write_seconds := !write_seconds +. (Unix.gettimeofday () -. t0)
+    | Some (path, w) ->
+      Obs.span "dse.checkpoint" @@ fun () -> timed_write (fun () -> Checkpoint.flush ~path w)
   in
   (* Merge one point's outcome, in sampling-index order. *)
   let record i p (entry, was_resumed, dt) =
@@ -414,6 +432,9 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       failures := { f_index = i; f_point = p; f_stage; f_message } :: !failures
     | Outcome.Evaluated _ -> ());
     entries := (i, entry) :: !entries;
+    (match writer with
+    | Some (_, w) -> timed_write (fun () -> Checkpoint.append w i entry)
+    | None -> ());
     incr processed;
     cpu_seconds := !cpu_seconds +. dt;
     if checkpoint_every > 0 && !processed mod checkpoint_every = 0 then write_checkpoint ()

@@ -1,12 +1,15 @@
 (* The pre-elaboration legality gate.
 
-   [derive] elaborates a small fixed-seed sample of a space's points,
-   groups them by [Design_key] skeleton hash (one app space can contain
-   several skeletons when meta-flags switch the generated graph shape),
+   [derive] is [probes] then [of_probes]. [probes] elaborates a small
+   fixed-seed sample of a space's points and keys each design; [of_probes]
+   groups them by [Design_key] skeleton (one app space can contain
+   several skeletons when meta-flags switch the generated graph shape)
    and hands each group to [Symbolic.derive] as its probe set. The
    result is a list of per-skeleton constraint systems; [verdict] routes
    a fresh binding to the unique system whose pinned parameters it
    satisfies and evaluates the predicate — microseconds, no generation.
+   The split lets [Eval.gate] key a memo by the probes' content and skip
+   [of_probes], the expensive half, when it has seen them before.
 
    Routing is sound because a system's pinned parameters are exactly the
    ones constant across its probes: registry app generators branch on
@@ -20,23 +23,26 @@ module Design_key = Dhdl_model.Design_key
 
 type t = { g_systems : Symbolic.system list }
 
+(* One generated probe. Derivation reads only the point and the design;
+   the key rides along for grouping and for [Eval.gate]'s memo key. *)
+type probe = { point : Space.point; design : Dhdl_ir.Ir.design; key : Design_key.t }
+
 let probe_seed = 0x5eed
 
-let derive ?(probe_points = 48) ~space ~generate () =
-  let points = Space.sample space ~seed:probe_seed ~max_points:probe_points in
-  let params = List.map fst (Space.dims space) in
-  let probes =
-    List.filter_map
-      (fun p -> match generate p with d -> Some (p, d) | exception _ -> None)
-      points
-  in
-  let groups : (string, (Space.point * Dhdl_ir.Ir.design) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
+let probes ?(probe_points = 48) ~space ~generate () =
+  List.filter_map
+    (fun point ->
+      match generate point with
+      | design -> Some { point; design; key = Design_key.of_design design }
+      | exception _ -> None)
+    (Space.sample space ~seed:probe_seed ~max_points:probe_points)
+
+let of_probes ~params probes =
+  let groups : (string, probe list ref) Hashtbl.t = Hashtbl.create 4 in
   let order = ref [] in
   List.iter
-    (fun ((_, d) as probe) ->
-      let sk = Design_key.skeleton_hash d in
+    (fun probe ->
+      let sk = probe.key.Design_key.skeleton in
       match Hashtbl.find_opt groups sk with
       | Some l -> l := probe :: !l
       | None ->
@@ -46,11 +52,14 @@ let derive ?(probe_points = 48) ~space ~generate () =
   let systems =
     List.rev_map
       (fun sk ->
-        let probes = List.rev !(Hashtbl.find groups sk) in
+        let probes = List.rev_map (fun p -> (p.point, p.design)) !(Hashtbl.find groups sk) in
         Symbolic.derive ~skeleton:sk ~params ~probes)
       !order
   in
   { g_systems = systems }
+
+let derive ?probe_points ~space ~generate () =
+  of_probes ~params:(List.map fst (Space.dims space)) (probes ?probe_points ~space ~generate ())
 
 let systems t = t.g_systems
 

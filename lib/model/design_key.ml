@@ -177,5 +177,3 @@ let of_design (d : Ir.design) =
     skeleton = Digest.to_hex (Digest.string (Buffer.contents sk));
     binding = Digest.to_hex (Digest.string (Buffer.contents bd));
   }
-
-let skeleton_hash d = (of_design d).skeleton

@@ -36,14 +36,13 @@ type t = {
 
 val of_design : Dhdl_ir.Ir.design -> t
 
+(** The skeleton digest is the family identity shared by every point of
+    one app's parameter sweep. The symbolic legality layer ([Symbolic] in
+    lib/absint, [Symgate] in lib/dse) derives and routes constraint
+    systems by it. *)
 val skeleton : t -> string
-val binding : t -> string
 
-(** The skeleton digest alone — the family identity shared by every point
-    of one app's parameter sweep. This is the key the symbolic legality
-    layer ([Symbolic] in lib/absint, [Symgate] in lib/dse) derives and
-    routes constraint systems by. *)
-val skeleton_hash : Dhdl_ir.Ir.design -> string
+val binding : t -> string
 
 (** ["<skeleton>:<binding>"] — the full key, suitable as a cache key or a
     stable external identifier for one design instance. *)

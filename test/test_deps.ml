@@ -388,6 +388,25 @@ let test_render_json_payload () =
   check_bool "text report shows the conflict" true (contains ~needle:"UNSAFE PIPELINING" txt);
   check_bool "text report has the summary" true (contains ~needle:"summary:" txt)
 
+(* The same shift along the second dimension of a 2-D memory: its
+   witnesses index two dimensions, and the payload must stay JSON (the
+   indices once rendered ';'-joined, as the text report shows them). *)
+let test_render_json_2d_witness () =
+  let b = B.create "shift2d" in
+  let m = B.bram b "m" Dtype.float32 [ 2; 17 ] in
+  let body =
+    B.pipe ~label:"shift" ~counters:[ ("i", 0, 16, 1) ] ~par:4 (fun p ->
+        B.store p m
+          [ B.const 1.0; B.add p (B.iter "i") (B.const 1.0) ]
+          (B.load p m [ B.const 1.0; B.iter "i" ]))
+  in
+  let rep = Dependence.analyze (B.finish b ~top:(B.sequential_block ~label:"main" [ body ])) in
+  let js = Dependence.render_json rep in
+  check_bool "a 2-D witness index is rendered" true (contains ~needle:"\"index\":[1," js);
+  match Dhdl_serve.Json.parse js with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "dependence payload is not JSON: %s" msg
+
 (* ------------------------- transfer estimate ----------------------- *)
 
 let board = Target.max4_maia
@@ -451,7 +470,10 @@ let () =
           Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrips_dep_pruned;
         ] );
       ( "report",
-        [ Alcotest.test_case "render json payload" `Quick test_render_json_payload ] );
+        [
+          Alcotest.test_case "render json payload" `Quick test_render_json_payload;
+          Alcotest.test_case "render json 2-D witness" `Quick test_render_json_2d_witness;
+        ] );
       ( "transfer",
         [ Alcotest.test_case "ragged tiles" `Quick test_transfer_ragged_tiles ] );
     ]

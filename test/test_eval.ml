@@ -1,9 +1,11 @@
 (* The keyed Eval API: canonical design keys, the memoizing pipeline's
    extensional equality with a direct (cache-free) pipeline, byte-identical
    checkpoints across {jobs} x {cache temperature} x {profile}, warm-cache
-   resume, deterministic eviction, fault-injection cache bypass, and a
-   grep-level pin that no caller outside Eval still wires
-   Estimator.estimate into a pipeline by hand.
+   resume, deterministic eviction, fault-injection cache bypass, the
+   symbolic-gate memo (derived once per space content, byte-identical
+   either way, kept out of the per-point cache counts), and grep-level
+   pins that no caller outside Eval still wires Estimator.estimate, the
+   concrete analyses or Symgate.derive into a pipeline by hand.
 
    Runs under both `dune runtest` and the focused `dune build @eval`. *)
 
@@ -14,6 +16,7 @@ module Eval = Dhdl_dse.Eval
 module Outcome = Dhdl_dse.Outcome
 module Space = Dhdl_dse.Space
 module Checkpoint = Dhdl_dse.Checkpoint
+module Symgate = Dhdl_dse.Symgate
 module Lint = Dhdl_lint.Lint
 module Diag = Dhdl_ir.Diag
 module Faults = Dhdl_util.Faults
@@ -312,6 +315,113 @@ let test_cache_counters_surfaced () =
   check_int "dse.cache.evict stays zero uncapped" 0 (counter "dse.cache.evict")
 
 (* ------------------------------------------------------------------ *)
+(* Gate memo: one derivation per space content per Eval                *)
+(* ------------------------------------------------------------------ *)
+
+(* kmeans at paper sizes: its gate refutes part of the space, so a wrong
+   gate would show in the checkpoints. *)
+let kmeans = lazy (Dhdl_apps.Registry.find "kmeans")
+let km_space sizes = (Lazy.force kmeans).App.space sizes
+let km_generate sizes p = (Lazy.force kmeans).App.generate ~sizes ~params:p
+let km_paper () = (Lazy.force kmeans).App.paper_sizes
+
+let km_sweep ?(jobs = 1) ?checkpoint ev =
+  let sizes = km_paper () in
+  let cfg =
+    Explore.Config.make ~seed:2016 ~max_points:60 ~jobs ?checkpoint ~checkpoint_every:4
+      ~tick_every:0 ()
+  in
+  (* A fresh closure per run, as the server and the CLI pass. *)
+  Explore.run cfg ev ~space:(km_space sizes) ~generate:(fun p -> km_generate sizes p)
+
+(* The dse.symgate.hit / dse.symgate.miss counters [f] records. *)
+let gate_counts f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let v = f () in
+  (v, (Obs.counter_value "dse.symgate.hit", Obs.counter_value "dse.symgate.miss"))
+
+let check_counts msg expected got = Alcotest.(check (pair int int)) msg expected got
+
+let test_gate_memo_second_run () =
+  let ev = Eval.create (Lazy.force estimator) in
+  let r1, c1 = gate_counts (fun () -> km_sweep ev) in
+  check_counts "first run derives (hit, miss)" (0, 1) c1;
+  check_bool "the gate refutes points" true (r1.Explore.sym_pruned > 0);
+  let r2, c2 = gate_counts (fun () -> km_sweep ev) in
+  check_counts "second run on the same Eval derives nothing (hit, miss)" (1, 0) c2;
+  check_int "same sym-pruned count" r1.Explore.sym_pruned r2.Explore.sym_pruned;
+  let sizes = km_paper () in
+  let g1 = Eval.gate ev ~space:(km_space sizes) ~generate:(km_generate sizes) in
+  let g2 = Eval.gate ev ~space:(km_space sizes) ~generate:(fun p -> km_generate sizes p) in
+  check_bool "a fresh closure gets the memoized gate" true (g1 == g2)
+
+let test_gate_memo_checkpoint_identity () =
+  let est = Lazy.force estimator in
+  let warm = Eval.create est in
+  ignore (km_sweep warm);
+  List.iter
+    (fun jobs ->
+      let hit = tmp (Printf.sprintf "gate_hit_j%d.jsonl" jobs) in
+      let fresh = tmp (Printf.sprintf "gate_fresh_j%d.jsonl" jobs) in
+      let (), c = gate_counts (fun () -> ignore (km_sweep ~jobs ~checkpoint:hit warm)) in
+      check_counts (Printf.sprintf "jobs=%d run hit the memo" jobs) (1, 0) c;
+      let (), c = gate_counts (fun () -> ignore (km_sweep ~jobs ~checkpoint:fresh (Eval.create est))) in
+      check_counts (Printf.sprintf "jobs=%d run derived afresh" jobs) (0, 1) c;
+      check_str
+        (Printf.sprintf "memo-hit and fresh-derive checkpoints identical (jobs=%d)" jobs)
+        (read_file fresh) (read_file hit);
+      Sys.remove hit;
+      Sys.remove fresh)
+    [ 1; 4 ]
+
+let test_gate_memo_keyed_by_content () =
+  (* Same space name, different sizes: different probe designs, so the
+     memo must not answer one with the other's gate. *)
+  let ev = Eval.create (Lazy.force estimator) in
+  let a = Lazy.force kmeans in
+  let paper = km_paper () and small = a.App.test_sizes in
+  check_str "both spaces share a name" (Space.name (km_space paper)) (Space.name (km_space small));
+  let (g_paper, g_small), c =
+    gate_counts (fun () ->
+        let gp = Eval.gate ev ~space:(km_space paper) ~generate:(km_generate paper) in
+        let gs = Eval.gate ev ~space:(km_space small) ~generate:(km_generate small) in
+        (gp, gs))
+  in
+  check_counts "different sizes miss (hit, miss)" (0, 2) c;
+  check_bool "and get different systems" false (Symgate.systems g_small = Symgate.systems g_paper)
+
+let test_gate_memo_off_without_cache () =
+  let ev = Eval.create ~analysis_cap:0 (Lazy.force estimator) in
+  let sizes = km_paper () in
+  let g1 = Eval.gate ev ~space:(km_space sizes) ~generate:(km_generate sizes) in
+  let g2 = Eval.gate ev ~space:(km_space sizes) ~generate:(km_generate sizes) in
+  check_bool "analysis_cap 0 derives every call" false (g1 == g2);
+  check_bool "to the same systems" true (Symgate.systems g1 = Symgate.systems g2);
+  let (), c = gate_counts (fun () -> ignore (km_sweep ev); ignore (km_sweep ev)) in
+  check_counts "no memo, no hit or miss (hit, miss)" (0, 0) c
+
+let test_gate_memo_outside_cache_stats () =
+  (* Explore.result's cache counts cover the per-point caches only: one
+     analysis probe per point past the gate, one estimate probe more per
+     evaluated point, whether the gate was derived or memoized. *)
+  let ev = Eval.create (Lazy.force estimator) in
+  let probes (r : Explore.result) =
+    (2 * List.length r.Explore.evaluations) + r.Explore.lint_pruned + r.Explore.absint_pruned
+    + r.Explore.dep_pruned
+  in
+  let cold = km_sweep ev in
+  check_int "cold run: hits + misses = per-point probes" (probes cold)
+    (cold.Explore.cache_hits + cold.Explore.cache_misses);
+  let warm = km_sweep ev in
+  check_int "warm run: hits = per-point probes" (probes warm) warm.Explore.cache_hits;
+  check_int "warm run: no misses" 0 warm.Explore.cache_misses;
+  let before = Eval.stats ev in
+  let sizes = km_paper () in
+  ignore (Eval.gate ev ~space:(km_space sizes) ~generate:(km_generate sizes));
+  check_bool "a gate hit leaves Eval.stats alone" true (Eval.stats ev = before)
+
+(* ------------------------------------------------------------------ *)
 (* Grep pin: Eval is the only evaluation pipeline                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -415,6 +525,21 @@ let test_no_direct_analysis_pipelines () =
         (scan_offenders ~needle dirs))
     [ "Absint."; "Dependence." ]
 
+(* The symbolic gate is derived through [Eval.gate]'s memo. The one other
+   caller is [dhdl analyze --symbolic], which derives a gate to print it. *)
+let test_no_direct_gate_derivation () =
+  Alcotest.(check (list string))
+    "no Symgate.derive outside Eval and dhdl analyze --symbolic" []
+    (scan_offenders ~needle:"Symgate.derive"
+       [
+         ("../lib/dse", [ "eval.ml" ]);
+         ("../lib/serve", []);
+         ("../lib/core", []);
+         ("../bin", [ "dhdl.ml" ]);
+         ("../bench", []);
+         ("../examples", []);
+       ])
+
 let () =
   Alcotest.run "eval"
     [
@@ -440,11 +565,22 @@ let () =
           Alcotest.test_case "warm resume determinism" `Quick test_warm_resume_determinism;
           Alcotest.test_case "cache counters surfaced" `Quick test_cache_counters_surfaced;
         ] );
+      ( "gate memo",
+        [
+          Alcotest.test_case "second run derives nothing" `Quick test_gate_memo_second_run;
+          Alcotest.test_case "memo hit = fresh derive, jobs 1 and 4" `Quick
+            test_gate_memo_checkpoint_identity;
+          Alcotest.test_case "keyed by content, not name" `Quick test_gate_memo_keyed_by_content;
+          Alcotest.test_case "off with analysis_cap 0" `Quick test_gate_memo_off_without_cache;
+          Alcotest.test_case "outside the cache stats" `Quick test_gate_memo_outside_cache_stats;
+        ] );
       ( "api boundary",
         [
           Alcotest.test_case "no direct pipelines outside Eval" `Quick
             test_no_direct_estimator_pipelines;
           Alcotest.test_case "no direct analysis outside Eval / dhdl analyze" `Quick
             test_no_direct_analysis_pipelines;
+          Alcotest.test_case "no gate derivation outside Eval / dhdl analyze" `Quick
+            test_no_direct_gate_derivation;
         ] );
     ]

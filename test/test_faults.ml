@@ -190,6 +190,43 @@ let test_checkpoint_roundtrip_and_golden () =
   Sys.remove path;
   Sys.remove path2
 
+(* The render-once writer a sweep keeps: after every append and flush the
+   file holds exactly [render] of the entries so far, for entries of every
+   kind (the faulted sweep's evaluations and failures, plus one of each
+   prune kind). *)
+let test_writer_matches_render () =
+  let est = Lazy.force estimator in
+  let path = tmp "writer_src.jsonl" and out = tmp "writer.jsonl" in
+  with_faults @@ fun () ->
+  mixed_faults ();
+  ignore (run_sweep ~checkpoint:path est);
+  match Checkpoint.load ~path with
+  | Error msg -> Alcotest.fail msg
+  | Ok c ->
+    let n = List.length c.Checkpoint.entries in
+    let entries =
+      c.Checkpoint.entries
+      @ [ (n, Outcome.Pruned); (n + 1, Outcome.Absint_pruned); (n + 2, Outcome.Dep_pruned);
+          (n + 3, Outcome.Sym_pruned) ]
+    in
+    let w = Checkpoint.writer { c with Checkpoint.entries = [] } in
+    let check_prefix k =
+      Checkpoint.flush ~path:out w;
+      Alcotest.(check string)
+        (Printf.sprintf "file after %d appends" k)
+        (Checkpoint.render { c with Checkpoint.entries = List.filteri (fun j _ -> j < k) entries })
+        (read_file out)
+    in
+    check_prefix 0;
+    List.iteri
+      (fun k (i, e) ->
+        Checkpoint.append w i e;
+        check_prefix (k + 1))
+      entries;
+    check_bool "no temp file left behind" false (Sys.file_exists (out ^ ".tmp"));
+    Sys.remove path;
+    Sys.remove out
+
 let test_resume_bit_identical_after_kill () =
   let est = Lazy.force estimator in
   let full_path = tmp "full.jsonl" in
@@ -367,6 +404,7 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "roundtrip + golden" `Quick test_checkpoint_roundtrip_and_golden;
+          Alcotest.test_case "writer = render at every prefix" `Quick test_writer_matches_render;
           Alcotest.test_case "resume bit-identical" `Quick test_resume_bit_identical_after_kill;
           Alcotest.test_case "torn tail tolerated at every cut" `Quick test_torn_tail_every_cut;
           Alcotest.test_case "mismatch rejected" `Quick test_resume_rejects_mismatched_checkpoint;

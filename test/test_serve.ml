@@ -589,6 +589,33 @@ let test_basic_verbs () =
   check_bool "absint report embedded" true (Sjson.member "absint" p <> None);
   check_bool "dependence report embedded" true (Sjson.member "dependence" p <> None)
 
+(* Analysis witnesses are JSON arrays. kmeans at parDist=12 has a bank
+   conflict whose lane indices are two-dimensional; they used to render
+   ';'-joined, so the report was not JSON and an analyze reply for the
+   point failed to parse at the client. *)
+let test_analyze_witness_json () =
+  let app = Registry.find "kmeans" in
+  let sizes = app.App.paper_sizes in
+  let params =
+    List.map (fun (k, v) -> if k = "parDist" then (k, 12) else (k, v)) (app.App.default_params sizes)
+  in
+  let design = app.App.generate ~sizes ~params in
+  let absint = Dhdl_absint.Absint.render_json (Dhdl_absint.Absint.analyze design) in
+  let deps = Dhdl_absint.Dependence.render_json (Dhdl_absint.Dependence.analyze design) in
+  check_bool "the report carries a 2-D conflict witness" true (contains absint "\"index_a\":[0,0]");
+  List.iter
+    (fun (what, js) ->
+      match Sjson.parse js with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s report is not JSON: %s" what msg)
+    [ ("absint", absint); ("dependence", deps) ];
+  with_sup (sup_config ()) @@ fun sup ->
+  (* [rpc] round-trips the reply through the wire codec. *)
+  let p = payload (rpc sup (P.request ~id:"an-witness" ~app:"kmeans" ~params P.Analyze)) in
+  check_bool "the conflict refutes the point" false (bfield "clean" p);
+  check_bool "the witness arrives as an array" true
+    (contains (Sjson.render (field "absint" p)) "\"index_a\":[0,0]")
+
 let test_estimate_batch () =
   with_sup (sup_config ()) @@ fun sup ->
   let specs =
@@ -1016,6 +1043,7 @@ let () =
       ( "supervisor",
         [
           Alcotest.test_case "basic verbs" `Quick test_basic_verbs;
+          Alcotest.test_case "analyze witnesses are JSON" `Quick test_analyze_witness_json;
           Alcotest.test_case "estimate batch" `Quick test_estimate_batch;
           Alcotest.test_case "bad requests are typed" `Quick test_bad_requests_are_typed;
           Alcotest.test_case "idempotent reply cache" `Quick test_idempotent_reply_cache;
