@@ -9,7 +9,8 @@
 
    Sections: table2 table3 table4 fig5 fig6 ablations micro all
    Named-only (excluded from `all`): serve-soak — long fault soak of the
-   DSE server over its Unix socket. *)
+   DSE server over its Unix socket; kernel-oracle — long differential fuzz
+   of the analysis kernels against their exhaustive scans. *)
 
 module E = Dhdl_core.Experiments
 module Estimator = Dhdl_model.Estimator
@@ -111,7 +112,7 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 4) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 5) from GDA sweeps plus a kmeans
    symbolic-gate A/B. Four axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
@@ -207,6 +208,22 @@ let run_dseperf ~quick () =
     let r = Explore.run cfg (fresh_eval ()) ~space:sym_space ~generate in
     (r, !calls)
   in
+  (* Cold per-lane split: a separate profiled jobs=1 sweep on a fresh
+     cache, so its worker lanes say where a cold point's time goes (the
+     timed cold run above stays unprofiled, comparable with history). *)
+  let rprof, _ = sweep ~profile:true (fresh_eval ()) in
+  let cold_attribution =
+    let module P = Dhdl_dse.Profile in
+    let a = attr_of rprof in
+    let lane f = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
+    Printf.sprintf
+      "{\"jobs\":1,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"generate_s\":%.4f,\"probe_s\":%.4f,\"analyze_s\":%.4f,\"estimate_s\":%.4f}"
+      rprof.Explore.elapsed_seconds (pps rprof)
+      (lane (fun w -> w.P.w_generate_s))
+      (lane (fun w -> w.P.w_probe_s))
+      (lane (fun w -> w.P.w_analyze_s))
+      (lane (fun w -> w.P.w_estimate_s))
+  in
   let sym_on, gen_on = sym_run ~symbolic:true in
   let sym_off, gen_off = sym_run ~symbolic:false in
   let sym_side (r : Explore.result) calls =
@@ -246,10 +263,10 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":4,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls.\",\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"ms_per_design_p50\":%.4f,\"ms_per_design_p95\":%.4f,\"cache_ab\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":5,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits a separate profiled cold jobs=1 gda sweep into its worker lanes.\",\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"ms_per_design_p50\":%.4f,\"ms_per_design_p95\":%.4f,\"cache_ab\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
-      r1.Explore.elapsed_seconds (pps r1) p50 p95 cache_ab symbolic_ab
+      r1.Explore.elapsed_seconds (pps r1) p50 p95 cache_ab cold_attribution symbolic_ab
       (String.concat "," (List.map chunk_json chunks))
       (String.concat "," (List.map level_json levels))
   in
@@ -287,6 +304,7 @@ let run_dseperf ~quick () =
     gen_on sym_on.Explore.sym_pruned sym_on.Explore.elapsed_seconds gen_off
     sym_off.Explore.elapsed_seconds (gen_off - gen_on);
   Printf.printf "ms per design (sequential, cold): p50 %.4f, p95 %.4f\n" p50 p95;
+  Printf.printf "cold lanes (profiled jobs=1): %s\n" cold_attribution;
   Printf.printf "written to BENCH_dse.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -430,6 +448,38 @@ let run_serve_soak ~quick () =
   assert (!ok + !typed_errors = n)
 
 (* ------------------------------------------------------------------ *)
+(* Long differential fuzz of the analysis kernels: the QCheck properties
+   test_deps and test_absint run briefly, at a long budget, plus the
+   registry comparison at every par of the symbolic scan (2-96). Excluded
+   from the default `all` run:
+     dune exec bench/main.exe kernel-oracle [-- --quick]               *)
+(* ------------------------------------------------------------------ *)
+
+let run_kernel_oracle ~quick () =
+  banner "Kernel oracle: distance solver, lane and banking searches vs exhaustive scans";
+  let count = if quick then 2_000 else 50_000 in
+  let props = Kernel_oracle.dependence_props ~count @ Kernel_oracle.banking_props ~count in
+  let failed = QCheck_base_runner.run_tests ~colors:false ~verbose:true props in
+  let seen = Kernel_oracle.seen () in
+  let designs = Kernel_oracle.registry_designs ~bindings:(if quick then 50 else 200) in
+  let diffs =
+    List.concat_map
+      (fun (label, d) ->
+        List.map (fun m -> label ^ ": " ^ m)
+          (Kernel_oracle.dependence_diffs ~pars:Kernel_oracle.all_pars seen d
+          @ Kernel_oracle.banking_diffs seen d))
+      designs
+  in
+  List.iter print_endline diffs;
+  Printf.printf
+    "registry: %d designs, %d distance systems, %d pipe bodies (pars 2-96), %d grid searches: %d \
+     mismatch(es)\n"
+    (List.length designs) (Hashtbl.length seen.Kernel_oracle.solves)
+    (Hashtbl.length seen.Kernel_oracle.pipes) (Hashtbl.length seen.Kernel_oracle.grids)
+    (List.length diffs);
+  if failed <> 0 || diffs <> [] then exit 1
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -446,8 +496,9 @@ let all_sections =
   ]
 
 (* Named-only sections: runnable by name, excluded from `all` — the serve
-   soak is a long robustness exercise, not part of the paper's evaluation. *)
-let extra_sections = [ ("serve-soak", run_serve_soak) ]
+   soak and the kernel fuzz are long robustness exercises, not part of the
+   paper's evaluation. *)
+let extra_sections = [ ("serve-soak", run_serve_soak); ("kernel-oracle", run_kernel_oracle) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

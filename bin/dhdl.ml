@@ -73,16 +73,7 @@ let make_eval ?cache ?quiet ?(no_cache = false) ~seed ~train_samples () =
    point (pinned parameters included), so the merge matters. *)
 let resolved_point ~app ~params =
   let app = lookup_app app in
-  let sizes = app.App.paper_sizes in
-  let overrides = parse_params params in
-  let merged =
-    List.map
-      (fun (k, v) ->
-        (k, match List.assoc_opt k overrides with Some v' -> v' | None -> v))
-      (app.App.default_params sizes)
-  in
-  let extra = List.filter (fun (k, _) -> not (List.mem_assoc k merged)) overrides in
-  (app, merged @ extra)
+  (app, App.resolve app app.App.paper_sizes (parse_params params))
 
 let design_of ~app ~params =
   let app, params = resolved_point ~app ~params in

@@ -383,7 +383,9 @@ let strides_of dims =
 
 let flat_of strides idx =
   let acc = ref 0 in
-  Array.iteri (fun d x -> acc := !acc + (x * strides.(d))) idx;
+  for d = 0 to Array.length idx - 1 do
+    acc := !acc + (idx.(d) * strides.(d))
+  done;
   !acc
 
 let decompose dims flat =
@@ -404,16 +406,17 @@ let bank_disp ~strides scheme idx =
   | Cyclic { banks; block } -> posmod (flat_of strides idx / max 1 block) banks
   | Blocked bs ->
     let acc = ref 0 in
-    Array.iteri (fun d (b, s) -> acc := (!acc * b) + posmod (idx.(d) / max 1 s) b) bs;
+    for d = 0 to Array.length bs - 1 do
+      let b, s = bs.(d) in
+      acc := (!acc * b) + posmod (idx.(d) / max 1 s) b
+    done;
     !acc
 
-(* Translation-invariant bank key of an index tuple, valid for comparing
-   lanes of one vector (which share the unknown base): requires block = 1
-   so the floor is linear in the index. *)
-let bank_key ~strides scheme idx =
-  match scheme with
-  | Cyclic { banks; _ } -> [ posmod (flat_of strides idx) banks ]
-  | Blocked bs -> Array.to_list (Array.mapi (fun d x -> posmod x (fst bs.(d))) idx)
+(* Number of distinct [bank_disp] values: bank factors are positive
+   (the bank count and its divisors). *)
+let bank_count = function
+  | Cyclic { banks; _ } -> banks
+  | Blocked bs -> Array.fold_left (fun acc (b, _) -> acc * b) 1 bs
 
 (* Can a run of [p] flat-consecutive words always land on distinct bank
    tuples? Sufficient per-dimension criterion, last dimension first:
@@ -442,41 +445,46 @@ let mk_conflict la lb ia ib bank =
          k_bank = bank;
        })
 
-(* Enumerate the vectors of a grid pattern under a block = 1 scheme and
-   return the first conflicting lane pair (same bank key, and either a
-   write or two different words). *)
-let grid_search ~write ~par ~base ~coeffs ~trips ~key =
-  let n = Array.length trips in
-  let ndims = Array.length base in
+(* Search the vectors of a grid pattern for the first conflicting lane
+   pair: same bank, and either a write or two different words. [bank]
+   maps an index tuple into [0, banks). The index is stepped along the
+   flattened iterations, each window keeps its lanes' indices, and
+   [stamp.(k)] / [first.(k)] name the first lane of the window that took
+   bank [k]. Returns (first lane, lane, their index tuples). *)
+let grid_search ~write ~par ~base ~coeffs ~trips ~banks ~bank =
+  let n = Array.length trips and ndims = Array.length base in
   let total = Array.fold_left ( * ) 1 trips in
-  let w = Array.make (max n 1) 1 in
-  for i = n - 2 downto 0 do
-    w.(i) <- w.(i + 1) * trips.(i + 1)
-  done;
-  let index_of l =
-    Array.init ndims (fun d ->
-        let acc = ref base.(d) in
-        for i = 0 to n - 1 do
-          acc := !acc + (coeffs.(d).(i) * (l / w.(i) mod trips.(i)))
-        done;
-        !acc)
+  let x = Array.make n 0 and idx = Array.copy base in
+  let step i delta =
+    for d = 0 to ndims - 1 do
+      idx.(d) <- idx.(d) + (delta * coeffs.(d).(i))
+    done
   in
-  let nvec = (total + par - 1) / par in
-  let res = ref None in
-  let v = ref 0 in
-  while !res = None && !v < nvec do
-    let tbl = Hashtbl.create 32 in
-    let l = ref 0 in
-    while !res = None && !l < par && (!v * par) + !l < total do
-      let idx = index_of ((!v * par) + !l) in
-      let k = key idx in
-      (match Hashtbl.find_opt tbl k with
-      | Some (l0, idx0) when write || idx0 <> idx -> res := Some (l0, !l, idx0, idx)
-      | Some _ -> () (* same word, read: broadcast *)
-      | None -> Hashtbl.add tbl k (!l, idx));
-      incr l
+  let lanes = Array.make (min par total * ndims) 0 in
+  let lane_idx l = Array.sub lanes (l * ndims) ndims in
+  let same_word l =
+    let rec go d = d = ndims || (lanes.((l * ndims) + d) = idx.(d) && go (d + 1)) in
+    go 0
+  in
+  let stamp = Array.make banks (-1) and first = Array.make banks 0 in
+  let res = ref None and lo = ref 0 in
+  while !res = None && !lo < total do
+    let hi = min total (!lo + par) in
+    let it = ref !lo in
+    while !res = None && !it < hi do
+      let l = !it - !lo and k = bank idx in
+      Array.blit idx 0 lanes (l * ndims) ndims;
+      if stamp.(k) <> !lo then begin
+        stamp.(k) <- !lo;
+        first.(k) <- l
+      end
+      else if write || not (same_word first.(k)) then
+        res := Some (first.(k), l, lane_idx first.(k), Array.copy idx)
+      (* else the same word, read: broadcast *);
+      Word_ids.advance ~trips x step;
+      incr it
     done;
-    incr v
+    lo := hi
   done;
   !res
 
@@ -553,6 +561,9 @@ let serves ~dims ~strides scheme (v : vec) : serve =
         mk_conflict 0 period v.v_base ib (disp v.v_base)
       else Unserved None)
   | P_grid { coeffs; trips } ->
+    (* With block = 1 the bank is linear in the index modulo the bank
+       count, so which lanes of a vector collide does not depend on the
+       base the outer iterators add. *)
     let blocks_one =
       match scheme with
       | Cyclic { block; _ } -> block = 1
@@ -562,7 +573,7 @@ let serves ~dims ~strides scheme (v : vec) : serve =
     else (
       match
         grid_search ~write:v.v_write ~par:v.v_par ~base:v.v_base ~coeffs ~trips
-          ~key:(bank_key ~strides scheme)
+          ~banks:(bank_count scheme) ~bank:disp
       with
       | None -> Served
       | Some (la, lb, ia, ib) -> mk_conflict la lb ia ib (disp ia))

@@ -270,42 +270,78 @@ type solve_result = Solved of (int * int array) option | Too_large
 
 (* Minimal positive flattened distance [delta . w] over the distance box
    [prod [-(t_i - 1), t_i - 1]] subject to every per-dimension constraint
-   [sum coefs_i * delta_i = rhs]. Any in-box [delta] admits a concrete
-   iteration pair (x, x + delta), so a solution is a real dependence. *)
+   [sum coefs_i * delta_i = rhs]; among equal distances the
+   lexicographically first [delta] (counter 0 most significant, each
+   ascending). Any in-box [delta] admits a concrete iteration pair
+   (x, x + delta), so a solution is a real dependence.
+
+   A depth-first search in that lexicographic order. With counters
+   [0..i-1] fixed at partial distance [f], the rest add at most
+   [reach.(i) = sum_{j>=i} (t_j - 1) * w_j] either way, so a subtree is
+   skipped when [[f - reach, f + reach]] holds no positive value below the
+   best so far (ties never replace, so equal is skipped too), or when some
+   constraint's residual [rhs - partial] exceeds what its unfixed
+   counters can still add, [sum_{j>=i} |c_j| (t_j - 1)]. Both tests only
+   discard subtrees without a better solution, so the result is the
+   exhaustive scan's. [delta_cap] still bounds the box. *)
 let solve_delta ~trips constraints =
   let n = Array.length trips in
-  if Array.exists (fun t -> t <= 0) trips then Solved None
+  (* no counters: the only distance is 0 *)
+  if n = 0 || Array.exists (fun t -> t <= 0) trips then Solved None
   else begin
     let size = Array.fold_left (fun acc t -> acc * ((2 * t) - 1)) 1 trips in
     if size > delta_cap then Too_large
     else begin
       let w = weights trips in
-      let delta = Array.make n 0 in
-      let best = ref None in
-      let rec go i =
-        if i = n then begin
-          let flat = ref 0 in
-          Array.iteri (fun j dj -> flat := !flat + (dj * w.(j))) delta;
-          if
-            !flat > 0
-            && List.for_all
-                 (fun (coefs, rhs) ->
-                   let s = ref 0 in
-                   Array.iteri (fun j dj -> s := !s + (coefs.(j) * dj)) delta;
-                   !s = rhs)
-                 constraints
-          then
-            match !best with
-            | Some (f0, _) when f0 <= !flat -> ()
-            | _ -> best := Some (!flat, Array.copy delta)
-        end
-        else
-          for dj = -(trips.(i) - 1) to trips.(i) - 1 do
-            delta.(i) <- dj;
-            go (i + 1)
-          done
+      let tail f =
+        let a = Array.make (n + 1) 0 in
+        for i = n - 1 downto 0 do
+          a.(i) <- a.(i + 1) + (f i * (trips.(i) - 1))
+        done;
+        a
       in
-      go 0;
+      let reach = tail (fun i -> w.(i)) in
+      let cons = Array.of_list constraints in
+      let coefs = Array.map fst cons in
+      let slack = Array.map (fun c -> tail (fun i -> abs c.(i))) coefs in
+      let residual = Array.map snd cons in
+      let m = Array.length cons in
+      let delta = Array.make n 0 in
+      let best_flat = ref max_int and best = ref None in
+      let rec go i flat =
+        if i = n then begin
+          (* the range test admitted only 0 < flat < best, and the slack
+             test zero residuals *)
+          best_flat := flat;
+          best := Some (flat, Array.copy delta)
+        end
+        else begin
+          let t = trips.(i) and r = reach.(i + 1) in
+          let dj = ref (-(t - 1)) in
+          (* flat values rise with dj: skip the all-non-positive subtrees,
+             stop at the first whose least positive value is no better *)
+          while !dj <= t - 1 && flat + (!dj * w.(i)) + r <= 0 do
+            incr dj
+          done;
+          while !dj <= t - 1 && max 1 (flat + (!dj * w.(i)) - r) < !best_flat do
+            let d = !dj in
+            let fits = ref true in
+            for k = 0 to m - 1 do
+              residual.(k) <- residual.(k) - (coefs.(k).(i) * d);
+              if abs residual.(k) > slack.(k).(i + 1) then fits := false
+            done;
+            if !fits then begin
+              delta.(i) <- d;
+              go (i + 1) (flat + (d * w.(i)))
+            end;
+            for k = 0 to m - 1 do
+              residual.(k) <- residual.(k) + (coefs.(k).(i) * d)
+            done;
+            incr dj
+          done
+        end
+      in
+      go 0 0;
       Solved !best
     end
   end
@@ -409,15 +445,16 @@ type pair = {
          test replays these against enumerated concrete iterations. *)
 }
 
+(* Two accesses whose addresses compare exactly: same arity, every
+   dimension affine, equal invariant parts (which then cancel). *)
+let comparable a b =
+  List.length a.ba_forms = List.length b.ba_forms
+  && List.for_all2
+       (fun fa fb -> match (fa, fb) with Aff x, Aff y -> x.base = y.base | _ -> false)
+       a.ba_forms b.ba_forms
+
 let exposed_dims (counters : Ir.counter array) src dst =
-  let comparable =
-    List.length src.ba_forms = List.length dst.ba_forms
-    && List.for_all2
-         (fun fa fb ->
-           match (fa, fb) with Aff a, Aff b -> a.base = b.base | _ -> false)
-         src.ba_forms dst.ba_forms
-  in
-  if not comparable then (None, None)
+  if not (comparable src dst) then (None, None)
   else begin
     let expose forms =
       Some
@@ -581,48 +618,170 @@ let decompose trips flat =
   done;
   x
 
-(* Search one access pair for two distinct lanes of one vector touching
-   the same word. Vector [v] issues the [par] consecutive flattened
-   iterations starting at [v * par]; the pair's invariant address parts
-   are equal (checked by the caller), so comparing the affine parts is
-   exact. A hit is a concrete scheduling violation: two lanes issued in
-   the same cycle with a dependence between them. *)
-let pair_conflict ~counters ~trips ~par src dst =
+(* Affine parts of an access's per-dimension addresses as a {!Word_ids}
+   side: the pair's invariant parts are equal (callers pair only
+   comparable accesses), so comparing these parts is exact. *)
+let word_side nctr forms =
+  let dims = Array.of_list forms in
+  {
+    Word_ids.base = Array.map (function Aff { c0; _ } -> c0 | Unk _ -> 0) dims;
+    coeffs =
+      Array.map
+        (fun f ->
+          let c = Array.make nctr 0 in
+          (match f with
+          | Aff { terms; _ } -> List.iter (fun (p, k) -> c.(p) <- k) terms
+          | Unk _ -> ());
+          c)
+        dims;
+  }
+
+(* The words of one memory's paired accesses in one id space, interned
+   on first use: per paired access, its word id at each flattened
+   iteration; ids lie in [0, gw_count). *)
+type group_words = { gw_ids : int array array; gw_count : int }
+
+(* Window stamps, one set per domain and reused by every search on it:
+   [stamp.(id)] is the last window whose source side touched word [id]
+   and [first.(id)] the first lane in that window that did. Window numbers
+   never repeat on a domain, and a window's stamps are written and read
+   within one [window_collision] call, so no search sees another's. *)
+type stamps = { mutable stamp : int array; mutable first : int array; mutable window : int }
+
+let stamps_slot = Stdlib.Domain.DLS.new_key (fun () -> { stamp = [||]; first = [||]; window = 0 })
+
+let stamps_for count =
+  let st = Stdlib.Domain.DLS.get stamps_slot in
+  if Array.length st.stamp < count then begin
+    let size = max count (2 * Array.length st.stamp) in
+    st.stamp <- Array.make size (-1);
+    st.first <- Array.make size 0
+  end;
+  st
+
+type lane_pair = {
+  lp_src : body_access;
+  lp_dst : body_access;
+  lp_kind : kind;
+  lp_words : group_words Lazy.t;
+  lp_src_side : int;  (* indices into [gw_ids] *)
+  lp_dst_side : int;
+}
+
+(* The collision search of one Pipe: its comparable pairs in the
+   checker's order (memories in [group_by_mem] order, each write against
+   every access of its memory, itself included). *)
+type lanes = {
+  ln_counters : Ir.counter array;
+  ln_trips : int array;
+  ln_total : int;
+  ln_pairs : lane_pair list;
+}
+
+let pipe_lanes ~counters ~trips accs =
+  let nctr = Array.length trips in
   let total = Array.fold_left ( * ) 1 trips in
-  if total <= 1 || par <= 1 || total > grid_cap then None
-  else begin
-    let nvec = (total + par - 1) / par in
-    let res = ref None in
-    let v = ref 0 in
-    while !res = None && !v < nvec do
-      let tbl = Hashtbl.create 16 in
-      let l = ref 0 in
-      while !l < par && (!v * par) + !l < total do
-        let x = decompose trips ((!v * par) + !l) in
-        let idx = eval_dims src.ba_forms x in
-        if not (Hashtbl.mem tbl idx) then Hashtbl.add tbl idx (!l, x);
-        incr l
-      done;
-      let l' = ref 0 in
-      while !res = None && !l' < par && (!v * par) + !l' < total do
-        let x' = decompose trips ((!v * par) + !l') in
-        let idx' = eval_dims dst.ba_forms x' in
-        (match Hashtbl.find_opt tbl idx' with
-        | Some (l0, x0) when l0 <> !l' ->
-          res :=
-            Some
-              ( l0,
-                !l',
-                iter_values counters x0,
-                iter_values counters x',
-                idx' )
-        | _ -> ());
-        incr l'
-      done;
-      incr v
+  let group_pairs group =
+    let pairs =
+      List.concat_map
+        (fun w ->
+          List.filter_map
+            (fun other -> if comparable w other then Some (w, other) else None)
+            group)
+        (List.filter (fun a -> a.ba_write) group)
+    in
+    (* each paired access once *)
+    let sides =
+      List.rev
+        (List.fold_left
+           (fun acc (w, o) ->
+             let add acc a = if List.memq a acc then acc else a :: acc in
+             add (add acc w) o)
+           [] pairs)
+    in
+    let side a = Option.get (List.find_index (( == ) a) sides) in
+    let words =
+      lazy
+        (let w = Word_ids.intern ~trips (List.map (fun a -> word_side nctr a.ba_forms) sides) in
+         { gw_ids = w.Word_ids.ids; gw_count = w.Word_ids.count })
+    in
+    List.map
+      (fun (w, other) ->
+        {
+          lp_src = w;
+          lp_dst = other;
+          lp_kind =
+            (if other.ba_write then Waw else if w.ba_stmt < other.ba_stmt then Raw else War);
+          lp_words = words;
+          lp_src_side = side w;
+          lp_dst_side = side other;
+        })
+      pairs
+  in
+  {
+    ln_counters = counters;
+    ln_trips = trips;
+    ln_total = total;
+    ln_pairs = List.concat_map group_pairs (group_by_mem accs);
+  }
+
+(* The first window, and in it the first destination lane, whose word
+   the window's source side first touched at a different lane: vector
+   [v] issues the [par] consecutive flattened iterations from [v * par].
+   Returns (that source lane, the destination lane, window start). *)
+let window_collision st ~src ~dst ~total ~par =
+  let res = ref None and lo = ref 0 in
+  while !res = None && !lo < total do
+    let hi = min total (!lo + par) and win = st.window in
+    st.window <- win + 1;
+    for it = !lo to hi - 1 do
+      let id = src.(it) in
+      if st.stamp.(id) <> win then begin
+        st.stamp.(id) <- win;
+        st.first.(id) <- it - !lo
+      end
     done;
-    !res
-  end
+    let it = ref !lo in
+    while !res = None && !it < hi do
+      let id = dst.(!it) in
+      if st.stamp.(id) = win && st.first.(id) <> !it - !lo then
+        res := Some (st.first.(id), !it - !lo, !lo);
+      incr it
+    done;
+    lo := hi
+  done;
+  !res
+
+(* Two distinct lanes of one vector touching the same word, one of them
+   writing: a concrete scheduling violation, two lanes issued in the same
+   cycle with a dependence between them. The first pair in checker order
+   with such a collision gives the witness. Shared by [analyze_pipe] and
+   the symbolic L013 par scan, which reuses each pair's words across
+   pars. *)
+let lane_conflict ln ~par =
+  if ln.ln_total <= 1 || par <= 1 || ln.ln_total > grid_cap then None
+  else
+    List.find_map
+      (fun lp ->
+        let gw = Lazy.force lp.lp_words in
+        match
+          window_collision (stamps_for gw.gw_count) ~src:gw.gw_ids.(lp.lp_src_side)
+            ~dst:gw.gw_ids.(lp.lp_dst_side) ~total:ln.ln_total ~par
+        with
+        | None -> None
+        | Some (la, lb, lo) ->
+          let xa = decompose ln.ln_trips (lo + la) and xb = decompose ln.ln_trips (lo + lb) in
+          Some
+            {
+              lc_mem = lp.lp_src.ba_mem.Ir.mem_name;
+              lc_kind = lp.lp_kind;
+              lc_lane_a = la;
+              lc_lane_b = lb;
+              lc_iters_a = iter_values ln.ln_counters xa;
+              lc_iters_b = iter_values ln.ln_counters xb;
+              lc_index = eval_dims lp.lp_dst.ba_forms xb;
+            })
+      ln.ln_pairs
 
 (* ------------------------------------------------------------------ *)
 (* Per-pipe analysis                                                   *)
@@ -646,65 +805,7 @@ let analyze_pipe ~path (loop : Ir.loop_info) body =
   let pairs = all_pairs ~counters ~trips accs in
   let latency = recurrence_latency body in
   let par = max 1 loop.Ir.lp_par in
-  (* Legality: re-pair the raw accesses (the [pair] list only keeps the
-     exposed forms) and search each comparable pair for a same-cycle
-     collision. *)
-  let conflict =
-    if par <= 1 then None
-    else begin
-      let groups = group_by_mem accs in
-      let comparable a b =
-        List.length a.ba_forms = List.length b.ba_forms
-        && List.for_all2
-             (fun fa fb -> match (fa, fb) with Aff x, Aff y -> x.base = y.base | _ -> false)
-             a.ba_forms b.ba_forms
-      in
-      List.fold_left
-        (fun acc group ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            let writes = List.filter (fun a -> a.ba_write) group in
-            let candidates =
-              List.concat_map
-                (fun w ->
-                  List.filter_map
-                    (fun other ->
-                      if comparable w other then
-                        let k =
-                          if other.ba_write then Waw
-                          else if w.ba_stmt < other.ba_stmt then Raw
-                          else War
-                        in
-                        Some (w, other, k)
-                      else None)
-                    group)
-                writes
-            in
-            List.fold_left
-              (fun acc (w, other, k) ->
-                match acc with
-                | Some _ -> acc
-                | None -> (
-                  (* same access, same lane is the same iteration; skip
-                     pairing an access with itself only when scalar *)
-                  match pair_conflict ~counters ~trips ~par w other with
-                  | Some (la, lb, ia, ib, idx) when not (w == other && la = lb) ->
-                    Some
-                      {
-                        lc_mem = w.ba_mem.Ir.mem_name;
-                        lc_kind = k;
-                        lc_lane_a = la;
-                        lc_lane_b = lb;
-                        lc_iters_a = ia;
-                        lc_iters_b = ib;
-                        lc_index = idx;
-                      }
-                  | _ -> None))
-              acc candidates)
-        None groups
-    end
-  in
+  let conflict = lane_conflict (pipe_lanes ~counters ~trips accs) ~par in
   {
     pd_label = loop.Ir.lp_label;
     pd_path = path;

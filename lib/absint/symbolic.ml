@@ -684,38 +684,6 @@ let body_acc_equal (a : Dependence.body_access) (b : Dependence.body_access) =
   && List.length a.Dependence.ba_forms = List.length b.Dependence.ba_forms
   && List.for_all2 dform_equal a.Dependence.ba_forms b.Dependence.ba_forms
 
-(* Would the concrete checker find a same-cycle lane conflict at [par]?
-   This mirrors [Dependence.analyze_pipe]'s candidate loop exactly —
-   same grouping, same comparability test, same self-pair skip — and
-   reuses [Dependence.pair_conflict] itself, so the scan cannot drift
-   from the checker it predicts. *)
-let conflict_at ~counters ~trips ~groups par =
-  par > 1
-  && List.exists
-       (fun group ->
-         let comparable (a : Dependence.body_access) (b : Dependence.body_access) =
-           List.length a.Dependence.ba_forms = List.length b.Dependence.ba_forms
-           && List.for_all2
-                (fun fa fb ->
-                  match (fa, fb) with
-                  | Dependence.Aff { base = xb; _ }, Dependence.Aff { base = yb; _ } -> xb = yb
-                  | _ -> false)
-                a.Dependence.ba_forms b.Dependence.ba_forms
-         in
-         let writes = List.filter (fun a -> a.Dependence.ba_write) group in
-         List.exists
-           (fun w ->
-             List.exists
-               (fun other ->
-                 comparable w other
-                 &&
-                 match Dependence.pair_conflict ~counters ~trips ~par w other with
-                 | Some (la, lb, _, _, _) -> not (w == other && la = lb)
-                 | None -> false)
-               group)
-           writes)
-       groups
-
 (* One Pipe. With the counter nest constant across probes (the common
    case: pipes iterate problem-sized grids; parameters set par) and the
    body's abstract addresses probe-invariant, the only free coordinate is
@@ -762,11 +730,14 @@ let derive_pipe_check ~varying ~probes pipe_idx =
       match fit ~params:varying obs with
       | None -> None
       | Some p_e ->
-        let groups = Dependence.group_by_mem accs0 in
+        (* [Dependence.lane_conflict] is the concrete checker's own
+           search, so the scan cannot drift from what it predicts; its
+           pairs intern their words once for the whole scan. *)
+        let lanes = Dependence.pipe_lanes ~counters:counters0 ~trips accs0 in
         let cap = min total par_scan_cap in
         let bad = ref [] in
         for p = cap downto 2 do
-          if conflict_at ~counters:counters0 ~trips ~groups p then bad := p :: !bad
+          if Dependence.lane_conflict lanes ~par:p <> None then bad := p :: !bad
         done;
         let site =
           Printf.sprintf "pipe %s (grid %d iterations)" loop0.Ir.lp_label total

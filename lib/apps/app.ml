@@ -22,6 +22,14 @@ let get params name default =
 
 let generate_default t sizes = t.generate ~sizes ~params:(t.default_params sizes)
 
+let resolve t sizes overrides =
+  let merged =
+    List.map
+      (fun (k, v) -> (k, match List.assoc_opt k overrides with Some v' -> v' | None -> v))
+      (t.default_params sizes)
+  in
+  merged @ List.filter (fun (k, _) -> not (List.mem_assoc k merged)) overrides
+
 (* Largest divisor of [n] that is <= [cap] and divisible by [par]; used by
    default design points so they are legal at any dataset size. *)
 let divisor_tile ~n ~cap ~par =

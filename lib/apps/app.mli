@@ -28,6 +28,14 @@ val get : params -> string -> int -> int
 val generate_default : t -> sizes -> Dhdl_ir.Ir.design
 (** Instantiate at the default parameters. *)
 
+val resolve : t -> sizes -> params -> params
+(** [resolve t sizes overrides] is the full binding a partial one names:
+    [default_params sizes] in their order, each replaced by its override
+    when [overrides] names it, then any overrides naming no default
+    parameter, in their given order. Every entry point that builds a
+    design from user parameters (the CLI and the DSE server) resolves
+    through this, so they agree on the design. *)
+
 val divisor_tile : n:int -> cap:int -> par:int -> int
 (** Largest divisor of [n] at most [cap] divisible by [par] (falls back to
     the largest divisor, then [n]); keeps default design points legal. *)

@@ -331,10 +331,11 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
         Faults.with_key i @@ fun () ->
         Obs.span_sampled ~every:span_every ~i "dse.point" @@ fun () ->
         (* Pre-elaboration gate: a refuted point never generates, a
-           proved-legal one skips the concrete absint re-proof (the
-           lint-only path still runs the heuristic passes), and anything
-           unknown pays the full pipeline as before. Verdict time is
-           attributed to the probe stage when profiling. *)
+           proved-legal one skips the proof-backed passes (the lint-only
+           path still runs the heuristic ones, whose L001/L003 build the
+           full dependence and absint reports), and anything unknown pays
+           the full pipeline as before. Verdict time is attributed to the
+           probe stage when profiling. *)
         let verdict =
           match gate with
           | None -> Symbolic.Unknown "gate off"

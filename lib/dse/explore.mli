@@ -119,8 +119,10 @@ module Config : sig
             [absint] are both on (otherwise pruning would change the
             result set) and fault injection is not armed. Symbolically
             refuted points count as [sym_pruned] and are never
-            generated; proved-legal points skip the concrete absint
-            re-proof; everything else runs the full pipeline. *)
+            generated; proved-legal points skip the proof-backed lint
+            passes (L009-L013), though the heuristic L001/L003 passes
+            still build the full dependence and absint reports;
+            everything else runs the full pipeline. *)
     jobs : int;  (** Worker domains; 1 (default) = sequential. *)
     chunk : int;
         (** Points per cursor claim and per worker→collector message when
@@ -246,8 +248,9 @@ val run :
     recorded under the [dse.symgate] span) and consults it before each
     point's pipeline: symbolically refuted points become
     {!Outcome.Sym_pruned} without ever being generated, proved-legal
-    points skip the concrete absint re-proof, and unknown points are
-    unaffected. The gate is derived once, before any worker starts, so
+    points skip the proof-backed lint passes (L009-L013; the heuristic
+    L001/L003 passes still build the full dependence and absint
+    reports), and unknown points are unaffected. The gate is derived once, before any worker starts, so
     parallel and resumed sweeps keep their bit-identity guarantees; a
     checkpoint written with the gate on differs from one written with it
     off only in entries' pruned kind ([sym_pruned] vs

@@ -123,9 +123,12 @@ let need_session req =
     failwith (Printf.sprintf "bad session id %S (use [A-Za-z0-9._-], <= 64 chars)" sid);
   sid
 
+(* A request's parameters resolve against the app's defaults exactly as
+   the CLI's do ([App.resolve]), so a served reply and [dhdl] agree on
+   the design a partial binding names. *)
 let design_of (app : App.t) params =
   let sizes = app.App.paper_sizes in
-  let params = if params = [] then app.App.default_params sizes else params in
+  let params = App.resolve app sizes params in
   (params, app.App.generate ~sizes ~params)
 
 let params_json params = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) params)

@@ -2,7 +2,9 @@
    and affine domains, the fixpoint engine, bounds proofs (with concrete
    refutation witnesses), banking-scheme search (with concrete conflicting
    lane pairs), stage-liveness double-buffering facts, the L009-L011 lint
-   passes they back, and the DSE [absint_pruned] wiring.
+   passes they back, the DSE [absint_pruned] wiring, and the kernel
+   oracle: the grid banking search against the exhaustive scan in
+   test/oracle.
 
    The registry sweep at the end is the infer_banking cross-check: every
    sampled legal point of every benchmark space must either prove its
@@ -506,6 +508,21 @@ let test_render_json_shape () =
   let txt = Absint.render_text r in
   check_bool "text report names the memory" true (contains ~needle:"xT" txt)
 
+(* ------------------------- kernel oracle --------------------------- *)
+
+(* The banking search against the per-vector hash tables it replaced
+   (Kernel_oracle): every vectorized grid access of every registry design
+   (paper and test sizes, 200 seeded bindings each plus the defaults)
+   under every block-one candidate scheme of its memory. *)
+let test_kernel_oracle_registry () =
+  let seen = Kernel_oracle.seen () in
+  List.iter
+    (fun (label, d) ->
+      match Kernel_oracle.banking_diffs seen d with
+      | [] -> ()
+      | m :: _ -> Alcotest.failf "%s: %s" label m)
+    (Kernel_oracle.registry_designs ~bindings:200)
+
 let () =
   Alcotest.run "absint"
     [
@@ -551,4 +568,7 @@ let () =
         ] );
       ( "report",
         [ Alcotest.test_case "render json" `Quick test_render_json_shape ] );
+      ( "kernel oracle",
+        Alcotest.test_case "registry grids" `Quick test_kernel_oracle_registry
+        :: List.map QCheck_alcotest.to_alcotest (Kernel_oracle.banking_props ~count:500) );
     ]

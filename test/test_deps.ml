@@ -3,8 +3,10 @@
    registry point, and no local II logic left in either consumer), the
    differential oracle against enumerated iteration spaces, the L012/L013
    lint passes, the Dep_pruned DSE classification with its checkpoint
-   round-trip, the dependence JSON payload of `dhdl analyze`, and the
-   ragged-tile row-coalescing fix in Cycle_model.transfer_estimate. *)
+   round-trip, the dependence JSON payload of `dhdl analyze`, the
+   ragged-tile row-coalescing fix in Cycle_model.transfer_estimate, and
+   the kernel oracle: the distance solver, the lane search and word ids
+   against the exhaustive scans in test/oracle. *)
 
 module Ir = Dhdl_ir.Ir
 module Dtype = Dhdl_ir.Dtype
@@ -407,6 +409,23 @@ let test_render_json_2d_witness () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "dependence payload is not JSON: %s" msg
 
+(* ------------------------- kernel oracle --------------------------- *)
+
+(* The distance solver and the lane-collision search against the
+   exhaustive scans they replaced (Kernel_oracle), over every Pipe of the
+   registry apps at paper and test sizes: 200 seeded bindings per size
+   plus the defaults. Each distinct distance system and pipe body is
+   compared once. Lane searches run at the pipe's own par and a sample of
+   the symbolic scan's pars; `bench kernel-oracle` runs all of 2-96. *)
+let test_kernel_oracle_registry () =
+  let seen = Kernel_oracle.seen () in
+  List.iter
+    (fun (label, d) ->
+      match Kernel_oracle.dependence_diffs ~pars:Kernel_oracle.some_pars seen d with
+      | [] -> ()
+      | m :: _ -> Alcotest.failf "%s: %s" label m)
+    (Kernel_oracle.registry_designs ~bindings:200)
+
 (* ------------------------- transfer estimate ----------------------- *)
 
 let board = Target.max4_maia
@@ -476,4 +495,7 @@ let () =
         ] );
       ( "transfer",
         [ Alcotest.test_case "ragged tiles" `Quick test_transfer_ragged_tiles ] );
+      ( "kernel oracle",
+        Alcotest.test_case "registry pipes" `Quick test_kernel_oracle_registry
+        :: List.map QCheck_alcotest.to_alcotest (Kernel_oracle.dependence_props ~count:300) );
     ]

@@ -616,6 +616,33 @@ let test_analyze_witness_json () =
   check_bool "the witness arrives as an array" true
     (contains (Sjson.render (field "absint" p)) "\"index_a\":[0,0]")
 
+(* A partial binding resolves against the app's defaults exactly as the
+   CLI's does. kmeans parDist=12 alone is the default point with parDist
+   12 (tile 32 at paper sizes); the server used to hand the partial list
+   to the generator, whose own fallbacks built tile 64 instead. *)
+let test_partial_params_resolve () =
+  let app = Registry.find "kmeans" in
+  let sizes = app.App.paper_sizes in
+  let partial = [ ("parDist", 12) ] in
+  let full = App.resolve app sizes partial in
+  check_int "resolved tile is the default's" 32 (List.assoc "tile" full);
+  let design = app.App.generate ~sizes ~params:full in
+  let expected = Dhdl_absint.Absint.render_json (Dhdl_absint.Absint.analyze design) in
+  let rendered js =
+    match Sjson.parse js with Ok j -> Sjson.render j | Error msg -> Alcotest.fail msg
+  in
+  with_sup (sup_config ()) @@ fun sup ->
+  let analyze id params = payload (rpc sup (P.request ~id ~app:"kmeans" ~params P.Analyze)) in
+  let p = analyze "an-partial" partial in
+  check_str "served analysis is the resolved design's" (rendered expected)
+    (Sjson.render (field "absint" p));
+  check_str "a full binding in default order answers identically"
+    (Sjson.render p) (Sjson.render (analyze "an-full" full));
+  let p = payload (rpc sup (P.request ~id:"est-partial" ~app:"kmeans" ~params:partial P.Estimate)) in
+  check_bool "estimate echoes the resolved binding" true
+    (Sjson.obj_or_empty (field "params" p)
+    = List.map (fun (k, v) -> (k, Sjson.Int v)) full)
+
 let test_estimate_batch () =
   with_sup (sup_config ()) @@ fun sup ->
   let specs =
@@ -1044,6 +1071,8 @@ let () =
         [
           Alcotest.test_case "basic verbs" `Quick test_basic_verbs;
           Alcotest.test_case "analyze witnesses are JSON" `Quick test_analyze_witness_json;
+          Alcotest.test_case "partial params resolve like the CLI" `Quick
+            test_partial_params_resolve;
           Alcotest.test_case "estimate batch" `Quick test_estimate_batch;
           Alcotest.test_case "bad requests are typed" `Quick test_bad_requests_are_typed;
           Alcotest.test_case "idempotent reply cache" `Quick test_idempotent_reply_cache;
