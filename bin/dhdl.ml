@@ -627,34 +627,35 @@ let analyze_cmd =
           ()
       in
       let verdict = Symgate.verdict gate point in
+      (* The gate refutes or answers Unknown; it never constructs Legal. *)
+      let why = match verdict with Symbolic.Unknown why -> why | _ -> "" in
       let point_str =
         String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) point)
       in
       if json then begin
+        let str s = "\"" ^ Diag.json_escape s ^ "\"" in
         let verdict_json =
           match verdict with
-          | Symbolic.Legal -> "{\"kind\":\"legal\"}"
           | Symbolic.Refuted { code; witness } ->
-            Printf.sprintf "{\"kind\":\"refuted\",\"code\":%S,\"witness\":%S}" code witness
-          | Symbolic.Unknown why -> Printf.sprintf "{\"kind\":\"unknown\",\"why\":%S}" why
+            Printf.sprintf "{\"kind\":\"refuted\",\"code\":%s,\"witness\":%s}" (str code)
+              (str witness)
+          | _ -> Printf.sprintf "{\"kind\":\"unknown\",\"why\":%s}" (str why)
         in
         print_endline
           (Printf.sprintf "{\"systems\":[%s],\"point\":{%s},\"verdict\":%s}"
              (String.concat ","
                 (List.map Symbolic.render_json (Symgate.systems gate)))
-             (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) point))
+             (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s:%d" (str k) v) point))
              verdict_json)
       end
       else begin
         List.iter (fun sys -> print_string (Symbolic.render_text sys)) (Symgate.systems gate);
-        (match verdict with
-        | Symbolic.Legal ->
-          Printf.printf "point %s: Legal (concrete analysis provably clean)\n" point_str
+        match verdict with
         | Symbolic.Refuted { code; witness } ->
           Printf.printf "point %s: Refuted [%s] %s\n" point_str code witness
-        | Symbolic.Unknown why -> Printf.printf "point %s: Unknown (%s)\n" point_str why)
+        | _ -> Printf.printf "point %s: Unknown (%s)\n" point_str why
       end;
-      match verdict with Symbolic.Refuted _ -> exit 2 | Symbolic.Legal | Symbolic.Unknown _ -> ()
+      match verdict with Symbolic.Refuted _ -> exit 2 | _ -> ()
     end
     else begin
       let _, design = design_of ~app ~params in

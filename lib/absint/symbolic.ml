@@ -1,24 +1,27 @@
-(* Parametric abstract interpretation: symbolic legality predicates.
+(* Parametric abstract interpretation: symbolic refutation predicates.
 
    The concrete passes (Absint bounds/banking, Dependence pipelining)
    prove or refute one *elaborated* design at a time, so a cold sweep
    pays generate+analyze for every sampled point even though every point
    of one app shares a graph skeleton and differs only in the numbers a
-   binding pins. This module lifts those checks to the *parameter vector*
-   once per skeleton:
+   binding pins. This module lifts the checks' failure modes to the
+   *parameter vector* once per skeleton:
 
    - values are affine expressions with exact rational coefficients over
      the named design parameters ({!Expr});
-   - each check the concrete passes perform becomes a {!check}: an
-     optional conjunction of linear inequalities / divisibility atoms
-     whose truth implies the concrete check is clean, plus a list of
-     refutation clauses whose truth implies the concrete pass refutes
+   - each check the concrete passes perform becomes a {!check}: a list of
+     refutation clauses, conjunctions of linear inequalities /
+     divisibility atoms whose truth implies the concrete pass refutes
      with the same diagnostic code;
    - {!Predicate.eval} decides a fresh binding in microseconds, without
      elaborating the design: [Refuted] points skip generation entirely,
-     [Legal] points skip the concrete absint re-proof, and anything the
-     symbolic domain cannot settle stays [Unknown] and falls back to the
-     full pipeline.
+     and every other point is [Unknown] and takes the full pipeline.
+
+   The gate refutes; it never proves a point legal. Each refutation
+   clause reproduces the concrete checker's own decision, so it is
+   exact, whereas a legality claim would also have to vouch for the
+   checks with no closed form (banking's scheme search, parameter-shaped
+   loop nests) and could rest only on the probe set.
 
    Derivation is empirical-but-validated rather than re-implemented: a
    handful of *probe* designs (concrete points of the same skeleton) are
@@ -27,18 +30,18 @@
    bounds, address constants, memory extents, par factors, tile sizes)
    are fitted as exact affine functions of the parameters by rational
    Gaussian elimination validated against every probe, and the closed
-   forms of the checks are rebuilt over those expressions. Anything that
-   does not fit the affine model — data-dependent addresses, banking's
-   scheme search, parameter-dependent loop nests — is never guessed at:
-   refutation clauses are only emitted where the concrete checker's
-   decision is reproduced exactly, and the [Legal] side additionally
-   requires a probe-certified residual check per diagnostic code (marked
-   [assumed]) plus a demotion pass that strikes any clause a probe
+   forms of the checks' failure modes are rebuilt over those
+   expressions. Anything that does not fit the affine model —
+   data-dependent addresses, banking's scheme search,
+   parameter-dependent loop nests — is never guessed at: refutation
+   clauses are only emitted where the concrete checker's decision is
+   reproduced exactly, and a demotion pass strikes any clause a probe
    contradicts. Soundness is pinned end-to-end by the differential
    oracle in test/test_symbolic.ml. *)
 
 module Ir = Dhdl_ir.Ir
 module Traverse = Dhdl_ir.Traverse
+module Diag = Dhdl_ir.Diag
 
 module AE = Engine.Make (Affine)
 
@@ -65,7 +68,6 @@ module Q = struct
   let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
   let mul a b = make (a.num * b.num) (a.den * b.den)
   let div a b = if b.num = 0 then invalid_arg "Q.div: by zero" else make (a.num * b.den) (a.den * b.num)
-  let neg a = { a with num = -a.num }
   let is_zero a = a.num = 0
   let equal a b = a.num = b.num && a.den = b.den
   let leq a b = a.num * b.den <= b.num * a.den
@@ -90,7 +92,6 @@ module Expr = struct
   let zero = of_int 0
   let one = of_int 1
   let var name = { c0 = Q.zero; terms = [ (name, Q.one) ] }
-  let is_const e = e.terms = []
 
   let map2 f a b =
     let rec go xs ys =
@@ -157,18 +158,11 @@ type clause = {
 }
 
 type check = {
-  ck_code : string;  (* the diagnostic code it mirrors: L009/L010/L013 *)
+  ck_code : string;  (* the diagnostic code it mirrors: L009/L013 *)
   ck_site : string;  (* where in the design, human-readable *)
-  ck_legal : literal list option;
-      (* a conjunction whose truth implies the concrete check is clean;
-         [None] when the symbolic domain cannot express the legal side *)
   ck_refutes : clause list;
       (* any clause true ==> the concrete pass emits an error with
          [ck_code]; each clause reproduces one concrete failure mode *)
-  ck_assumed : bool;
-      (* the legal side rests on probe certification (validated on the
-         probe set and re-checked by the differential oracle), not on a
-         closed form *)
 }
 
 type system = {
@@ -178,14 +172,18 @@ type system = {
       (* parameters constant across every probe: routing guards — a
          binding that disagrees is outside this family, hence Unknown *)
   sy_checks : check list;
-  sy_legal_capable : bool;
-      (* [Legal] may be granted; false when derivation could not certify
-         the residual checks or a probe contradicted a derived fact *)
   sy_probes : int;  (* probe designs the derivation was fitted against *)
-  sy_note : string;  (* why capability is limited, for diagnostics *)
+  sy_note : string;  (* why derivation yielded no checks; "" when it ran *)
 }
 
-type verdict = Legal | Refuted of { code : string; witness : string } | Unknown of string
+type verdict =
+  | Legal
+      (** Never constructed: the gate refutes only (see the header). The
+          constructor stays because the benchmark's replay of the sweep
+          pipeline (perfbench/replay.ml) still matches on it; it goes
+          with that replay. *)
+  | Refuted of { code : string; witness : string }
+  | Unknown of string
 
 let atom_to_string = function
   | Le (a, b) -> Expr.to_string a ^ " <= " ^ Expr.to_string b
@@ -224,49 +222,29 @@ module Predicate = struct
   let applies sys bindings =
     List.for_all (fun (k, v) -> List.assoc_opt k bindings = Some v) sys.sy_pinned
 
-  (* Decide one binding: any refutation clause that evaluates to true
-     wins (the concrete pass provably errors with that code); otherwise
-     [Legal] requires the system to be capable and every check's legal
-     conjunction to hold. Atoms that cannot be evaluated (missing
-     parameter, non-integral divisor) make their clause not-fire and
-     their legal side not-hold — both fall toward [Unknown], never toward
-     an unsound verdict. *)
+  (* Decide one binding: the first refutation clause that evaluates to
+     true wins (the concrete pass provably errors with that code);
+     otherwise the binding is [Unknown]. Atoms that cannot be evaluated
+     (missing parameter, non-integral divisor) make their clause not
+     fire — toward [Unknown], never toward an unsound verdict. *)
   let eval sys bindings =
     if not (applies sys bindings) then
       Unknown "binding disagrees with the family's pinned parameters"
-    else begin
-      let fired = ref None in
-      List.iter
-        (fun ck ->
-          if !fired = None then
-            List.iter
-              (fun cl ->
-                if !fired = None && conj_holds bindings cl.cl_lits then
-                  fired :=
-                    Some
-                      (Refuted
-                         {
-                           code = ck.ck_code;
-                           witness =
-                             Printf.sprintf "%s: %s [%s]" ck.ck_site cl.cl_desc
-                               (conj_to_string cl.cl_lits);
-                         }))
-              ck.ck_refutes)
-        sys.sy_checks;
-      match !fired with
-      | Some v -> v
-      | None ->
-        if not sys.sy_legal_capable then Unknown sys.sy_note
-        else if
-          List.for_all
-            (fun ck ->
-              match ck.ck_legal with
-              | Some lits -> conj_holds bindings lits
-              | None -> false)
-            sys.sy_checks
-        then Legal
-        else Unknown "a legality conjunction does not hold for this binding"
-    end
+    else
+      let rec first = function
+        | [] -> Unknown (if sys.sy_note = "" then "no refutation clause fires" else sys.sy_note)
+        | ck :: rest -> (
+          match List.find_opt (fun cl -> conj_holds bindings cl.cl_lits) ck.ck_refutes with
+          | Some cl ->
+            Refuted
+              {
+                code = ck.ck_code;
+                witness =
+                  Printf.sprintf "%s: %s [%s]" ck.ck_site cl.cl_desc (conj_to_string cl.cl_lits);
+              }
+          | None -> first rest)
+      in
+      first sys.sy_checks
 end
 
 (* ------------------------------------------------------------------ *)
@@ -360,7 +338,6 @@ type probe = {
   pb_accs : AE.access array;  (* affine-engine access facts, traversal order *)
   pb_pipes : (string list * Ir.loop_info * Ir.stmt list) list;
   pb_l009 : bool;  (* concrete bounds refutation present *)
-  pb_l010 : bool;  (* concrete bank conflict present *)
   pb_l013 : bool;  (* concrete pipelining refutation present *)
 }
 
@@ -387,14 +364,11 @@ let elaborate_probe (bindings, design) =
     pb_accs = Array.of_list ae.AE.accesses;
     pb_pipes = collect_pipes design;
     pb_l009 = asum.Absint.s_bounds_refuted > 0;
-    pb_l010 = asum.Absint.s_banks_conflict > 0;
     pb_l013 = dsum.Dependence.s_refuted > 0;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Derivation.                                                          *)
-
-let min_cert_probes = 5
 
 (* Space.par_candidates caps par factors at 64, so scanning the par axis
    a little past that decides every binding a space can produce while
@@ -407,7 +381,6 @@ let degenerate ~skeleton ~params ~probes note =
     sy_params = params;
     sy_pinned = [];
     sy_checks = [];
-    sy_legal_capable = false;
     sy_probes = probes;
     sy_note = note;
   }
@@ -438,11 +411,9 @@ let scope_counter scope name =
      max = c0 + sum_{coef>0} coef*(stop-1) + sum_{coef<0} coef*start
      min = c0 + sum_{coef>0} coef*start  + sum_{coef<0} coef*(stop-1)
 
-   legal: 0 <= min  &&  max <= extent-1 (empty ranges fail the atoms and
-   fall to Unknown — the concrete checker reports those unknown, not
-   refuted, so conservatism is the correct direction); refuted: the
-   margin provably overruns AND every used counter provably iterates
-   (start+1 <= stop), making the extreme reachable. *)
+   Refuted: the margin provably overruns AND every used counter provably
+   iterates (start+1 <= stop), making the extreme reachable — the
+   concrete checker reports an empty range unknown, not refuted. *)
 let derive_word_dim ~varying ~probes ~acc_idx ~dim =
   let forms =
     List.map
@@ -458,12 +429,9 @@ let derive_word_dim ~varying ~probes ~acc_idx ~dim =
     let c0s = List.map (function Some (c0, _) -> c0 | None -> assert false) forms in
     let obs_of vals = List.map2 (fun pb v -> (pb.pb_bindings, v)) probes vals in
     let counters_of pb name = scope_counter pb.pb_accs.(acc_idx).AE.acc_scope name in
-    let fits = ref [] in
     let fit_slot vals =
       match fit ~params:varying (obs_of vals) with
-      | Some e ->
-        fits := e :: !fits;
-        e
+      | Some e -> e
       | None -> raise (Give_up "slot not affine in the parameters")
     in
     (try
@@ -506,47 +474,31 @@ let derive_word_dim ~varying ~probes ~acc_idx ~dim =
            (fun (_, start_e, stop_e) -> Pos (Le (Expr.add start_e Expr.one, stop_e)))
            ranges
        in
-       let legal = [ Pos (Le (Expr.zero, margin_lo)); Pos (Le (Expr.zero, margin_hi)) ] in
-       let refutes =
-         [
-           {
-             cl_desc = Printf.sprintf "max index exceeds extent in dim %d" dim;
-             cl_lits = guards @ [ Pos (Le (margin_hi, Expr.of_int (-1))) ];
-           };
-           {
-             cl_desc = Printf.sprintf "min index below zero in dim %d" dim;
-             cl_lits = guards @ [ Pos (Le (margin_lo, Expr.of_int (-1))) ];
-           };
-         ]
-       in
-       (Some legal, refutes)
-     with Give_up _ -> (None, []))
-  | _ -> (None, [])
+       [
+         {
+           cl_desc = Printf.sprintf "max index exceeds extent in dim %d" dim;
+           cl_lits = guards @ [ Pos (Le (margin_hi, Expr.of_int (-1))) ];
+         };
+         {
+           cl_desc = Printf.sprintf "min index below zero in dim %d" dim;
+           cl_lits = guards @ [ Pos (Le (margin_lo, Expr.of_int (-1))) ];
+         };
+       ]
+     with Give_up _ -> [])
+  | _ -> []
 
 let derive_word_check ~varying ~probes acc_idx =
   let a0 = (List.hd probes).pb_accs.(acc_idx) in
   match a0.AE.acc_addr with
   | AE.Word forms when a0.AE.acc_mem.Ir.mem_kind = Ir.Bram ->
-    let dims = List.length forms in
-    let per_dim =
-      List.init dims (fun d -> derive_word_dim ~varying ~probes ~acc_idx ~dim:d)
-    in
-    let refutes = List.concat_map snd per_dim in
-    let legal =
-      if List.for_all (fun (l, _) -> l <> None) per_dim then
-        Some (List.concat_map (fun (l, _) -> Option.value l ~default:[]) per_dim)
-      else None
-    in
-    if legal = None && refutes = [] then None
-    else
-      Some
-        {
-          ck_code = "L009";
-          ck_site = site_of_access a0;
-          ck_legal = legal;
-          ck_refutes = refutes;
-          ck_assumed = false;
-        }
+    Some
+      {
+        ck_code = "L009";
+        ck_site = site_of_access a0;
+        ck_refutes =
+          List.concat
+            (List.mapi (fun dim _ -> derive_word_dim ~varying ~probes ~acc_idx ~dim) forms);
+      }
   | _ -> None
 
 (* --- L009, tile transfers ------------------------------------------- *)
@@ -554,13 +506,9 @@ let derive_word_check ~varying ~probes acc_idx =
 (* The off-chip side of a tile transfer. The concrete checker tests, per
    dimension and in this order: (1) tile size positive, (2) tile divides
    the off-chip extent, (3) every offset within [0, extent - tile]. (1)
-   and (2) are direct divisibility atoms over the fitted tile/extent
-   expressions — and because the concrete checker tests them *before*
-   the offsets, their refutation clauses are sound unconditionally. The
-   legal side additionally needs the offsets bounded; that is closed-form
-   only for the two shapes app generators produce (a constant offset, or
-   a unit-coefficient counter running 0..extent step tile — whose last
-   value is extent - tile exactly when tile | extent). *)
+   and (2) are direct atoms over the fitted tile/extent expressions —
+   and because the concrete checker tests them *before* the offsets,
+   their refutation clauses are sound unconditionally. *)
 let derive_tile_dim ~varying ~probes ~acc_idx ~dim =
   let obs_of vals = List.map2 (fun pb v -> (pb.pb_bindings, v)) probes vals in
   let tile_vals =
@@ -576,96 +524,33 @@ let derive_tile_dim ~varying ~probes ~acc_idx ~dim =
   in
   match (fit ~params:varying (obs_of tile_vals), fit ~params:varying (obs_of extent_vals)) with
   | Some t_e, Some ext_e ->
-    let refutes =
-      [
-        {
-          cl_desc = Printf.sprintf "tile size non-positive in dim %d" dim;
-          cl_lits = [ Pos (Le (t_e, Expr.zero)) ];
-        };
-        {
-          cl_desc = Printf.sprintf "tile size does not divide the off-chip extent in dim %d" dim;
-          cl_lits = [ Pos (Le (Expr.one, t_e)); Neg (Divides (t_e, ext_e)) ];
-        };
-      ]
-    in
-    let base_legal = [ Pos (Le (Expr.one, t_e)); Pos (Divides (t_e, ext_e)) ] in
-    let off_forms =
-      List.map
-        (fun pb ->
-          match pb.pb_accs.(acc_idx).AE.acc_addr with
-          | AE.Tile { offsets; _ } -> Affine.exact (List.nth offsets dim)
-          | _ -> None)
-        probes
-    in
-    let legal =
-      match off_forms with
-      | Some (_, []) :: _ when List.for_all (function Some (_, []) -> true | _ -> false) off_forms
-        -> (
-        (* Constant offset: bounded iff 0 <= c <= extent - tile. *)
-        let cs = List.map (function Some (c, _) -> c | None -> assert false) off_forms in
-        match fit ~params:varying (obs_of cs) with
-        | Some c_e ->
-          Some
-            (base_legal
-            @ [ Pos (Le (Expr.zero, c_e)); Pos (Le (c_e, Expr.sub ext_e t_e)) ])
-        | None -> None)
-      | Some (0, [ (name0, 1) ]) :: _
-        when List.for_all
-               (function Some (0, [ (_, 1) ]) -> true | _ -> false)
-               off_forms -> (
-        (* The canonical tiling loop: offset = counter, 0..extent step
-           tile. Under tile | extent its last value is extent - tile. *)
-        let cs =
-          List.map2
-            (fun pb f ->
-              let name = match f with Some (_, [ (n, _) ]) -> n | _ -> name0 in
-              match scope_counter pb.pb_accs.(acc_idx).AE.acc_scope name with
-              | Some c -> c
-              | None -> raise (Give_up "tiling counter not in scope"))
-            probes off_forms
-        in
-        let starts = List.map (fun (c : Ir.counter) -> c.Ir.ctr_start) cs in
-        let fits_as e vals =
-          match fit ~params:varying (obs_of vals) with
-          | Some e' -> Expr.equal e e'
-          | None -> false
-        in
-        if
-          List.for_all (fun s -> s = 0) starts
-          && fits_as ext_e (List.map (fun (c : Ir.counter) -> c.Ir.ctr_stop) cs)
-          && fits_as t_e (List.map (fun (c : Ir.counter) -> c.Ir.ctr_step) cs)
-        then Some base_legal
-        else None)
-      | _ -> None
-    in
-    (legal, refutes)
-  | _ -> (None, [])
+    [
+      {
+        cl_desc = Printf.sprintf "tile size non-positive in dim %d" dim;
+        cl_lits = [ Pos (Le (t_e, Expr.zero)) ];
+      };
+      {
+        cl_desc = Printf.sprintf "tile size does not divide the off-chip extent in dim %d" dim;
+        cl_lits = [ Pos (Le (Expr.one, t_e)); Neg (Divides (t_e, ext_e)) ];
+      };
+    ]
+  | _ -> []
 
 let derive_tile_check ~varying ~probes acc_idx =
   let a0 = (List.hd probes).pb_accs.(acc_idx) in
   match a0.AE.acc_addr with
   | AE.Tile { tile; _ } when a0.AE.acc_mem.Ir.mem_kind = Ir.Offchip ->
-    let dims = List.length tile in
-    let per_dim =
-      List.init dims (fun d ->
-          try derive_tile_dim ~varying ~probes ~acc_idx ~dim:d with Give_up _ -> (None, []))
-    in
-    let refutes = List.concat_map snd per_dim in
-    let legal =
-      if List.for_all (fun (l, _) -> l <> None) per_dim then
-        Some (List.concat_map (fun (l, _) -> Option.value l ~default:[]) per_dim)
-      else None
-    in
-    if legal = None && refutes = [] then None
-    else
-      Some
-        {
-          ck_code = "L009";
-          ck_site = site_of_access a0;
-          ck_legal = legal;
-          ck_refutes = refutes;
-          ck_assumed = false;
-        }
+    Some
+      {
+        ck_code = "L009";
+        ck_site = site_of_access a0;
+        ck_refutes =
+          List.concat
+            (List.mapi
+               (fun dim _ ->
+                 try derive_tile_dim ~varying ~probes ~acc_idx ~dim with Give_up _ -> [])
+               tile);
+      }
   | _ -> None
 
 (* --- L013, pipelined vectorization ---------------------------------- *)
@@ -688,11 +573,11 @@ let body_acc_equal (a : Dependence.body_access) (b : Dependence.body_access) =
    case: pipes iterate problem-sized grids; parameters set par) and the
    body's abstract addresses probe-invariant, the only free coordinate is
    the par factor itself. Scan it: every par in [2, cap] is decided by
-   the concrete checker's own collision search, conflicting runs become
-   interval refutation clauses, and the largest conflict-free prefix
-   becomes the legal bound. A run that reaches the full iteration count
-   extends to infinity — at par >= trip the window covers every
-   iteration, so the verdict is par-independent from there up. *)
+   the concrete checker's own collision search, and conflicting runs
+   become interval refutation clauses. A run that reaches the full
+   iteration count extends to infinity — at par >= trip the window
+   covers every iteration, so the verdict is par-independent from there
+   up. *)
 let derive_pipe_check ~varying ~probes pipe_idx =
   let datum pb =
     let _, loop, body = List.nth pb.pb_pipes pipe_idx in
@@ -771,19 +656,7 @@ let derive_pipe_check ~varying ~probes pipe_idx =
                 })
             (runs !bad)
         in
-        let legal =
-          match !bad with
-          | [] -> if cap = total then Some [] else Some [ Pos (Le (p_e, Expr.of_int cap)) ]
-          | first :: _ -> Some [ Pos (Le (p_e, Expr.of_int (first - 1))) ]
-        in
-        Some
-          {
-            ck_code = "L013";
-            ck_site = site;
-            ck_legal = legal;
-            ck_refutes = refutes;
-            ck_assumed = false;
-          }
+        Some { ck_code = "L013"; ck_site = site; ck_refutes = refutes }
   end
 
 (* --- assembling the system ------------------------------------------ *)
@@ -812,9 +685,20 @@ let shape_consistent probes =
 
 let concrete_has pb = function
   | "L009" -> pb.pb_l009
-  | "L010" -> pb.pb_l010
   | "L013" -> pb.pb_l013
   | _ -> false
+
+(* Constant folding. [Predicate.literal_holds []] decides exactly the
+   literals no binding can change: a clause holding one decided false
+   never fires and goes, a literal decided true adds nothing to its
+   clause and goes. No binding's verdict, nor the clause that refutes
+   it, changes; gated points evaluate, and readers see, only the atoms
+   a binding can move. *)
+let fold_clause cl =
+  if List.exists (fun l -> Predicate.literal_holds [] l = Some false) cl.cl_lits then None
+  else
+    Some
+      { cl with cl_lits = List.filter (fun l -> Predicate.literal_holds [] l = None) cl.cl_lits }
 
 let derive_exn ~skeleton ~params ~probes:raw_probes =
   let probes = List.map elaborate_probe raw_probes in
@@ -849,89 +733,33 @@ let derive_exn ~skeleton ~params ~probes:raw_probes =
     let pipe_checks =
       List.filter_map (fun i -> derive_pipe_check ~varying ~probes i) (List.init npipes Fun.id)
     in
-    let checks = word_checks @ tile_checks @ pipe_checks in
     (* Demotion: strike every refutation clause some probe contradicts
        (the clause fired but the concrete pass reported no such error).
-       A strike means a fitted slot lied outside its validation set, so
-       the whole [Legal] side is forfeited too — the surviving clauses
-       remain sound because each fired-and-confirmed or never-fired
-       clause is exactly the concrete checker's own decision. *)
-    let contradicted = ref false in
-    let checks =
-      List.map
-        (fun ck ->
-          let keep =
-            List.filter
-              (fun cl ->
-                let ok =
-                  List.for_all
-                    (fun pb ->
-                      (not (Predicate.conj_holds pb.pb_bindings cl.cl_lits))
-                      || concrete_has pb ck.ck_code)
-                    probes
-                in
-                if not ok then contradicted := true;
-                ok)
-              ck.ck_refutes
-          in
-          { ck with ck_refutes = keep })
-        checks
-    in
-    (* Certification of the residual: inside the region where every
-       derived legality conjunction holds and no refutation fires, every
-       probe must be concretely clean for all three codes — that is what
-       licenses [Legal] to vouch for the checks (banking, non-affine
-       dimensions, parameter-shaped loop nests) that have no closed
-       form. The claim is inductive from the probe set, so the checks it
-       adds are marked [assumed] and the differential oracle replays
-       them against fresh bindings. *)
-    let in_region pb =
+       A strike means a fitted slot lied outside its validation set; the
+       surviving clauses remain sound because each fired-and-confirmed
+       or never-fired clause is exactly the concrete checker's own
+       decision. *)
+    let confirmed ck cl =
       List.for_all
+        (fun pb ->
+          (not (Predicate.conj_holds pb.pb_bindings cl.cl_lits)) || concrete_has pb ck.ck_code)
+        probes
+    in
+    let checks =
+      List.filter_map
         (fun ck ->
-          (match ck.ck_legal with
-          | Some lits -> Predicate.conj_holds pb.pb_bindings lits
-          | None -> true)
-          && List.for_all
-               (fun cl -> not (Predicate.conj_holds pb.pb_bindings cl.cl_lits))
-               ck.ck_refutes)
-        checks
-    in
-    let region = List.filter in_region probes in
-    let region_dirty =
-      List.exists (fun pb -> pb.pb_l009 || pb.pb_l010 || pb.pb_l013) region
-    in
-    let capable, cert_checks, note =
-      if !contradicted then
-        (false, [], "a probe contradicted a derived refutation clause")
-      else if List.length region < min_cert_probes then
-        ( false,
-          [],
-          Printf.sprintf "only %d probe(s) fall in the derived legal region (need %d)"
-            (List.length region) min_cert_probes )
-      else if region_dirty then
-        (false, [], "a probe inside the derived legal region is concretely unclean")
-      else
-        ( true,
-          List.map
-            (fun code ->
-              {
-                ck_code = code;
-                ck_site = "residual (probe-certified)";
-                ck_legal = Some [];
-                ck_refutes = [];
-                ck_assumed = true;
-              })
-            [ "L009"; "L010"; "L013" ],
-          "" )
+          match List.filter_map fold_clause (List.filter (confirmed ck) ck.ck_refutes) with
+          | [] -> None
+          | refutes -> Some { ck with ck_refutes = refutes })
+        (word_checks @ tile_checks @ pipe_checks)
     in
     {
       sy_skeleton = skeleton;
       sy_params = varying;
       sy_pinned = pinned;
-      sy_checks = checks @ cert_checks;
-      sy_legal_capable = capable;
+      sy_checks = checks;
       sy_probes = nprobes;
-      sy_note = (if capable then "" else note);
+      sy_note = "";
     }
   end
 
@@ -960,18 +788,10 @@ let render_text sys =
        | ps ->
          ", pinned "
          ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ps)));
-  Buffer.add_string b
-    (if sys.sy_legal_capable then "  verdicts: Legal / Refuted / Unknown\n"
-     else Printf.sprintf "  verdicts: Refuted / Unknown only (%s)\n" sys.sy_note);
+  if sys.sy_note <> "" then Buffer.add_string b (Printf.sprintf "  note: %s\n" sys.sy_note);
   List.iter
     (fun ck ->
       Buffer.add_string b (Printf.sprintf "  [%s] %s\n" ck.ck_code ck.ck_site);
-      (match ck.ck_legal with
-      | Some lits ->
-        Buffer.add_string b
-          (Printf.sprintf "    legal iff %s%s\n" (conj_to_string lits)
-             (if ck.ck_assumed then "  (assumed: certified on the probe set)" else ""))
-      | None -> Buffer.add_string b "    legal: not expressible symbolically\n");
       List.iter
         (fun cl ->
           Buffer.add_string b
@@ -980,44 +800,17 @@ let render_text sys =
     sys.sy_checks;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json sys =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"skeleton\":\"%s\",\"probes\":%d,\"legal_capable\":%b,\"params\":[%s],"
-       (json_escape sys.sy_skeleton) sys.sy_probes sys.sy_legal_capable
-       (String.concat "," (List.map (fun p -> "\"" ^ json_escape p ^ "\"") sys.sy_params)));
-  Buffer.add_string b
-    (Printf.sprintf "\"pinned\":{%s},\"checks\":["
-       (String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) sys.sy_pinned)));
-  List.iteri
-    (fun i ck ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"code\":\"%s\",\"site\":\"%s\",\"assumed\":%b,\"legal\":%s,\"refutes\":[%s]}"
-           (json_escape ck.ck_code) (json_escape ck.ck_site) ck.ck_assumed
-           (match ck.ck_legal with
-           | None -> "null"
-           | Some lits -> "\"" ^ json_escape (conj_to_string lits) ^ "\"")
-           (String.concat ","
-              (List.map
-                 (fun cl ->
-                   Printf.sprintf "{\"desc\":\"%s\",\"when\":\"%s\"}" (json_escape cl.cl_desc)
-                     (json_escape (conj_to_string cl.cl_lits)))
-                 ck.ck_refutes))))
-    sys.sy_checks;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  let clause cl =
+    Printf.sprintf "{\"desc\":%s,\"when\":%s}" (str cl.cl_desc) (str (conj_to_string cl.cl_lits))
+  in
+  let check ck =
+    Printf.sprintf "{\"code\":%s,\"site\":%s,\"refutes\":[%s]}" (str ck.ck_code) (str ck.ck_site)
+      (String.concat "," (List.map clause ck.ck_refutes))
+  in
+  Printf.sprintf "{\"skeleton\":%s,\"probes\":%d,\"params\":[%s],\"pinned\":{%s},\"checks\":[%s]}"
+    (str sys.sy_skeleton) sys.sy_probes
+    (String.concat "," (List.map str sys.sy_params))
+    (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s:%d" (str k) v) sys.sy_pinned))
+    (String.concat "," (List.map check sys.sy_checks))

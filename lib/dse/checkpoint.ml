@@ -122,6 +122,14 @@ let parse_json (s : string) : json =
     while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\r') do incr pos done
   in
   let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
+  let literal word v =
+    let len = String.length word in
+    if !pos + len <= n && String.sub s !pos len = word then begin
+      pos := !pos + len;
+      v
+    end
+    else fail (Printf.sprintf "expected %s" word)
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -188,9 +196,9 @@ let parse_json (s : string) : json =
           | _ -> fail "expected , or ]"
         in
         elements []
-    | Some 't' -> pos := !pos + 4; Bool true
-    | Some 'f' -> pos := !pos + 5; Bool false
-    | Some 'n' -> pos := !pos + 4; Null
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
     | Some c when is_num_char c ->
       let start = !pos in
       while !pos < n && is_num_char s.[!pos] do incr pos done;

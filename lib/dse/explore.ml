@@ -330,12 +330,9 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       let e =
         Faults.with_key i @@ fun () ->
         Obs.span_sampled ~every:span_every ~i "dse.point" @@ fun () ->
-        (* Pre-elaboration gate: a refuted point never generates, a
-           proved-legal one skips the proof-backed passes (the lint-only
-           path still runs the heuristic ones, whose L001/L003 build the
-           full dependence and absint reports), and anything unknown pays
-           the full pipeline as before. Verdict time is attributed to the
-           probe stage when profiling. *)
+        (* Pre-elaboration gate: a refuted point never generates, and
+           every other point pays the full pipeline as before. Verdict
+           time is attributed to the probe stage when profiling. *)
         let verdict =
           match gate with
           | None -> Symbolic.Unknown "gate off"
@@ -352,9 +349,6 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
           if Obs.enabled () then Obs.count "dse.sym_pruned";
           Outcome.Sym_pruned
         | Symbolic.Legal | Symbolic.Unknown _ ->
-          let absint =
-            match verdict with Symbolic.Legal -> false | _ -> absint
-          in
           if Obs.enabled () then begin
             let e = Eval.evaluate ev ?stages ~lint ~absint ~index:i ~generate p in
             (match e with

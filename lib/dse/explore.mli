@@ -114,15 +114,12 @@ module Config : sig
             L013 dependence refutations as [dep_pruned]. Runs the proof
             passes alone when [lint] is off. *)
     symbolic : bool;
-        (** Gate points through the pre-elaboration symbolic legality
+        (** Gate points through the pre-elaboration symbolic refutation
             predicate (default on). Effective only when [lint] and
             [absint] are both on (otherwise pruning would change the
             result set) and fault injection is not armed. Symbolically
             refuted points count as [sym_pruned] and are never
-            generated; proved-legal points skip the proof-backed lint
-            passes (L009-L013), though the heuristic L001/L003 passes
-            still build the full dependence and absint reports;
-            everything else runs the full pipeline. *)
+            generated; every other point runs the full pipeline. *)
     jobs : int;  (** Worker domains; 1 (default) = sequential. *)
     chunk : int;
         (** Points per cursor claim and per worker→collector message when
@@ -247,14 +244,12 @@ val run :
     skeleton from a small fixed-seed probe sample ({!Symgate.derive},
     recorded under the [dse.symgate] span) and consults it before each
     point's pipeline: symbolically refuted points become
-    {!Outcome.Sym_pruned} without ever being generated, proved-legal
-    points skip the proof-backed lint passes (L009-L013; the heuristic
-    L001/L003 passes still build the full dependence and absint
-    reports), and unknown points are unaffected. The gate is derived once, before any worker starts, so
-    parallel and resumed sweeps keep their bit-identity guarantees; a
-    checkpoint written with the gate on differs from one written with it
-    off only in entries' pruned kind ([sym_pruned] vs
-    [absint_pruned]/[dep_pruned]).
+    {!Outcome.Sym_pruned} without ever being generated, and every other
+    point runs the full pipeline. The gate is derived once, before any
+    worker starts, so parallel and resumed sweeps keep their
+    bit-identity guarantees; a checkpoint written with the gate on
+    differs from one written with it off only in entries' pruned kind
+    ([sym_pruned] vs [absint_pruned]/[dep_pruned]).
 
     {b Parallel sweeps.} With [config.jobs = n > 1], [n] worker domains
     claim contiguous runs of [config.chunk] point indices from a shared

@@ -34,8 +34,8 @@ val proof_codes : string list
 val heuristic_codes : string list
 (** The complement of {!proof_codes} over the registry: the heuristic
     passes that still run when a caller (the evaluation layer's lint-only
-    path, or the symbolic gate's proved-[Legal] shortcut) skips the
-    proof-backed re-analysis. *)
+    path, taken when proof-backed pruning is off) skips the proof-backed
+    passes. *)
 
 val check : ?dev:Target.t -> ?validate:bool -> ?only:string list -> Ir.design -> Diagnostic.t list
 (** Run the validator ([validate] defaults to [true]) and every registered

@@ -576,14 +576,17 @@ let parse_object line =
     Buffer.contents buf
   in
   let parse_raw_object () =
-    (* Capture a balanced {...} as raw text, respecting strings. *)
+    (* Capture a balanced {...} as raw text, respecting strings. Inside a
+       string a backslash escapes the next character, so the quote in a
+       ["...\\"] value still closes it. *)
     let start = !pos in
     let depth = ref 0 in
     let in_str = ref false in
     let fin = ref (-1) in
     while !fin < 0 && !pos < n do
       (match line.[!pos] with
-      | '"' when not (!pos > start && line.[!pos - 1] = '\\') -> in_str := not !in_str
+      | '\\' when !in_str -> incr pos
+      | '"' -> in_str := not !in_str
       | '{' when not !in_str -> incr depth
       | '}' when not !in_str ->
         decr depth;

@@ -37,10 +37,14 @@ let run_sweep ?checkpoint ?checkpoint_every ?resume ?deadline_seconds ?jobs ?(se
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("dhdl_test_" ^ name)
 
-let contains haystack needle =
+let find_sub haystack needle =
   let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+  let rec go i =
+    if i + nn > nh then None else if String.sub haystack i nn = needle then Some i else go (i + 1)
+  in
+  go 0
+
+let contains haystack needle = find_sub haystack needle <> None
 
 let read_file path =
   let ic = open_in_bin path in
@@ -327,6 +331,27 @@ let test_resume_rejects_corrupt_checkpoint () =
   (match run_sweep ~checkpoint:path ~resume:true est with
   | _ -> Alcotest.fail "expected resume to fail on a corrupt checkpoint"
   | exception Failure _ -> ());
+  (* A mangled literal on a non-final line is corruption too, not a
+     [true] read from its first byte. *)
+  Sys.remove path;
+  ignore (run_sweep ~checkpoint:path est);
+  let text = read_file path in
+  let needle = "\"valid\":true" in
+  let k =
+    match find_sub text needle with
+    | Some k -> k
+    | None -> Alcotest.fail "no estimated entry to mangle"
+  in
+  let rest = k + String.length needle in
+  let tail = String.sub text rest (String.length text - rest) in
+  check_bool "the mangled entry is not the final line" true
+    (String.index tail '\n' < String.length tail - 1);
+  let oc = open_out_bin path in
+  output_string oc (String.sub text 0 k ^ "\"valid\":tXYZ" ^ tail);
+  close_out oc;
+  (match Checkpoint.load ~path with
+  | Ok _ -> Alcotest.fail "expected load to reject a mangled literal"
+  | Error msg -> check_bool "mangled literal is corruption" true (contains msg "corrupt"));
   Sys.remove path
 
 let test_deadline_truncates_then_resume_completes () =

@@ -176,6 +176,9 @@ let test_summary_from_jsonl_roundtrip () =
   let snap =
     with_sink ~fake_clock:true @@ fun () ->
     Obs.span "work" (fun () -> advance_ms 2.0);
+    (* An attr value ending in a backslash renders as ["x\\"]: the
+       quote after the escaped backslash still closes the string. *)
+    Obs.span ~attrs:[ ("id", "x\\") ] "request" (fun () -> advance_ms 1.0);
     Obs.count ~by:3 "c";
     Obs.gauge "g" 1.5;
     List.iter (Obs.observe "lat") [ 1.0; 2.0; 9.0 ];

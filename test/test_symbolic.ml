@@ -1,6 +1,9 @@
 (* The symbolic legality layer: expression/fit/predicate unit laws, the
-   differential oracle (no symbolic [Legal]/[Refuted] verdict may ever
-   contradict concrete analysis, over every registry app and seeded
+   derived systems of every registry app at both size tables (constants
+   folded, JSON that parses, also as wrapped by `dhdl analyze --symbolic
+   --json`), the differential oracle (no symbolic
+   [Refuted] verdict may ever contradict concrete analysis, and the gate
+   never answers [Legal], over the same apps and tables and seeded
    random bindings), the [Sym_pruned] checkpoint round-trip, parallel /
    chunked byte-identity with the gate on, and the gate's point: a cold
    sweep with the gate on elaborates measurably fewer designs than
@@ -85,7 +88,7 @@ let test_fit_recovers_affine () =
 
 let test_predicate_semantics () =
   let open Symbolic in
-  let p = Expr.var "p" and k = Expr.of_int 8 in
+  let p = Expr.var "p" in
   let sys =
     {
       sy_skeleton = "test";
@@ -96,15 +99,12 @@ let test_predicate_semantics () =
           {
             ck_code = "L013";
             ck_site = "pipe t";
-            ck_legal = Some [ Pos (Le (p, k)) ];
             ck_refutes =
               [ { cl_desc = "window shares a cell"; cl_lits = [ Pos (Le (Expr.of_int 9, p)) ] } ];
-            ck_assumed = false;
           };
           {
             ck_code = "L009";
             ck_site = "tiling";
-            ck_legal = Some [ Pos (Divides (Expr.var "t", Expr.of_int 96)) ];
             ck_refutes =
               [
                 {
@@ -112,18 +112,17 @@ let test_predicate_semantics () =
                   cl_lits = [ Neg (Divides (Expr.var "t", Expr.of_int 96)) ];
                 };
               ];
-            ck_assumed = false;
           };
         ];
-      sy_legal_capable = true;
       sy_probes = 9;
       sy_note = "";
     }
   in
   let v b = Predicate.eval sys b in
+  (* The gate refutes only: a point no clause refutes is Unknown. *)
   (match v [ ("p", 4); ("t", 32); ("meta", 1) ] with
-  | Legal -> ()
-  | _ -> Alcotest.fail "in-bounds dividing point must be Legal");
+  | Unknown _ -> ()
+  | _ -> Alcotest.fail "a point no clause refutes must be Unknown");
   (match v [ ("p", 12); ("t", 32); ("meta", 1) ] with
   | Refuted { code; _ } -> Alcotest.(check string) "refuted with the check's code" "L013" code
   | _ -> Alcotest.fail "p=12 must be Refuted");
@@ -131,96 +130,166 @@ let test_predicate_semantics () =
   | Refuted { code; _ } -> Alcotest.(check string) "divisibility refutes" "L009" code
   | _ -> Alcotest.fail "t=7 must be Refuted");
   (* Pinned mismatch and missing params both fall to Unknown, never to a
-     decided verdict. *)
-  (match v [ ("p", 4); ("t", 32); ("meta", 0) ] with
+     decided verdict: an atom over an unbound parameter fires under
+     neither a Neg (t) nor a Pos (p) literal. *)
+  (match v [ ("p", 12); ("t", 7); ("meta", 0) ] with
   | Unknown _ -> ()
   | _ -> Alcotest.fail "pinned mismatch must be Unknown");
   (match v [ ("p", 4); ("meta", 1) ] with
   | Unknown _ -> ()
-  | _ -> Alcotest.fail "missing param must be Unknown");
-  (* An incapable system still refutes but never proves. *)
-  let sys' = { sys with sy_legal_capable = false; sy_note = "limited" } in
-  (match Predicate.eval sys' [ ("p", 4); ("t", 32); ("meta", 1) ] with
+  | _ -> Alcotest.fail "missing param under a Neg literal must be Unknown");
+  (match v [ ("t", 32); ("meta", 1) ] with
   | Unknown _ -> ()
-  | _ -> Alcotest.fail "incapable system must not answer Legal");
-  match Predicate.eval sys' [ ("p", 12); ("t", 32); ("meta", 1) ] with
-  | Refuted _ -> ()
-  | _ -> Alcotest.fail "incapable system still refutes"
+  | _ -> Alcotest.fail "missing param under a Pos literal must be Unknown");
+  (* A system derivation gave up on has no checks and says why. *)
+  let checkless = { sys with sy_checks = []; sy_note = "limited" } in
+  match Predicate.eval checkless [ ("p", 12); ("meta", 1) ] with
+  | Unknown why -> Alcotest.(check string) "a checkless system answers with its note" "limited" why
+  | _ -> Alcotest.fail "a checkless system must be Unknown"
+
+(* ------------------------------------------------------------------ *)
+(* Derived systems                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One derived gate per registry app and size table, shared by the
+   tests below. *)
+type derived = {
+  app : App.t;
+  table : string;
+  space : Space.t;
+  generate : Space.point -> Dhdl_ir.Ir.design;
+  gate : Symgate.t;
+}
+
+let derived =
+  lazy
+    (List.concat_map
+       (fun (a : App.t) ->
+         List.map
+           (fun (table, sizes) ->
+             let space = a.App.space sizes in
+             let generate p = a.App.generate ~sizes ~params:p in
+             { app = a; table; space; generate; gate = Symgate.derive ~space ~generate () })
+           [ ("paper", a.App.paper_sizes); ("test", a.App.test_sizes) ])
+       Registry.all)
+
+let where d = Printf.sprintf "%s (%s sizes)" d.app.App.name d.table
+
+(* Derivation folds constants away: no literal the empty binding decides
+   survives (such a clause either never fires or carries an atom that
+   always holds), and no check is left without a clause. *)
+let test_derivation_folds_constants () =
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (sys : Symbolic.system) ->
+          List.iter
+            (fun (ck : Symbolic.check) ->
+              if ck.Symbolic.ck_refutes = [] then
+                Alcotest.failf "%s: check %s kept with no clause" (where d) ck.Symbolic.ck_site;
+              List.iter
+                (fun (cl : Symbolic.clause) ->
+                  List.iter
+                    (fun l ->
+                      if Symbolic.Predicate.literal_holds [] l <> None then
+                        Alcotest.failf "%s: %s keeps the constant literal %s" (where d)
+                          ck.Symbolic.ck_site (Symbolic.literal_to_string l))
+                    cl.Symbolic.cl_lits)
+                ck.Symbolic.ck_refutes)
+            sys.Symbolic.sy_checks)
+        (Symgate.systems d.gate))
+    (Lazy.force derived)
+
+let test_render_json_parses () =
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (sys : Symbolic.system) ->
+          match Dhdl_serve.Json.parse (Symbolic.render_json sys) with
+          | Ok json ->
+            check_int
+              (where d ^ ": one JSON check per derived check")
+              (List.length sys.Symbolic.sy_checks)
+              (List.length
+                 (Option.value ~default:[]
+                    (Option.bind (Dhdl_serve.Json.member "checks" json) Dhdl_serve.Json.to_list)))
+          | Error msg -> Alcotest.failf "%s: render_json does not parse: %s" (where d) msg)
+        (Symgate.systems d.gate))
+    (Lazy.force derived)
+
+(* The CLI wraps those systems with the point and its verdict; the whole
+   document must parse too. *)
+let dhdl_exe = Filename.concat (Filename.concat ".." "bin") "dhdl.exe"
+
+let test_cli_json_parses () =
+  let args = [| dhdl_exe; "analyze"; "kmeans"; "--symbolic"; "--json"; "parDist=16" |] in
+  let ic = Unix.open_process_args_in dhdl_exe args in
+  let out = In_channel.input_all ic in
+  check_bool "a refuted point exits 2" true (Unix.close_process_in ic = Unix.WEXITED 2);
+  let module J = Dhdl_serve.Json in
+  match J.parse out with
+  | Error msg -> Alcotest.failf "analyze --symbolic --json does not parse: %s" msg
+  | Ok json ->
+    let field path =
+      List.fold_left (fun j k -> Option.bind j (J.member k)) (Some json) path
+    in
+    check_bool "systems listed" true
+      (match Option.bind (field [ "systems" ]) J.to_list with Some (_ :: _) -> true | _ -> false);
+    check_bool "point carries parDist" true
+      (Option.bind (field [ "point"; "parDist" ]) J.to_int = Some 16);
+    check_bool "verdict is refuted" true
+      (Option.bind (field [ "verdict"; "kind" ]) J.to_string = Some "refuted");
+    check_bool "verdict names L013" true
+      (Option.bind (field [ "verdict"; "code" ]) J.to_string = Some "L013")
 
 (* ------------------------------------------------------------------ *)
 (* The differential oracle                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Replay symbolic verdicts against the concrete passes: [Refuted
-   {code}] must be confirmed by a concrete error with that code, [Legal]
-   by a fully clean concrete analysis. [Unknown] promises nothing.
-   Soundness of the whole PR rests here, so every registry app is
-   sworn in over a seed disjoint from the probe seed. *)
+   {code}] must be confirmed by a concrete error with that code, and the
+   gate must never answer [Legal]. [Unknown] promises nothing. Soundness
+   rests here, so every registry app is sworn in at both size tables
+   over a seed disjoint from the probe seed. At test sizes most spaces
+   are smaller than the sample, so the oracle sees every point. *)
 let oracle_points = 220
 let oracle_seed = 90210
 
 let concrete_flags d =
   let asum = Absint.summarize (Absint.analyze d) in
   let dsum = Dependence.summarize (Dependence.analyze d) in
-  ( asum.Absint.s_bounds_refuted > 0,
-    asum.Absint.s_banks_conflict > 0,
-    dsum.Dependence.s_refuted > 0 )
+  (asum.Absint.s_bounds_refuted > 0, dsum.Dependence.s_refuted > 0)
 
 let test_differential_oracle () =
-  let legal_total = ref 0 and refuted_total = ref 0 and unknown_total = ref 0 in
-  let per_app = Hashtbl.create 8 in
+  let refuted = Hashtbl.create 16 in
   List.iter
-    (fun (a : App.t) ->
-      let space = space_of a in
-      let generate = generate_of a in
-      let gate = Symgate.derive ~space ~generate () in
-      let pts = Space.sample space ~seed:oracle_seed ~max_points:oracle_points in
-      check_bool
-        (Printf.sprintf "%s: oracle has a non-trivial sample" a.App.name)
-        true
-        (List.length pts >= 50);
-      let legal = ref 0 and refuted = ref 0 in
+    (fun d ->
+      let pts = Space.sample d.space ~seed:oracle_seed ~max_points:oracle_points in
+      if d.table = "paper" then
+        check_bool (where d ^ ": oracle has a non-trivial sample") true (List.length pts >= 50);
+      let n = ref 0 in
       List.iter
         (fun p ->
-          match Symgate.verdict gate p with
-          | Symbolic.Unknown _ -> incr unknown_total
-          | Symbolic.Refuted { code; witness } -> (
-            incr refuted;
-            incr refuted_total;
-            let oob, bank, dep = concrete_flags (generate p) in
-            let confirmed =
-              match code with
-              | "L009" -> oob
-              | "L010" -> bank
-              | "L013" -> dep
-              | _ -> false
-            in
+          match Symgate.verdict d.gate p with
+          | Symbolic.Unknown _ -> ()
+          | Symbolic.Legal -> Alcotest.failf "%s: the gate answered Legal" (where d)
+          | Symbolic.Refuted { code; witness } ->
+            incr n;
+            (* Banking has no closed form, so the gate never refutes L010. *)
+            let oob, dep = concrete_flags (d.generate p) in
+            let confirmed = match code with "L009" -> oob | "L013" -> dep | _ -> false in
             if not confirmed then
-              Alcotest.fail
-                (Printf.sprintf "%s: symbolic Refuted [%s] (%s) not confirmed concretely"
-                   a.App.name code witness))
-          | Symbolic.Legal ->
-            incr legal;
-            incr legal_total;
-            let oob, bank, dep = concrete_flags (generate p) in
-            if oob || bank || dep then
-              Alcotest.fail
-                (Printf.sprintf
-                   "%s: symbolic Legal contradicted concretely (oob=%b bank=%b dep=%b)"
-                   a.App.name oob bank dep))
+              Alcotest.failf "%s: symbolic Refuted [%s] (%s) not confirmed concretely" (where d)
+                code witness)
         pts;
-      Hashtbl.replace per_app a.App.name (!legal, !refuted))
-    Registry.all;
-  check_int "all seven registry apps sworn in" 7 (Hashtbl.length per_app);
-  (* Non-vacuity: the oracle must have exercised both decided verdicts —
-     kmeans has a refutable region (parDist beyond k), and the streaming
-     apps prove Legal outright. *)
-  let legal_of n = fst (Hashtbl.find per_app n) in
-  let refuted_of n = snd (Hashtbl.find per_app n) in
-  check_bool "kmeans has symbolically refuted points" true (refuted_of "kmeans" > 0);
-  check_bool "dotproduct has symbolically proved points" true (legal_of "dotproduct" > 0);
-  check_bool "oracle saw Legal verdicts" true (!legal_total > 0);
-  check_bool "oracle saw Refuted verdicts" true (!refuted_total > 0)
+      Hashtbl.replace refuted (d.app.App.name, d.table) !n)
+    (Lazy.force derived);
+  check_int "all seven registry apps sworn in at both size tables" 14 (Hashtbl.length refuted);
+  (* Non-vacuity: kmeans has a refutable region (parDist beyond k). *)
+  check_bool "kmeans has symbolically refuted points" true
+    (Hashtbl.find refuted ("kmeans", "paper") > 0);
+  check_bool "oracle saw Refuted verdicts at test sizes" true
+    (Hashtbl.fold (fun (_, table) n acc -> acc || (table = "test" && n > 0)) refuted false)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep integration: Sym_pruned, checkpoints, byte identity           *)
@@ -335,6 +404,12 @@ let () =
           Alcotest.test_case "expression laws" `Quick test_expr_laws;
           Alcotest.test_case "fit recovers affine slots exactly" `Quick test_fit_recovers_affine;
           Alcotest.test_case "predicate semantics" `Quick test_predicate_semantics;
+        ] );
+      ( "derived",
+        [
+          Alcotest.test_case "constant literals folded" `Quick test_derivation_folds_constants;
+          Alcotest.test_case "render_json parses" `Quick test_render_json_parses;
+          Alcotest.test_case "analyze --symbolic --json parses" `Quick test_cli_json_parses;
         ] );
       ( "oracle",
         [
