@@ -112,8 +112,8 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 5) from GDA sweeps plus a kmeans
-   symbolic-gate A/B. Four axes:
+(* Writes BENCH_dse.json (schema 6) from GDA sweeps plus a kmeans
+   symbolic-gate A/B. Five axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
      evaluation cache per level, telemetry on, no profiler — comparable
@@ -125,7 +125,14 @@ let run_ablations ~quick () =
      accountable for on any host — including a single-core container
      where cold jobs>1 walls are dominated by time-sliced estimation.
    - cache_ab: the same sequential sweep cold then again on the warm
-     cache — the memoization headline.
+     cache — the memoization headline. The warm repeat is the median of
+     [warm_runs] runs, with min and max: one warm run is too short to
+     tell from host noise.
+   - warm_session: the warm repeat as the DSE server runs it for a
+     dse_start — a fresh checkpoint path, resume on, a checkpoint every
+     [Supervisor.default_config]'s [dse_checkpoint_every] points — as
+     points/s and profiled collector write seconds, each the median of
+     [warm_runs] runs with min and max.
    - chunk_sweep: warm profiled jobs=4 sweeps across chunk sizes, showing
      how per-claim batching trades collector wakeups against tail skew.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
@@ -134,6 +141,15 @@ let run_ablations ~quick () =
      gate's headline is elaborations never performed, which wall-clock
      alone understates on a warm cache. *)
 let run_label = ref "dev"
+let warm_runs = 5
+
+(* [{"median":m,"min":lo,"max":hi}] of [xs], printed with [fmt]. *)
+let spread_json fmt xs =
+  let lo = List.fold_left Float.min Float.infinity xs in
+  let hi = List.fold_left Float.max Float.neg_infinity xs in
+  Printf.sprintf "{\"median\":%s,\"min\":%s,\"max\":%s}"
+    (Printf.sprintf fmt (Dhdl_util.Stats.median xs))
+    (Printf.sprintf fmt lo) (Printf.sprintf fmt hi)
 
 let run_dseperf ~quick () =
   banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, chunk sweep";
@@ -170,7 +186,45 @@ let run_dseperf ~quick () =
      then the warm repeat on the same cache for the A/B. *)
   let ev_seq = fresh_eval () in
   let r1, snap1 = sweep ~obs:true ev_seq in
-  let rwarm, _ = sweep ev_seq in
+  let warm = List.init warm_runs (fun _ -> fst (sweep ev_seq)) in
+  let rwarm = List.hd warm in
+  let warm_pps = List.map pps warm in
+  (* Warm server sessions on the same cache: what a dse_start of a sweep
+     the server has seen pays, key and checkpoint writes included. *)
+  let every =
+    (Dhdl_serve.Supervisor.default_config ~sessions_root:"" ~estimator:(lazy est))
+      .Dhdl_serve.Supervisor.dse_checkpoint_every
+  in
+  let session_path = Filename.concat (Filename.get_temp_dir_name ()) "dhdl_bench_session.jsonl" in
+  let session ~profile =
+    if Sys.file_exists session_path then Sys.remove session_path;
+    let cfg =
+      Explore.Config.(
+        default |> with_seed seed |> with_max_points points
+        |> with_checkpoint ~every session_path
+        |> with_resume true |> with_profile profile)
+    in
+    let r = Explore.run cfg ev_seq ~space ~generate in
+    Sys.remove session_path;
+    r
+  in
+  let sessions = List.init warm_runs (fun _ -> session ~profile:false) in
+  let profiled = List.init warm_runs (fun _ -> session ~profile:true) in
+  (* Beside the collector's checkpoint writes, what is left of a warm
+     point: its generate and cache-probe (design key) lanes. *)
+  let warm_session =
+    let module P = Dhdl_dse.Profile in
+    let attrs = List.map attr_of profiled in
+    let lane f = spread_json "%.6f" (List.map f attrs) in
+    let workers f (a : P.t) = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
+    Printf.sprintf
+      "{\"jobs\":1,\"points\":%d,\"checkpoint_every\":%d,\"runs\":%d,\"points_per_sec\":%s,\"collector_write_s\":%s,\"generate_s\":%s,\"probe_s\":%s}"
+      (List.hd sessions).Explore.sampled every warm_runs
+      (spread_json "%.1f" (List.map pps sessions))
+      (lane (fun a -> a.P.collector.P.c_write_s))
+      (lane (workers (fun w -> w.P.w_generate_s)))
+      (lane (workers (fun w -> w.P.w_probe_s)))
+  in
   (* Cold timing + warm profiled attribution per jobs level. The warm
      repeats share [ev_seq]'s cache (every level evaluates the same seeded
      point set, so it is fully warm after the sequential sweep). *)
@@ -254,19 +308,20 @@ let run_dseperf ~quick () =
       "{\"chunk\":%d,\"jobs\":4,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"recv_block_s\":%.6f}"
       chunk r.Explore.elapsed_seconds (pps r) (recv_block attr)
   in
+  let warm_median = Dhdl_util.Stats.median warm_pps in
   let cache_ab =
     Printf.sprintf
-      "{\"jobs\":1,\"cold_elapsed_s\":%.3f,\"cold_points_per_sec\":%.1f,\"warm_elapsed_s\":%.3f,\"warm_points_per_sec\":%.1f,\"warm_speedup\":%.2f,\"warm_cache_hits\":%d,\"warm_cache_misses\":%d}"
-      r1.Explore.elapsed_seconds (pps r1) rwarm.Explore.elapsed_seconds (pps rwarm)
-      (if pps r1 > 0.0 then pps rwarm /. pps r1 else 0.0)
+      "{\"jobs\":1,\"cold_elapsed_s\":%.3f,\"cold_points_per_sec\":%.1f,\"warm_runs\":%d,\"warm_points_per_sec\":%s,\"warm_speedup\":%.2f,\"warm_cache_hits\":%d,\"warm_cache_misses\":%d}"
+      r1.Explore.elapsed_seconds (pps r1) warm_runs (spread_json "%.1f" warm_pps)
+      (if pps r1 > 0.0 then warm_median /. pps r1 else 0.0)
       rwarm.Explore.cache_hits rwarm.Explore.cache_misses
   in
   let json =
     Printf.sprintf
-      "{\"schema\":5,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits a separate profiled cold jobs=1 gda sweep into its worker lanes.\",\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"ms_per_design_p50\":%.4f,\"ms_per_design_p95\":%.4f,\"cache_ab\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":6,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits a separate profiled cold jobs=1 gda sweep into its worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); its figures and cache_ab's warm figures are the median, min and max of several runs.\",\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"ms_per_design_p50\":%.4f,\"ms_per_design_p95\":%.4f,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
-      r1.Explore.elapsed_seconds (pps r1) p50 p95 cache_ab cold_attribution symbolic_ab
+      r1.Explore.elapsed_seconds (pps r1) p50 p95 cache_ab warm_session cold_attribution symbolic_ab
       (String.concat "," (List.map chunk_json chunks))
       (String.concat "," (List.map level_json levels))
   in
@@ -276,10 +331,11 @@ let run_dseperf ~quick () =
   Printf.printf "%d points (%d estimated, %d lint-pruned) in %.2f s sequential: %.0f points/sec\n"
     r1.Explore.sampled estimated r1.Explore.lint_pruned r1.Explore.elapsed_seconds (pps r1);
   Printf.printf
-    "warm-cache repeat: %.2f s, %.0f points/sec (%.0fx; %d hits, %d misses)\n"
-    rwarm.Explore.elapsed_seconds (pps rwarm)
-    (if pps r1 > 0.0 then pps rwarm /. pps r1 else 0.0)
+    "warm-cache repeat (median of %d): %.0f points/sec (%.0fx; %d hits, %d misses)\n" warm_runs
+    warm_median
+    (if pps r1 > 0.0 then warm_median /. pps r1 else 0.0)
     rwarm.Explore.cache_hits rwarm.Explore.cache_misses;
+  Printf.printf "warm sessions (checkpoint every %d): %s\n" every warm_session;
   List.iter
     (fun (_, (rc : Explore.result), attr) ->
       let module P = Dhdl_dse.Profile in

@@ -16,6 +16,7 @@ module Absint = Dhdl_absint.Absint
 module Symbolic = Dhdl_absint.Symbolic
 module Symgate = Dhdl_dse.Symgate
 module Diag = Dhdl_ir.Diag
+module Emit = Dhdl_util.Emit
 module Obs = Dhdl_obs.Obs
 
 let parse_params strs =
@@ -227,8 +228,9 @@ let checkpoint_arg =
     & opt (some string) None
     & info [ "checkpoint" ] ~docv:"FILE"
         ~doc:
-          "Periodically write completed evaluations and sweep metadata to FILE (JSONL, atomic \
-           temp-file + rename) so an interrupted sweep can be resumed with $(b,--resume).")
+          "Periodically write completed evaluations and sweep metadata to FILE (JSONL; the first \
+           write replaces FILE atomically, later writes append) so an interrupted sweep can be \
+           resumed with $(b,--resume).")
 
 let resume_arg =
   Arg.(
@@ -633,7 +635,7 @@ let analyze_cmd =
         String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) point)
       in
       if json then begin
-        let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+        let str s = "\"" ^ Emit.json_escape s ^ "\"" in
         let verdict_json =
           match verdict with
           | Symbolic.Refuted { code; witness } ->

@@ -31,6 +31,7 @@
 
 module Ir = Dhdl_ir.Ir
 module Diag = Dhdl_ir.Diag
+module Emit = Dhdl_util.Emit
 module Intmath = Dhdl_util.Intmath
 
 module IE = Engine.Make (Interval)
@@ -973,7 +974,7 @@ let render_text (r : report) =
 
 let render_json (r : report) =
   let b = Buffer.create 1024 in
-  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  let str s = "\"" ^ Emit.json_escape s ^ "\"" in
   (* JSON array elements; [idx_str]'s ';' is for the text reports only. *)
   let idx l = String.concat "," (List.map string_of_int l) in
   let s = summarize r in

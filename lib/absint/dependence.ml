@@ -40,6 +40,7 @@
 module Ir = Dhdl_ir.Ir
 module Op = Dhdl_ir.Op
 module Diag = Dhdl_ir.Diag
+module Emit = Dhdl_util.Emit
 module Analysis = Dhdl_ir.Analysis
 module Traverse = Dhdl_ir.Traverse
 module Primitives = Dhdl_device.Primitives
@@ -1337,7 +1338,7 @@ let render_text (r : report) =
 
 let render_json (r : report) =
   let b = Buffer.create 1024 in
-  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  let str s = "\"" ^ Emit.json_escape s ^ "\"" in
   let iters ws =
     "{" ^ String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s:%d" (str n) v) ws) ^ "}"
   in

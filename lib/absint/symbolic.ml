@@ -41,7 +41,7 @@
 
 module Ir = Dhdl_ir.Ir
 module Traverse = Dhdl_ir.Traverse
-module Diag = Dhdl_ir.Diag
+module Emit = Dhdl_util.Emit
 
 module AE = Engine.Make (Affine)
 
@@ -801,7 +801,7 @@ let render_text sys =
   Buffer.contents b
 
 let render_json sys =
-  let str s = "\"" ^ Diag.json_escape s ^ "\"" in
+  let str s = "\"" ^ Emit.json_escape s ^ "\"" in
   let clause cl =
     Printf.sprintf "{\"desc\":%s,\"when\":%s}" (str cl.cl_desc) (str (conj_to_string cl.cl_lits))
   in

@@ -1,6 +1,7 @@
 module Estimator = Dhdl_model.Estimator
 module Area_model = Dhdl_model.Area_model
 module R = Dhdl_device.Resources
+module Emit = Dhdl_util.Emit
 
 type t = {
   space_name : string;
@@ -18,81 +19,180 @@ let version = 1
 (* Rendering.  Floats are written as C99 hex literals ("%h") so that a
    loaded checkpoint reproduces the original values bit-for-bit — the
    resume guarantee is that a resumed sweep equals an uninterrupted one
-   structurally, floats included. *)
+   structurally, floats included. Every field is written straight into
+   the buffer through [Emit], which produces the bytes [Printf] would. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let add_str buf s =
+  Buffer.add_char buf '"';
+  Emit.add_json_escaped buf s;
+  Buffer.add_char buf '"'
 
-let hex f = Printf.sprintf "\"%h\"" f
-let ints xs = "[" ^ String.concat "," (List.map string_of_int xs) ^ "]"
+let add_hex buf f =
+  Buffer.add_char buf '"';
+  Emit.add_hex_float buf f;
+  Buffer.add_char buf '"'
+
+let add_ints buf xs =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun k x ->
+      if k > 0 then Buffer.add_char buf ',';
+      Emit.add_int buf x)
+    xs;
+  Buffer.add_char buf ']'
+
+(* [{"kind":"<kind>","i":<i>] — the opening every entry line shares. *)
+let add_entry_head buf kind i =
+  Buffer.add_string buf "{\"kind\":\"";
+  Buffer.add_string buf kind;
+  Buffer.add_string buf "\",\"i\":";
+  Emit.add_int buf i
+
+let add_field buf name =
+  Buffer.add_string buf ",\"";
+  Buffer.add_string buf name;
+  Buffer.add_string buf "\":"
+
+let add_pruned buf kind i =
+  add_entry_head buf kind i;
+  Buffer.add_string buf "}\n"
+
+(* What a writer last put on disk: the path, the identity of the file it
+   wrote there, and how many of the writer's bytes that file holds. *)
+type flushed = { f_path : string; f_dev : int; f_ino : int; f_len : int }
 
 (* A writer is the rendered file so far: the header line, then one line
    per appended entry. Each entry is rendered once, when it is appended,
-   so a sweep that rewrites its checkpoint every few points pays for the
-   bytes once and the rewrites only copy the buffer to disk. *)
-type writer = Buffer.t
+   so a sweep that checkpoints every few points pays for the bytes once;
+   after the first flush, a flush writes only the bytes since the last. *)
+type writer = { buf : Buffer.t; mutable flushed : flushed option }
 
-let append (buf : writer) i (e : Outcome.entry) =
+let append w i (e : Outcome.entry) =
+  let buf = w.buf in
   match e with
-  | Outcome.Pruned -> Printf.bprintf buf "{\"kind\":\"pruned\",\"i\":%d}\n" i
-  | Outcome.Absint_pruned -> Printf.bprintf buf "{\"kind\":\"absint_pruned\",\"i\":%d}\n" i
-  | Outcome.Dep_pruned -> Printf.bprintf buf "{\"kind\":\"dep_pruned\",\"i\":%d}\n" i
-  | Outcome.Sym_pruned -> Printf.bprintf buf "{\"kind\":\"sym_pruned\",\"i\":%d}\n" i
+  | Outcome.Pruned -> add_pruned buf "pruned" i
+  | Outcome.Absint_pruned -> add_pruned buf "absint_pruned" i
+  | Outcome.Dep_pruned -> add_pruned buf "dep_pruned" i
+  | Outcome.Sym_pruned -> add_pruned buf "sym_pruned" i
   | Outcome.Failed (stage, msg) ->
-    Printf.bprintf buf "{\"kind\":\"failed\",\"i\":%d,\"stage\":\"%s\",\"msg\":\"%s\"}\n" i
-      (Outcome.stage_name stage) (escape msg)
+    add_entry_head buf "failed" i;
+    add_field buf "stage";
+    add_str buf (Outcome.stage_name stage);
+    add_field buf "msg";
+    add_str buf msg;
+    Buffer.add_string buf "}\n"
   | Outcome.Evaluated ev ->
     let est = ev.Outcome.estimate in
     let a = est.Estimator.area in
     let raw = est.Estimator.raw in
     let res = raw.Area_model.resources in
-    Printf.bprintf buf
-      "{\"kind\":\"eval\",\"i\":%d,\"point\":%s,\"valid\":%b,\"alm_pct\":%s,\"dsp_pct\":%s,\"bram_pct\":%s,\"cycles\":%s,\"seconds\":%s,\"area\":%s,\"raw\":%s,\"avg_fanout\":%s}\n"
-      i
-      (ints (List.map snd ev.Outcome.point))
-      ev.Outcome.valid (hex ev.Outcome.alm_pct) (hex ev.Outcome.dsp_pct) (hex ev.Outcome.bram_pct)
-      (hex est.Estimator.cycles) (hex est.Estimator.seconds)
-      (ints
-         [ a.Estimator.alms; a.Estimator.luts; a.Estimator.regs; a.Estimator.dsps;
-           a.Estimator.brams; a.Estimator.routing_luts; a.Estimator.unavailable_luts;
-           a.Estimator.duplicated_regs; a.Estimator.duplicated_brams ])
-      (ints
-         [ res.R.lut_packable; res.R.lut_unpackable; res.R.regs; res.R.dsps; res.R.brams;
-           raw.Area_model.nets; raw.Area_model.tree_depth; raw.Area_model.streams;
-           raw.Area_model.ctrl_count; raw.Area_model.double_buffers; raw.Area_model.prim_count ])
-      (hex raw.Area_model.avg_fanout)
+    add_entry_head buf "eval" i;
+    add_field buf "point";
+    add_ints buf (List.map snd ev.Outcome.point);
+    add_field buf "valid";
+    Buffer.add_string buf (if ev.Outcome.valid then "true" else "false");
+    add_field buf "alm_pct";
+    add_hex buf ev.Outcome.alm_pct;
+    add_field buf "dsp_pct";
+    add_hex buf ev.Outcome.dsp_pct;
+    add_field buf "bram_pct";
+    add_hex buf ev.Outcome.bram_pct;
+    add_field buf "cycles";
+    add_hex buf est.Estimator.cycles;
+    add_field buf "seconds";
+    add_hex buf est.Estimator.seconds;
+    add_field buf "area";
+    add_ints buf
+      [ a.Estimator.alms; a.Estimator.luts; a.Estimator.regs; a.Estimator.dsps;
+        a.Estimator.brams; a.Estimator.routing_luts; a.Estimator.unavailable_luts;
+        a.Estimator.duplicated_regs; a.Estimator.duplicated_brams ];
+    add_field buf "raw";
+    add_ints buf
+      [ res.R.lut_packable; res.R.lut_unpackable; res.R.regs; res.R.dsps; res.R.brams;
+        raw.Area_model.nets; raw.Area_model.tree_depth; raw.Area_model.streams;
+        raw.Area_model.ctrl_count; raw.Area_model.double_buffers; raw.Area_model.prim_count ];
+    add_field buf "avg_fanout";
+    add_hex buf raw.Area_model.avg_fanout;
+    Buffer.add_string buf "}\n"
 
 let writer t =
   let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"kind\":\"header\",\"version\":%d,\"space\":\"%s\",\"seed\":%d,\"max_points\":%d,\"total\":%d,\"params\":[%s]}\n"
-    version (escape t.space_name) t.seed t.max_points t.total
-    (String.concat "," (List.map (fun p -> "\"" ^ escape p ^ "\"") t.params));
-  List.iter (fun (i, e) -> append buf i e) t.entries;
-  buf
+  Buffer.add_string buf "{\"kind\":\"header\",\"version\":";
+  Emit.add_int buf version;
+  add_field buf "space";
+  add_str buf t.space_name;
+  add_field buf "seed";
+  Emit.add_int buf t.seed;
+  add_field buf "max_points";
+  Emit.add_int buf t.max_points;
+  add_field buf "total";
+  Emit.add_int buf t.total;
+  add_field buf "params";
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun k p ->
+      if k > 0 then Buffer.add_char buf ',';
+      add_str buf p)
+    t.params;
+  Buffer.add_string buf "]}\n";
+  let w = { buf; flushed = None } in
+  List.iter (fun (i, e) -> append w i e) t.entries;
+  w
 
-(* Atomic write: the checkpoint on disk is always a complete, parseable
-   snapshot — a crash mid-write leaves the previous checkpoint intact. *)
-let flush ~path w =
+(* Full replace: the temp file is written whole, then renamed over [path],
+   so whatever [path] held before (another sweep's file, a torn tail) is
+   never half-replaced. Returns the written file's identity. *)
+let replace ~path buf =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc w);
-  Sys.rename tmp path
+  let oc = open_out_bin tmp in
+  let st =
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        Buffer.output_buffer oc buf;
+        Stdlib.flush oc;
+        Unix.fstat (Unix.descr_of_out_channel oc))
+  in
+  Sys.rename tmp path;
+  st
 
-let render t = Buffer.contents (writer t)
-let save ~path t = flush ~path (writer t)
+(* Append the bytes past [f.f_len] if [path] is still the file the last
+   flush left: same inode, same length. [false] (nothing written) when it
+   is not, or when it is gone. *)
+let append_new ~path buf f =
+  match Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let st = Unix.fstat fd in
+        st.Unix.st_dev = f.f_dev && st.Unix.st_ino = f.f_ino && st.Unix.st_size = f.f_len
+        && begin
+             let fresh = Buffer.sub buf f.f_len (Buffer.length buf - f.f_len) in
+             let len = String.length fresh in
+             let sent = ref 0 in
+             while !sent < len do
+               sent := !sent + Unix.write_substring fd fresh !sent (len - !sent)
+             done;
+             true
+           end)
+
+let flush ~path w =
+  let last = w.flushed in
+  (* Cleared first: if this flush raises, the next one replaces the file
+     whole instead of trusting a length that may no longer hold. *)
+  w.flushed <- None;
+  let len = Buffer.length w.buf in
+  match last with
+  | Some f when String.equal f.f_path path && append_new ~path w.buf f ->
+    w.flushed <- Some { f with f_len = len }
+  | Some _ | None ->
+    let st = replace ~path w.buf in
+    w.flushed <- Some { f_path = path; f_dev = st.Unix.st_dev; f_ino = st.Unix.st_ino; f_len = len }
+
+let render t = Buffer.contents (writer t).buf
+let save ~path t = ignore (replace ~path (writer t).buf)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: a minimal JSON reader covering exactly the subset above. *)
@@ -302,19 +402,28 @@ let load ~path =
       let v = as_int (member "version" h) in
       if v <> version then raise (Bad (Printf.sprintf "unsupported checkpoint version %d" v));
       let params = List.map as_string (as_list (member "params" h)) in
-      (* A crash mid-append can tear the final line (the atomic temp-file +
-         rename protocol makes this impossible for [save], but other
-         writers — or a torn copy — may hand us such a file). A torn tail
-         carries no information the sweep cannot recompute, so drop it and
-         flag the load instead of rejecting the whole checkpoint; a parse
-         error on any non-final line is still real corruption. *)
+      (* A kill during a flush's append (or a torn copy) can cut the final
+         line. A torn tail carries no information the sweep cannot
+         recompute, so drop it and flag the load instead of rejecting the
+         whole checkpoint; a parse error on any non-final line is still
+         real corruption. *)
+      (* Every writer appends in ascending index order (a deadline may
+         leave gaps), so an index that does not increase is a duplicated
+         or reordered segment: corruption, not a later copy that wins. *)
+      let after acc ((i, _) as e) =
+        (match acc with
+        | (prev, _) :: _ when i <= prev ->
+          raise (Bad (Printf.sprintf "entry index %d does not follow %d" i prev))
+        | _ -> ());
+        e :: acc
+      in
       let rec parse_entries acc = function
         | [] -> (List.rev acc, false)
         | [ last ] -> (
           match entry_of_json ~params (parse_json last) with
-          | e -> (List.rev (e :: acc), false)
+          | e -> (List.rev (after acc e), false)
           | exception Bad _ -> (List.rev acc, true))
-        | line :: rest -> parse_entries (entry_of_json ~params (parse_json line) :: acc) rest
+        | line :: rest -> parse_entries (after acc (entry_of_json ~params (parse_json line))) rest
       in
       let entries, truncated_tail = parse_entries [] rest in
       Ok
@@ -324,7 +433,7 @@ let load ~path =
           max_points = as_int (member "max_points" h);
           total = as_int (member "total" h);
           params;
-          entries = List.sort (fun (a, _) (b, _) -> compare a b) entries;
+          entries;
           truncated_tail;
         }
   with

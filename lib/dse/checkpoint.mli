@@ -8,23 +8,30 @@
     (classified {!Outcome.failure_stage} plus message).
 
     {!save} writes atomically (temp file + rename), so the file on disk is
-    always a complete snapshot: a sweep killed mid-write resumes from the
-    previous checkpoint rather than a torn one. Hex-float round-tripping
-    makes a resumed sweep's evaluations structurally equal to an
-    uninterrupted run's.
+    always a complete snapshot. Hex-float round-tripping makes a resumed
+    sweep's evaluations structurally equal to an uninterrupted run's.
 
-    A sweep that rewrites its checkpoint as it goes keeps a {!writer}: it
-    renders each entry once, on {!append}, and every {!flush} replaces the
-    file with the rendered bytes by the same atomic protocol. {!render}
-    and {!save} are a writer filled from a whole [t], so there is one
-    rendering path and the bytes are the same either way.
+    A sweep that writes its checkpoint as it goes keeps a {!writer}: it
+    renders each entry once, on {!append}, straight into the writer's
+    buffer. The first {!flush} replaces the file atomically, like {!save};
+    every later flush appends only the bytes rendered since the previous
+    one, as long as the file is still the one that flush left (see
+    {!flush}). {!render} and {!save} are a writer filled from a whole [t],
+    so there is one rendering path and the bytes are the same either way.
 
-    {!load} additionally tolerates a {e torn tail}: when only the final
-    JSONL line fails to parse (a crash truncated an append from a
-    non-atomic writer, or a copy was cut short), the line is dropped, the
-    complete prefix loads normally, and [truncated_tail] flags the loss so
-    resume reports can surface it. Corruption anywhere before the final
-    line is still rejected. *)
+    {b Crash guarantee.} The file always starts with a complete header and
+    is always a byte prefix of what the writer rendered. A kill during an
+    append can leave one partial final line, so a [torn] tail can come
+    from this module's own writer, not only from a torn copy.
+
+    {!load} tolerates that {e torn tail}: when only the final JSONL line
+    fails to parse, the line is dropped, the complete prefix loads
+    normally, and [truncated_tail] flags the loss so resume reports can
+    surface it. A resumed sweep recomputes the dropped point, and its
+    first flush replaces the file, so it still converges to an
+    uninterrupted run's bytes. Corruption anywhere before the final line
+    is still rejected, and so are entry indices that do not strictly
+    increase. *)
 
 type t = {
   space_name : string;
@@ -32,7 +39,8 @@ type t = {
   max_points : int;
   total : int;  (** Points sampled by the sweep being checkpointed. *)
   params : string list;  (** Parameter names, in point order. *)
-  entries : (int * Outcome.entry) list;  (** Ascending by point index. *)
+  entries : (int * Outcome.entry) list;
+      (** Strictly ascending by point index; a deadline may leave gaps. *)
   truncated_tail : bool;
       (** Set by {!load} when a torn final line was dropped; [false] for
           checkpoints built in memory, and ignored by {!render}/{!save}. *)
@@ -51,7 +59,8 @@ val save : path:string -> t -> unit
 
 type writer
 (** A checkpoint being built: the header and the entries appended so
-    far, already rendered. Single owner; not thread-safe. *)
+    far, already rendered, and what the last {!flush} left on disk.
+    Single owner; not thread-safe. *)
 
 val writer : t -> writer
 (** A writer holding [t]'s header and [t.entries] ([truncated_tail] is
@@ -59,14 +68,22 @@ val writer : t -> writer
 
 val append : writer -> int -> Outcome.entry -> unit
 (** [append w i e] renders entry [e] at point index [i] onto [w]. Entries
-    are written in append order; a sweep appends in ascending index
-    order. *)
+    are written in append order; a sweep appends in strictly ascending
+    index order, which {!load} checks. *)
 
 val flush : path:string -> writer -> unit
-(** Atomically replace [path] with the writer's bytes, which equal
-    [render] of its header and entries so far. The buffer is written as
-    is (no copy) and stays in [w], so later appends and flushes extend
-    it. *)
+(** Make [path] hold the writer's bytes, which equal [render] of its
+    header and entries so far.
+
+    After a flush the writer records the path, the written file's device
+    and inode (from [fstat]) and its length. The next flush to the same
+    path opens it with [O_APPEND] and, if it is still that file with that
+    length, writes only the new bytes. Otherwise — the first flush
+    (a resumed sweep's too, which drops any torn tail), another path, a
+    file that was replaced, truncated, grown or deleted — it replaces the
+    file atomically (writes [path ^ ".tmp"], then renames). The record is
+    cleared before writing, so a flush that raises leaves the next one to
+    replace the file whole. *)
 
 val load : path:string -> (t, string) result
 (** Parse a checkpoint; [Error] describes a missing, unreadable, corrupt,

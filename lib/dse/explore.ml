@@ -368,7 +368,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   in
   (* Collector state. Only the domain running the collector touches any of
      this — in particular the checkpoint file has a single writer, so the
-     atomic temp-file + rename protocol (and the resume guarantees) are
+     replace-then-append flush protocol (and the resume guarantees) are
      untouched by parallelism. *)
   let entries = ref [] (* (index, entry), newest first *) in
   let lint_pruned = ref 0 in

@@ -278,9 +278,10 @@ val run :
     deterministic faults into each barrier for testing.
 
     {b Checkpoint / resume.} With [config.checkpoint = Some path] the
-    sweep atomically rewrites [path] (JSONL, see {!Checkpoint}) every
+    sweep writes [path] (JSONL, see {!Checkpoint}) every
     [checkpoint_every] processed points (default 500; [0] disables
-    periodic writes) and once at the end. With [config.resume = true] it
+    periodic writes) and once at the end: the first write replaces the
+    file atomically, later ones append the new entries. With [config.resume = true] it
     first loads [path] (if present), validates that the checkpoint belongs
     to this exact sweep (space, seed, max_points, sample count, parameter
     names — raising [Failure] otherwise), and reuses its entries instead

@@ -45,7 +45,7 @@ type collector = {
   c_reorder_stall_s : float;
       (** Total time outcomes sat parked in the reorder buffer waiting for
           a preceding index; overlaps [c_recv_block_s]. *)
-  c_write_s : float;  (** Checkpoint serialization + atomic rename. *)
+  c_write_s : float;  (** Checkpoint serialization + file writes. *)
   c_merge_s : float;  (** Residual: releasing/accounting outcomes. *)
 }
 

@@ -3,6 +3,8 @@
    dhdl_ir so both layers can emit the same type without a dependency
    cycle. *)
 
+module Emit = Dhdl_util.Emit
+
 type severity = Error | Warning | Info
 
 type t = {
@@ -45,24 +47,9 @@ let to_string d =
   let mem = match d.mem with None -> "" | Some m -> Printf.sprintf " [mem %s]" m in
   Printf.sprintf "%s[%s] %s%s%s" (severity_name d.severity) d.code where d.message mem
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let path = String.concat ", " (List.map (fun p -> "\"" ^ json_escape p ^ "\"") d.path) in
-  let mem = match d.mem with None -> "null" | Some m -> "\"" ^ json_escape m ^ "\"" in
+  let path = String.concat ", " (List.map (fun p -> "\"" ^ Emit.json_escape p ^ "\"") d.path) in
+  let mem = match d.mem with None -> "null" | Some m -> "\"" ^ Emit.json_escape m ^ "\"" in
   Printf.sprintf
     "{\"code\": \"%s\", \"severity\": \"%s\", \"path\": [%s], \"mem\": %s, \"message\": \"%s\"}"
-    (json_escape d.code) (severity_name d.severity) path mem (json_escape d.message)
+    (Emit.json_escape d.code) (severity_name d.severity) path mem (Emit.json_escape d.message)

@@ -45,4 +45,3 @@ val to_string : t -> string
 val to_json : t -> string
 (** One JSON object (hand-rolled, no external dependency). *)
 
-val json_escape : string -> string

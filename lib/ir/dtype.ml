@@ -1,3 +1,5 @@
+module Emit = Dhdl_util.Emit
+
 type t =
   | Fix of { signed : bool; int_bits : int; frac_bits : int }
   | Flt of { exp_bits : int; sig_bits : int }
@@ -24,11 +26,25 @@ let is_float = function Flt _ -> true | Fix _ | Bool -> false
 let is_fixed = function Fix _ -> true | Flt _ | Bool -> false
 let is_bool = function Bool -> true | Fix _ | Flt _ -> false
 
-let to_string = function
+let to_buffer b = function
   | Fix { signed; int_bits; frac_bits } ->
-    Printf.sprintf "%sFix(%d.%d)" (if signed then "" else "U") int_bits frac_bits
-  | Flt { exp_bits; sig_bits } -> Printf.sprintf "Float(%d,%d)" exp_bits sig_bits
-  | Bool -> "Bool"
+    Buffer.add_string b (if signed then "Fix(" else "UFix(");
+    Emit.add_int b int_bits;
+    Buffer.add_char b '.';
+    Emit.add_int b frac_bits;
+    Buffer.add_char b ')'
+  | Flt { exp_bits; sig_bits } ->
+    Buffer.add_string b "Float(";
+    Emit.add_int b exp_bits;
+    Buffer.add_char b ',';
+    Emit.add_int b sig_bits;
+    Buffer.add_char b ')'
+  | Bool -> Buffer.add_string b "Bool"
+
+let to_string t =
+  let b = Buffer.create 16 in
+  to_buffer b t;
+  Buffer.contents b
 
 let equal a b =
   match (a, b) with

@@ -29,6 +29,9 @@ val is_fixed : t -> bool
 val is_bool : t -> bool
 
 val to_string : t -> string
-(** E.g. "Float(8,24)", "Fix(32.0)", "Bool". *)
+(** E.g. "Float(8,24)", "Fix(32.0)", "UFix(16.8)", "Bool". *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append the bytes of [to_string t]; the one writer behind it. *)
 
 val equal : t -> t -> bool

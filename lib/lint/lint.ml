@@ -1,5 +1,6 @@
 module Ir = Dhdl_ir.Ir
 module Diagnostic = Dhdl_ir.Diag
+module Emit = Dhdl_util.Emit
 module Analysis = Dhdl_ir.Analysis
 module Target = Dhdl_device.Target
 
@@ -128,7 +129,7 @@ let render_text ~design diags =
 let render_json ~design diags =
   Printf.sprintf
     "{\"design\": \"%s\", \"errors\": %d, \"warnings\": %d, \"infos\": %d, \"diagnostics\": [%s]}"
-    (Diagnostic.json_escape design.Ir.d_name)
+    (Emit.json_escape design.Ir.d_name)
     (Diagnostic.count Diagnostic.Error diags)
     (Diagnostic.count Diagnostic.Warning diags)
     (Diagnostic.count Diagnostic.Info diags)

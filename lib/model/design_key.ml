@@ -1,6 +1,7 @@
 module Ir = Dhdl_ir.Ir
 module Dtype = Dhdl_ir.Dtype
 module Op = Dhdl_ir.Op
+module Emit = Dhdl_util.Emit
 
 type t = { skeleton : string; binding : string }
 
@@ -23,21 +24,33 @@ let compare a b =
 let of_design (d : Ir.design) =
   let sk = Buffer.create 512 in
   let bd = Buffer.create 256 in
+  let int = Emit.add_int in
   let str b s =
     Buffer.add_char b '|';
-    Buffer.add_string b (string_of_int (String.length s));
+    int b (String.length s);
     Buffer.add_char b ':';
     Buffer.add_string b s
   in
+  (* [str] of [Dtype.to_string ty], rendered once into a scratch buffer so
+     its length can lead it. *)
+  let ty_buf = Buffer.create 16 in
+  let dtype ty =
+    Buffer.clear ty_buf;
+    Dtype.to_buffer ty_buf ty;
+    Buffer.add_char sk '|';
+    int sk (Buffer.length ty_buf);
+    Buffer.add_char sk ':';
+    Buffer.add_buffer sk ty_buf
+  in
   let num v =
     Buffer.add_char bd '#';
-    Buffer.add_string bd (string_of_int v)
+    int bd v
   in
   let nums vs = List.iter num vs in
   let fnum v =
     Buffer.add_char bd '~';
     (* %h is exact for every float, unlike %g's default precision. *)
-    Buffer.add_string bd (Printf.sprintf "%h" v)
+    Emit.add_hex_float bd v
   in
   let flag b = Buffer.add_char bd (if b then '1' else '0') in
   let mem_kind = function
@@ -50,8 +63,8 @@ let of_design (d : Ir.design) =
     Buffer.add_char sk 'm';
     Buffer.add_char sk (mem_kind m.Ir.mem_kind);
     str sk m.Ir.mem_name;
-    str sk (Dtype.to_string m.Ir.mem_ty);
-    Buffer.add_string sk (string_of_int (List.length m.Ir.mem_dims));
+    dtype m.Ir.mem_ty;
+    int sk (List.length m.Ir.mem_dims);
     nums m.Ir.mem_dims;
     num m.Ir.mem_banks;
     flag m.Ir.mem_double
@@ -65,21 +78,21 @@ let of_design (d : Ir.design) =
       str sk s
     | Ir.Value v ->
       Buffer.add_char sk 'v';
-      Buffer.add_string sk (string_of_int v)
+      int sk v
   in
   let operands args = List.iter operand args in
   let stmt = function
     | Ir.Sop { dst; op; args; ty } ->
       Buffer.add_string sk "Xop";
-      Buffer.add_string sk (string_of_int dst);
+      int sk dst;
       str sk (Op.name op);
-      str sk (Dtype.to_string ty);
+      dtype ty;
       operands args
     | Ir.Sload { dst; mem = m; addr; ty } ->
       Buffer.add_string sk "Xld";
-      Buffer.add_string sk (string_of_int dst);
+      int sk dst;
       str sk m.Ir.mem_name;
-      str sk (Dtype.to_string ty);
+      dtype ty;
       operands addr
     | Ir.Sstore { mem = m; addr; data } ->
       Buffer.add_string sk "Xst";
@@ -88,7 +101,7 @@ let of_design (d : Ir.design) =
       operand data
     | Ir.Sread_reg { dst; reg } ->
       Buffer.add_string sk "Xrr";
-      Buffer.add_string sk (string_of_int dst);
+      int sk dst;
       str sk reg.Ir.mem_name
     | Ir.Swrite_reg { reg; data } ->
       Buffer.add_string sk "Xwr";
@@ -100,7 +113,7 @@ let of_design (d : Ir.design) =
       operand data
     | Ir.Spop { dst; queue } ->
       Buffer.add_string sk "Xqo";
-      Buffer.add_string sk (string_of_int dst);
+      int sk dst;
       str sk queue.Ir.mem_name
   in
   let counter (c : Ir.counter) =
@@ -113,7 +126,7 @@ let of_design (d : Ir.design) =
   let loop (lp : Ir.loop_info) =
     str sk lp.Ir.lp_label;
     Buffer.add_char sk (match lp.Ir.lp_pattern with Ir.Map_pattern -> 'M' | Ir.Reduce_pattern -> 'R');
-    Buffer.add_string sk (string_of_int (List.length lp.Ir.lp_counters));
+    int sk (List.length lp.Ir.lp_counters);
     List.iter counter lp.Ir.lp_counters;
     num lp.Ir.lp_par
   in
@@ -132,7 +145,7 @@ let of_design (d : Ir.design) =
     | Ir.Loop { loop = lp; pipelined; stages; reduce } ->
       Buffer.add_char sk (if pipelined then 'L' else 'S');
       loop lp;
-      Buffer.add_string sk (string_of_int (List.length stages));
+      int sk (List.length stages);
       List.iter ctrl stages;
       (match reduce with
       | None -> Buffer.add_char sk '.'
@@ -144,14 +157,14 @@ let of_design (d : Ir.design) =
     | Ir.Parallel { par_label; stages } ->
       Buffer.add_char sk 'F';
       str sk par_label;
-      Buffer.add_string sk (string_of_int (List.length stages));
+      int sk (List.length stages);
       List.iter ctrl stages
     | Ir.Tile_load { src; dst; offsets; tile; par } ->
       Buffer.add_string sk "TL";
       str sk src.Ir.mem_name;
       str sk dst.Ir.mem_name;
       operands offsets;
-      Buffer.add_string sk (string_of_int (List.length tile));
+      int sk (List.length tile);
       nums tile;
       num par
     | Ir.Tile_store { dst; src; offsets; tile; par } ->
@@ -159,15 +172,15 @@ let of_design (d : Ir.design) =
       str sk dst.Ir.mem_name;
       str sk src.Ir.mem_name;
       operands offsets;
-      Buffer.add_string sk (string_of_int (List.length tile));
+      int sk (List.length tile);
       nums tile;
       num par
   in
   str sk d.Ir.d_name;
-  Buffer.add_string sk (string_of_int (List.length d.Ir.d_mems));
+  int sk (List.length d.Ir.d_mems);
   List.iter mem d.Ir.d_mems;
   ctrl d.Ir.d_top;
-  Buffer.add_string sk (string_of_int (List.length d.Ir.d_params));
+  int sk (List.length d.Ir.d_params);
   List.iter
     (fun (k, v) ->
       str sk k;

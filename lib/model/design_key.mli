@@ -27,7 +27,14 @@
     through MD5, so collisions are not a practical concern for cache
     keying. Keys are only meaningful for elaborated designs: banking and
     double-buffering inference ([Builder] / [Transform]) must already
-    have run, which is true of every design an app generator returns. *)
+    have run, which is true of every design an app generator returns.
+
+    The serialization is written straight into its buffers ([Emit] in
+    lib/util), but its bytes are exactly those of the earlier [Printf]
+    serializer ([string_of_int], ["%h"], [Dtype.to_string]), which
+    test/oracle keeps verbatim and compares against. So every key, and
+    every cache entry, gate memo and golden file keyed by one, is
+    unchanged. *)
 
 type t = {
   skeleton : string;  (** hex digest of the parameter-free graph shape *)

@@ -1,5 +1,6 @@
 module Texttable = Dhdl_util.Texttable
 module Rng = Dhdl_util.Rng
+module Emit = Dhdl_util.Emit
 
 type attrs = (string * string) list
 
@@ -417,25 +418,12 @@ let render_summary snap =
          snap.snap_hists)
     ~span_durs:(List.map (fun sp -> (sp.sp_name, sp.sp_dur_us)) snap.snap_spans)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_attrs attrs =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) attrs)
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (Emit.json_escape k) (Emit.json_escape v))
+         attrs)
   ^ "}"
 
 let to_jsonl snap =
@@ -445,18 +433,18 @@ let to_jsonl snap =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"type\":\"span\",\"name\":\"%s\",\"start_us\":%s,\"dur_us\":%s,\"depth\":%d,\"track\":%d,\"attrs\":%s}\n"
-           (json_escape sp.sp_name) (fmt_us sp.sp_start_us) (fmt_us sp.sp_dur_us) sp.sp_depth
+           (Emit.json_escape sp.sp_name) (fmt_us sp.sp_start_us) (fmt_us sp.sp_dur_us) sp.sp_depth
            sp.sp_track (json_attrs sp.sp_attrs)))
     snap.snap_spans;
   List.iter
     (fun (n, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n" (json_escape n) v))
+        (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n" (Emit.json_escape n) v))
     snap.snap_counters;
   List.iter
     (fun (n, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s}\n" (json_escape n)
+        (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s}\n" (Emit.json_escape n)
            (fmt_us v)))
     snap.snap_gauges;
   List.iter
@@ -464,7 +452,7 @@ let to_jsonl snap =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sampled\":%d,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"max\":%s}\n"
-           (json_escape n) (hist_total snap n) (Array.length vs) (fmt_us (mean vs))
+           (Emit.json_escape n) (hist_total snap n) (Array.length vs) (fmt_us (mean vs))
            (fmt_us (percentile vs 50.0))
            (fmt_us (percentile vs 95.0))
            (fmt_us (maximum vs))))
@@ -499,7 +487,7 @@ let to_chrome_trace snap =
       Buffer.add_string events
         (Printf.sprintf
            ",\n{\"name\":\"%s\",\"cat\":\"dhdl\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}"
-           (json_escape sp.sp_name) sp.sp_track (fmt_us sp.sp_start_us) (fmt_us sp.sp_dur_us)
+           (Emit.json_escape sp.sp_name) sp.sp_track (fmt_us sp.sp_start_us) (fmt_us sp.sp_dur_us)
            (json_attrs sp.sp_attrs)))
     snap.snap_spans;
   List.iter
@@ -507,14 +495,14 @@ let to_chrome_trace snap =
       Buffer.add_string events
         (Printf.sprintf
            ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"args\":{\"value\":%d}}"
-           (json_escape n) (fmt_us end_ts) v))
+           (Emit.json_escape n) (fmt_us end_ts) v))
     snap.snap_counters;
   List.iter
     (fun (n, v) ->
       Buffer.add_string events
         (Printf.sprintf
            ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"args\":{\"value\":%s}}"
-           (json_escape n) (fmt_us end_ts) (fmt_us v)))
+           (Emit.json_escape n) (fmt_us end_ts) (fmt_us v)))
     snap.snap_gauges;
   Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n" (Buffer.contents events)
 

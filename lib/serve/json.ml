@@ -1,3 +1,5 @@
+module Emit = Dhdl_util.Emit
+
 type t =
   | Null
   | Bool of bool
@@ -10,21 +12,6 @@ type t =
 
 (* ---------------- rendering ---------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
@@ -34,12 +21,12 @@ let rec render = function
   | Bool b -> if b then "true" else "false"
   | Int n -> string_of_int n
   | Float f -> render_float f
-  | Str s -> "\"" ^ escape s ^ "\""
+  | Str s -> "\"" ^ Emit.json_escape s ^ "\""
   | List xs -> "[" ^ String.concat "," (List.map render xs) ^ "]"
   | Obj fields ->
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ render v) fields)
+        (List.map (fun (k, v) -> "\"" ^ Emit.json_escape k ^ "\":" ^ render v) fields)
     ^ "}"
   | Raw s -> s
 

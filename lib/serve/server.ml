@@ -46,22 +46,26 @@ let handle_line sup conn line =
     send conn (P.render_reply (P.error ~id:"?" P.Bad_request msg))
   | Ok req -> Supervisor.submit sup req ~reply_to:(fun r -> send conn (P.render_reply r))
 
+(* Only the bytes just read are scanned for newlines; the partial line
+   before them stays in [rbuf] and is copied out once, when its newline
+   arrives, so a long line costs time linear in its length. *)
 let on_readable sup conn =
   let chunk = Bytes.create 4096 in
   match retrying "serve.sock_read" (fun () -> Unix.read conn.fd chunk 0 (Bytes.length chunk)) with
   | 0 -> conn.closed <- true
   | n ->
-    Buffer.add_subbytes conn.rbuf chunk 0 n;
-    let data = Buffer.contents conn.rbuf in
-    Buffer.clear conn.rbuf;
-    let rec dispatch = function
-      | [] -> ()
-      | [ tail ] -> Buffer.add_string conn.rbuf tail  (* incomplete line *)
-      | line :: rest ->
+    let rec dispatch start j =
+      if j = n then Buffer.add_subbytes conn.rbuf chunk start (n - start)
+      else if Bytes.get chunk j = '\n' then begin
+        Buffer.add_subbytes conn.rbuf chunk start (j - start);
+        let line = Buffer.contents conn.rbuf in
+        Buffer.clear conn.rbuf;
         if String.trim line <> "" then handle_line sup conn line;
-        dispatch rest
+        dispatch (j + 1) (j + 1)
+      end
+      else dispatch start (j + 1)
     in
-    dispatch (String.split_on_char '\n' data)
+    dispatch 0 0
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> conn.closed <- true
 

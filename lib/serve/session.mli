@@ -7,8 +7,9 @@
       [jobs]), written once at [dse_start] and validated on every
       restart/resume;
     - [checkpoint.jsonl] — the {!Dhdl_dse.Checkpoint} file the sweep
-      itself maintains (atomic temp-file + rename, bit-identical across
-      jobs levels and resume boundaries);
+      itself maintains (replaced atomically on its first write, appended
+      to after that, bit-identical across jobs levels and resume
+      boundaries);
     - [done.json] — the result summary, written atomically when the sweep
       runs to completion;
     - [error.json] — a classified failure, written when the sweep domain
@@ -37,7 +38,8 @@ type status =
   | Fresh of spec  (** Spec written, sweep not yet checkpointed. *)
   | Interrupted of spec * int * bool
       (** Sweep stopped (crash, cancel, or deadline) with [n] checkpoint
-          entries; the [bool] is the checkpoint's [truncated_tail] flag. *)
+          entries; the [bool] is the checkpoint's [truncated_tail] flag,
+          set when a kill cut the sweep's last append mid-line. *)
   | Failed of spec * string  (** The sweep domain died; the message. *)
   | Done of spec * Json.t  (** Completed; the [done.json] summary. *)
 

@@ -123,6 +123,21 @@ let test_key_sees_structure () =
   let s2 = sk "gda" (Dhdl_apps.Registry.find "gda").App.paper_sizes in
   check_bool "different apps, different skeletons" false (String.equal s1 s2)
 
+(* The direct-buffer key serializer writes the bytes the Printf one
+   wrote, so keys (and every cache and gate memo keyed by them) do not
+   move: the 7 apps at both size tables, 200 seeded bindings each, then
+   generated designs as built and with hostile leaves mapped in (nan,
+   infinities, -0., subnormals, odd dtypes, min_int / max_int). *)
+let test_key_bytes_registry () =
+  let keyed, bad = Serial_oracle.registry_keys ~seed:17 ~bindings:200 in
+  check_bool "most sampled bindings keyed" true (keyed >= 2_000);
+  Alcotest.(check (list string)) "keys equal the Printf serializer's" [] bad
+
+let test_key_bytes_hostile () =
+  let keyed, bad = Serial_oracle.corpus_keys ~seed:23 60 in
+  check_int "designs keyed" 120 keyed;
+  Alcotest.(check (list string)) "keys equal the Printf serializer's" [] bad
+
 (* ------------------------------------------------------------------ *)
 (* Extensional equality: cached pipeline = direct pipeline             *)
 (* ------------------------------------------------------------------ *)
@@ -548,6 +563,10 @@ let () =
           Alcotest.test_case "key laws" `Quick test_key_laws;
           Alcotest.test_case "keys separate outcomes" `Quick test_key_separates_outcomes;
           Alcotest.test_case "keys see structure" `Quick test_key_sees_structure;
+          Alcotest.test_case "key bytes = Printf serializer, registry" `Quick
+            test_key_bytes_registry;
+          Alcotest.test_case "key bytes = Printf serializer, hostile leaves" `Quick
+            test_key_bytes_hostile;
         ] );
       ( "pipeline equality",
         [

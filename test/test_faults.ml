@@ -23,13 +23,13 @@ let estimator = lazy (Estimator.create ~seed:7 ~train_samples:60 ~epochs:100 ())
    assertion cannot leak an active fault registry into later tests. *)
 let with_faults f = Fun.protect ~finally:Faults.reset f
 
-let run_sweep ?checkpoint ?checkpoint_every ?resume ?deadline_seconds ?jobs ?(seed = 11)
-    ?(max_points = 80) est =
+let run_sweep ?checkpoint ?checkpoint_every ?resume ?deadline_seconds ?jobs ?stop_requested
+    ?(seed = 11) ?(max_points = 80) est =
   let app = Dhdl_apps.Registry.find "dotproduct" in
   let sizes = [ ("n", 65_536) ] in
   let cfg =
     Explore.Config.make ~seed ~max_points ?checkpoint ?checkpoint_every ?resume ?deadline_seconds
-      ?jobs ()
+      ?jobs ?stop_requested ()
   in
   Explore.run cfg (Eval.create est)
     ~space:(app.App.space sizes)
@@ -51,6 +51,10 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
 
 (* ----------------------- the Faults registry ------------------------- *)
 
@@ -231,6 +235,138 @@ let test_writer_matches_render () =
     Sys.remove path;
     Sys.remove out
 
+(* ------------------- append-only flushes ----------------------------- *)
+
+let inode path = (Unix.stat path).Unix.st_ino
+
+(* A sweep renames its checkpoint into place on the first flush only:
+   every later flush appends to the same file. The stop hook runs after
+   each point, so it sees the file after every flush. *)
+let test_flushes_keep_inode () =
+  let est = Lazy.force estimator in
+  let path = tmp "inode.jsonl" in
+  (try Sys.remove path with Sys_error _ -> ());
+  let seen = ref [] in
+  let stop () =
+    if Sys.file_exists path then seen := inode path :: !seen;
+    false
+  in
+  let r = run_sweep ~checkpoint:path ~checkpoint_every:4 ~stop_requested:stop est in
+  let first = match List.rev !seen with i :: _ -> i | [] -> Alcotest.fail "no flush seen" in
+  check_bool "flushed many times" true (List.length !seen >= 19);
+  check_bool "every flush kept the first flush's inode" true
+    (List.for_all (fun i -> i = first) (inode path :: !seen));
+  check_bool "no temp file left behind" false (Sys.file_exists (path ^ ".tmp"));
+  (match Checkpoint.load ~path with
+  | Ok c -> check_int "every point on disk" r.Explore.processed (List.length c.Checkpoint.entries)
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove path
+
+(* The append path trusts the file only while it is the one the last
+   flush left (same inode, same length). Replaced, truncated, extended or
+   deleted between flushes, it is rewritten whole and equals [render]. *)
+let test_changed_file_rewritten_whole () =
+  let est = Lazy.force estimator in
+  let src = tmp "changed_src.jsonl" and out = tmp "changed.jsonl" in
+  ignore (run_sweep ~checkpoint:src est);
+  let c = match Checkpoint.load ~path:src with Ok c -> c | Error msg -> Alcotest.fail msg in
+  let entries = Array.of_list c.Checkpoint.entries in
+  let w = Checkpoint.writer { c with Checkpoint.entries = [] } in
+  let next = ref 0 in
+  let append_and_flush what =
+    let i, e = entries.(!next) in
+    incr next;
+    Checkpoint.append w i e;
+    Checkpoint.flush ~path:out w;
+    Alcotest.(check string)
+      (what ^ ": file equals render")
+      (Checkpoint.render
+         { c with Checkpoint.entries = Array.to_list (Array.sub entries 0 !next) })
+      (read_file out)
+  in
+  Checkpoint.flush ~path:out w;
+  append_and_flush "appended";
+  (* Another file of the same length renamed over the checkpoint. *)
+  let other = tmp "changed_other.jsonl" in
+  write_file other (String.make (String.length (read_file out)) 'x');
+  Sys.rename other out;
+  append_and_flush "replaced, same length";
+  append_and_flush "appended after the rewrite";
+  let text = read_file out in
+  write_file out (String.sub text 0 (String.length text - 7));
+  append_and_flush "truncated";
+  write_file out (read_file out ^ "{\"kind\":\"pruned\",\"i\":999999}\n");
+  append_and_flush "extended";
+  Sys.remove out;
+  append_and_flush "deleted";
+  Sys.remove src;
+  Sys.remove out
+
+(* A kill during an append can cut the file at any byte of the appended
+   segment. Every complete line survives the cut; [truncated_tail] is set
+   exactly when a partial line is left; and a resumed sweep converges to
+   the golden bytes. *)
+let test_cut_appended_segment () =
+  let est = Lazy.force estimator in
+  let golden_path = tmp "seg_golden.jsonl" and path = tmp "seg.jsonl" in
+  ignore (run_sweep ~checkpoint:golden_path est);
+  let golden = read_file golden_path in
+  let c = match Checkpoint.load ~path:golden_path with Ok c -> c | Error msg -> Alcotest.fail msg in
+  let n = List.length c.Checkpoint.entries in
+  let tail = 5 in
+  let w =
+    Checkpoint.writer
+      { c with Checkpoint.entries = List.filteri (fun j _ -> j < n - tail) c.Checkpoint.entries }
+  in
+  Checkpoint.flush ~path w;
+  let seg_start = String.length (read_file path) in
+  let ino = inode path in
+  List.iteri (fun j (i, e) -> if j >= n - tail then Checkpoint.append w i e) c.Checkpoint.entries;
+  Checkpoint.flush ~path w;
+  check_bool "segment appended in place" true (inode path = ino);
+  Alcotest.(check string) "appended file is the golden" golden (read_file path);
+  let lines_before k =
+    let count = ref 0 in
+    String.iteri (fun j ch -> if j < k && ch = '\n' then incr count) golden;
+    !count
+  in
+  let write_prefix k = write_file path (String.sub golden 0 k) in
+  for k = seg_start to String.length golden - 1 do
+    write_prefix k;
+    (* The line the cut falls in is whole if only its newline is gone. *)
+    let partial = golden.[k - 1] <> '\n' in
+    let whole_without_newline = partial && golden.[k] = '\n' in
+    let expect = lines_before k - 1 + if whole_without_newline then 1 else 0 in
+    match Checkpoint.load ~path with
+    | Error msg -> Alcotest.failf "cut at byte %d failed to load: %s" k msg
+    | Ok cut ->
+      check_int (Printf.sprintf "entries after a cut at byte %d" k) expect
+        (List.length cut.Checkpoint.entries);
+      check_bool (Printf.sprintf "torn flag after a cut at byte %d" k)
+        (partial && not whole_without_newline) cut.Checkpoint.truncated_tail
+  done;
+  (* Resume from a cut at each line boundary of the segment and from the
+     middle of each of its lines. *)
+  let cuts =
+    List.concat_map
+      (fun j ->
+        let start = ref seg_start in
+        for _ = 1 to j do start := String.index_from golden !start '\n' + 1 done;
+        let stop = String.index_from golden !start '\n' in
+        [ !start; (!start + stop) / 2 ])
+      (List.init tail Fun.id)
+  in
+  List.iter
+    (fun k ->
+      write_prefix k;
+      ignore (run_sweep ~checkpoint:path ~resume:true est);
+      Alcotest.(check string)
+        (Printf.sprintf "resume from a cut at byte %d converges to the golden" k)
+        golden (read_file path))
+    cuts;
+  Sys.remove golden_path;
+  Sys.remove path
+
 let test_resume_bit_identical_after_kill () =
   let est = Lazy.force estimator in
   let full_path = tmp "full.jsonl" in
@@ -354,6 +490,22 @@ let test_resume_rejects_corrupt_checkpoint () =
   | Error msg -> check_bool "mangled literal is corruption" true (contains msg "corrupt"));
   Sys.remove path
 
+(* Entry indices strictly increase in every checkpoint a writer leaves,
+   so a duplicated line (what a doubly appended segment would hold) is
+   corruption, not a later copy that silently wins. *)
+let test_duplicated_line_rejected () =
+  let est = Lazy.force estimator in
+  let path = tmp "duplicated.jsonl" in
+  ignore (run_sweep ~checkpoint:path est);
+  let lines = String.split_on_char '\n' (read_file path) in
+  let mid = List.length lines / 2 in
+  write_file path
+    (String.concat "\n" (List.concat (List.mapi (fun j l -> if j = mid then [ l; l ] else [ l ]) lines)));
+  (match Checkpoint.load ~path with
+  | Ok _ -> Alcotest.fail "expected load to reject a duplicated entry"
+  | Error msg -> check_bool "duplicated entry is corruption" true (contains msg "corrupt"));
+  Sys.remove path
+
 let test_deadline_truncates_then_resume_completes () =
   let est = Lazy.force estimator in
   let path = tmp "deadline.jsonl" in
@@ -434,8 +586,19 @@ let () =
           Alcotest.test_case "torn tail tolerated at every cut" `Quick test_torn_tail_every_cut;
           Alcotest.test_case "mismatch rejected" `Quick test_resume_rejects_mismatched_checkpoint;
           Alcotest.test_case "corrupt rejected" `Quick test_resume_rejects_corrupt_checkpoint;
+          Alcotest.test_case "duplicated line rejected" `Quick test_duplicated_line_rejected;
           Alcotest.test_case "deadline + resume" `Quick test_deadline_truncates_then_resume_completes;
         ] );
+      ( "append flush",
+        [
+          Alcotest.test_case "flushes after the first keep the inode" `Quick
+            test_flushes_keep_inode;
+          Alcotest.test_case "changed file rewritten whole" `Quick
+            test_changed_file_rewritten_whole;
+          Alcotest.test_case "every cut of the appended segment" `Quick test_cut_appended_segment;
+        ] );
+      ( "serializer oracle",
+        [ QCheck_alcotest.to_alcotest (Serial_oracle.prop_entries ~count:500) ] );
       ( "degradation",
         [
           Alcotest.test_case "nn fallback" `Quick test_nn_fallback;

@@ -233,7 +233,7 @@ let test_render_json () =
   check_bool "has code field" true (contains ~needle:"\"code\": \"L001\"" json);
   (* Escaping: quotes and newlines must not leak into the JSON raw. *)
   Alcotest.(check string)
-    "escape" "a\\\"b\\\\c\\nd" (Diag.json_escape "a\"b\\c\nd")
+    "escape" "a\\\"b\\\\c\\nd" (Dhdl_util.Emit.json_escape "a\"b\\c\nd")
 
 (* A design whose name carries quotes, newlines and a raw control char must
    still render to JSON with every byte escaped. *)

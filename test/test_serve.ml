@@ -950,6 +950,86 @@ let test_socket_end_to_end () =
   check_bool "shutdown acknowledged" true (bfield "draining" p);
   rm_rf root
 
+(* A raw connection for the line-reader tests: [send] writes bytes as
+   given, [recv n] returns the next [n] reply lines. *)
+let with_raw_conn socket f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let send text =
+        let sent = ref 0 in
+        while !sent < String.length text do
+          sent := !sent + Unix.write_substring fd text !sent (String.length text - !sent)
+        done
+      in
+      let pending = Buffer.create 256 in
+      let chunk = Bytes.create 4096 in
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      let rec recv_line () =
+        let text = Buffer.contents pending in
+        match String.index_opt text '\n' with
+        | Some i ->
+          Buffer.clear pending;
+          Buffer.add_string pending (String.sub text (i + 1) (String.length text - i - 1));
+          String.sub text 0 i
+        | None ->
+          if Unix.gettimeofday () > deadline then Alcotest.fail "no reply line within 30 s";
+          (match Unix.select [ fd ] [] [] 1.0 with
+          | [], _, _ -> ()
+          | _ -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> Alcotest.fail "connection closed before reply"
+            | n -> Buffer.add_subbytes pending chunk 0 n));
+          recv_line ()
+      in
+      f send (fun n -> List.init n (fun _ -> recv_line ())))
+
+let reply_id line =
+  match P.parse_reply line with
+  | Ok r -> r.P.r_id
+  | Error msg -> Alcotest.failf "reply does not parse: %s" msg
+
+(* The reader scans only newly read bytes for newlines and keeps the
+   partial line in place: a request dribbled one byte per write is
+   answered once, two requests in one write are both answered, and a
+   4 MB line costs time linear in its length. *)
+let test_socket_line_reader () =
+  let socket = tmp "lines.sock" in
+  let root = fresh_root "lines" in
+  let ping id = P.render_request (P.request ~id P.Ping) ^ "\n" in
+  with_server ~socket (sup_config ~root ()) @@ fun client ->
+  with_raw_conn socket (fun send recv ->
+      String.iter
+        (fun c ->
+          send (String.make 1 c);
+          Unix.sleepf 0.001)
+        (ping "dribble");
+      (* The next reply is the next request's: the dribbled one was
+         answered exactly once. *)
+      send (ping "after-dribble");
+      Alcotest.(check (list string)) "dribbled request answered once"
+        [ "dribble"; "after-dribble" ] (List.map reply_id (recv 2));
+      send (ping "pair-a" ^ ping "pair-b");
+      Alcotest.(check (list string)) "both requests of one write answered"
+        [ "pair-a"; "pair-b" ]
+        (List.sort compare (List.map reply_id (recv 2)));
+      let t0 = Unix.gettimeofday () in
+      send (String.make (4 * 1024 * 1024) 'x' ^ "\n");
+      let long = List.hd (recv 1) in
+      let dt = Unix.gettimeofday () -. t0 in
+      (match P.parse_reply long with
+      | Ok { P.r_id = "?"; r_body = Error e } ->
+        check_bool "4 MB line answers bad_request" true (e.P.err_code = P.Bad_request)
+      | _ -> Alcotest.failf "unexpected reply to a 4 MB line: %s" long);
+      check_bool (Printf.sprintf "4 MB line answered in %.2f s (< 2 s)" dt) true (dt < 2.0);
+      send (ping "after-long");
+      Alcotest.(check (list string)) "one reply to the long line" [ "after-long" ]
+        (List.map reply_id (recv 1)));
+  ignore (must_call client (P.request ~id:"lines-bye" P.Shutdown));
+  rm_rf root
+
 let test_socket_stale_file_replaced () =
   let socket = tmp "stale.sock" in
   let root = fresh_root "stale" in
@@ -1092,6 +1172,7 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_socket_end_to_end;
           Alcotest.test_case "stale socket file replaced" `Quick test_socket_stale_file_replaced;
+          Alcotest.test_case "line reader: dribble, pair, 4 MB line" `Quick test_socket_line_reader;
         ] );
       ( "soak",
         [

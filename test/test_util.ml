@@ -8,6 +8,7 @@ module Matrix = Dhdl_util.Matrix
 module Pareto = Dhdl_util.Pareto
 module Texttable = Dhdl_util.Texttable
 module Asciiplot = Dhdl_util.Asciiplot
+module Emit = Dhdl_util.Emit
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -326,6 +327,52 @@ let test_asciiplot () =
   in
   check_bool "log axis labeled" true (String.length logp > 0)
 
+(* ---- Emit: the writers must produce the standard formatters' bytes ---- *)
+
+let via f x =
+  let b = Buffer.create 16 in
+  f b x;
+  Buffer.contents b
+
+let test_emit_int_edges () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (via Emit.add_int n))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; -101; 123_456_789; max_int; min_int; max_int - 1;
+      min_int + 1 ]
+
+let prop_emit_int =
+  QCheck.Test.make ~count:2_000 ~name:"add_int = string_of_int" QCheck.int (fun n ->
+      String.equal (string_of_int n) (via Emit.add_int n))
+
+let test_emit_hex_float_specials () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (Printf.sprintf "%h" f)
+        (via Emit.add_hex_float f))
+    [ nan; -.nan; infinity; neg_infinity; 0.; -0.; 1.; -1.; 0.1; Float.min_float; Float.max_float;
+      -.Float.max_float; Float.epsilon; Int64.float_of_bits 1L;
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL; -.Int64.float_of_bits 3L ]
+
+let prop_emit_hex_float =
+  QCheck.Test.make ~count:5_000 ~name:"add_hex_float = %h on random bit patterns" QCheck.int64
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      String.equal (Printf.sprintf "%h" f) (via Emit.add_hex_float f))
+
+(* The one escaper replaces four identical copies; the oracle keeps one. *)
+let test_emit_escape_every_byte () =
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    Alcotest.(check string)
+      (Printf.sprintf "byte 0x%02x" c)
+      (Serial_oracle.Old_render.escape s) (Emit.json_escape s)
+  done;
+  Alcotest.(check string) "add_json_escaped appends" "x\\u001f\\\"y"
+    (let b = Buffer.create 8 in
+     Buffer.add_char b 'x';
+     Emit.add_json_escaped b "\031\"y";
+     Buffer.contents b)
+
 let () =
   Alcotest.run "util"
     [
@@ -355,6 +402,15 @@ let () =
           Alcotest.test_case "mape" `Quick test_mape;
           Alcotest.test_case "correlation" `Quick test_correlation;
           Alcotest.test_case "rank preserved" `Quick test_rank_preserved;
+        ] );
+      ( "emit",
+        [
+          Alcotest.test_case "int edges" `Quick test_emit_int_edges;
+          qtest prop_emit_int;
+          Alcotest.test_case "hex float specials" `Quick test_emit_hex_float_specials;
+          qtest prop_emit_hex_float;
+          Alcotest.test_case "escape = old escaper, every byte" `Quick test_emit_escape_every_byte;
+          qtest (Serial_oracle.prop_escape ~count:2_000);
         ] );
       ( "intmath",
         [
