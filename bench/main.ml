@@ -112,27 +112,26 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 6) from GDA sweeps plus a kmeans
-   symbolic-gate A/B. Five axes:
+(* Writes BENCH_dse.json (schema 7) from GDA sweeps plus a kmeans
+   symbolic-gate A/B. Every timed figure is the median, min and max of
+   [warm_runs] runs (a single cold run moved by 40% or more between runs),
+   and every attribution object is the median run's. Five axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
-     evaluation cache per level, telemetry on, no profiler — comparable
-     with every historical entry), plus a contention attribution from a
-     second, *warm-cache* profiled repeat at the same level. Warm on
-     purpose: with the evaluated work memoized away the attribution
-     isolates pure coordination overhead (channel waits, GC barriers,
-     chunk merging), which is the quantity the parallel engine is
-     accountable for on any host — including a single-core container
-     where cold jobs>1 walls are dominated by time-sliced estimation.
+     evaluation cache per run, telemetry on, no profiler — comparable
+     with every historical entry), plus a contention attribution from
+     *warm-cache* profiled repeats at the same level. Warm on purpose:
+     with the evaluated work memoized away the attribution isolates pure
+     coordination overhead (channel waits, GC barriers, chunk merging),
+     which is the quantity the parallel engine is accountable for on any
+     host — including a single-core container where cold jobs>1 walls are
+     dominated by time-sliced estimation.
    - cache_ab: the same sequential sweep cold then again on the warm
-     cache — the memoization headline. The warm repeat is the median of
-     [warm_runs] runs, with min and max: one warm run is too short to
-     tell from host noise.
+     cache — the memoization headline.
    - warm_session: the warm repeat as the DSE server runs it for a
      dse_start — a fresh checkpoint path, resume on, a checkpoint every
      [Supervisor.default_config]'s [dse_checkpoint_every] points — as
-     points/s and profiled collector write seconds, each the median of
-     [warm_runs] runs with min and max.
+     points/s and profiled collector write seconds.
    - chunk_sweep: warm profiled jobs=4 sweeps across chunk sizes, showing
      how per-claim batching trades collector wakeups against tail skew.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
@@ -150,6 +149,14 @@ let spread_json fmt xs =
   Printf.sprintf "{\"median\":%s,\"min\":%s,\"max\":%s}"
     (Printf.sprintf fmt (Dhdl_util.Stats.median xs))
     (Printf.sprintf fmt lo) (Printf.sprintf fmt hi)
+
+(* [warm_runs] runs of [f]. *)
+let repeat f = List.init warm_runs (fun _ -> f ())
+
+(* The run at the median of [key]: with an odd [warm_runs], the one whose
+   key [Stats.median] reports. *)
+let median_run key runs =
+  List.nth (List.sort (fun a b -> compare (key a) (key b)) runs) (List.length runs / 2)
 
 let run_dseperf ~quick () =
   banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, chunk sweep";
@@ -177,16 +184,24 @@ let run_dseperf ~quick () =
       float_of_int r.Explore.sampled /. r.Explore.elapsed_seconds
     else 0.0
   in
+  let elapsed (r : Explore.result) = r.Explore.elapsed_seconds in
   let attr_of (r : Explore.result) =
     match r.Explore.attribution with
     | Some attr -> attr
     | None -> failwith "profiled sweep returned no attribution"
   in
-  (* Cold sequential baseline (top-level fields, comparable with history),
-     then the warm repeat on the same cache for the A/B. *)
-  let ev_seq = fresh_eval () in
-  let r1, snap1 = sweep ~obs:true ev_seq in
-  let warm = List.init warm_runs (fun _ -> fst (sweep ev_seq)) in
+  let times runs = spread_json "%.3f" (List.map elapsed runs) in
+  let rates runs = spread_json "%.1f" (List.map pps runs) in
+  (* Cold sequential runs, a fresh cache each (top-level fields,
+     comparable with history); the first run's cache, fully warm after
+     it, serves every warm repeat below (all runs evaluate the same seeded
+     point set). *)
+  let colds = repeat (fun () -> let ev = fresh_eval () in (ev, sweep ~obs:true ev)) in
+  let ev_seq, _ = List.hd colds in
+  let colds = List.map snd colds in
+  let cold_runs = List.map fst colds in
+  let r1 = median_run elapsed cold_runs in
+  let warm = repeat (fun () -> fst (sweep ev_seq)) in
   let rwarm = List.hd warm in
   let warm_pps = List.map pps warm in
   (* Warm server sessions on the same cache: what a dse_start of a sweep
@@ -208,8 +223,8 @@ let run_dseperf ~quick () =
     Sys.remove session_path;
     r
   in
-  let sessions = List.init warm_runs (fun _ -> session ~profile:false) in
-  let profiled = List.init warm_runs (fun _ -> session ~profile:true) in
+  let sessions = repeat (fun () -> session ~profile:false) in
+  let profiled = repeat (fun () -> session ~profile:true) in
   (* Beside the collector's checkpoint writes, what is left of a warm
      point: its generate and cache-probe (design key) lanes. *)
   let warm_session =
@@ -219,30 +234,31 @@ let run_dseperf ~quick () =
     let workers f (a : P.t) = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
     Printf.sprintf
       "{\"jobs\":1,\"points\":%d,\"checkpoint_every\":%d,\"runs\":%d,\"points_per_sec\":%s,\"collector_write_s\":%s,\"generate_s\":%s,\"probe_s\":%s}"
-      (List.hd sessions).Explore.sampled every warm_runs
-      (spread_json "%.1f" (List.map pps sessions))
+      (List.hd sessions).Explore.sampled every warm_runs (rates sessions)
       (lane (fun a -> a.P.collector.P.c_write_s))
       (lane (workers (fun w -> w.P.w_generate_s)))
       (lane (workers (fun w -> w.P.w_probe_s)))
   in
   (* Cold timing + warm profiled attribution per jobs level. The warm
-     repeats share [ev_seq]'s cache (every level evaluates the same seeded
-     point set, so it is fully warm after the sequential sweep). *)
+     repeats share [ev_seq]'s cache. *)
   let jobs_levels = [ 1; 2; 4 ] in
   let levels =
     List.map
       (fun jobs ->
-        let rc, _ = if jobs = 1 then (r1, snap1) else sweep ~jobs ~obs:true (fresh_eval ()) in
-        let rw, _ = sweep ~jobs ~profile:true ev_seq in
-        (jobs, rc, attr_of rw))
+        let cold =
+          if jobs = 1 then cold_runs
+          else repeat (fun () -> fst (sweep ~jobs ~obs:true (fresh_eval ())))
+        in
+        let warm = repeat (fun () -> fst (sweep ~jobs ~profile:true ev_seq)) in
+        (jobs, cold, warm, attr_of (median_run elapsed warm)))
       jobs_levels
   in
   let chunk_levels = [ 1; 4; 16; 64 ] in
   let chunks =
     List.map
       (fun chunk ->
-        let r, _ = sweep ~jobs:4 ~chunk ~profile:true ev_seq in
-        (chunk, r, attr_of r))
+        let runs = repeat (fun () -> fst (sweep ~jobs:4 ~chunk ~profile:true ev_seq)) in
+        (chunk, runs))
       chunk_levels
   in
   (* Symbolic-gate A/B on kmeans: fresh caches both sides so the only
@@ -262,105 +278,137 @@ let run_dseperf ~quick () =
     let r = Explore.run cfg (fresh_eval ()) ~space:sym_space ~generate in
     (r, !calls)
   in
-  (* Cold per-lane split: a separate profiled jobs=1 sweep on a fresh
-     cache, so its worker lanes say where a cold point's time goes (the
-     timed cold run above stays unprofiled, comparable with history). *)
-  let rprof, _ = sweep ~profile:true (fresh_eval ()) in
+  (* Cold per-lane split: separate profiled jobs=1 sweeps on fresh caches,
+     so the median run's worker lanes say where a cold point's time goes
+     (the timed cold runs above stay unprofiled, comparable with
+     history). *)
+  let profs = repeat (fun () -> fst (sweep ~profile:true (fresh_eval ()))) in
   let cold_attribution =
     let module P = Dhdl_dse.Profile in
-    let a = attr_of rprof in
+    let a = attr_of (median_run elapsed profs) in
     let lane f = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
     Printf.sprintf
-      "{\"jobs\":1,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"generate_s\":%.4f,\"probe_s\":%.4f,\"analyze_s\":%.4f,\"estimate_s\":%.4f}"
-      rprof.Explore.elapsed_seconds (pps rprof)
+      "{\"jobs\":1,\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"generate_s\":%.4f,\"probe_s\":%.4f,\"analyze_s\":%.4f,\"estimate_s\":%.4f}"
+      warm_runs (times profs) (rates profs)
       (lane (fun w -> w.P.w_generate_s))
       (lane (fun w -> w.P.w_probe_s))
       (lane (fun w -> w.P.w_analyze_s))
       (lane (fun w -> w.P.w_estimate_s))
   in
-  let sym_on, gen_on = sym_run ~symbolic:true in
-  let sym_off, gen_off = sym_run ~symbolic:false in
-  let sym_side (r : Explore.result) calls =
-    Printf.sprintf
-      "{\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"generate_calls\":%d,\"sym_pruned\":%d,\"lint_pruned\":%d,\"absint_pruned\":%d,\"dep_pruned\":%d}"
-      r.Explore.elapsed_seconds (pps r) calls r.Explore.sym_pruned r.Explore.lint_pruned
-      r.Explore.absint_pruned r.Explore.dep_pruned
+  let sym_on = repeat (fun () -> sym_run ~symbolic:true) in
+  let sym_off = repeat (fun () -> sym_run ~symbolic:false) in
+  let sym_side runs =
+    let r, calls = median_run (fun (r, _) -> elapsed r) runs in
+    let rs = List.map fst runs in
+    ( Printf.sprintf
+        "{\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"generate_calls\":%d,\"sym_pruned\":%d,\"lint_pruned\":%d,\"absint_pruned\":%d,\"dep_pruned\":%d}"
+        warm_runs (times rs) (rates rs) calls r.Explore.sym_pruned r.Explore.lint_pruned
+        r.Explore.absint_pruned r.Explore.dep_pruned,
+      r,
+      calls )
   in
+  let on_json, r_on, gen_on = sym_side sym_on in
+  let off_json, _, gen_off = sym_side sym_off in
   let symbolic_ab =
     Printf.sprintf "{\"app\":\"kmeans\",\"points\":%d,\"gate_on\":%s,\"gate_off\":%s,\"generate_calls_saved\":%d}"
-      sym_on.Explore.sampled (sym_side sym_on gen_on) (sym_side sym_off gen_off)
-      (gen_off - gen_on)
+      r_on.Explore.sampled on_json off_json (gen_off - gen_on)
   in
-  let ms = try List.assoc "dse.ms_per_design" (Option.get snap1).Obs.snap_hists with Not_found -> [||] in
+  (* Per-design latency percentiles of each cold run's histogram. *)
+  let percentiles p =
+    spread_json "%.4f"
+      (List.map
+         (fun (_, snap) ->
+           let ms =
+             try List.assoc "dse.ms_per_design" (Option.get snap).Obs.snap_hists
+             with Not_found -> [||]
+           in
+           Obs.percentile ms p)
+         colds)
+  in
   let estimated = r1.Explore.sampled - r1.Explore.lint_pruned in
-  let p50 = Obs.percentile ms 50.0 and p95 = Obs.percentile ms 95.0 in
   let recv_block attr = attr.Dhdl_dse.Profile.collector.Dhdl_dse.Profile.c_recv_block_s in
-  let level_json (_jobs, (rc : Explore.result), attr) =
+  let per_design f runs = spread_json "%.4f" (List.map (fun r -> f r *. 1000.0) runs) in
+  let level_json (jobs, cold, warm, attr) =
     Printf.sprintf
-      "{\"jobs\":%d,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"wall_ms_per_design\":%.4f,\"cpu_ms_per_design\":%.4f,\"warm_attribution\":%s}"
-      rc.Explore.jobs rc.Explore.elapsed_seconds (pps rc)
-      (Explore.seconds_per_design rc *. 1000.0)
-      (Explore.cpu_seconds_per_design rc *. 1000.0)
+      "{\"jobs\":%d,\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"wall_ms_per_design\":%s,\"cpu_ms_per_design\":%s,\"warm_elapsed_s\":%s,\"warm_attribution\":%s}"
+      jobs warm_runs (times cold) (rates cold)
+      (per_design Explore.seconds_per_design cold)
+      (per_design Explore.cpu_seconds_per_design cold)
+      (spread_json "%.4f" (List.map elapsed warm))
       (Dhdl_dse.Profile.to_json attr)
   in
-  let chunk_json (chunk, (r : Explore.result), attr) =
+  let chunk_json (chunk, runs) =
     Printf.sprintf
-      "{\"chunk\":%d,\"jobs\":4,\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"recv_block_s\":%.6f}"
-      chunk r.Explore.elapsed_seconds (pps r) (recv_block attr)
+      "{\"chunk\":%d,\"jobs\":4,\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"recv_block_s\":%s}"
+      chunk warm_runs
+      (spread_json "%.4f" (List.map elapsed runs))
+      (rates runs)
+      (spread_json "%.6f" (List.map (fun r -> recv_block (attr_of r)) runs))
   in
+  let cold_median = Dhdl_util.Stats.median (List.map pps cold_runs) in
   let warm_median = Dhdl_util.Stats.median warm_pps in
   let cache_ab =
     Printf.sprintf
-      "{\"jobs\":1,\"cold_elapsed_s\":%.3f,\"cold_points_per_sec\":%.1f,\"warm_runs\":%d,\"warm_points_per_sec\":%s,\"warm_speedup\":%.2f,\"warm_cache_hits\":%d,\"warm_cache_misses\":%d}"
-      r1.Explore.elapsed_seconds (pps r1) warm_runs (spread_json "%.1f" warm_pps)
-      (if pps r1 > 0.0 then warm_median /. pps r1 else 0.0)
+      "{\"jobs\":1,\"runs\":%d,\"cold_elapsed_s\":%s,\"cold_points_per_sec\":%s,\"warm_points_per_sec\":%s,\"warm_speedup\":%.2f,\"warm_cache_hits\":%d,\"warm_cache_misses\":%d}"
+      warm_runs (times cold_runs) (rates cold_runs) (spread_json "%.1f" warm_pps)
+      (if cold_median > 0.0 then warm_median /. cold_median else 0.0)
       rwarm.Explore.cache_hits rwarm.Explore.cache_misses
   in
   let json =
     Printf.sprintf
-      "{\"schema\":6,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits a separate profiled cold jobs=1 gda sweep into its worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); its figures and cache_ab's warm figures are the median, min and max of several runs.\",\"elapsed_s\":%.3f,\"points_per_sec\":%.1f,\"ms_per_design_p50\":%.4f,\"ms_per_design_p95\":%.4f,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":7,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
-      r1.Explore.elapsed_seconds (pps r1) p50 p95 cache_ab warm_session cold_attribution symbolic_ab
+      warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
+      cache_ab warm_session cold_attribution symbolic_ab
       (String.concat "," (List.map chunk_json chunks))
       (String.concat "," (List.map level_json levels))
   in
   let oc = open_out "BENCH_dse.json" in
   output_string oc json;
   close_out oc;
-  Printf.printf "%d points (%d estimated, %d lint-pruned) in %.2f s sequential: %.0f points/sec\n"
-    r1.Explore.sampled estimated r1.Explore.lint_pruned r1.Explore.elapsed_seconds (pps r1);
+  let med f runs = Dhdl_util.Stats.median (List.map f runs) in
+  Printf.printf
+    "%d points (%d estimated, %d lint-pruned), sequential cold (median of %d): %.2f s, %.0f \
+     points/sec\n"
+    r1.Explore.sampled estimated r1.Explore.lint_pruned warm_runs (med elapsed cold_runs)
+    cold_median;
   Printf.printf
     "warm-cache repeat (median of %d): %.0f points/sec (%.0fx; %d hits, %d misses)\n" warm_runs
     warm_median
-    (if pps r1 > 0.0 then warm_median /. pps r1 else 0.0)
+    (if cold_median > 0.0 then warm_median /. cold_median else 0.0)
     rwarm.Explore.cache_hits rwarm.Explore.cache_misses;
   Printf.printf "warm sessions (checkpoint every %d): %s\n" every warm_session;
   List.iter
-    (fun (_, (rc : Explore.result), attr) ->
+    (fun (jobs, cold, _, attr) ->
       let module P = Dhdl_dse.Profile in
       let top_name, top_s = P.top_contender attr in
       Printf.printf
         "  jobs=%d: cold %.2f s wall, %.0f points/sec; warm attribution: work %.1f%%, \
          contention %.1f%%, stall %.1f%% (top: %s %.4f s; recv-block %.4f s)\n"
-        rc.Explore.jobs rc.Explore.elapsed_seconds (pps rc)
+        jobs (med elapsed cold) (med pps cold)
         (100.0 *. P.work_fraction attr)
         (100.0 *. P.contention_fraction attr)
         (100.0 *. P.stall_fraction attr)
         top_name top_s (recv_block attr))
     levels;
   List.iter
-    (fun (chunk, (r : Explore.result), attr) ->
+    (fun (chunk, runs) ->
       Printf.printf "  chunk=%-3d (jobs=4, warm): %.3f s, %.0f points/sec, recv-block %.4f s\n"
-        chunk r.Explore.elapsed_seconds (pps r) (recv_block attr))
+        chunk (med elapsed runs) (med pps runs)
+        (med (fun r -> recv_block (attr_of r)) runs))
     chunks;
   Printf.printf
     "symbolic gate A/B (kmeans, cold): on %d generate calls (%d sym-pruned, %.2f s), off %d \
      generate calls (%.2f s) — %d elaborations saved\n"
-    gen_on sym_on.Explore.sym_pruned sym_on.Explore.elapsed_seconds gen_off
-    sym_off.Explore.elapsed_seconds (gen_off - gen_on);
-  Printf.printf "ms per design (sequential, cold): p50 %.4f, p95 %.4f\n" p50 p95;
-  Printf.printf "cold lanes (profiled jobs=1): %s\n" cold_attribution;
+    gen_on r_on.Explore.sym_pruned
+    (med (fun (r, _) -> elapsed r) sym_on)
+    gen_off
+    (med (fun (r, _) -> elapsed r) sym_off)
+    (gen_off - gen_on);
+  Printf.printf "ms per design (sequential, cold; medians): p50 %s, p95 %s\n" (percentiles 50.0)
+    (percentiles 95.0);
+  Printf.printf "cold lanes (profiled jobs=1, median run): %s\n" cold_attribution;
   Printf.printf "written to BENCH_dse.json\n"
 
 (* ------------------------------------------------------------------ *)

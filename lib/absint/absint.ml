@@ -73,8 +73,7 @@ type access_info = {
   ai_write : bool;
   ai_par : int;
   ai_kind : access_kind;
-  ai_interval : string list;  (* rendered per-dimension interval *)
-  ai_affine : string list;  (* rendered per-dimension affine form *)
+  ai_affine : Affine.t list;  (* per-dimension address (word) or offset (tile) *)
   ai_bounds : bounds_status;
   ai_banks : bank_status;
 }
@@ -451,10 +450,16 @@ let mk_conflict la lb ia ib bank =
    maps an index tuple into [0, banks). The index is stepped along the
    flattened iterations, each window keeps its lanes' indices, and
    [stamp.(k)] / [first.(k)] name the first lane of the window that took
-   bank [k]. Returns (first lane, lane, their index tuples). *)
+   bank [k]. Returns (first lane, lane, their index tuples).
+
+   Callers pass block-one schemes only, under which a bank collision and
+   word equality survive shifting every lane by the same index vector;
+   so one period of windows ({!Word_ids.window_limit}) holds the first
+   conflict if any window has one. *)
 let grid_search ~write ~par ~base ~coeffs ~trips ~banks ~bank =
   let n = Array.length trips and ndims = Array.length base in
   let total = Array.fold_left ( * ) 1 trips in
+  let limit = Word_ids.window_limit ~trips ~par in
   let x = Array.make n 0 and idx = Array.copy base in
   let step i delta =
     for d = 0 to ndims - 1 do
@@ -469,8 +474,8 @@ let grid_search ~write ~par ~base ~coeffs ~trips ~banks ~bank =
   in
   let stamp = Array.make banks (-1) and first = Array.make banks 0 in
   let res = ref None and lo = ref 0 in
-  while !res = None && !lo < total do
-    let hi = min total (!lo + par) in
+  while !res = None && !lo < limit do
+    let hi = min limit (!lo + par) in
     let it = ref !lo in
     while !res = None && !it < hi do
       let l = !it - !lo and k = bank idx in
@@ -680,7 +685,7 @@ let analyze (d : Ir.design) : report =
   let aa = Array.of_list ae.AE.accesses in
   assert (Array.length ia = Array.length aa);
   let n = Array.length ia in
-  (* First pass: bounds, rendering, and banking classification. *)
+  (* First pass: bounds and banking classification. *)
   let partial = Array.make n None in
   let by_mem : (int, (int * classified) list ref) Hashtbl.t = Hashtbl.create 16 in
   let classify_for i (m : Ir.mem) cls =
@@ -700,7 +705,7 @@ let analyze (d : Ir.design) : report =
     let ranges = scope_ranges aacc.AE.acc_scope in
     let write = iacc.IE.acc_write in
     let par = iacc.IE.acc_par in
-    let kind, ivl, afl, bounds, cls =
+    let kind, afl, bounds, cls =
       match (iacc.IE.acc_addr, aacc.AE.acc_addr) with
       | IE.Word ivs, AE.Word avs ->
         let cls =
@@ -708,20 +713,12 @@ let analyze (d : Ir.design) : report =
             classify_word ~ranges m ~counters:aacc.AE.acc_counters ~par ~write avs
           else C_scalar
         in
-        ( Word,
-          List.map Interval.to_string ivs,
-          List.map Affine.to_string avs,
-          check_word_bounds ~ranges m ivs avs,
-          cls )
+        (Word, avs, check_word_bounds ~ranges m ivs avs, cls)
       | IE.Stream, AE.Stream ->
         let cls = if m.Ir.mem_kind = Ir.Bram then classify_stream m ~par ~write else C_scalar in
-        (Stream, [], [], Bounds_proved, cls)
+        (Stream, [], Bounds_proved, cls)
       | IE.Tile { offsets = ivs; tile }, AE.Tile { offsets = avs; _ } ->
-        ( Tile,
-          List.map Interval.to_string ivs,
-          List.map Affine.to_string avs,
-          check_tile_bounds ~ranges m ~tile ivs avs,
-          C_scalar )
+        (Tile, avs, check_tile_bounds ~ranges m ~tile ivs avs, C_scalar)
       | _ -> assert false (* both engines walk the same graph *)
     in
     classify_for i m cls;
@@ -732,7 +729,6 @@ let analyze (d : Ir.design) : report =
           ai_write = write;
           ai_par = par;
           ai_kind = kind;
-          ai_interval = ivl;
           ai_affine = afl;
           ai_bounds = bounds;
           ai_banks = Bank_scalar;
@@ -960,7 +956,9 @@ let render_text (r : report) =
                (if a.ai_write then "store" else "load")
                (access_kind_str a.ai_kind)
                (String.concat "/" a.ai_path) a.ai_par
-               (match a.ai_affine with [] -> "" | l -> " [" ^ String.concat " | " l ^ "]")
+               (match a.ai_affine with
+               | [] -> ""
+               | l -> " [" ^ String.concat " | " (List.map Affine.to_string l) ^ "]")
                (bounds_str a.ai_bounds) (banks_str a.ai_banks)))
         mi.mi_accesses)
     r.r_mems;
@@ -1010,7 +1008,7 @@ let render_json (r : report) =
                a.ai_write
                (str (access_kind_str a.ai_kind))
                a.ai_par
-               (String.concat "," (List.map str a.ai_affine)));
+               (String.concat "," (List.map (fun av -> str (Affine.to_string av)) a.ai_affine)));
           (match a.ai_bounds with
           | Bounds_proved -> Buffer.add_string b "\"bounds\":{\"status\":\"proved\"},"
           | Bounds_refuted w ->

@@ -607,18 +607,6 @@ type conflict = {
   lc_index : int list;  (* shared word (loop-invariant offsets cancel) *)
 }
 
-let decompose trips flat =
-  let n = Array.length trips in
-  let x = Array.make n 0 in
-  let r = ref flat in
-  for i = n - 1 downto 0 do
-    if trips.(i) > 0 then begin
-      x.(i) <- !r mod trips.(i);
-      r := !r / trips.(i)
-    end
-  done;
-  x
-
 (* Affine parts of an access's per-dimension addresses as a {!Word_ids}
    side: the pair's invariant parts are equal (callers pair only
    comparable accesses), so comparing these parts is exact. *)
@@ -636,11 +624,6 @@ let word_side nctr forms =
           c)
         dims;
   }
-
-(* The words of one memory's paired accesses in one id space, interned
-   on first use: per paired access, its word id at each flattened
-   iteration; ids lie in [0, gw_count). *)
-type group_words = { gw_ids : int array array; gw_count : int }
 
 (* Window stamps, one set per domain and reused by every search on it:
    [stamp.(id)] is the last window whose source side touched word [id]
@@ -664,8 +647,10 @@ type lane_pair = {
   lp_src : body_access;
   lp_dst : body_access;
   lp_kind : kind;
-  lp_words : group_words Lazy.t;
-  lp_src_side : int;  (* indices into [gw_ids] *)
+  lp_words : Word_ids.t Lazy.t;
+      (* the words of the memory's paired accesses in one id space,
+         interned on first use and numbered as far as a search reads *)
+  lp_src_side : int;  (* side indices into [lp_words] *)
   lp_dst_side : int;
 }
 
@@ -701,11 +686,7 @@ let pipe_lanes ~counters ~trips accs =
            [] pairs)
     in
     let side a = Option.get (List.find_index (( == ) a) sides) in
-    let words =
-      lazy
-        (let w = Word_ids.intern ~trips (List.map (fun a -> word_side nctr a.ba_forms) sides) in
-         { gw_ids = w.Word_ids.ids; gw_count = w.Word_ids.count })
-    in
+    let words = lazy (Word_ids.intern ~trips (List.map (fun a -> word_side nctr a.ba_forms) sides)) in
     List.map
       (fun (w, other) ->
         {
@@ -728,12 +709,13 @@ let pipe_lanes ~counters ~trips accs =
 
 (* The first window, and in it the first destination lane, whose word
    the window's source side first touched at a different lane: vector
-   [v] issues the [par] consecutive flattened iterations from [v * par].
-   Returns (that source lane, the destination lane, window start). *)
-let window_collision st ~src ~dst ~total ~par =
+   [v] issues the [par] consecutive flattened iterations from [v * par],
+   and the search reads iterations [0, limit). Returns (that source lane,
+   the destination lane, window start). *)
+let window_collision st ~src ~dst ~limit ~par =
   let res = ref None and lo = ref 0 in
-  while !res = None && !lo < total do
-    let hi = min total (!lo + par) and win = st.window in
+  while !res = None && !lo < limit do
+    let hi = min limit (!lo + par) and win = st.window in
     st.window <- win + 1;
     for it = !lo to hi - 1 do
       let id = src.(it) in
@@ -758,20 +740,35 @@ let window_collision st ~src ~dst ~total ~par =
    cycle with a dependence between them. The first pair in checker order
    with such a collision gives the witness. Shared by [analyze_pipe] and
    the symbolic L013 par scan, which reuses each pair's words across
-   pars. *)
+   pars.
+
+   When source and destination have equal coefficients, whether two lanes
+   touch the same word depends only on where they sit relative to their
+   window's first lane, so one period of windows
+   ({!Word_ids.window_limit}) decides the pair; other pairs read the
+   whole grid. *)
 let lane_conflict ln ~par =
   if ln.ln_total <= 1 || par <= 1 || ln.ln_total > grid_cap then None
   else
+    let period = Word_ids.window_limit ~trips:ln.ln_trips ~par in
     List.find_map
       (fun lp ->
-        let gw = Lazy.force lp.lp_words in
+        let w = Lazy.force lp.lp_words in
+        let limit =
+          if (Word_ids.side w lp.lp_src_side).Word_ids.coeffs
+             = (Word_ids.side w lp.lp_dst_side).Word_ids.coeffs
+          then period
+          else ln.ln_total
+        in
+        Word_ids.number w limit;
         match
-          window_collision (stamps_for gw.gw_count) ~src:gw.gw_ids.(lp.lp_src_side)
-            ~dst:gw.gw_ids.(lp.lp_dst_side) ~total:ln.ln_total ~par
+          window_collision (stamps_for (Word_ids.count w)) ~src:(Word_ids.ids w lp.lp_src_side)
+            ~dst:(Word_ids.ids w lp.lp_dst_side) ~limit ~par
         with
         | None -> None
         | Some (la, lb, lo) ->
-          let xa = decompose ln.ln_trips (lo + la) and xb = decompose ln.ln_trips (lo + lb) in
+          let xa = Word_ids.decompose ln.ln_trips (lo + la)
+          and xb = Word_ids.decompose ln.ln_trips (lo + lb) in
           Some
             {
               lc_mem = lp.lp_src.ba_mem.Ir.mem_name;

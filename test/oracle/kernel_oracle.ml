@@ -81,14 +81,14 @@ module Brute_dep = struct
         let tbl = Hashtbl.create 16 in
         let l = ref 0 in
         while !l < par && (!v * par) + !l < total do
-          let x = decompose trips ((!v * par) + !l) in
+          let x = Word_ids.decompose trips ((!v * par) + !l) in
           let idx = eval_dims src.ba_forms x in
           if not (Hashtbl.mem tbl idx) then Hashtbl.add tbl idx (!l, x);
           incr l
         done;
         let l' = ref 0 in
         while !res = None && !l' < par && (!v * par) + !l' < total do
-          let x' = decompose trips ((!v * par) + !l') in
+          let x' = Word_ids.decompose trips ((!v * par) + !l') in
           let idx' = eval_dims dst.ba_forms x' in
           (match Hashtbl.find_opt tbl idx' with
           | Some (l0, x0) when l0 <> !l' ->
@@ -458,6 +458,18 @@ let dform n (c0, cs) =
 
 let dim_arb = pair small (list_of_size (Gen.return 3) small)
 
+(* The lane search over [accs] (the first one a write) against the
+   per-vector hash tables at every par of [pars], in that order. *)
+let lane_case ~trips ~pars accs =
+  let accs =
+    List.mapi
+      (fun i (write, forms) ->
+        { Dependence.ba_stmt = i; ba_write = i = 0 || write; ba_mem = test_mem; ba_forms = forms })
+      accs
+  in
+  let ln = Dependence.pipe_lanes ~counters:(counters_of trips) ~trips accs in
+  match lanes_diffs ~pars ln with [] -> true | m :: _ -> Test.fail_report m
+
 (* A Pipe body of up to three accesses on one memory (the first a write),
    all with the same arity, trips 1-8 over 1-3 counters. *)
 let body_arb =
@@ -470,20 +482,81 @@ let prop_lane_conflict ~count =
       let trips = Array.of_list trips in
       let n = Array.length trips in
       let accs =
-        List.mapi
-          (fun i (write, dims) ->
-            {
-              Dependence.ba_stmt = i;
-              ba_write = i = 0 || write;
-              ba_mem = test_mem;
-              ba_forms = List.map (dform n) (List.filteri (fun d _ -> d < arity) dims);
-            })
+        List.map
+          (fun (write, dims) ->
+            (write, List.map (dform n) (List.filteri (fun d _ -> d < arity) dims)))
           accs
       in
-      let ln = Dependence.pipe_lanes ~counters:(counters_of trips) ~trips accs in
-      match lanes_diffs ~pars:(scan_pars (min 40 (ln.Dependence.ln_total + 1))) ln with
-      | [] -> true
-      | m :: _ -> Test.fail_report m)
+      lane_case ~trips ~pars:(scan_pars (min 40 (Array.fold_left ( * ) 1 trips + 1))) accs)
+
+(* Grids whose windows repeat: 2-3 counters of 1-48 trips, the largest
+   halved until the grid holds at most 4,096 iterations, at pars 2-96.
+   One period of windows is then often far shorter than the grid. *)
+let wide_trips_arb = list_of_size Gen.(2 -- 3) (int_range 1 48)
+let par_arb = int_range 2 96
+
+let wide_trips trips =
+  let t = Array.of_list (List.map (fun x -> max 1 (min 48 x)) trips) in
+  while Array.fold_left ( * ) 1 t > 4096 do
+    let i = ref 0 in
+    Array.iteri (fun j x -> if x > t.(!i) then i := j) t;
+    t.(!i) <- t.(!i) / 2
+  done;
+  t
+
+(* Bodies of up to four accesses over a wide grid. Each access either
+   takes the body's shared per-dimension coefficients with a base of its
+   own, or coefficients of its own, so its pairs mix equal coefficients
+   (one period of windows decides them) with unequal ones (the whole grid
+   does). Bases reach -12..12 so collisions can first occur late. *)
+let wide_body_arb =
+  let dim = pair (int_range (-12) 12) (list_of_size (Gen.return 3) small) in
+  let access = triple bool bool (list_of_size (Gen.return 2) dim) in
+  quad wide_trips_arb
+    (pair (int_range 1 2) (list_of_size (Gen.return 2) (list_of_size (Gen.return 3) small)))
+    (list_of_size Gen.(1 -- 4) access)
+    (list_of_size Gen.(1 -- 3) par_arb)
+
+let wide_lane_case (trips, (arity, shared), accs, pars) =
+  let trips = wide_trips trips in
+  let n = Array.length trips in
+  let accs =
+    List.map
+      (fun (write, use_shared, dims) ->
+        ( write,
+          List.filteri (fun d _ -> d < arity) dims
+          |> List.mapi (fun d (c0, own) ->
+                 let common = Option.value ~default:[] (List.nth_opt shared d) in
+                 dform n (c0, if use_shared then common else own)) ))
+      accs
+  in
+  lane_case ~trips ~pars:(List.map (max 2) pars) accs
+
+let prop_lane_conflict_wide ~count =
+  Test.make ~name:"wide grids: lane_conflict = per-vector hash tables" ~count wide_body_arb
+    wide_lane_case
+
+(* One grid banking search: [dims] are (base, coefficients, extent) per
+   dimension, and the scheme is cyclic over twice the first factor or
+   blocked by the factors, block one either way. *)
+let grid_case ~trips (dims, (write, par), (cyclic, factors)) =
+  (* shrinking steps integers toward 0 and drops list elements whatever
+     the generator's range, so re-impose the ranges here *)
+  let n = Array.length trips in
+  let base = Array.of_list (List.map (fun (b, _, _) -> b) dims) in
+  let coeffs = Array.of_list (List.map (fun (_, cs, _) -> pad n cs) dims) in
+  let extents = Array.of_list (List.map (fun (_, _, e) -> max 1 e) dims) in
+  let strides = Absint.strides_of extents in
+  let ndims = Array.length base in
+  let factors = Array.map (max 1) (pad 2 factors) in
+  let par = max 2 par in
+  let scheme =
+    if cyclic then Absint.Cyclic { banks = factors.(0) * 2; block = 1 }
+    else Absint.Blocked (Array.init ndims (fun d -> (factors.(d), 1)))
+  in
+  match grid_diff ~write ~par ~base ~coeffs ~trips ~strides scheme with
+  | None -> true
+  | Some m -> Test.fail_report m
 
 (* Grid banking searches: trips 1-8 over 1-3 counters, 1-2 dimensions,
    a cyclic or per-dimension block-one scheme. *)
@@ -495,25 +568,22 @@ let grid_arb =
 
 let prop_grid_search ~count =
   Test.make ~name:"grid_search = per-vector hash tables" ~count grid_arb
-    (fun (trips, dims, (write, par), (cyclic, factors)) ->
-      (* shrinking steps integers toward 0 and drops list elements
-         whatever the generator's range, so re-impose the ranges here *)
-      let trips = Array.of_list trips in
-      let n = Array.length trips in
-      let base = Array.of_list (List.map (fun (b, _, _) -> b) dims) in
-      let coeffs = Array.of_list (List.map (fun (_, cs, _) -> pad n cs) dims) in
-      let extents = Array.of_list (List.map (fun (_, _, e) -> max 1 e) dims) in
-      let strides = Absint.strides_of extents in
-      let ndims = Array.length base in
-      let factors = Array.map (max 1) (pad 2 factors) in
-      let par = max 2 par in
-      let scheme =
-        if cyclic then Absint.Cyclic { banks = factors.(0) * 2; block = 1 }
-        else Absint.Blocked (Array.init ndims (fun d -> (factors.(d), 1)))
-      in
-      match grid_diff ~write ~par ~base ~coeffs ~trips ~strides scheme with
-      | None -> true
-      | Some m -> Test.fail_report m)
+    (fun (trips, dims, lanes, scheme) -> grid_case ~trips:(Array.of_list trips) (dims, lanes, scheme))
+
+(* The same over wide grids at pars 2-96, with up to 32 cyclic banks or
+   16 per dimension, so wide vectors can still be conflict-free. *)
+let wide_grid_arb =
+  quad wide_trips_arb
+    (list_of_size Gen.(1 -- 2) (triple small (list_of_size (Gen.return 3) small) (int_range 1 64)))
+    (pair bool par_arb)
+    (pair bool (list_of_size (Gen.return 2) (int_range 1 16)))
+
+let wide_grid_case (trips, dims, lanes, scheme) =
+  grid_case ~trips:(wide_trips trips) (dims, lanes, scheme)
+
+let prop_grid_search_wide ~count =
+  Test.make ~name:"wide grids: grid_search = per-vector hash tables" ~count wide_grid_arb
+    wide_grid_case
 
 (* Word ids against a table of whole tuples: same tuple, same id, and
    different tuples, different ids. Large coefficients, large bases and
@@ -523,29 +593,41 @@ let coef_arb = oneof [ small; int_range (-1_000_000) 1_000_000 ]
 
 let side_arb = list_of_size Gen.(0 -- 3) (pair coef_arb (list_of_size (Gen.return 3) coef_arb))
 
+let sides_of ~trips sides =
+  let n = Array.length trips in
+  List.map
+    (fun dims ->
+      {
+        Word_ids.base = Array.of_list (List.map fst dims);
+        coeffs = Array.of_list (List.map (fun (_, cs) -> pad n cs) dims);
+      })
+    sides
+
+(* Does [k -> v] agree with what [tbl] already maps [k] to? Records it
+   otherwise. *)
+let agree tbl k v =
+  match Hashtbl.find_opt tbl k with
+  | Some v' -> v = v'
+  | None ->
+    Hashtbl.add tbl k v;
+    true
+
 let prop_word_ids ~count =
   Test.make ~name:"word ids number tuples injectively" ~count
     (pair (trips_arb 10) (list_of_size Gen.(1 -- 3) side_arb))
     (fun (trips, sides) ->
       let trips = Array.of_list trips in
-      let n = Array.length trips in
-      let sides =
-        List.map
-          (fun dims ->
-            {
-              Word_ids.base = Array.of_list (List.map fst dims);
-              coeffs = Array.of_list (List.map (fun (_, cs) -> pad n cs) dims);
-            })
-          sides
-      in
+      let sides = sides_of ~trips sides in
       let w = Word_ids.intern ~trips sides in
       let total = Array.fold_left ( * ) 1 trips in
+      Word_ids.number w total;
       let by_tuple = Hashtbl.create 64 and by_id = Hashtbl.create 64 in
-      List.for_all2
-        (fun (s : Word_ids.side) ids ->
+      List.for_all
+        (fun i ->
+          let s = Word_ids.side w i and ids = Word_ids.ids w i in
           List.for_all
             (fun it ->
-              let x = Dependence.decompose trips it in
+              let x = Word_ids.decompose trips it in
               let tuple =
                 Array.to_list
                   (Array.mapi
@@ -556,18 +638,47 @@ let prop_word_ids ~count =
                      s.Word_ids.base)
               in
               let id = ids.(it) in
-              let agree tbl k v =
-                match Hashtbl.find_opt tbl k with
-                | Some v' -> v = v'
-                | None ->
-                  Hashtbl.add tbl k v;
-                  true
-              in
-              id >= 0 && id < w.Word_ids.count && agree by_tuple tuple id && agree by_id id tuple)
+              id >= 0 && id < Word_ids.count w && agree by_tuple tuple id && agree by_id id tuple)
             (List.init total Fun.id))
-        sides (Array.to_list w.Word_ids.ids))
+        (List.init (List.length sides) Fun.id))
+
+(* A numbering grown in steps to a prefix (as the symbolic scan grows it
+   across pars) against one numbered whole: on the prefix, both say the
+   same iterations of the same sides touch the same word. Steps are
+   thousandths of the grid. *)
+let prop_word_ids_prefix ~count =
+  Test.make ~name:"word ids: a prefix agrees with the whole grid" ~count
+    (triple (trips_arb 10) (list_of_size Gen.(1 -- 3) side_arb)
+       (list_of_size Gen.(1 -- 3) (int_range 0 1000)))
+    (fun (trips, sides, steps) ->
+      let trips = Array.of_list trips in
+      let sides = sides_of ~trips sides in
+      let total = Array.fold_left ( * ) 1 trips in
+      let steps = List.map (fun s -> s * (total + 1) / 1001) steps in
+      let whole = Word_ids.intern ~trips sides and prefix = Word_ids.intern ~trips sides in
+      Word_ids.number whole total;
+      List.iter (Word_ids.number prefix) steps;
+      let n = List.fold_left max 0 steps in
+      let to_prefix = Hashtbl.create 64 and to_whole = Hashtbl.create 64 in
+      List.for_all
+        (fun i ->
+          let a = Word_ids.ids whole i and b = Word_ids.ids prefix i in
+          List.for_all
+            (fun it ->
+              b.(it) >= 0
+              && b.(it) < Word_ids.count prefix
+              && agree to_prefix a.(it) b.(it)
+              && agree to_whole b.(it) a.(it))
+            (List.init n Fun.id))
+        (List.init (List.length sides) Fun.id))
 
 let dependence_props ~count =
-  [ prop_solve_delta ~count; prop_lane_conflict ~count; prop_word_ids ~count ]
+  [
+    prop_solve_delta ~count;
+    prop_lane_conflict ~count;
+    prop_lane_conflict_wide ~count;
+    prop_word_ids ~count;
+    prop_word_ids_prefix ~count;
+  ]
 
-let banking_props ~count = [ prop_grid_search ~count ]
+let banking_props ~count = [ prop_grid_search ~count; prop_grid_search_wide ~count ]

@@ -24,14 +24,20 @@ let test_table2 () =
 
 let table3 = lazy (E.table3 ~seed:21 ~sample:60 ~pareto_points:3 (Lazy.force estimator))
 
+(* Paper fidelity (Table III): in this configuration every benchmark
+   measures 2.3-6.7% ALM error and 1.8-3.1% runtime error, against the
+   paper's 4.8% and 6.1% averages. The bounds leave about 3 points of ALM
+   and 2 of runtime headroom, so a model change that loses accuracy
+   fails here rather than only in EXPERIMENTS.md. *)
 let test_table3_rows () =
   let rows = Lazy.force table3 in
   check_int "one row per benchmark" 7 (List.length rows);
   List.iter
     (fun r ->
       check_bool (r.E.bench ^ " points") true (r.E.points > 0 && r.E.points <= 3);
-      check_bool (r.E.bench ^ " alm err finite") true (r.E.alm_err >= 0.0 && r.E.alm_err < 60.0);
-      check_bool (r.E.bench ^ " runtime err") true (r.E.runtime_err >= 0.0 && r.E.runtime_err < 40.0))
+      check_bool (r.E.bench ^ " alm err within 10%") true (r.E.alm_err >= 0.0 && r.E.alm_err < 10.0);
+      check_bool (r.E.bench ^ " runtime err within 5%") true
+        (r.E.runtime_err >= 0.0 && r.E.runtime_err < 5.0))
     rows
 
 let test_table3_render () =
@@ -83,7 +89,18 @@ let test_fig6_shape () =
   check_bool "blackscholes wins big" true (speedup "blackscholes" > 5.0);
   check_bool "blackscholes is the best" true
     (List.for_all (fun r -> r.E.speedup <= speedup "blackscholes") rows);
-  check_bool "gemm is the worst" true (List.for_all (fun r -> r.E.speedup >= speedup "gemm") rows)
+  check_bool "gemm is the worst" true (List.for_all (fun r -> r.E.speedup >= speedup "gemm") rows);
+  (* EXPERIMENTS.md's full ordering, gemm << kmeans ~ dotproduct ~ tpchq6
+     < outerprod < gda << blackscholes (here 0.19 < 0.32 / 1.07 / 1.11 <
+     1.65 < 4.15 < 12.96). The middle three are nearly equal in the paper,
+     so they stay unordered among themselves. *)
+  let middle = List.map speedup [ "kmeans"; "dotproduct"; "tpchq6" ] in
+  check_bool "gemm below the streaming group" true
+    (speedup "gemm" < List.fold_left Float.min Float.infinity middle);
+  check_bool "streaming group below outerprod" true
+    (List.fold_left Float.max Float.neg_infinity middle < speedup "outerprod");
+  check_bool "outerprod below gda" true (speedup "outerprod" < speedup "gda");
+  check_bool "gda below blackscholes" true (speedup "gda" < speedup "blackscholes")
 
 let test_fig6_render () =
   let s = E.render_fig6 (Lazy.force fig6) in
