@@ -112,10 +112,10 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 7) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 8) from GDA sweeps plus a kmeans
    symbolic-gate A/B. Every timed figure is the median, min and max of
    [warm_runs] runs (a single cold run moved by 40% or more between runs),
-   and every attribution object is the median run's. Five axes:
+   and every attribution object is the median run's. Four axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
      evaluation cache per run, telemetry on, no profiler — comparable
@@ -132,8 +132,6 @@ let run_ablations ~quick () =
      dse_start — a fresh checkpoint path, resume on, a checkpoint every
      [Supervisor.default_config]'s [dse_checkpoint_every] points — as
      points/s and profiled collector write seconds.
-   - chunk_sweep: warm profiled jobs=4 sweeps across chunk sizes, showing
-     how per-claim batching trades collector wakeups against tail skew.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
@@ -159,7 +157,7 @@ let median_run key runs =
   List.nth (List.sort (fun a b -> compare (key a) (key b)) runs) (List.length runs / 2)
 
 let run_dseperf ~quick () =
-  banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, chunk sweep";
+  banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, symbolic A/B";
   let est = Eval.estimator (the_eval ~quick ()) in
   let fresh_eval () = Eval.create est in
   let app = Dhdl_apps.Registry.find "gda" in
@@ -253,14 +251,6 @@ let run_dseperf ~quick () =
         (jobs, cold, warm, attr_of (median_run elapsed warm)))
       jobs_levels
   in
-  let chunk_levels = [ 1; 4; 16; 64 ] in
-  let chunks =
-    List.map
-      (fun chunk ->
-        let runs = repeat (fun () -> fst (sweep ~jobs:4 ~chunk ~profile:true ev_seq)) in
-        (chunk, runs))
-      chunk_levels
-  in
   (* Symbolic-gate A/B on kmeans: fresh caches both sides so the only
      difference is the gate. Generate calls are counted at the source —
      gate on pays the probe elaborations up front and then skips every
@@ -337,14 +327,6 @@ let run_dseperf ~quick () =
       (spread_json "%.4f" (List.map elapsed warm))
       (Dhdl_dse.Profile.to_json attr)
   in
-  let chunk_json (chunk, runs) =
-    Printf.sprintf
-      "{\"chunk\":%d,\"jobs\":4,\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"recv_block_s\":%s}"
-      chunk warm_runs
-      (spread_json "%.4f" (List.map elapsed runs))
-      (rates runs)
-      (spread_json "%.6f" (List.map (fun r -> recv_block (attr_of r)) runs))
-  in
   let cold_median = Dhdl_util.Stats.median (List.map pps cold_runs) in
   let warm_median = Dhdl_util.Stats.median warm_pps in
   let cache_ab =
@@ -356,12 +338,11 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":7,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution and chunk_sweep are profiled repeats on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"chunk_sweep\":[%s],\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":8,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
       cache_ab warm_session cold_attribution symbolic_ab
-      (String.concat "," (List.map chunk_json chunks))
       (String.concat "," (List.map level_json levels))
   in
   let oc = open_out "BENCH_dse.json" in
@@ -392,12 +373,6 @@ let run_dseperf ~quick () =
         (100.0 *. P.stall_fraction attr)
         top_name top_s (recv_block attr))
     levels;
-  List.iter
-    (fun (chunk, runs) ->
-      Printf.printf "  chunk=%-3d (jobs=4, warm): %.3f s, %.0f points/sec, recv-block %.4f s\n"
-        chunk (med elapsed runs) (med pps runs)
-        (med (fun r -> recv_block (attr_of r)) runs))
-    chunks;
   Printf.printf
     "symbolic gate A/B (kmeans, cold): on %d generate calls (%d sym-pruned, %.2f s), off %d \
      generate calls (%.2f s) — %d elaborations saved\n"
@@ -562,7 +537,10 @@ let run_serve_soak ~quick () =
 let run_kernel_oracle ~quick () =
   banner "Kernel oracle: distance solver, lane and banking searches vs exhaustive scans";
   let count = if quick then 2_000 else 50_000 in
-  let props = Kernel_oracle.dependence_props ~count @ Kernel_oracle.banking_props ~count in
+  let props =
+    (Kernel_oracle.prop_solve_delta_wide ~count :: Kernel_oracle.dependence_props ~count)
+    @ Kernel_oracle.banking_props ~count
+  in
   let failed = QCheck_base_runner.run_tests ~colors:false ~verbose:true props in
   let seen = Kernel_oracle.seen () in
   let designs = Kernel_oracle.registry_designs ~bindings:(if quick then 50 else 200) in

@@ -678,7 +678,9 @@ let solve_mem (m : Ir.mem) entries =
 (* Whole-design analysis                                               *)
 (* ------------------------------------------------------------------ *)
 
-let analyze (d : Ir.design) : report =
+(* The report, and the affine engine's access facts it was checked from
+   in traversal order (the symbolic gate's probes read both). *)
+let analyze_with_accesses (d : Ir.design) : report * AE.access array =
   let ie = IE.analyze d in
   let ae = AE.analyze d in
   let ia = Array.of_list ie.IE.accesses in
@@ -773,7 +775,9 @@ let analyze (d : Ir.design) : report =
         })
       d.Ir.d_mems
   in
-  { r_design = d.Ir.d_name; r_mems = mems; r_rounds = max ie.IE.rounds ae.AE.rounds }
+  ({ r_design = d.Ir.d_name; r_mems = mems; r_rounds = max ie.IE.rounds ae.AE.rounds }, aa)
+
+let analyze d = fst (analyze_with_accesses d)
 
 (* One-slot per-domain cache so the three lint passes (and repeated DSE
    pruning probes) share a single analysis of the same design value.

@@ -46,7 +46,7 @@ module Traverse = Dhdl_ir.Traverse
 module Primitives = Dhdl_device.Primitives
 module Intmath = Dhdl_util.Intmath
 
-module AE = Engine.Make (Affine)
+module AE = Absint.AE
 
 let delta_cap = 131072 (* max distance-vector box we enumerate *)
 let grid_cap = 16384 (* max linearized nest / stage box we enumerate *)
@@ -284,7 +284,16 @@ type solve_result = Solved of (int * int array) option | Too_large
    constraint's residual [rhs - partial] exceeds what its unfixed
    counters can still add, [sum_{j>=i} |c_j| (t_j - 1)]. Both tests only
    discard subtrees without a better solution, so the result is the
-   exhaustive scan's. [delta_cap] still bounds the box. *)
+   exhaustive scan's. [delta_cap] still bounds the box.
+
+   Neither test is evaluated value by value: at each level both are
+   solved for [delta_i] in closed form. Positivity needs
+   [f + delta_i * w_i + reach.(i+1) > 0], a lower bound; each
+   constraint [k] needs [|res_k - c * delta_i| <= slack_k.(i+1)], an
+   interval of [delta_i] by floor and ceiling division (its ends swap
+   for a negative [c]; a zero [c] admits every [delta_i] or none). The
+   search walks that interval ascending and keeps the per-value test
+   against the best distance, whose bound only rises with [delta_i]. *)
 let solve_delta ~trips constraints =
   let n = Array.length trips in
   (* no counters: the only distance is 0 *)
@@ -317,24 +326,28 @@ let solve_delta ~trips constraints =
           best := Some (flat, Array.copy delta)
         end
         else begin
-          let t = trips.(i) and r = reach.(i + 1) in
-          let dj = ref (-(t - 1)) in
-          (* flat values rise with dj: skip the all-non-positive subtrees,
-             stop at the first whose least positive value is no better *)
-          while !dj <= t - 1 && flat + (!dj * w.(i)) + r <= 0 do
-            incr dj
+          let t = trips.(i) and wi = w.(i) and r = reach.(i + 1) in
+          let lo = ref (max (-(t - 1)) (Intmath.floor_div (-(flat + r)) wi + 1)) in
+          let hi = ref (t - 1) in
+          for k = 0 to m - 1 do
+            let c = coefs.(k).(i) and res = residual.(k) and sl = slack.(k).(i + 1) in
+            if c = 0 then (if abs res > sl then hi := !lo - 1)
+            else begin
+              let a, b = if c > 0 then (res - sl, res + sl) else (res + sl, res - sl) in
+              lo := max !lo (-Intmath.floor_div (-a) c);
+              hi := min !hi (Intmath.floor_div b c)
+            end
           done;
-          while !dj <= t - 1 && max 1 (flat + (!dj * w.(i)) - r) < !best_flat do
+          let dj = ref !lo in
+          (* flat values rise with dj: stop at the first subtree whose
+             least positive value is no better *)
+          while !dj <= !hi && max 1 (flat + (!dj * wi) - r) < !best_flat do
             let d = !dj in
-            let fits = ref true in
             for k = 0 to m - 1 do
-              residual.(k) <- residual.(k) - (coefs.(k).(i) * d);
-              if abs residual.(k) > slack.(k).(i + 1) then fits := false
+              residual.(k) <- residual.(k) - (coefs.(k).(i) * d)
             done;
-            if !fits then begin
-              delta.(i) <- d;
-              go (i + 1) (flat + (d * w.(i)))
-            end;
+            delta.(i) <- d;
+            go (i + 1) (flat + (d * wi));
             for k = 0 to m - 1 do
               residual.(k) <- residual.(k) + (coefs.(k).(i) * d)
             done;

@@ -30,7 +30,11 @@ module type S = sig
   val widen : t -> t -> t
   (** [widen old incoming] accelerates convergence on loop-carried cells;
       must satisfy [widen old v] ⊒ [join old v] and stabilize any
-      ascending chain in finitely many steps. *)
+      ascending chain in finitely many steps. It must also leave a
+      stable cell alone: [equal (join old v) old] implies
+      [equal (widen old v) old]. The engine relies on this to keep the
+      access facts of a converged round of joins rather than record
+      them in a further widening pass. *)
 
   val of_const : float -> t
   val of_counter : Ir.counter -> t

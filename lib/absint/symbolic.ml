@@ -43,7 +43,7 @@ module Ir = Dhdl_ir.Ir
 module Traverse = Dhdl_ir.Traverse
 module Emit = Dhdl_util.Emit
 
-module AE = Engine.Make (Affine)
+module AE = Absint.AE
 
 (* ------------------------------------------------------------------ *)
 (* Exact rationals.  Coefficients stay tiny (design parameters are small
@@ -354,14 +354,13 @@ let collect_pipes (d : Ir.design) =
   List.rev !out
 
 let elaborate_probe (bindings, design) =
-  let ae = AE.analyze design in
-  let ar = Absint.analyze design in
+  let ar, accs = Absint.analyze_with_accesses design in
   let asum = Absint.summarize ar in
   let dr = Dependence.analyze design in
   let dsum = Dependence.summarize dr in
   {
     pb_bindings = bindings;
-    pb_accs = Array.of_list ae.AE.accesses;
+    pb_accs = accs;
     pb_pipes = collect_pipes design;
     pb_l009 = asum.Absint.s_bounds_refuted > 0;
     pb_l013 = dsum.Dependence.s_refuted > 0;

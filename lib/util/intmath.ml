@@ -2,6 +2,13 @@ let ceil_div a b =
   assert (b > 0);
   (a + b - 1) / b
 
+(* [/] truncates toward zero; step the quotient down when the exact
+   quotient is negative and not whole. *)
+let floor_div a b =
+  assert (b <> 0);
+  let q = a / b in
+  if a mod b <> 0 && (a < 0) <> (b < 0) then q - 1 else q
+
 let round_up a m = ceil_div a m * m
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)

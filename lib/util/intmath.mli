@@ -3,6 +3,10 @@
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is the ceiling of a/b for positive [b]. *)
 
+val floor_div : int -> int -> int
+(** [floor_div a b] is the floor of a/b for any non-zero [b], either sign
+    of [a] or [b]; [-(floor_div (-a) b)] is the ceiling. *)
+
 val round_up : int -> int -> int
 (** [round_up a m] is the least multiple of [m] that is >= [a]. *)
 

@@ -433,6 +433,44 @@ let prop_solve_delta ~count =
       let cons = List.map (fun (cs, rhs) -> (pad (max n 1) cs, rhs)) cons in
       match solve_diff ~trips cons with None -> true | Some m -> Test.fail_report m)
 
+(* Distance boxes the generator above never reaches: one counter of up
+   to 65,536 trips or two of up to 181, so the box stays within
+   [delta_cap]; coefficients -12..12, 0 among them; right-hand sides up
+   to ±5,000. A right-hand side is drawn, or planted: the constraint's
+   value at a fixed in-box delta (entries up to ±400, so it stays within
+   ±4,800), which keeps systems of two or three constraints solvable. *)
+let wide_system_arb =
+  let con =
+    triple (list_of_size (Gen.return 2) (int_range (-12) 12)) bool (int_range (-5000) 5000)
+  in
+  triple
+    (oneof
+       [
+         list_of_size (Gen.return 1) (int_range 1 65_536);
+         list_of_size (Gen.return 2) (int_range 1 181);
+       ])
+    (list_of_size (Gen.return 2) (int_range (-400) 400))
+    (list_of_size Gen.(0 -- 3) con)
+
+let prop_solve_delta_wide ~count =
+  Test.make ~name:"wide boxes: solve_delta = exhaustive scan" ~count wide_system_arb
+    (fun (trips, plant, cons) ->
+      let trips = Array.of_list trips in
+      let n = Array.length trips in
+      let plant =
+        Array.mapi (fun i p -> max (1 - trips.(i)) (min (trips.(i) - 1) p)) (pad n plant)
+      in
+      let cons =
+        List.map
+          (fun (cs, planted, rhs) ->
+            let cs = pad (max n 1) cs in
+            let at_plant = ref 0 in
+            Array.iteri (fun i p -> at_plant := !at_plant + (cs.(i) * p)) plant;
+            (cs, if planted then !at_plant else rhs))
+          cons
+      in
+      match solve_diff ~trips cons with None -> true | Some m -> Test.fail_report m)
+
 let counters_of trips =
   Array.mapi
     (fun i t ->

@@ -4,7 +4,9 @@
    lane pairs), stage-liveness double-buffering facts, the L009-L011 lint
    passes they back, the DSE [absint_pruned] wiring, and the kernel
    oracle: the grid banking search against the exhaustive scan in
-   test/oracle.
+   test/oracle, and the engine oracle: the fixpoint engine against its
+   old loop with a separate collection pass, with the widen law that
+   makes them agree.
 
    The registry sweep at the end is the infer_banking cross-check: every
    sampled legal point of every benchmark space must either prove its
@@ -26,6 +28,8 @@ module Space = Dhdl_dse.Space
 module Explore = Dhdl_dse.Explore
 module Eval = Dhdl_dse.Eval
 module Estimator = Dhdl_model.Estimator
+module Design_gen = Dhdl_model.Design_gen
+module Op = Dhdl_ir.Op
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -109,6 +113,57 @@ let linear_store_design ?(name = "lin") ?(par = 1) ~words ~stop () =
         B.store p xt [ B.iter "i" ] (B.const 1.0))
   in
   B.finish b ~top:(B.sequential_block ~label:"main" [ body ])
+
+(* The law the engine's kept records rest on (Domain.S.widen): a value
+   whose join leaves a cell unchanged leaves it unchanged under widening
+   too. Each case joins 1-4 generated values into a cell and offers it
+   one of them (the premise then holds) or, one case in three, a fresh
+   value. *)
+let widen_law (type a) (module D : Dhdl_absint.Domain.S with type t = a) (gen : a QCheck.Gen.t) =
+  let print (xs, (_, fresh)) = String.concat ", " (List.map D.to_string (xs @ [ fresh ])) in
+  QCheck.Test.make ~count:2_000
+    ~name:(D.name ^ ": join a b = a implies widen a b = a")
+    (QCheck.make ~print QCheck.Gen.(pair (list_size (1 -- 4) gen) (pair nat gen)))
+    (fun (xs, (k, fresh)) ->
+      let a = List.fold_left D.join D.bottom xs in
+      let b = if k mod 3 = 0 then fresh else List.nth xs (k mod List.length xs) in
+      (not (D.equal (D.join a b) a)) || D.equal (D.widen a b) a)
+
+let interval_gen =
+  let open QCheck.Gen in
+  let bound = int_range (-20) 20 in
+  frequency
+    [
+      (1, return Interval.bottom);
+      (1, return Interval.top);
+      (6, map2 (fun a b -> Interval.of_bounds (min a b) (max a b)) bound bound);
+      (1, map (fun h -> Interval.make min_int h) bound);
+      (1, map (fun l -> Interval.make l max_int) bound);
+    ]
+
+(* Exact forms over three iterators, and residues of them (a quotient
+   keeps only its operands' dependences). *)
+let affine_gen =
+  let open QCheck.Gen in
+  let iter n = Affine.of_counter { Ir.ctr_name = n; ctr_start = 0; ctr_stop = 8; ctr_step = 1 } in
+  let leaf =
+    frequency
+      [
+        (1, return Affine.bottom);
+        (1, return Affine.top);
+        (3, map (fun k -> Affine.of_const (float_of_int k)) (int_range (-5) 5));
+        (3, map iter (oneofl [ "i"; "j"; "k" ]));
+      ]
+  in
+  frequency
+    [
+      (2, leaf);
+      ( 3,
+        map3
+          (fun op a b -> Affine.transfer op [ a; b ])
+          (oneofl [ Op.Add; Op.Sub; Op.Mul; Op.Div ])
+          leaf leaf );
+    ]
 
 let test_engine_register_fixpoint () =
   (* An accumulator register feeding itself forces iteration to a fixpoint:
@@ -510,9 +565,12 @@ let test_render_json_shape () =
 
 (* ------------------------- kernel oracle --------------------------- *)
 
+(* The registry designs both oracles below walk: paper and test sizes,
+   200 seeded bindings each plus the defaults. *)
+let registry = lazy (Kernel_oracle.registry_designs ~bindings:200)
+
 (* The banking search against the per-vector hash tables it replaced
    (Kernel_oracle): every vectorized grid access of every registry design
-   (paper and test sizes, 200 seeded bindings each plus the defaults)
    under every block-one candidate scheme of its memory. *)
 let test_kernel_oracle_registry () =
   let seen = Kernel_oracle.seen () in
@@ -521,7 +579,69 @@ let test_kernel_oracle_registry () =
       match Kernel_oracle.banking_diffs seen d with
       | [] -> ()
       | m :: _ -> Alcotest.failf "%s: %s" label m)
-    (Kernel_oracle.registry_designs ~bindings:200)
+    (Lazy.force registry)
+
+(* ------------------------- engine oracle --------------------------- *)
+
+(* The engine against the loop it replaced (Engine_oracle): under both
+   domains, every access fact, cell and round count, over the registry
+   designs and a seeded Design_gen corpus. *)
+let engine_oracle designs =
+  List.iter
+    (fun (label, d) ->
+      match Engine_oracle.diffs d with [] -> () | m :: _ -> Alcotest.failf "%s: %s" label m)
+    designs
+
+let test_engine_oracle_registry () = engine_oracle (Lazy.force registry)
+
+let corpus =
+  lazy
+    (List.mapi
+       (fun i d -> (Printf.sprintf "corpus design %d" i, d))
+       (Design_gen.corpus ~seed:19 300))
+
+let test_engine_oracle_corpus () = engine_oracle (Lazy.force corpus)
+
+(* A register read one stage before the stage that writes it: the first
+   round loads at the register's reset value, the second at every value
+   the writer stores, so the records of the first round are not the
+   facts. No registry or generated design has such a read (keeping the
+   first round's records passes both sets above). *)
+let test_engine_oracle_register_carried () =
+  let b = B.create "carried" in
+  let xt = B.bram b "xT" Dtype.float32 [ 16 ] in
+  let out = B.bram b "out" Dtype.float32 [ 16 ] in
+  let ptr = B.reg b "ptr" Dtype.float32 in
+  let use =
+    B.pipe ~label:"use" ~counters:[ ("j", 0, 1, 1) ] (fun p ->
+        B.store p out [ B.iter "j" ] (B.load p xt [ B.read_reg p ptr ]))
+  in
+  let bump =
+    B.pipe ~label:"bump" ~counters:[ ("i", 0, 8, 1) ] (fun p -> B.write_reg p ptr (B.iter "i"))
+  in
+  let d = B.finish b ~top:(B.sequential_block ~label:"main" [ use; bump ]) in
+  engine_oracle [ ("carried", d) ];
+  let r = Absint.IE.analyze d in
+  check_int "converges in the second round" 2 r.Absint.IE.rounds;
+  let load =
+    List.find
+      (fun (a : Absint.IE.access) -> a.Absint.IE.acc_mem.Ir.mem_name = "xT")
+      r.Absint.IE.accesses
+  in
+  match load.Absint.IE.acc_addr with
+  | Absint.IE.Word [ v ] ->
+    Alcotest.(check string) "address at the converged round" "[0,7]" (Interval.to_string v)
+  | _ -> Alcotest.fail "xT load is not a one-dimensional word access"
+
+(* Runs stopped unconverged at the round cap, the one path that still
+   records in a pass of its own. *)
+let test_engine_oracle_capped () =
+  List.iter
+    (fun (label, d) ->
+      match Engine_oracle.capped_diff d with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: %s" label m)
+    (Lazy.force corpus)
 
 let () =
   Alcotest.run "absint"
@@ -531,6 +651,8 @@ let () =
           Alcotest.test_case "interval ops" `Quick test_interval_ops;
           Alcotest.test_case "affine forms" `Quick test_affine_forms;
           Alcotest.test_case "register fixpoint" `Quick test_engine_register_fixpoint;
+          QCheck_alcotest.to_alcotest (widen_law (module Interval) interval_gen);
+          QCheck_alcotest.to_alcotest (widen_law (module Affine) affine_gen);
         ] );
       ( "bounds",
         [
@@ -571,4 +693,12 @@ let () =
       ( "kernel oracle",
         Alcotest.test_case "registry grids" `Quick test_kernel_oracle_registry
         :: List.map QCheck_alcotest.to_alcotest (Kernel_oracle.banking_props ~count:500) );
+      ( "engine oracle",
+        [
+          Alcotest.test_case "registry designs" `Quick test_engine_oracle_registry;
+          Alcotest.test_case "generated designs" `Quick test_engine_oracle_corpus;
+          Alcotest.test_case "register read before its writer" `Quick
+            test_engine_oracle_register_carried;
+          Alcotest.test_case "round cap" `Quick test_engine_oracle_capped;
+        ] );
     ]

@@ -497,5 +497,7 @@ let () =
         [ Alcotest.test_case "ragged tiles" `Quick test_transfer_ragged_tiles ] );
       ( "kernel oracle",
         Alcotest.test_case "registry pipes" `Quick test_kernel_oracle_registry
-        :: List.map QCheck_alcotest.to_alcotest (Kernel_oracle.dependence_props ~count:300) );
+        :: List.map QCheck_alcotest.to_alcotest
+             (Kernel_oracle.prop_solve_delta_wide ~count:200
+             :: Kernel_oracle.dependence_props ~count:300) );
     ]

@@ -152,6 +152,14 @@ let test_round_up () =
   check_int "round_up" 15 (Intmath.round_up 13 5);
   check_int "exact" 15 (Intmath.round_up 15 5)
 
+(* Against the float floor, over both signs of either operand. *)
+let prop_floor_div =
+  QCheck.Test.make ~name:"floor_div = floor of the real quotient" ~count:2_000
+    QCheck.(pair (int_range (-10_000) 10_000) (int_range (-50) 50))
+    (fun (a, b) ->
+      b = 0
+      || Intmath.floor_div a b = int_of_float (Float.floor (float_of_int a /. float_of_int b)))
+
 let prop_gcd_lcm =
   QCheck.Test.make ~name:"gcd*lcm = a*b" ~count:300
     QCheck.(pair (int_range 1 10_000) (int_range 1 10_000))
@@ -420,6 +428,7 @@ let () =
           Alcotest.test_case "pow2" `Quick test_pow2;
           Alcotest.test_case "ilog2" `Quick test_ilog2;
           Alcotest.test_case "clamp/prod" `Quick test_clamp_prod;
+          qtest prop_floor_div;
           qtest prop_gcd_lcm;
           qtest prop_divisors;
           qtest prop_next_pow2;
