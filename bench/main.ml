@@ -509,7 +509,7 @@ let run_serve_soak ~quick () =
     else
       match Client.call client (P.request ~id:(Printf.sprintf "soak-st-%d" k) ~session:sid P.Dse_status) with
       | Ok { P.r_body = Ok p; _ }
-        when Dhdl_serve.Json.member "state" p = Some (Dhdl_serve.Json.Str "done") ->
+        when Dhdl_util.Json.member "state" p = Some (Dhdl_util.Json.Str "done") ->
         ()
       | _ ->
         Unix.sleepf 0.05;

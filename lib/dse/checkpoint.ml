@@ -2,6 +2,7 @@ module Estimator = Dhdl_model.Estimator
 module Area_model = Dhdl_model.Area_model
 module R = Dhdl_device.Resources
 module Emit = Dhdl_util.Emit
+module Json = Dhdl_util.Json
 
 type t = {
   space_name : string;
@@ -195,163 +196,60 @@ let render t = Buffer.contents (writer t).buf
 let save ~path t = ignore (replace ~path (writer t).buf)
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: a minimal JSON reader covering exactly the subset above. *)
+(* Parsing: each line is one object read by [Json.parse]. Integers are
+   read only from [Int] lexemes, floats only from their hex strings. *)
 
 exception Bad of string
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of string  (** Raw lexeme; converted on access. *)
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+let parse line = match Json.parse line with Ok j -> j | Error msg -> raise (Bad msg)
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end of input";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\r') do incr pos done
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
-  let literal word v =
-    let len = String.length word in
-    if !pos + len <= n && String.sub s !pos len = word then begin
-      pos := !pos + len;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (match next () with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          let h = String.init 4 (fun _ -> next ()) in
-          let code = try int_of_string ("0x" ^ h) with _ -> fail "bad \\u escape" in
-          Buffer.add_char buf (if code < 256 then Char.chr code else '?')
-        | _ -> fail "bad escape");
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let is_num_char c =
-    (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then (incr pos; Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then (incr pos; Arr [])
-      else
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elements (v :: acc)
-          | ']' -> Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some c when is_num_char c ->
-      let start = !pos in
-      while !pos < n && is_num_char s.[!pos] do incr pos done;
-      Num (String.sub s start (!pos - start))
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let field conv what name j =
+  match Json.member name j with
+  | None -> raise (Bad ("missing field " ^ name))
+  | Some v -> (
+    match conv v with
+    | Some x -> x
+    | None -> raise (Bad (Printf.sprintf "field %s is not %s" name what)))
 
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> raise (Bad ("missing field " ^ name)))
-  | _ -> raise (Bad ("expected an object with field " ^ name))
+let int_of = function Json.Int n -> Some n | _ -> None
 
-let as_int = function
-  | Num raw -> (try int_of_string raw with _ -> raise (Bad ("bad integer " ^ raw)))
-  | _ -> raise (Bad "expected an integer")
+(* [Some] of every element's conversion, [None] if any fails. *)
+let all conv vs =
+  List.fold_right
+    (fun v acc -> match (conv v, acc) with Some x, Some xs -> Some (x :: xs) | _ -> None)
+    vs (Some [])
 
-let as_float_hex = function
-  | Str raw -> (try float_of_string raw with _ -> raise (Bad ("bad float " ^ raw)))
-  | _ -> raise (Bad "expected a hex-float string")
+let as_int = field int_of "an integer"
+let as_string = field Json.to_string "a string"
+let as_bool = field Json.to_bool "a bool"
+let int_list = field (fun v -> Option.bind (Json.to_list v) (all int_of)) "an integer array"
+let string_list = field (fun v -> Option.bind (Json.to_list v) (all Json.to_string)) "a string array"
 
-let as_string = function Str s -> s | _ -> raise (Bad "expected a string")
-let as_bool = function Bool b -> b | _ -> raise (Bad "expected a bool")
-let as_list = function Arr xs -> xs | _ -> raise (Bad "expected an array")
-let int_list v = List.map as_int (as_list v)
+let as_float_hex =
+  field (fun v -> Option.bind (Json.to_string v) float_of_string_opt) "a hex-float string"
 
 let entry_of_json ~params j : int * Outcome.entry =
-  let i = as_int (member "i" j) in
-  match as_string (member "kind" j) with
+  let i = as_int "i" j in
+  match as_string "kind" j with
   | "pruned" -> (i, Outcome.Pruned)
   | "absint_pruned" -> (i, Outcome.Absint_pruned)
   | "dep_pruned" -> (i, Outcome.Dep_pruned)
   | "sym_pruned" -> (i, Outcome.Sym_pruned)
   | "failed" ->
     let stage =
-      let name = as_string (member "stage" j) in
+      let name = as_string "stage" j in
       match Outcome.stage_of_name name with
       | Some s -> s
       | None -> raise (Bad ("unknown failure stage " ^ name))
     in
-    (i, Outcome.Failed (stage, as_string (member "msg" j)))
+    (i, Outcome.Failed (stage, as_string "msg" j))
   | "eval" ->
-    let point_vals = int_list (member "point" j) in
+    let point_vals = int_list "point" j in
     if List.length point_vals <> List.length params then
       raise (Bad "point arity does not match header params");
     let point = List.combine params point_vals in
     let area =
-      match int_list (member "area" j) with
+      match int_list "area" j with
       | [ alms; luts; regs; dsps; brams; routing_luts; unavailable_luts; duplicated_regs;
           duplicated_brams ] ->
         { Estimator.alms; luts; regs; dsps; brams; routing_luts; unavailable_luts;
@@ -359,24 +257,24 @@ let entry_of_json ~params j : int * Outcome.entry =
       | _ -> raise (Bad "area must have 9 fields")
     in
     let raw =
-      match int_list (member "raw" j) with
+      match int_list "raw" j with
       | [ lut_packable; lut_unpackable; regs; dsps; brams; nets; tree_depth; streams; ctrl_count;
           double_buffers; prim_count ] ->
         { Area_model.resources = { R.lut_packable; lut_unpackable; regs; dsps; brams };
-          nets; avg_fanout = as_float_hex (member "avg_fanout" j); tree_depth; streams;
+          nets; avg_fanout = as_float_hex "avg_fanout" j; tree_depth; streams;
           ctrl_count; double_buffers; prim_count }
       | _ -> raise (Bad "raw must have 11 fields")
     in
     let estimate =
-      { Estimator.area; cycles = as_float_hex (member "cycles" j);
-        seconds = as_float_hex (member "seconds" j); raw }
+      { Estimator.area; cycles = as_float_hex "cycles" j;
+        seconds = as_float_hex "seconds" j; raw }
     in
     ( i,
       Outcome.Evaluated
-        { Outcome.point; estimate; valid = as_bool (member "valid" j);
-          alm_pct = as_float_hex (member "alm_pct" j);
-          dsp_pct = as_float_hex (member "dsp_pct" j);
-          bram_pct = as_float_hex (member "bram_pct" j) } )
+        { Outcome.point; estimate; valid = as_bool "valid" j;
+          alm_pct = as_float_hex "alm_pct" j;
+          dsp_pct = as_float_hex "dsp_pct" j;
+          bram_pct = as_float_hex "bram_pct" j } )
   | kind -> raise (Bad ("unknown entry kind " ^ kind))
 
 let load ~path =
@@ -397,11 +295,11 @@ let load ~path =
     match lines with
     | [] -> Error (path ^ ": empty checkpoint")
     | header :: rest ->
-      let h = parse_json header in
-      if as_string (member "kind" h) <> "header" then raise (Bad "first line is not a header");
-      let v = as_int (member "version" h) in
+      let h = parse header in
+      if as_string "kind" h <> "header" then raise (Bad "first line is not a header");
+      let v = as_int "version" h in
       if v <> version then raise (Bad (Printf.sprintf "unsupported checkpoint version %d" v));
-      let params = List.map as_string (as_list (member "params" h)) in
+      let params = string_list "params" h in
       (* A kill during a flush's append (or a torn copy) can cut the final
          line. A torn tail carries no information the sweep cannot
          recompute, so drop it and flag the load instead of rejecting the
@@ -420,18 +318,18 @@ let load ~path =
       let rec parse_entries acc = function
         | [] -> (List.rev acc, false)
         | [ last ] -> (
-          match entry_of_json ~params (parse_json last) with
+          match entry_of_json ~params (parse last) with
           | e -> (List.rev (after acc e), false)
           | exception Bad _ -> (List.rev acc, true))
-        | line :: rest -> parse_entries (after acc (entry_of_json ~params (parse_json line))) rest
+        | line :: rest -> parse_entries (after acc (entry_of_json ~params (parse line))) rest
       in
       let entries, truncated_tail = parse_entries [] rest in
       Ok
         {
-          space_name = as_string (member "space" h);
-          seed = as_int (member "seed" h);
-          max_points = as_int (member "max_points" h);
-          total = as_int (member "total" h);
+          space_name = as_string "space" h;
+          seed = as_int "seed" h;
+          max_points = as_int "max_points" h;
+          total = as_int "total" h;
           params;
           entries;
           truncated_tail;

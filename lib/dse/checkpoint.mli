@@ -4,7 +4,10 @@
     identity (space name, seed, max_points, sampled total, parameter names
     in point order), then one line per processed point in sampling order —
     [eval] (the full evaluation, floats as bit-exact C99 hex literals),
-    [pruned] (dropped by an error-level lint diagnostic) or [failed]
+    [pruned] (dropped by an error-level heuristic lint diagnostic),
+    [absint_pruned] (refuted by an abstract-interpretation proof),
+    [dep_pruned] (refuted by the dependence analysis), [sym_pruned]
+    (refuted by the symbolic gate before elaboration) or [failed]
     (classified {!Outcome.failure_stage} plus message).
 
     {!save} writes atomically (temp file + rename), so the file on disk is
@@ -86,5 +89,7 @@ val flush : path:string -> writer -> unit
     replace the file whole. *)
 
 val load : path:string -> (t, string) result
-(** Parse a checkpoint; [Error] describes a missing, unreadable, corrupt,
-    or wrong-version file. *)
+(** Parse a checkpoint, each line with [Dhdl_util.Json.parse]; [Error]
+    describes a missing, unreadable, corrupt, or wrong-version file. An
+    integer field must hold an integer lexeme: [7.0] or [1e3] where an
+    integer belongs is corruption. *)

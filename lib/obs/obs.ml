@@ -1,6 +1,7 @@
 module Texttable = Dhdl_util.Texttable
 module Rng = Dhdl_util.Rng
 module Emit = Dhdl_util.Emit
+module Json = Dhdl_util.Json
 
 type attrs = (string * string) list
 
@@ -508,139 +509,21 @@ let to_chrome_trace snap =
 
 (* ---------------- JSONL re-import ------------------------------------- *)
 
-(* Minimal parser for the flat JSON objects [to_jsonl] emits: one object
-   per line, string / number / nested-object values (nested objects are
-   kept as raw text — only the exporter's own [attrs] use them). Not a
-   general JSON parser; it exists so traces recorded on another machine
-   can be summarized without re-running the workload. *)
+(* Each line is one object read by [Json.parse]; a span's [attrs] are
+   parsed too and ignored. This lets traces recorded on another machine
+   be summarized without re-running the workload. *)
 
 exception Parse of string
 
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos else fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          (match line.[!pos + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            if !pos + 5 >= n then fail "short \\u escape";
-            let hex = String.sub line (!pos + 2) 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 256 -> Buffer.add_char buf (Char.chr code)
-            | Some _ -> Buffer.add_char buf '?'
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | c -> fail (Printf.sprintf "unknown escape \\%c" c));
-          pos := !pos + 2;
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_raw_object () =
-    (* Capture a balanced {...} as raw text, respecting strings. Inside a
-       string a backslash escapes the next character, so the quote in a
-       ["...\\"] value still closes it. *)
-    let start = !pos in
-    let depth = ref 0 in
-    let in_str = ref false in
-    let fin = ref (-1) in
-    while !fin < 0 && !pos < n do
-      (match line.[!pos] with
-      | '\\' when !in_str -> incr pos
-      | '"' -> in_str := not !in_str
-      | '{' when not !in_str -> incr depth
-      | '}' when not !in_str ->
-        decr depth;
-        if !depth = 0 then fin := !pos
-      | _ -> ());
-      incr pos
-    done;
-    if !fin < 0 then fail "unterminated object";
-    String.sub line start (!fin - start + 1)
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> parse_string ()
-    | Some '{' -> parse_raw_object ()
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match line.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'a' .. 'd' | 'f' .. 'z' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "expected a value";
-      String.sub line start (!pos - start)
-    | None -> fail "expected a value"
-  in
-  expect '{';
-  skip_ws ();
-  if peek () = Some '}' then []
-  else begin
-    let fields = ref [] in
-    let rec go () =
-      let k = (skip_ws (); parse_string ()) in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        incr pos;
-        go ()
-      | Some '}' -> ()
-      | _ -> fail "expected ',' or '}'"
-    in
-    go ();
-    List.rev !fields
-  end
-
-let field fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
+let field fields conv what k =
+  match Json.member k fields with
   | None -> raise (Parse (Printf.sprintf "missing field %S" k))
+  | Some v -> (
+    match conv v with
+    | Some x -> x
+    | None -> raise (Parse (Printf.sprintf "field %S is not %s" k what)))
 
-let float_field fields k =
-  match float_of_string_opt (field fields k) with
-  | Some f -> f
-  | None -> raise (Parse (Printf.sprintf "field %S is not a number" k))
-
-let int_field fields k =
-  match int_of_string_opt (field fields k) with
-  | Some i -> i
-  | None -> raise (Parse (Printf.sprintf "field %S is not an integer" k))
+let int_of = function Json.Int i -> Some i | _ -> None
 
 let summary_of_jsonl text =
   let counters = ref [] and gauges = ref [] and hist_rows = ref [] and span_durs = ref [] in
@@ -650,29 +533,28 @@ let summary_of_jsonl text =
     |> List.iter (fun line ->
            incr line_no;
            if String.trim line <> "" then begin
-             let fields = parse_object line in
-             match field fields "type" with
-             | "span" -> span_durs := (field fields "name", float_field fields "dur_us") :: !span_durs
-             | "counter" -> counters := (field fields "name", int_field fields "value") :: !counters
-             | "gauge" -> gauges := (field fields "name", float_field fields "value") :: !gauges
+             let fields =
+               match Json.parse line with Ok j -> j | Error msg -> raise (Parse msg)
+             in
+             let str = field fields Json.to_string "a string" in
+             let num = field fields Json.to_float "a number" in
+             let int = field fields int_of "an integer" in
+             match str "type" with
+             | "span" -> span_durs := (str "name", num "dur_us") :: !span_durs
+             | "counter" -> counters := (str "name", int "value") :: !counters
+             | "gauge" -> gauges := (str "name", num "value") :: !gauges
              | "histogram" ->
-               let sampled =
-                 match List.assoc_opt "sampled" fields with
-                 | Some s -> (
-                   match int_of_string_opt s with
-                   | Some i -> i
-                   | None -> raise (Parse "field \"sampled\" is not an integer"))
-                 | None -> int_field fields "count"
-               in
+               let count = int "count" in
                hist_rows :=
                  {
-                   hr_name = field fields "name";
-                   hr_count = int_field fields "count";
-                   hr_sampled = sampled;
-                   hr_mean = float_field fields "mean";
-                   hr_p50 = float_field fields "p50";
-                   hr_p95 = float_field fields "p95";
-                   hr_max = float_field fields "max";
+                   hr_name = str "name";
+                   hr_count = count;
+                   hr_sampled =
+                     (match Json.member "sampled" fields with None -> count | Some _ -> int "sampled");
+                   hr_mean = num "mean";
+                   hr_p50 = num "p50";
+                   hr_p95 = num "p95";
+                   hr_max = num "max";
                  }
                  :: !hist_rows
              | t -> raise (Parse (Printf.sprintf "unknown record type %S" t))

@@ -1,3 +1,5 @@
+module Json = Dhdl_util.Json
+
 type verb =
   | Ping
   | Estimate

@@ -106,10 +106,10 @@ type err = {
 
 type reply = {
   r_id : string;
-  r_body : (Json.t, err) result;  (** [Ok payload] or a typed error. *)
+  r_body : (Dhdl_util.Json.t, err) result;  (** [Ok payload] or a typed error. *)
 }
 
-val ok : id:string -> Json.t -> reply
+val ok : id:string -> Dhdl_util.Json.t -> reply
 val error : ?retry_after_ms:int -> ?chain:string list -> id:string -> error_code -> string -> reply
 val render_reply : reply -> string
 val parse_reply : string -> (reply, string) result

@@ -1,4 +1,5 @@
 module Faults = Dhdl_util.Faults
+module Json = Dhdl_util.Json
 module Obs = Dhdl_obs.Obs
 module Checkpoint = Dhdl_dse.Checkpoint
 

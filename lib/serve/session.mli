@@ -41,7 +41,7 @@ type status =
           entries; the [bool] is the checkpoint's [truncated_tail] flag,
           set when a kill cut the sweep's last append mid-line. *)
   | Failed of spec * string  (** The sweep domain died; the message. *)
-  | Done of spec * Json.t  (** Completed; the [done.json] summary. *)
+  | Done of spec * Dhdl_util.Json.t  (** Completed; the [done.json] summary. *)
 
 val id_ok : string -> bool
 (** Valid session ids: nonempty, [[A-Za-z0-9._-]] only (no path
@@ -56,7 +56,7 @@ val write_spec : root:string -> string -> spec -> unit
 
 val load_spec : root:string -> string -> spec option
 
-val mark_done : root:string -> string -> Json.t -> unit
+val mark_done : root:string -> string -> Dhdl_util.Json.t -> unit
 (** Write [done.json] atomically. Raises {!Store_error}. *)
 
 val mark_failed : root:string -> string -> string -> unit

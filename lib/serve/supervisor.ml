@@ -1,4 +1,5 @@
 module P = Protocol
+module Json = Dhdl_util.Json
 module App = Dhdl_apps.App
 module Registry = Dhdl_apps.Registry
 module Estimator = Dhdl_model.Estimator

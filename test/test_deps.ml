@@ -405,7 +405,7 @@ let test_render_json_2d_witness () =
   let rep = Dependence.analyze (B.finish b ~top:(B.sequential_block ~label:"main" [ body ])) in
   let js = Dependence.render_json rep in
   check_bool "a 2-D witness index is rendered" true (contains ~needle:"\"index\":[1," js);
-  match Dhdl_serve.Json.parse js with
+  match Dhdl_util.Json.parse js with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "dependence payload is not JSON: %s" msg
 

@@ -555,6 +555,21 @@ let test_no_direct_gate_derivation () =
          ("../examples", []);
        ])
 
+(* One JSON reader: the ['u' ->] arm that decodes a \u escape appears
+   only in lib/util/json.ml. Every hand-written reader carries one, and
+   with it its own escape, number and nesting rules. *)
+let test_one_json_reader () =
+  let lib_dirs =
+    Sys.readdir "../lib" |> Array.to_list |> List.sort compare
+    |> List.map (Filename.concat "../lib")
+    |> List.filter Sys.is_directory
+  in
+  Alcotest.(check (list string))
+    "no \\u escape arm outside lib/util/json.ml" []
+    (scan_offenders ~needle:"'u' ->"
+       (List.map (fun d -> (d, if d = "../lib/util" then [ "json.ml" ] else [])) lib_dirs
+       @ [ ("../bin", []); ("../bench", []); ("../examples", []) ]))
+
 let () =
   Alcotest.run "eval"
     [
@@ -601,5 +616,6 @@ let () =
             test_no_direct_analysis_pipelines;
           Alcotest.test_case "no gate derivation outside Eval / dhdl analyze" `Quick
             test_no_direct_gate_derivation;
+          Alcotest.test_case "one JSON reader" `Quick test_one_json_reader;
         ] );
     ]

@@ -11,7 +11,7 @@
    a domain in this process — forking a multi-domain OCaml runtime is
    not safe. *)
 
-module Sjson = Dhdl_serve.Json
+module Sjson = Dhdl_util.Json
 module P = Dhdl_serve.Protocol
 module Session = Dhdl_serve.Session
 module Supervisor = Dhdl_serve.Supervisor
@@ -409,6 +409,13 @@ let test_json_accessors () =
   check_bool "to_int on int" true (Sjson.to_int (Sjson.Int 3) = Some 3);
   check_bool "to_int on integral float" true (Sjson.to_int (Sjson.Float 4.0) = Some 4);
   check_bool "to_int on fractional float" true (Sjson.to_int (Sjson.Float 4.5) = None);
+  (* An integral float converts only inside [-2^62, 2^62): out of range,
+     int_of_float would make up a value (0 for 1e300). *)
+  check_bool "to_int on 2^62" true (Sjson.to_int (Sjson.Float 4611686018427387904.) = None);
+  check_bool "to_int on -2^62" true
+    (Sjson.to_int (Sjson.Float (-4611686018427387904.)) = Some min_int);
+  check_bool "to_int on 1e300" true (Sjson.to_int (Sjson.Float 1e300) = None);
+  check_bool "to_int on infinity" true (Sjson.to_int (Sjson.Float infinity) = None);
   check_bool "obj_or_empty on list" true (Sjson.obj_or_empty (Sjson.List []) = [])
 
 (* ==================================================================== *)
@@ -496,6 +503,13 @@ let test_request_parse_errors () =
   (* The unknown-verb error enumerates what the server does speak. *)
   expect_error "{\"id\":\"x\",\"verb\":\"explode\"}" "dse_start";
   expect_error "{\"id\":\"x\",\"verb\":\"ping\",\"params\":{\"a\":\"b\"}}" "not an integer";
+  (* Out-of-range numbers are not integers: int_of_float would make them
+     tile=0, and the estimate handler divides by the tile. *)
+  expect_error "{\"verb\":\"estimate\",\"id\":\"x\",\"app\":\"gda\",\"params\":{\"tile\":1e300}}"
+    "parameter \"tile\" is not an integer";
+  expect_error
+    "{\"verb\":\"estimate\",\"id\":\"x\",\"app\":\"gda\",\"params\":{\"tile\":9999999999999999999}}"
+    "parameter \"tile\" is not an integer";
   expect_error "{\"id\":\"x\",\"verb\":\"ping\",\"deadline_ms\":-5}" ">= 0"
 
 let test_reply_roundtrip () =

@@ -205,14 +205,14 @@ let test_render_json_parses () =
     (fun d ->
       List.iter
         (fun (sys : Symbolic.system) ->
-          match Dhdl_serve.Json.parse (Symbolic.render_json sys) with
+          match Dhdl_util.Json.parse (Symbolic.render_json sys) with
           | Ok json ->
             check_int
               (where d ^ ": one JSON check per derived check")
               (List.length sys.Symbolic.sy_checks)
               (List.length
                  (Option.value ~default:[]
-                    (Option.bind (Dhdl_serve.Json.member "checks" json) Dhdl_serve.Json.to_list)))
+                    (Option.bind (Dhdl_util.Json.member "checks" json) Dhdl_util.Json.to_list)))
           | Error msg -> Alcotest.failf "%s: render_json does not parse: %s" (where d) msg)
         (Symgate.systems d.gate))
     (Lazy.force derived)
@@ -226,7 +226,7 @@ let test_cli_json_parses () =
   let ic = Unix.open_process_args_in dhdl_exe args in
   let out = In_channel.input_all ic in
   check_bool "a refuted point exits 2" true (Unix.close_process_in ic = Unix.WEXITED 2);
-  let module J = Dhdl_serve.Json in
+  let module J = Dhdl_util.Json in
   match J.parse out with
   | Error msg -> Alcotest.failf "analyze --symbolic --json does not parse: %s" msg
   | Ok json ->

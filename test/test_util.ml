@@ -1,5 +1,6 @@
 (* Unit and property tests for the utility layer: PRNG, statistics, integer
-   arithmetic, linear algebra, Pareto extraction and text rendering. *)
+   arithmetic, linear algebra, Pareto extraction, text rendering, and the
+   one JSON reader under hostile input. *)
 
 module Rng = Dhdl_util.Rng
 module Stats = Dhdl_util.Stats
@@ -9,6 +10,11 @@ module Pareto = Dhdl_util.Pareto
 module Texttable = Dhdl_util.Texttable
 module Asciiplot = Dhdl_util.Asciiplot
 module Emit = Dhdl_util.Emit
+module Json = Dhdl_util.Json
+module Checkpoint = Dhdl_dse.Checkpoint
+module Outcome = Dhdl_dse.Outcome
+module Estimator = Dhdl_model.Estimator
+module Area_model = Dhdl_model.Area_model
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -381,6 +387,205 @@ let test_emit_escape_every_byte () =
      Emit.add_json_escaped b "\031\"y";
      Buffer.contents b)
 
+(* ------------------------- Json ------------------------------------ *)
+
+let finite_floats =
+  [| 0.; -0.; 1.; -1.5; 0.1; 1e14; 1e15; -1e15; 9.2e16; 1e17; 1e300; Float.max_float;
+     -.Float.max_float; Float.min_float; Float.epsilon; Int64.float_of_bits 1L |]
+
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 12) in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let leaf =
+    frequency
+      [ (1, return Json.Null); (1, map (fun b -> Json.Bool b) bool);
+        (3, map (fun n -> Json.Int n) (oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ]));
+        ( 3,
+          map
+            (fun f -> Json.Float f)
+            (oneof
+               [ oneofa finite_floats; map finite float;
+                 map (fun b -> finite (Int64.float_of_bits b)) ui64 ]) );
+        (3, map (fun s -> Json.Str s) str) ]
+  in
+  sized_size (int_range 0 40)
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun xs -> Json.List xs) (list_size (int_range 0 4) (self (n / 3))));
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs) (list_size (int_range 0 4) (pair str (self (n / 3)))) )
+             ])
+
+let arb_json = QCheck.make ~print:Json.render gen_json
+
+(* Structural equality with numbers compared by value: [Float 1e15]
+   renders as [1000000000000000] and reads back as [Int]. Floats compare
+   by bits, so [-0.] must come back as [-0.]. *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Int n, Json.Float f | Json.Float f, Json.Int n -> Float.of_int n = f
+  | Json.List xs, Json.List ys -> List.equal same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && same_json v v') xs ys
+  | _ -> a = b
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:2_000 ~name:"parse (render v) = v" arb_json (fun v ->
+      match Json.parse (Json.render v) with Ok v' -> same_json v v' | Error _ -> false)
+
+(* [Ok] or [Error], never an exception (a stack overflow included). *)
+let total s = match Json.parse s with Ok _ | Error _ -> true
+
+let prop_json_total_bytes =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (6, oneofl (List.of_seq (String.to_seq "{}[]\",:\\u0123456789aeE+-.")));
+        (2, oneofl [ 't'; 'r'; 'n'; 'l'; 'f'; 's'; ' '; '\n' ]); (1, char) ]
+  in
+  QCheck.Test.make ~count:5_000 ~name:"parse never raises on arbitrary bytes"
+    (QCheck.make ~print:String.escaped (string_size ~gen:byte (int_range 0 64)))
+    total
+
+let prop_json_total_prefixes =
+  QCheck.Test.make ~count:500 ~name:"parse never raises on a prefix of a rendered value" arb_json
+    (fun v ->
+      let r = Json.render v in
+      List.for_all (fun k -> total (String.sub r 0 k)) (List.init (String.length r + 1) Fun.id))
+
+let prop_json_total_mutants =
+  QCheck.Test.make ~count:2_000 ~name:"parse never raises on a rendered value with one byte replaced"
+    QCheck.(triple arb_json small_nat char)
+    (fun (v, at, c) ->
+      let r = Bytes.of_string (Json.render v) in
+      Bytes.set r (at mod Bytes.length r) c;
+      total (Bytes.to_string r))
+
+let parses s = match Json.parse s with Ok v -> Some v | Error _ -> None
+
+let test_json_unicode_escapes () =
+  let str s = parses (Printf.sprintf "\"%s\"" s) in
+  check_bool "\\u00e9 is UTF-8" true (str "caf\\u00e9" = Some (Json.Str "caf\xc3\xa9"));
+  check_bool "upper-case hex" true (str "\\u00C9" = Some (Json.Str "\xc3\x89"));
+  check_bool "ASCII stays one byte" true (str "\\u0041\\u0000" = Some (Json.Str "A\000"));
+  check_bool "three-byte scalar" true (str "\\u20ac" = Some (Json.Str "\xe2\x82\xac"));
+  check_bool "a surrogate half is ?" true (str "\\ud800" = Some (Json.Str "?"));
+  check_bool "a pair is two ?" true (str "\\ud83d\\ude00" = Some (Json.Str "??"));
+  List.iter
+    (fun bad -> check_bool (bad ^ " is an error") true (str bad = None))
+    [ "\\u1_00"; "\\u0_0_"; "\\u+123"; "\\u12"; "\\u12g4"; "\\u" ]
+
+(* A checkpoint file holding only a header line; [space], [seed] and
+   [params] are spliced in as raw JSON text. *)
+let write_header path ~space ~seed ~params =
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc
+        "{\"kind\":\"header\",\"version\":1,\"space\":\"%s\",\"seed\":%s,\"max_points\":2,\
+         \"total\":2,\"params\":[%s]}\n"
+        space seed params)
+
+let test_json_unicode_consumers () =
+  (match Dhdl_serve.Protocol.parse_request "{\"id\":\"caf\\u00e9\",\"verb\":\"ping\"}" with
+  | Ok r -> Alcotest.(check string) "serve request id" "caf\xc3\xa9" r.Dhdl_serve.Protocol.q_id
+  | Error msg -> Alcotest.fail msg);
+  let path = Filename.temp_file "json_unicode" ".jsonl" in
+  write_header path ~space:"caf\\u00e9" ~seed:"1" ~params:"\"p\\ud800\"";
+  (match Checkpoint.load ~path with
+  | Ok c ->
+    Alcotest.(check string) "checkpoint space name" "caf\xc3\xa9" c.Checkpoint.space_name;
+    Alcotest.(check (list string)) "checkpoint params" [ "p?" ] c.Checkpoint.params
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove path;
+  match Dhdl_obs.Obs.summary_of_jsonl "{\"type\":\"counter\",\"name\":\"caf\\u00e9\",\"value\":7}\n" with
+  | Ok summary ->
+    check_bool "JSONL counter name" true
+      (List.exists (String.starts_with ~prefix:"caf\xc3\xa9 ") (String.split_on_char '\n' summary))
+  | Error msg -> Alcotest.fail msg
+
+(* The program writes integers as integer lexemes, so in a checkpoint or
+   a JSONL log a float where an integer belongs is corruption, not a
+   value to round. *)
+let test_json_file_integers_strict () =
+  let path = Filename.temp_file "json_ints" ".jsonl" in
+  List.iter
+    (fun (seed, ok) ->
+      write_header path ~space:"s" ~seed ~params:"";
+      check_bool ("checkpoint seed " ^ seed) ok (Result.is_ok (Checkpoint.load ~path)))
+    [ ("7", true); ("-7", true); ("7.0", false); ("1e3", false); ("9999999999999999999", false) ];
+  Sys.remove path;
+  List.iter
+    (fun (value, ok) ->
+      check_bool ("JSONL counter value " ^ value) ok
+        (Result.is_ok
+           (Dhdl_obs.Obs.summary_of_jsonl
+              (Printf.sprintf "{\"type\":\"counter\",\"name\":\"c\",\"value\":%s}\n" value))))
+    [ ("7", true); ("7.0", false); ("1e3", false); ("1e300", false) ]
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let nested_objects depth =
+  String.concat "" (List.init (depth - 1) (fun _ -> "{\"a\":")) ^ "{}" ^ String.make (depth - 1) '}'
+
+let test_json_depth_cap () =
+  check_int "the cap" 512 Json.max_depth;
+  check_bool "depth 512 parses" true (parses (nested 512) <> None);
+  check_bool "objects to depth 512 parse" true (parses (nested_objects 512) <> None);
+  (match Json.parse (nested 513) with
+  | Ok _ -> Alcotest.fail "depth 513 accepted"
+  | Error msg ->
+    Alcotest.(check string) "error at the 513th bracket" "nesting deeper than 512 at offset 512" msg);
+  check_bool "objects at depth 513 fail" true (parses (nested_objects 513) = None);
+  let line = String.make 4_000_000 '[' in
+  let t0 = Unix.gettimeofday () in
+  let r = Json.parse line in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool "4,000,000-deep line is an error" true (Result.is_error r);
+  check_bool (Printf.sprintf "answered in %.3f s (< 1 s)" dt) true (dt < 1.0)
+
+(* Every NaN reads back as a NaN: [%h] does not write a payload. *)
+let float_bits f = if Float.is_nan f then 0x7ff8_0000_0000_0000L else Int64.bits_of_float f
+
+let entry_view = function
+  | Outcome.Evaluated ev ->
+    let est = ev.Outcome.estimate in
+    let raw = est.Estimator.raw in
+    `Evaluated
+      ( ev.Outcome.point, ev.Outcome.valid, est.Estimator.area,
+        { raw with Area_model.avg_fanout = 0. },
+        List.map float_bits
+          [ ev.Outcome.alm_pct; ev.Outcome.dsp_pct; ev.Outcome.bram_pct;
+            est.Estimator.cycles; est.Estimator.seconds;
+            raw.Area_model.avg_fanout ] )
+  | e -> `Other e
+
+let checkpoint_view (c : Checkpoint.t) =
+  ( (c.space_name, c.seed, c.max_points, c.total, c.params, c.truncated_tail),
+    List.map (fun (i, e) -> (i, entry_view e)) c.entries )
+
+(* A saved checkpoint loads back equal, floats by bits, when its indices
+   strictly increase; otherwise (the generator's indices may overflow)
+   the load must reject it. *)
+let prop_checkpoint_load_save =
+  QCheck.Test.make ~count:500 ~name:"Checkpoint.load (save c) = c"
+    (QCheck.make ~print:Checkpoint.render Serial_oracle.gen_checkpoint)
+    (fun c ->
+      let path = Filename.temp_file "ckpt_roundtrip" ".jsonl" in
+      Checkpoint.save ~path c;
+      let loaded = Checkpoint.load ~path in
+      Sys.remove path;
+      let rec ascending = function
+        | (i, _) :: ((j, _) :: _ as rest) -> i < j && ascending rest
+        | _ -> true
+      in
+      match loaded with
+      | Ok c' -> ascending c.entries && checkpoint_view c' = checkpoint_view c
+      | Error _ -> not (ascending c.entries))
+
 let () =
   Alcotest.run "util"
     [
@@ -419,6 +624,20 @@ let () =
           qtest prop_emit_hex_float;
           Alcotest.test_case "escape = old escaper, every byte" `Quick test_emit_escape_every_byte;
           qtest (Serial_oracle.prop_escape ~count:2_000);
+        ] );
+      ( "json",
+        [
+          qtest prop_json_roundtrip;
+          qtest prop_json_total_bytes;
+          qtest prop_json_total_prefixes;
+          qtest prop_json_total_mutants;
+          Alcotest.test_case "\\u escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "\\u00e9 through request, checkpoint, JSONL" `Quick
+            test_json_unicode_consumers;
+          Alcotest.test_case "depth cap" `Quick test_json_depth_cap;
+          Alcotest.test_case "file integers are integer lexemes" `Quick
+            test_json_file_integers_strict;
+          qtest prop_checkpoint_load_save;
         ] );
       ( "intmath",
         [
