@@ -112,10 +112,11 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 8) from GDA sweeps plus a kmeans
-   symbolic-gate A/B. Every timed figure is the median, min and max of
-   [warm_runs] runs (a single cold run moved by 40% or more between runs),
-   and every attribution object is the median run's. Four axes:
+(* Writes BENCH_dse.json (schema 9) from GDA sweeps plus a kmeans
+   symbolic-gate A/B and the estimator's setup. Every timed figure is the
+   median, min and max of [warm_runs] runs (a single cold run moved by 40%
+   or more between runs), and every attribution object is the median
+   run's. Five axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
      evaluation cache per run, telemetry on, no profiler — comparable
@@ -136,7 +137,11 @@ let run_ablations ~quick () =
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
      gate's headline is elaborations never performed, which wall-clock
-     alone understates on a warm cache. *)
+     alone understates on a warm cache.
+   - setup: the CLI's estimator (seed 2016, 200 training samples) built
+     from scratch, split into template characterization and NN training,
+     plus the whole build: the once-per-process cost every `dhdl
+     estimate`, `dse` and `serve` pays before its first point. *)
 let run_label = ref "dev"
 let warm_runs = 5
 
@@ -285,6 +290,27 @@ let run_dseperf ~quick () =
       (lane (fun w -> w.P.w_analyze_s))
       (lane (fun w -> w.P.w_estimate_s))
   in
+  let setup_runs =
+    repeat (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let char = Dhdl_model.Characterization.characterize () in
+        let t1 = Unix.gettimeofday () in
+        let nn =
+          Dhdl_model.Nn_correction.train ~seed ~samples:200 char Dhdl_device.Target.stratix_v
+        in
+        let t2 = Unix.gettimeofday () in
+        ignore (Estimator.of_parts char nn);
+        (t1 -. t0, t2 -. t1, Unix.gettimeofday () -. t0))
+  in
+  let setup_spread f = spread_json "%.4f" (List.map f setup_runs) in
+  let setup =
+    Printf.sprintf
+      "{\"seed\":%d,\"train_samples\":200,\"runs\":%d,\"characterize_s\":%s,\"train_s\":%s,\"build_s\":%s}"
+      seed warm_runs
+      (setup_spread (fun (c, _, _) -> c))
+      (setup_spread (fun (_, t, _) -> t))
+      (setup_spread (fun (_, _, b) -> b))
+  in
   let sym_on = repeat (fun () -> sym_run ~symbolic:true) in
   let sym_off = repeat (fun () -> sym_run ~symbolic:false) in
   let sym_side runs =
@@ -338,11 +364,11 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":8,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":9,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
-      cache_ab warm_session cold_attribution symbolic_ab
+      cache_ab warm_session cold_attribution symbolic_ab setup
       (String.concat "," (List.map level_json levels))
   in
   let oc = open_out "BENCH_dse.json" in
@@ -360,6 +386,7 @@ let run_dseperf ~quick () =
     (if cold_median > 0.0 then warm_median /. cold_median else 0.0)
     rwarm.Explore.cache_hits rwarm.Explore.cache_misses;
   Printf.printf "warm sessions (checkpoint every %d): %s\n" every warm_session;
+  Printf.printf "estimator setup (seed %d, 200 samples): %s\n" seed setup;
   List.iter
     (fun (jobs, cold, _, attr) ->
       let module P = Dhdl_dse.Profile in

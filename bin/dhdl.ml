@@ -90,8 +90,20 @@ let params_arg =
 
 let seed_arg = Arg.(value & opt int 2016 & info [ "seed" ] ~doc:"Random seed.")
 
+(* A corpus needs at least one design: below that, training fails deep
+   inside the scaler instead of at the command line. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "must be >= 1 (got %d)" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let train_arg =
-  Arg.(value & opt int 200 & info [ "train-samples" ] ~doc:"NN training corpus size.")
+  Arg.(
+    value & opt positive_int 200
+    & info [ "train-samples" ] ~doc:"NN training corpus size (at least 1).")
 
 let points_arg =
   Arg.(value & opt int 2000 & info [ "points"; "n" ] ~doc:"Design points to sample.")

@@ -42,6 +42,8 @@ type corrections = {
 let ratio num den = if den <= 0 then 0.0 else float_of_int num /. float_of_int den
 
 let train ?(seed = 1234) ?(samples = 200) ?(epochs = 400) char dev =
+  if samples < 1 then
+    invalid_arg (Printf.sprintf "Nn_correction.train: samples must be >= 1 (got %d)" samples);
   Obs.count ~by:samples "train.corpus_designs";
   let designs = Obs.span "train.corpus" (fun () -> Design_gen.corpus ~seed samples) in
   let rows =

@@ -31,7 +31,8 @@ val train :
 (** Generate the training corpus with {!Design_gen}, synthesize every sample
     with the simulated toolchain, and train the three 11-6-1 networks (on
     effect-to-LUT ratios, min-max normalized inputs) plus the BRAM
-    duplication linear model. Defaults: 200 samples, 400 RPROP epochs. *)
+    duplication linear model. Defaults: 200 samples, 400 RPROP epochs.
+    Raises [Invalid_argument] when [samples] is below 1. *)
 
 val correct : t -> Area_model.raw -> corrections
 (** Predict the four P&R corrections for a design's raw estimate. *)

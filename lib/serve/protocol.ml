@@ -68,17 +68,29 @@ let parse_request line =
             (Printf.sprintf "unknown verb %S (have: %s)" name
                (String.concat ", " (List.map verb_name all_verbs)))
         | Some verb ->
-          let int_field name = Option.bind (Json.member name j) Json.to_int in
-          let str_field name = Option.bind (Json.member name j) Json.to_string in
-          let params_of p =
-            List.fold_left
-              (fun acc (k, v) ->
-                match (acc, Json.to_int v) with
-                | Error e, _ -> Error e
-                | Ok _, None -> Error (Printf.sprintf "parameter %S is not an integer" k)
-                | Ok acc, Some n -> Ok ((k, n) :: acc))
-              (Ok []) (Json.obj_or_empty p)
-            |> Result.map List.rev
+          (* An optional field may be absent; present, it must have its
+             type, or the request is refused naming it. *)
+          let field what conv name =
+            match Json.member name j with
+            | None -> Ok None
+            | Some v -> (
+              match conv v with
+              | Some x -> Ok (Some x)
+              | None -> Error (Printf.sprintf "field %S is not %s" name what))
+          in
+          let int_field = field "an integer" Json.to_int in
+          let str_field = field "a string" Json.to_string in
+          let params_of = function
+            | Json.Obj fields ->
+              List.fold_left
+                (fun acc (k, v) ->
+                  match (acc, Json.to_int v) with
+                  | Error e, _ -> Error e
+                  | Ok _, None -> Error (Printf.sprintf "parameter %S is not an integer" k)
+                  | Ok acc, Some n -> Ok ((k, n) :: acc))
+                (Ok []) fields
+              |> Result.map List.rev
+            | _ -> Error "field \"params\" is not an object"
           in
           let params =
             match Json.member "params" j with None -> Ok [] | Some p -> params_of p
@@ -108,24 +120,29 @@ let parse_request line =
                   (Ok []) items
                 |> Result.map List.rev)
           in
-          (match (params, specs) with
-          | Error e, _ | _, Error e -> Error e
-          | Ok q_params, Ok q_specs ->
-            (match int_field "deadline_ms" with
-            | Some d when d < 0 -> Error "deadline_ms must be >= 0"
-            | deadline ->
-              Ok
-                {
-                  q_id = id;
-                  q_verb = verb;
-                  q_deadline_ms = deadline;
-                  q_app = str_field "app";
-                  q_params;
-                  q_session = str_field "session";
-                  q_seed = int_field "seed";
-                  q_max_points = int_field "max_points";
-                  q_specs;
-                })))))
+          let ( let* ) = Result.bind in
+          let* q_params = params in
+          let* q_specs = specs in
+          let* q_deadline_ms = int_field "deadline_ms" in
+          let* q_app = str_field "app" in
+          let* q_session = str_field "session" in
+          let* q_seed = int_field "seed" in
+          let* q_max_points = int_field "max_points" in
+          match q_deadline_ms with
+          | Some d when d < 0 -> Error "deadline_ms must be >= 0"
+          | _ ->
+            Ok
+              {
+                q_id = id;
+                q_verb = verb;
+                q_deadline_ms;
+                q_app;
+                q_params;
+                q_session;
+                q_seed;
+                q_max_points;
+                q_specs;
+              })))
 
 let render_request r =
   let opt name f v = Option.map (fun v -> (name, f v)) v in

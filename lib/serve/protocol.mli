@@ -75,7 +75,9 @@ val request :
 
 val parse_request : string -> (request, string) result
 (** Decode one wire line. The error is a human message (the server turns
-    it into a [bad_request] reply). *)
+    it into a [bad_request] reply). An optional field may be absent, but
+    one present with the wrong type (["deadline_ms":"soon"],
+    ["seed":1.5], ["app":5], ["params":5]) is an error that names it. *)
 
 val render_request : request -> string
 (** One wire line, no trailing newline. *)

@@ -349,6 +349,12 @@ let test_cli_client_unreachable () =
     [ "client"; "--attempts"; "1"; "--socket"; tmp "nosock.sock"; "ping" ]
     "dhdl: error:"
 
+(* Below one training sample the estimator cannot be built: the shared
+   --train-samples term refuses the value before any work starts. *)
+let test_cli_train_samples_below_one () =
+  expect_cli_error [ "estimate"; "gda"; "--train-samples"; "0" ] "must be >= 1 (got 0)";
+  expect_cli_error [ "dse"; "gda"; "--train-samples=-5" ] "must be >= 1 (got -5)"
+
 let test_cli_success_still_zero () =
   let code, out, _ = run_cli [ "list" ] in
   check_int "dhdl list exits 0" 0 code;
@@ -489,6 +495,27 @@ let test_batch_request_roundtrip () =
     "{\"id\":\"x\",\"verb\":\"estimate_batch\",\"specs\":[{\"app\":\"d\",\"params\":{\"p\":\"q\"}}]}"
     "not an integer"
 
+(* Optional fields present with the wrong type, each with the error
+   fragment that must name it: none of them may read as absent. *)
+let wrong_typed_fields =
+  [
+    ("{\"id\":\"w1\",\"verb\":\"ping\",\"deadline_ms\":\"soon\"}",
+     "field \"deadline_ms\" is not an integer");
+    ("{\"id\":\"w2\",\"verb\":\"ping\",\"deadline_ms\":1e300}",
+     "field \"deadline_ms\" is not an integer");
+    ("{\"id\":\"w3\",\"verb\":\"dse_start\",\"app\":\"gda\",\"session\":\"s\",\"max_points\":\"lots\"}",
+     "field \"max_points\" is not an integer");
+    ("{\"id\":\"w4\",\"verb\":\"dse_start\",\"app\":\"gda\",\"session\":\"s\",\"seed\":1.5}",
+     "field \"seed\" is not an integer");
+    ("{\"id\":\"w5\",\"verb\":\"estimate\",\"app\":5}", "field \"app\" is not a string");
+    ("{\"id\":\"w6\",\"verb\":\"dse_status\",\"session\":null}",
+     "field \"session\" is not a string");
+    ("{\"id\":\"w7\",\"verb\":\"estimate\",\"app\":\"gda\",\"params\":5}",
+     "field \"params\" is not an object");
+    ("{\"id\":\"w8\",\"verb\":\"estimate_batch\",\"specs\":[{\"app\":\"gda\",\"params\":[1]}]}",
+     "field \"params\" is not an object");
+  ]
+
 let test_request_parse_errors () =
   let expect_error line fragment =
     match P.parse_request line with
@@ -510,7 +537,8 @@ let test_request_parse_errors () =
   expect_error
     "{\"verb\":\"estimate\",\"id\":\"x\",\"app\":\"gda\",\"params\":{\"tile\":9999999999999999999}}"
     "parameter \"tile\" is not an integer";
-  expect_error "{\"id\":\"x\",\"verb\":\"ping\",\"deadline_ms\":-5}" ">= 0"
+  expect_error "{\"id\":\"x\",\"verb\":\"ping\",\"deadline_ms\":-5}" ">= 0";
+  List.iter (fun (line, fragment) -> expect_error line fragment) wrong_typed_fields
 
 let test_reply_roundtrip () =
   let replies =
@@ -1044,6 +1072,31 @@ let test_socket_line_reader () =
   ignore (must_call client (P.request ~id:"lines-bye" P.Shutdown));
   rm_rf root
 
+(* Each wrong-typed request line gets exactly one reply, a bad_request
+   naming the field: the ping sent after it is answered next. *)
+let test_socket_wrong_typed_fields () =
+  let socket = tmp "typed.sock" in
+  let root = fresh_root "typed" in
+  with_server ~socket (sup_config ~root ()) @@ fun client ->
+  with_raw_conn socket (fun send recv ->
+      List.iteri
+        (fun i (line, fragment) ->
+          let ping = Printf.sprintf "after-%d" i in
+          send (line ^ "\n" ^ P.render_request (P.request ~id:ping P.Ping) ^ "\n");
+          match recv 2 with
+          | [ bad; next ] ->
+            (match P.parse_reply bad with
+            | Ok { P.r_body = Error e; _ } ->
+              check_bool (line ^ " answers bad_request") true (e.P.err_code = P.Bad_request);
+              check_bool (Printf.sprintf "%s names %S" line fragment) true
+                (contains e.P.err_message fragment)
+            | _ -> Alcotest.failf "unexpected reply to %s: %s" line bad);
+            check_str (line ^ " is answered once") ping (reply_id next)
+          | _ -> assert false)
+        wrong_typed_fields);
+  ignore (must_call client (P.request ~id:"typed-bye" P.Shutdown));
+  rm_rf root
+
 let test_socket_stale_file_replaced () =
   let socket = tmp "stale.sock" in
   let root = fresh_root "stale" in
@@ -1138,6 +1191,7 @@ let () =
           Alcotest.test_case "unknown subcommand flag" `Quick test_cli_unknown_sub_flag;
           Alcotest.test_case "unknown benchmark" `Quick test_cli_unknown_benchmark;
           Alcotest.test_case "client without a server" `Quick test_cli_client_unreachable;
+          Alcotest.test_case "train-samples below one" `Quick test_cli_train_samples_below_one;
           Alcotest.test_case "valid command still exits 0" `Quick test_cli_success_still_zero;
         ] );
       ( "json",
@@ -1187,6 +1241,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_socket_end_to_end;
           Alcotest.test_case "stale socket file replaced" `Quick test_socket_stale_file_replaced;
           Alcotest.test_case "line reader: dribble, pair, 4 MB line" `Quick test_socket_line_reader;
+          Alcotest.test_case "wrong-typed fields answer bad_request once" `Quick
+            test_socket_wrong_typed_fields;
         ] );
       ( "soak",
         [
