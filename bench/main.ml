@@ -112,11 +112,11 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 9) from GDA sweeps plus a kmeans
-   symbolic-gate A/B and the estimator's setup. Every timed figure is the
-   median, min and max of [warm_runs] runs (a single cold run moved by 40%
-   or more between runs), and every attribution object is the median
-   run's. Five axes:
+(* Writes BENCH_dse.json (schema 10) from GDA sweeps plus a kmeans
+   symbolic-gate A/B, the estimator's setup and the served request's
+   path. Every timed figure is the median, min and max of [warm_runs]
+   runs (a single cold run moved by 40% or more between runs), and every
+   attribution object is the median run's. Six axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
      evaluation cache per run, telemetry on, no profiler — comparable
@@ -141,7 +141,13 @@ let run_ablations ~quick () =
    - setup: the CLI's estimator (seed 2016, 200 training samples) built
      from scratch, split into template characterization and NN training,
      plus the whole build: the once-per-process cost every `dhdl
-     estimate`, `dse` and `serve` pays before its first point. *)
+     estimate`, `dse` and `serve` pays before its first point.
+   - serve: the served request's path in process, outside the socket:
+     [App.resolve] per app at paper sizes (every served estimate, batch
+     spec, lint and analyze resolves its parameters), the codec of a
+     64-spec gda estimate_batch request and of its reply, and that
+     batch's handler on a fresh supervisor (every spec misses the design
+     caches, as a first request does). *)
 let run_label = ref "dev"
 let warm_runs = 5
 
@@ -160,6 +166,74 @@ let repeat f = List.init warm_runs (fun _ -> f ())
    key [Stats.median] reports. *)
 let median_run key runs =
   List.nth (List.sort (fun a b -> compare (key a) (key b)) runs) (List.length runs / 2)
+
+(* [warm_runs] runs of the mean microseconds per call of [f] over
+   [iters] calls. *)
+let us_per_call ~iters f =
+  spread_json "%.3f"
+    (repeat (fun () ->
+         let t0 = Unix.gettimeofday () in
+         for _ = 1 to iters do
+           ignore (Sys.opaque_identity (f ()))
+         done;
+         (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters))
+
+let serve_block ~quick est =
+  let module P = Dhdl_serve.Protocol in
+  let module Supervisor = Dhdl_serve.Supervisor in
+  let resolve =
+    List.map
+      (fun (app : App.t) ->
+        Printf.sprintf "%S:%s" app.App.name
+          (us_per_call ~iters:(if quick then 200 else 2_000) (fun () ->
+               App.resolve app app.App.paper_sizes [])))
+      Dhdl_apps.Registry.all
+  in
+  let gda = Dhdl_apps.Registry.find "gda" in
+  let specs =
+    List.map
+      (fun p -> ("gda", p))
+      (Dhdl_dse.Space.sample (gda.App.space gda.App.paper_sizes) ~seed ~max_points:64)
+  in
+  let request id = P.request ~id ~specs P.Estimate_batch in
+  (* Submit to a fresh, started supervisor and wait for the reply: the
+     handler's time plus one hand-off to the worker domain each way. *)
+  let handle id =
+    let cfg =
+      Supervisor.default_config ~sessions_root:(Filename.get_temp_dir_name ())
+        ~estimator:(lazy est)
+    in
+    let sup = Supervisor.create cfg in
+    Supervisor.start sup;
+    let m = Mutex.create () and c = Condition.create () and slot = ref None in
+    let t0 = Unix.gettimeofday () in
+    Supervisor.submit sup (request id) ~reply_to:(fun r ->
+        let dt = Unix.gettimeofday () -. t0 in
+        Mutex.lock m;
+        slot := Some (r, dt);
+        Condition.signal c;
+        Mutex.unlock m);
+    Mutex.lock m;
+    while Option.is_none !slot do
+      Condition.wait c m
+    done;
+    Mutex.unlock m;
+    Supervisor.drain sup;
+    Option.get !slot
+  in
+  let handled = List.init warm_runs (fun i -> handle (Printf.sprintf "batch-%d" i)) in
+  let req = request "batch" and reply = fst (List.hd handled) in
+  let req_line = P.render_request req and reply_line = P.render_reply reply in
+  let iters = if quick then 50 else 500 in
+  Printf.sprintf
+    "{\"runs\":%d,\"resolve_us\":{%s},\"batch\":{\"app\":\"gda\",\"specs\":%d,\"request_bytes\":%d,\"reply_bytes\":%d,\"request_render_us\":%s,\"request_parse_us\":%s,\"reply_render_us\":%s,\"reply_parse_us\":%s,\"handler_ms\":%s}}"
+    warm_runs (String.concat "," resolve) (List.length specs) (String.length req_line)
+    (String.length reply_line)
+    (us_per_call ~iters (fun () -> P.render_request req))
+    (us_per_call ~iters (fun () -> P.parse_request req_line))
+    (us_per_call ~iters (fun () -> P.render_reply reply))
+    (us_per_call ~iters (fun () -> P.parse_reply reply_line))
+    (spread_json "%.3f" (List.map (fun (_, dt) -> dt *. 1000.0) handled))
 
 let run_dseperf ~quick () =
   banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, symbolic A/B";
@@ -311,6 +385,7 @@ let run_dseperf ~quick () =
       (setup_spread (fun (_, t, _) -> t))
       (setup_spread (fun (_, _, b) -> b))
   in
+  let serve = serve_block ~quick est in
   let sym_on = repeat (fun () -> sym_run ~symbolic:true) in
   let sym_off = repeat (fun () -> sym_run ~symbolic:false) in
   let sym_side runs =
@@ -364,11 +439,11 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":9,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":10,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), and that batch's handler on a fresh supervisor (ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
-      cache_ab warm_session cold_attribution symbolic_ab setup
+      cache_ab warm_session cold_attribution symbolic_ab setup serve
       (String.concat "," (List.map level_json levels))
   in
   let oc = open_out "BENCH_dse.json" in
@@ -387,6 +462,7 @@ let run_dseperf ~quick () =
     rwarm.Explore.cache_hits rwarm.Explore.cache_misses;
   Printf.printf "warm sessions (checkpoint every %d): %s\n" every warm_session;
   Printf.printf "estimator setup (seed %d, 200 samples): %s\n" seed setup;
+  Printf.printf "serve path (in process): %s\n" serve;
   List.iter
     (fun (jobs, cold, _, attr) ->
       let module P = Dhdl_dse.Profile in

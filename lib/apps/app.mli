@@ -38,4 +38,7 @@ val resolve : t -> sizes -> params -> params
 
 val divisor_tile : n:int -> cap:int -> par:int -> int
 (** Largest divisor of [n] at most [cap] divisible by [par] (falls back to
-    the largest divisor, then [n]); keeps default design points legal. *)
+    the largest divisor, then [n]); keeps default design points legal.
+    Found by scanning down from [min cap n], at most that many steps and
+    no allocation, so resolving a served request's defaults costs well
+    under a microsecond. [n] and [par] are positive. *)

@@ -332,7 +332,9 @@ let maximum values = Array.fold_left Float.max 0.0 values
 
 (* ---------------- exporters ------------------------------------------- *)
 
-let fmt_us = Printf.sprintf "%.3f"
+(* JSON has no NaN or infinity: a non-finite value is written [null],
+   which [summary_of_jsonl] reads back as nan. *)
+let fmt_us v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
 
 (* Shared summary renderer: the live snapshot path feeds it samples, the
    JSONL re-import path feeds it pre-aggregated histogram rows. *)
@@ -537,7 +539,9 @@ let summary_of_jsonl text =
                match Json.parse line with Ok j -> j | Error msg -> raise (Parse msg)
              in
              let str = field fields Json.to_string "a string" in
-             let num = field fields Json.to_float "a number" in
+             let num =
+               field fields (function Json.Null -> Some Float.nan | j -> Json.to_float j) "a number"
+             in
              let int = field fields int_of "an integer" in
              match str "type" with
              | "span" -> span_durs := (str "name", num "dur_us") :: !span_durs

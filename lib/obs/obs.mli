@@ -144,7 +144,9 @@ val render_summary : snapshot -> string
 val to_jsonl : snapshot -> string
 (** One JSON object per line: spans in start order (with their [track]),
     then counters, gauges, and histogram aggregates ([count] is the true
-    total, [sampled] the kept reservoir size). *)
+    total, [sampled] the kept reservoir size). Times and values are
+    written with three decimals; a non-finite one, which JSON cannot
+    hold, is written [null]. *)
 
 val to_chrome_trace : snapshot -> string
 (** Chrome [trace_event] JSON ("X" complete events for spans, "C" counter
@@ -157,4 +159,5 @@ val summary_of_jsonl : string -> (string, string) result
 (** Re-render the {!render_summary} tables from a previously exported
     {!to_jsonl} event log (e.g. recorded by [dhdl dse --jsonl] on a CI
     box), without re-running the workload. Histogram rows reuse the
-    recorded aggregates. [Error msg] names the first malformed line. *)
+    recorded aggregates, and a [null] where a number belongs reads as
+    nan. [Error msg] names the first malformed line. *)

@@ -24,11 +24,10 @@ let try_once t req =
         Error (Printf.sprintf "connect %s: %s" t.socket_path (Unix.error_message e))
       | () -> (
         let line = P.render_request req ^ "\n" in
-        let data = Bytes.of_string line in
         match
           let sent = ref 0 in
-          while !sent < Bytes.length data do
-            sent := !sent + Unix.write fd data !sent (Bytes.length data - !sent)
+          while !sent < String.length line do
+            sent := !sent + Unix.write_substring fd line !sent (String.length line - !sent)
           done
         with
         | exception Unix.Unix_error (e, _, _) -> Error ("send: " ^ Unix.error_message e)
@@ -36,30 +35,32 @@ let try_once t req =
           let deadline = Unix.gettimeofday () +. t.timeout_s in
           let buf = Buffer.create 256 in
           let chunk = Bytes.create 4096 in
+          (* Only the bytes just read are scanned for the newline, and the
+             reply line is copied out of [buf] once. *)
           let rec read_reply () =
-            let line_done = String.index_opt (Buffer.contents buf) '\n' in
-            match line_done with
-            | Some i -> (
-              let line = String.sub (Buffer.contents buf) 0 i in
-              match P.parse_reply line with
-              | Ok reply -> Ok reply
-              | Error msg -> Error ("bad reply: " ^ msg))
-            | None ->
-              let left = deadline -. Unix.gettimeofday () in
-              if left <= 0.0 then Error "timeout waiting for reply"
-              else (
-                match Unix.select [ fd ] [] [] left with
-                | [], _, _ -> Error "timeout waiting for reply"
-                | _ -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | 0 -> Error "connection closed before reply"
-                  | n ->
-                    Buffer.add_subbytes buf chunk 0 n;
-                    read_reply ()
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_reply ()
-                  | exception Unix.Unix_error (e, _, _) ->
-                    Error ("recv: " ^ Unix.error_message e))
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_reply ())
+            let left = deadline -. Unix.gettimeofday () in
+            if left <= 0.0 then Error "timeout waiting for reply"
+            else
+              match Unix.select [ fd ] [] [] left with
+              | [], _, _ -> Error "timeout waiting for reply"
+              | _ -> (
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | 0 -> Error "connection closed before reply"
+                | n -> (
+                  let scanned = Buffer.length buf in
+                  Buffer.add_subbytes buf chunk 0 n;
+                  let rec newline i =
+                    if i = n then None else if Bytes.get chunk i = '\n' then Some i else newline (i + 1)
+                  in
+                  match newline 0 with
+                  | Some i -> (
+                    match P.parse_reply (Buffer.sub buf 0 (scanned + i)) with
+                    | Ok reply -> Ok reply
+                    | Error msg -> Error ("bad reply: " ^ msg))
+                  | None -> read_reply ())
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_reply ()
+                | exception Unix.Unix_error (e, _, _) -> Error ("recv: " ^ Unix.error_message e))
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_reply ()
           in
           read_reply ()))
 

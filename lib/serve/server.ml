@@ -25,26 +25,31 @@ let send conn line =
     ~finally:(fun () -> Mutex.unlock conn.wmutex)
     (fun () ->
       if not conn.closed then
-        let data = Bytes.of_string (line ^ "\n") in
-        let len = Bytes.length data in
+        let data = line ^ "\n" in
+        let len = String.length data in
         try
           retrying "serve.sock_write" (fun () ->
               let sent = ref 0 in
               while !sent < len do
-                sent := !sent + Unix.write conn.fd data !sent (len - !sent)
+                sent := !sent + Unix.write_substring conn.fd data !sent (len - !sent)
               done)
         with Unix.Unix_error _ ->
           (* Peer is gone (EPIPE etc.); the reply is undeliverable, the
              worker must not care. The event loop reaps the fd. *)
           conn.closed <- true)
 
+(* The codec's two halves are spans of their own: [serve.parse] on the
+   event loop, and [serve.render] inside the request's span when the
+   worker replies. *)
+let reply conn r = send conn (Obs.span "serve.render" (fun () -> P.render_reply r))
+
 let handle_line sup conn line =
-  match P.parse_request line with
+  match Obs.span "serve.parse" (fun () -> P.parse_request line) with
   | Error msg ->
     (* Unparseable request: we cannot know its id, but the client still
        gets a typed reply on its connection rather than silence. *)
-    send conn (P.render_reply (P.error ~id:"?" P.Bad_request msg))
-  | Ok req -> Supervisor.submit sup req ~reply_to:(fun r -> send conn (P.render_reply r))
+    reply conn (P.error ~id:"?" P.Bad_request msg)
+  | Ok req -> Supervisor.submit sup req ~reply_to:(reply conn)
 
 (* Only the bytes just read are scanned for newlines; the partial line
    before them stays in [rbuf] and is copied out once, when its newline

@@ -567,13 +567,14 @@ let rec worker_loop t =
   | Quit -> ()
   | Req p ->
     let verb = P.verb_name p.p_req.P.q_verb in
-    let reply =
-      Obs.with_request_track
-        ~attrs:[ ("id", p.p_req.P.q_id); ("verb", verb) ]
-        ("serve." ^ verb)
-        (fun () -> process t p ~depth)
-    in
-    (try p.p_reply reply with _ -> ());
+    (* The reply is delivered inside the request's span, so the span
+       covers what its callback spends rendering and writing it. *)
+    Obs.with_request_track
+      ~attrs:[ ("id", p.p_req.P.q_id); ("verb", verb) ]
+      ("serve." ^ verb)
+      (fun () ->
+        let reply = process t p ~depth in
+        try p.p_reply reply with _ -> ());
     worker_loop t
 
 let start t =

@@ -44,6 +44,17 @@ val parse : string -> (t, string) result
       digits: a Unicode scalar value becomes its UTF-8 bytes ([é] is
       ["\xc3\xa9"]), and each half of a surrogate (U+D800–U+DFFF) becomes
       ['?'], so pairs are not combined.
+
+    Two fast paths skip the per-token copy, and each returns what the
+    general reader returns for its input:
+    - a run that is an optional [-] and then 1–18 digits is read in
+      place as an [Int] (it is below 10{^18}, inside [int]); [+7], a
+      19-digit run, [1e3], [5.] and every other run are copied and read
+      as above;
+    - a string with no backslash before its closing quote is one
+      [String.sub]; a string with an escape, or cut off by the end of
+      input, is read byte by byte, so its value or its error and offset
+      are unchanged.
     - An array or object nested more than {!max_depth} deep is an
       [Error], found at its opening bracket; the reader never recurses
       deeper than that.
@@ -52,8 +63,13 @@ val parse : string -> (t, string) result
 
 val render : t -> string
 (** Compact single-line rendering (never contains ['\n'], so a rendered
-    value is always one wire line). A non-finite [Float] renders as [nan],
-    [inf] or [-inf], which {!parse} rejects. *)
+    value is always one wire line), written into one buffer: integers
+    are [string_of_int]'s bytes ({!Emit.add_int}), strings are escaped
+    by {!Emit.add_json_escaped}, and a finite [Float] is Printf's
+    ["%.1f"] when it is integral and below 10{^15} in magnitude, else
+    ["%.17g"] (both through the [caml_format_float] primitive those
+    formats call), so it reads back bit for bit. JSON has no NaN or
+    infinity: a non-finite [Float] renders as [null]. *)
 
 (** {1 Accessors} — total lookups used by the decoders. *)
 

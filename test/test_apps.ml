@@ -42,6 +42,81 @@ let test_registry () =
        false
      with Not_found -> true)
 
+(* ------------------------- Default parameters ---------------------- *)
+
+(* [App.divisor_tile] as it was before it became a scan: every divisor of
+   [n] up to [cap] by trial division, then the largest one [par]
+   divides, else the largest one, else [n]. *)
+let enumerated_divisor_tile ~n ~cap ~par =
+  let ds = Dhdl_util.Intmath.divisors_up_to n cap in
+  match List.rev (List.filter (fun d -> d mod par = 0) ds) with
+  | d :: _ -> d
+  | [] -> ( match List.rev ds with d :: _ -> d | [] -> n)
+
+let prop_divisor_tile_oracle =
+  let open QCheck.Gen in
+  let n =
+    oneof
+      [ int_range 1 64; int_range 1 200_000; int_range 1 50_000_000;
+        oneofl [ 1; 2; 720; 5040; 65_536; 999_983; 9_995_328; 18_720_000; 187_200_000 ] ]
+  in
+  (* The scan takes up to [min cap n] steps, so caps at or above [n] are
+     drawn for the smaller [n] only. *)
+  let case =
+    n >>= fun n ->
+    let caps =
+      [ int_range (-3) 0; int_range 1 4096 ]
+      @ if n <= 200_000 then [ int_range 1 (n + 64); int_range n ((2 * n) + 10) ] else []
+    in
+    let par = oneof [ int_range 1 16; int_range 1 (n + 8); oneofl [ 1; 8; 64; 1024 ] ] in
+    triple (return n) (oneof caps) par
+  in
+  QCheck.Test.make ~count:3_000 ~name:"divisor_tile = the divisor enumeration"
+    (QCheck.make ~print:QCheck.Print.(triple int int int) case)
+    (fun (n, cap, par) -> App.divisor_tile ~n ~cap ~par = enumerated_divisor_tile ~n ~cap ~par)
+
+let test_divisor_tile_known () =
+  check_int "dotproduct" 2000 (App.divisor_tile ~n:187_200_000 ~cap:2048 ~par:8);
+  check_int "no divisor par divides: largest divisor" 7 (App.divisor_tile ~n:49 ~cap:10 ~par:2);
+  check_int "cap below 1: n" 49 (App.divisor_tile ~n:49 ~cap:0 ~par:2);
+  check_int "cap above n" 48 (App.divisor_tile ~n:48 ~cap:1000 ~par:16)
+
+(* Every served request, CLI command and sweep resolves against these. *)
+let default_pins =
+  [
+    ( "dotproduct",
+      [ ("tile", 2000); ("par", 8); ("meta", 1) ],
+      [ ("tile", 1024); ("par", 8); ("meta", 1) ] );
+    ( "outerprod",
+      [ ("tileA", 128); ("tileB", 128); ("par", 4); ("metaA", 1); ("metaB", 1) ],
+      [ ("tileA", 64); ("tileB", 32); ("par", 4); ("metaA", 1); ("metaB", 1) ] );
+    ( "gemm",
+      [ ("tileN", 32); ("tileM", 4); ("tileK", 8); ("par", 4); ("metaK", 1); ("metaR", 0) ],
+      [ ("tileN", 16); ("tileM", 4); ("tileK", 8); ("par", 4); ("metaK", 1); ("metaR", 0) ] );
+    ( "tpchq6",
+      [ ("tile", 2000); ("par", 8); ("meta", 1) ],
+      [ ("tile", 512); ("par", 8); ("meta", 1) ] );
+    ( "blackscholes",
+      [ ("tile", 2016); ("par", 4); ("meta", 1) ],
+      [ ("tile", 256); ("par", 4); ("meta", 1) ] );
+    ( "gda",
+      [ ("tile", 24); ("parP1", 4); ("parP2", 4); ("metaM1", 1); ("metaM2", 1) ],
+      [ ("tile", 24); ("parP1", 4); ("parP2", 4); ("metaM1", 1); ("metaM2", 1) ] );
+    ( "kmeans",
+      [ ("tile", 32); ("parDist", 4); ("parAcc", 2); ("parPoints", 2); ("meta", 1) ],
+      [ ("tile", 32); ("parDist", 4); ("parAcc", 2); ("parPoints", 2); ("meta", 1) ] );
+  ]
+
+let test_default_params_pinned () =
+  let params = Alcotest.(list (pair string int)) in
+  List.iter
+    (fun (name, paper, test) ->
+      let app = Registry.find name in
+      Alcotest.check params (name ^ " at paper sizes") paper (app.App.default_params app.App.paper_sizes);
+      Alcotest.check params (name ^ " at test sizes") test (app.App.default_params app.App.test_sizes))
+    default_pins;
+  check_int "every app pinned" (List.length Registry.all) (List.length default_pins)
+
 (* ------------------------- Structural checks ----------------------- *)
 
 let test_all_validate_at_test_sizes () =
@@ -234,6 +309,12 @@ let () =
   Alcotest.run "apps"
     [
       ("registry", [ Alcotest.test_case "suite" `Quick test_registry ]);
+      ( "defaults",
+        [
+          QCheck_alcotest.to_alcotest prop_divisor_tile_oracle;
+          Alcotest.test_case "divisor_tile known" `Quick test_divisor_tile_known;
+          Alcotest.test_case "default params pinned" `Quick test_default_params_pinned;
+        ] );
       ( "structure",
         [
           Alcotest.test_case "validate test sizes" `Quick test_all_validate_at_test_sizes;

@@ -189,6 +189,44 @@ let test_summary_sections () =
     (fun needle -> check_bool ("summary mentions " ^ needle) true (contains s needle))
     [ "counters"; "gauges"; "histograms"; "spans"; "p95"; "a"; "c"; "g"; "h" ]
 
+let dhdl_exe = Filename.concat (Filename.concat ".." "bin") "dhdl.exe"
+
+(* JSON has no NaN or infinity: a non-finite value is exported as [null],
+   and [dhdl metrics --from] reads it back as nan ([nan] in the log would
+   not parse). *)
+let test_jsonl_non_finite () =
+  let snap =
+    with_fake_sink @@ fun () ->
+    Obs.gauge "g.nan" Float.nan;
+    Obs.gauge "g.inf" Float.infinity;
+    Obs.gauge "g.one" 1.0;
+    Obs.snapshot ()
+  in
+  let jsonl = Obs.to_jsonl snap in
+  check_string "non-finite gauges are null"
+    "{\"type\":\"gauge\",\"name\":\"g.inf\",\"value\":null}\n\
+     {\"type\":\"gauge\",\"name\":\"g.nan\",\"value\":null}\n\
+     {\"type\":\"gauge\",\"name\":\"g.one\",\"value\":1.000}\n"
+    jsonl;
+  let path = Filename.temp_file "obs_non_finite" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc jsonl);
+  let ic = Unix.open_process_args_in dhdl_exe [| dhdl_exe; "metrics"; "--from"; path |] in
+  let out = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  Sys.remove path;
+  check_bool "dhdl metrics --from exits 0" true (status = Unix.WEXITED 0);
+  let row name =
+    List.find_opt (String.starts_with ~prefix:name) (String.split_on_char '\n' out)
+  in
+  List.iter
+    (fun (name, value) ->
+      match row name with
+      | Some line ->
+        check_bool (Printf.sprintf "%s reads back as %s: %S" name value line) true
+          (String.ends_with ~suffix:value (String.trim line))
+      | None -> Alcotest.failf "no %s row in:\n%s" name out)
+    [ ("g.nan", "nan"); ("g.inf", "nan"); ("g.one", "1.000") ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -216,5 +254,7 @@ let () =
           Alcotest.test_case "chrome trace golden" `Quick test_chrome_trace_golden;
           Alcotest.test_case "json escaping" `Quick test_json_escaping;
           Alcotest.test_case "summary sections" `Quick test_summary_sections;
+          Alcotest.test_case "non-finite values through metrics --from" `Quick
+            test_jsonl_non_finite;
         ] );
     ]

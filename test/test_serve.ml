@@ -567,6 +567,27 @@ let test_reply_roundtrip () =
   | Ok _ -> Alcotest.fail "an error reply without a code must be rejected"
   | Error msg -> check_bool "mentions code" true (contains msg "code")
 
+(* JSON has no NaN: a non-finite estimate field is written [null], so the
+   reply still parses on the client ([nan] on the wire would not). *)
+let test_reply_non_finite () =
+  let estimate =
+    Sjson.Obj
+      [ ("app", Sjson.Str "gda"); ("cycles", Sjson.Float Float.nan);
+        ("seconds", Sjson.Float Float.infinity); ("alm_pct", Sjson.Float 12.5) ]
+  in
+  let line = P.render_reply (P.ok ~id:"nan" estimate) in
+  check_str "written as null"
+    "{\"id\":\"nan\",\"ok\":{\"app\":\"gda\",\"cycles\":null,\"seconds\":null,\"alm_pct\":12.5}}"
+    line;
+  match P.parse_reply line with
+  | Ok { P.r_id = "nan"; r_body = Ok payload } ->
+    check_bool "non-finite fields read back as null" true
+      (Sjson.member "cycles" payload = Some Sjson.Null
+      && Sjson.member "seconds" payload = Some Sjson.Null
+      && Sjson.member "alm_pct" payload = Some (Sjson.Float 12.5))
+  | Ok r -> Alcotest.failf "unexpected reply %s" (P.render_reply r)
+  | Error msg -> Alcotest.failf "a reply carrying nan does not parse: %s" msg
+
 (* ==================================================================== *)
 (* 5. Session store                                                     *)
 (* ==================================================================== *)
@@ -1110,6 +1131,102 @@ let test_socket_stale_file_replaced () =
   ignore (must_call client (P.request ~id:"stale-bye" P.Shutdown));
   rm_rf root
 
+(* A one-connection server that reads the client's request line, then
+   writes [chunks], each with a write of its own, [gap] seconds apart. *)
+let with_scripted_server socket ?(gap = 0.0) chunks f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (try Sys.remove socket with Sys_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 1;
+  let server =
+    Domain.spawn (fun () ->
+        let cfd, _ = Unix.accept lfd in
+        Fun.protect
+          ~finally:(fun () -> Unix.close cfd)
+          (fun () ->
+            let b = Bytes.create 1 in
+            let rec request_line () =
+              if Unix.read cfd b 0 1 = 1 && Bytes.get b 0 <> '\n' then request_line ()
+            in
+            request_line ();
+            try
+              List.iter
+                (fun c ->
+                  ignore (Unix.write_substring cfd c 0 (String.length c));
+                  Unix.sleepf gap)
+                chunks
+            with Unix.Unix_error _ -> ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join server;
+      Unix.close lfd;
+      try Sys.remove socket with Sys_error _ -> ())
+    f
+
+(* The client scans only the bytes each read returns for the newline: a
+   reply that arrives one byte per read is assembled whole, and of two
+   reply lines that arrive in one read the first is returned. *)
+let test_client_reply_reads () =
+  let socket = tmp "scripted.sock" in
+  let client = Client.create ~timeout_s:10.0 ~max_attempts:1 ~socket_path:socket () in
+  let reply id = P.render_reply (P.ok ~id (Sjson.Obj [ ("pong", Sjson.Bool true) ])) ^ "\n" in
+  let call () =
+    match Client.call client (P.request ~id:"q" P.Ping) with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "no reply: %s" msg
+  in
+  let line = reply "dribbled" in
+  let r =
+    with_scripted_server socket ~gap:0.002
+      (List.init (String.length line) (fun i -> String.make 1 line.[i]))
+      call
+  in
+  check_str "a reply one byte per read" (reply "dribbled") (P.render_reply r ^ "\n");
+  let r = with_scripted_server socket [ reply "first" ^ reply "second" ] call in
+  check_str "two lines in one read: the first" "first" r.P.r_id;
+  let r = with_scripted_server socket ~gap:0.01 [ String.sub line 0 (String.length line - 1); "\n" ] call in
+  check_str "a newline alone in the last read" "dribbled" r.P.r_id
+
+(* With Obs on, every request line is parsed under [serve.parse] and
+   every reply rendered under [serve.render] inside its request's span,
+   so a [dhdl serve --jsonl] log accounts for the codec per request. *)
+let test_socket_codec_spans () =
+  let socket = tmp "spans.sock" in
+  let root = fresh_root "spans" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  with_server ~socket (sup_config ~root ()) (fun client ->
+      List.iter
+        (fun req -> ignore (must_call client req))
+        [ P.request ~id:"sp-1" P.Ping; P.request ~id:"sp-2" ~app:"dotproduct" P.Estimate;
+          P.request ~id:"sp-3" ~specs:[ ("gda", []); ("kmeans", []) ] P.Estimate_batch ]);
+  (* [with_server] has shut the server down and joined it: its worker's
+     spans are all in the sink. *)
+  let spans = (Obs.snapshot ()).Obs.snap_spans in
+  let named name = List.filter (fun sp -> sp.Obs.sp_name = name) spans in
+  let requests =
+    List.filter
+      (fun sp -> sp.Obs.sp_depth = 0 && String.starts_with ~prefix:"serve." sp.Obs.sp_name
+                 && sp.Obs.sp_track > 0)
+      spans
+  in
+  let parses = named "serve.parse" and renders = named "serve.render" in
+  (* The ready pings, the three requests and the shutdown. *)
+  check_bool (Printf.sprintf "%d requests seen (>= 5)" (List.length requests)) true
+    (List.length requests >= 5);
+  check_int "one serve.parse per request" (List.length requests) (List.length parses);
+  check_int "one serve.render per request" (List.length requests) (List.length renders);
+  List.iter
+    (fun req ->
+      let inside =
+        List.filter (fun sp -> sp.Obs.sp_track = req.Obs.sp_track && sp.Obs.sp_depth > 0) renders
+      in
+      check_int (req.Obs.sp_name ^ " renders its reply inside its span") 1 (List.length inside))
+    requests;
+  rm_rf root
+
 (* ==================================================================== *)
 (* 9. Acceptance soak: 5% mixed faults, exactly one typed reply each    *)
 (* ==================================================================== *)
@@ -1208,6 +1325,7 @@ let () =
           Alcotest.test_case "batch request roundtrip" `Quick test_batch_request_roundtrip;
           Alcotest.test_case "request parse errors" `Quick test_request_parse_errors;
           Alcotest.test_case "reply roundtrip" `Quick test_reply_roundtrip;
+          Alcotest.test_case "non-finite estimate survives the codec" `Quick test_reply_non_finite;
         ] );
       ( "session",
         [
@@ -1243,6 +1361,9 @@ let () =
           Alcotest.test_case "line reader: dribble, pair, 4 MB line" `Quick test_socket_line_reader;
           Alcotest.test_case "wrong-typed fields answer bad_request once" `Quick
             test_socket_wrong_typed_fields;
+          Alcotest.test_case "client: reply byte by byte, two lines in one read" `Quick
+            test_client_reply_reads;
+          Alcotest.test_case "codec spans per request" `Quick test_socket_codec_spans;
         ] );
       ( "soak",
         [

@@ -391,22 +391,49 @@ let test_emit_escape_every_byte () =
 
 let finite_floats =
   [| 0.; -0.; 1.; -1.5; 0.1; 1e14; 1e15; -1e15; 9.2e16; 1e17; 1e300; Float.max_float;
-     -.Float.max_float; Float.min_float; Float.epsilon; Int64.float_of_bits 1L |]
+     -.Float.max_float; Float.min_float; Float.epsilon; Int64.float_of_bits 1L;
+     999999999999999.; -999999999999999.; 1e15 +. 1.; 9007199254740992.; 1e18; 4.6116860184273879e18;
+     Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL; -.Int64.float_of_bits 1L |]
+
+(* Integral floats below 1e15 (written "%.1f") and at or above it
+   (written "%.17g"), either sign. *)
+let gen_integral_float =
+  let open QCheck.Gen in
+  oneof
+    [ map Float.of_int small_signed_int;
+      map Float.of_int (int_range (-999_999_999_999_999) 999_999_999_999_999);
+      map Float.of_int (int_range (-4_000_000_000_000_000_000) 4_000_000_000_000_000_000);
+      map (fun k -> 1e15 +. Float.of_int k) (int_range (-3) 3);
+      map (fun k -> -1e15 -. Float.of_int k) (int_range (-3) 3) ]
+
+(* Subnormals, either sign: exponent bits all zero. *)
+let gen_subnormal =
+  QCheck.Gen.map2
+    (fun b neg ->
+      let f = Int64.float_of_bits (Int64.logand b 0x000F_FFFF_FFFF_FFFFL) in
+      if neg then -.f else f)
+    QCheck.Gen.ui64 QCheck.Gen.bool
+
+(* Any of the 256 bytes, and more often the ones the writer escapes and
+   the reader's string fast path stops at. *)
+let gen_byte =
+  QCheck.Gen.(frequency [ (4, char); (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031'; '\127'; '\255' ]) ])
 
 let gen_json =
   let open QCheck.Gen in
-  let str = string_size ~gen:char (int_range 0 12) in
+  let str = string_size ~gen:gen_byte (int_range 0 12) in
   let finite f = if Float.is_finite f then f else 0.5 in
   let leaf =
     frequency
       [ (1, return Json.Null); (1, map (fun b -> Json.Bool b) bool);
         (3, map (fun n -> Json.Int n) (oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ]));
-        ( 3,
+        ( 4,
           map
             (fun f -> Json.Float f)
             (oneof
                [ oneofa finite_floats; map finite float;
-                 map (fun b -> finite (Int64.float_of_bits b)) ui64 ]) );
+                 map (fun b -> finite (Int64.float_of_bits b)) ui64; gen_integral_float;
+                 gen_subnormal ]) );
         (3, map (fun s -> Json.Str s) str) ]
   in
   sized_size (int_range 0 40)
@@ -441,16 +468,18 @@ let prop_json_roundtrip =
 (* [Ok] or [Error], never an exception (a stack overflow included). *)
 let total s = match Json.parse s with Ok _ | Error _ -> true
 
-let prop_json_total_bytes =
+(* Random byte strings, weighted toward JSON's own bytes. *)
+let arb_bytes =
   let open QCheck.Gen in
   let byte =
     frequency
       [ (6, oneofl (List.of_seq (String.to_seq "{}[]\",:\\u0123456789aeE+-.")));
         (2, oneofl [ 't'; 'r'; 'n'; 'l'; 'f'; 's'; ' '; '\n' ]); (1, char) ]
   in
-  QCheck.Test.make ~count:5_000 ~name:"parse never raises on arbitrary bytes"
-    (QCheck.make ~print:String.escaped (string_size ~gen:byte (int_range 0 64)))
-    total
+  QCheck.make ~print:String.escaped (string_size ~gen:byte (int_range 0 64))
+
+let prop_json_total_bytes =
+  QCheck.Test.make ~count:5_000 ~name:"parse never raises on arbitrary bytes" arb_bytes total
 
 let prop_json_total_prefixes =
   QCheck.Test.make ~count:500 ~name:"parse never raises on a prefix of a rendered value" arb_json
@@ -467,6 +496,108 @@ let prop_json_total_mutants =
       total (Bytes.to_string r))
 
 let parses s = match Json.parse s with Ok v -> Some v | Error _ -> None
+
+(* ---------------- Json against the verbatim old codec (Json_oracle) *)
+
+(* Exact equality: floats by their bits, so [Int 7] and [Float 7.] and
+   [0.] and [-0.] all differ. *)
+let rec identical a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal identical xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && identical v v') xs ys
+  | _ -> a = b
+
+(* The same value, or the same error message, offset included. *)
+let parse_as_oracle s =
+  match (Json.parse s, Json_oracle.parse s) with
+  | Ok v, Ok v' -> identical v v'
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+let prop_render_oracle =
+  QCheck.Test.make ~count:3_000 ~name:"render = the oracle's render, finite values" arb_json
+    (fun v -> String.equal (Json.render v) (Json_oracle.render v))
+
+let prop_parse_oracle_rendered =
+  QCheck.Test.make ~count:2_000 ~name:"parse = the oracle's parse, rendered values" arb_json
+    (fun v -> parse_as_oracle (Json.render v))
+
+let prop_parse_oracle_prefixes =
+  QCheck.Test.make ~count:400 ~name:"parse = the oracle's parse, every prefix" arb_json (fun v ->
+      let r = Json.render v in
+      List.for_all
+        (fun k -> parse_as_oracle (String.sub r 0 k))
+        (List.init (String.length r + 1) Fun.id))
+
+let prop_parse_oracle_mutants =
+  QCheck.Test.make ~count:3_000 ~name:"parse = the oracle's parse, one-byte mutants"
+    QCheck.(triple arb_json small_nat char)
+    (fun (v, at, c) ->
+      let r = Bytes.of_string (Json.render v) in
+      Bytes.set r (at mod Bytes.length r) c;
+      parse_as_oracle (Bytes.to_string r))
+
+let prop_parse_oracle_bytes =
+  QCheck.Test.make ~count:5_000 ~name:"parse = the oracle's parse, random bytes" arb_bytes
+    parse_as_oracle
+
+(* Number lexemes around the integer fast path (an optional '-' and 1-18
+   digits), alone and where a value sits in a document. *)
+let number_edges =
+  [ "0"; "-0"; "7"; "-7"; "007"; "-007"; "+7"; "-"; "--1"; "-+1"; "1-2"; "1e3"; "1E3"; "5."; ".5";
+    "-.5"; "1.0"; "-1.5e-3"; "1e400"; "-1e400"; "1e"; "e1"; "+"; ".";
+    String.make 18 '9'; "-" ^ String.make 18 '9'; String.make 18 '0'; "1" ^ String.make 17 '0';
+    String.make 19 '9'; "-" ^ String.make 19 '9'; String.make 19 '0'; "1" ^ String.make 18 '0';
+    "-1" ^ String.make 18 '0'; "4611686018427387903"; "4611686018427387904";
+    "-4611686018427387904"; "-4611686018427387905"; "9999999999999999999" ]
+
+let in_contexts lexeme =
+  [ lexeme; " " ^ lexeme ^ " "; "[" ^ lexeme ^ "]"; "[" ^ lexeme ^ ","; "{\"a\":" ^ lexeme ^ "}";
+    "[" ^ lexeme ^ " ]"; "[1," ^ lexeme ^ "]"; lexeme ^ "x"; lexeme ^ "\"" ]
+
+let test_json_number_edges () =
+  List.iter
+    (fun lexeme ->
+      List.iter
+        (fun doc -> check_bool (Printf.sprintf "%S as the oracle reads it" doc) true (parse_as_oracle doc))
+        (in_contexts lexeme))
+    number_edges;
+  check_bool "18 nines is an Int" true
+    (Json.parse (String.make 18 '9') = Ok (Json.Int 999_999_999_999_999_999));
+  check_bool "-0 is Int 0" true (Json.parse "-0" = Ok (Json.Int 0))
+
+let prop_parse_oracle_lexemes =
+  let open QCheck.Gen in
+  let lexeme =
+    string_size
+      ~gen:(frequency [ (8, numeral); (1, oneofl [ '-'; '+'; '.'; 'e'; 'E' ]) ])
+      (int_range 0 22)
+  in
+  QCheck.Test.make ~count:5_000 ~name:"parse = the oracle's parse, number lexemes"
+    (QCheck.make ~print:String.escaped (map2 (fun l k -> List.nth (in_contexts l) k) lexeme (int_range 0 8)))
+    parse_as_oracle
+
+(* Strings around the string fast path (no backslash before the closing
+   quote): escapes first, last and alone, and strings cut off. *)
+let test_json_string_edges () =
+  List.iter
+    (fun doc -> check_bool (Printf.sprintf "%S as the oracle reads it" doc) true (parse_as_oracle doc))
+    [ "\"\""; "\"abc\""; "\"\\n\""; "\"a\\\"b\""; "\"\\\\\""; "\"abc\\\""; "\"abc"; "\"abc\\";
+      "\"ab\\u00e9c\""; "\"\\u12\""; "\"\\x\""; "\"raw\ncontrol\000\""; "\""; "{\"k\":\"v\"}";
+      "{\"k\\\"\":1}"; "{\"k"; "[\"a\",\"b\\\\\",\"c\"]" ]
+
+(* JSON has no NaN or infinity; the oracle writes [nan], [inf] and
+   [-inf], which no JSON reader accepts. *)
+let test_json_non_finite_null () =
+  List.iter
+    (fun f -> Alcotest.(check string) (Printf.sprintf "%h renders null" f) "null" (Json.render (Json.Float f)))
+    [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity ];
+  let doc = Json.render (Json.Obj [ ("a", Json.List [ Json.Float Float.nan; Json.Float 1.5 ]) ]) in
+  Alcotest.(check string) "nested" "{\"a\":[null,1.5]}" doc;
+  check_bool "reads back" true
+    (Json.parse doc = Ok (Json.Obj [ ("a", Json.List [ Json.Null; Json.Float 1.5 ]) ]))
 
 let test_json_unicode_escapes () =
   let str s = parses (Printf.sprintf "\"%s\"" s) in
@@ -638,6 +769,19 @@ let () =
           Alcotest.test_case "file integers are integer lexemes" `Quick
             test_json_file_integers_strict;
           qtest prop_checkpoint_load_save;
+        ] );
+      ( "json oracle",
+        [
+          qtest prop_render_oracle;
+          Alcotest.test_case "non-finite floats render null" `Quick test_json_non_finite_null;
+          qtest prop_parse_oracle_rendered;
+          qtest prop_parse_oracle_prefixes;
+          qtest prop_parse_oracle_mutants;
+          qtest prop_parse_oracle_bytes;
+          Alcotest.test_case "number lexemes at the fast path's edges" `Quick
+            test_json_number_edges;
+          qtest prop_parse_oracle_lexemes;
+          Alcotest.test_case "strings at the fast path's edges" `Quick test_json_string_edges;
         ] );
       ( "intmath",
         [
