@@ -770,7 +770,7 @@ let () =
             test_json_file_integers_strict;
           qtest prop_checkpoint_load_save;
         ] );
-      ( "json oracle",
+      ( "codec",
         [
           qtest prop_render_oracle;
           Alcotest.test_case "non-finite floats render null" `Quick test_json_non_finite_null;
