@@ -361,6 +361,113 @@ let test_cli_success_still_zero () =
   check_bool "lists the paper benchmarks" true (contains out "dotproduct")
 
 (* ==================================================================== *)
+(* 2b. Golden point corpus: what the CLI prints and the server answers  *)
+(*     for one design point, pinned by exit code and digest             *)
+(* ==================================================================== *)
+
+(* Every app's defaults, kmeans at a clean and at a bank-conflicting
+   parDist, and a dotproduct point whose tile its par does not divide. *)
+let corpus_bindings =
+  List.map (fun (a : App.t) -> (a.App.name, [])) Registry.all
+  @ [
+      ("kmeans", [ ("parDist", 12) ]);
+      ("kmeans", [ ("parDist", 16) ]);
+      ("dotproduct", [ ("tile", 1000); ("par", 7) ]);
+    ]
+
+let corpus_cli_modes =
+  [
+    ("estimate", [ "estimate" ]);
+    ("lint", [ "lint" ]);
+    ("lint-json", [ "lint"; "--json" ]);
+    ("analyze", [ "analyze" ]);
+    ("analyze-json", [ "analyze"; "--json" ]);
+    ("symbolic", [ "analyze"; "--symbolic" ]);
+    ("symbolic-json", [ "analyze"; "--symbolic"; "--json" ]);
+  ]
+
+let corpus_line mode app params outcome text =
+  Printf.sprintf "%s %s %s %s %s" mode app
+    (match params with
+    | [] -> "-"
+    | _ -> String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params))
+    outcome
+    (Digest.to_hex (Digest.string text))
+
+(* The estimate's [setup] lines name the cache file and its [estimation]
+   line times the run; neither is part of the answer. *)
+let answer_lines out =
+  String.split_on_char '\n' out
+  |> List.filter (fun l ->
+         not
+           (String.starts_with ~prefix:"[setup]" l
+           || String.starts_with ~prefix:"  estimation :" l))
+  |> String.concat "\n"
+
+let corpus_cli ~cache =
+  List.concat_map
+    (fun (app, params) ->
+      let args = List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params in
+      List.map
+        (fun (mode, verb) ->
+          let extra = if mode = "estimate" then [ "--cache"; cache ] else [] in
+          let code, out, _ = run_cli ((verb @ (app :: args)) @ extra) in
+          corpus_line mode app params (string_of_int code) (answer_lines out))
+        corpus_cli_modes)
+    corpus_bindings
+
+(* The served payloads, ids dropped: the reply body exactly as the wire
+   carries it. *)
+let corpus_served ~cache =
+  let est =
+    match Estimator.load cache with
+    | Some est -> est
+    | None -> Estimator.create ~seed:2016 ~train_samples:200 ()
+  in
+  let cfg =
+    { (sup_config ()) with Supervisor.estimator = Lazy.from_val est }
+  in
+  with_sup cfg @@ fun sup ->
+  List.concat_map
+    (fun (app, params) ->
+      List.map
+        (fun verb ->
+          let put, wait = inbox () in
+          Supervisor.submit sup (P.request ~id:(fresh_id "corpus") ~app ~params verb) ~reply_to:put;
+          let outcome, text =
+            match (wait ()).P.r_body with
+            | Ok j -> ("ok", Sjson.render j)
+            | Error e -> (P.error_code_name e.P.err_code, e.P.err_message)
+          in
+          corpus_line ("serve-" ^ P.verb_name verb) app params outcome text)
+        [ P.Estimate; P.Lint; P.Analyze ])
+    corpus_bindings
+
+(* test/golden/points.txt holds one line per run: mode, app, binding,
+   exit code (or reply code) and the MD5 of the output. On a mismatch the
+   whole actual corpus is written to points.actual beside the test. *)
+let test_golden_corpus () =
+  let cache = tmp (fresh_id "corpus-est.cache") in
+  (* Train once: the first run writes the cache every later one loads. *)
+  let code, _, _ = run_cli [ "estimate"; "dotproduct"; "--cache"; cache ] in
+  check_int "training run exits 0" 0 code;
+  let actual =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove cache with Sys_error _ -> ())
+      (fun () -> corpus_cli ~cache @ corpus_served ~cache)
+  in
+  let expected =
+    String.split_on_char '\n' (read_file (Filename.concat "golden" "points.txt"))
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  if actual <> expected then begin
+    let oc = open_out "points.actual" in
+    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+    close_out oc
+  end;
+  Alcotest.(check (list string)) "golden point corpus" expected actual
+
+(* ==================================================================== *)
 (* 3. JSON codec                                                        *)
 (* ==================================================================== *)
 
@@ -1311,6 +1418,8 @@ let () =
           Alcotest.test_case "train-samples below one" `Quick test_cli_train_samples_below_one;
           Alcotest.test_case "valid command still exits 0" `Quick test_cli_success_still_zero;
         ] );
+      ( "corpus",
+        [ Alcotest.test_case "CLI and served outputs by digest" `Quick test_golden_corpus ] );
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
