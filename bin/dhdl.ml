@@ -6,17 +6,16 @@ open Cmdliner
 
 module App = Dhdl_apps.App
 module Registry = Dhdl_apps.Registry
+module Request = Dhdl_apps.Request
 module Estimator = Dhdl_model.Estimator
 module Explore = Dhdl_dse.Explore
 module Eval = Dhdl_dse.Eval
+module Outcome = Dhdl_dse.Outcome
 module Profile = Dhdl_dse.Profile
 module Experiments = Dhdl_core.Experiments
 module Lint = Dhdl_lint.Lint
-module Absint = Dhdl_absint.Absint
-module Symbolic = Dhdl_absint.Symbolic
-module Symgate = Dhdl_dse.Symgate
 module Diag = Dhdl_ir.Diag
-module Emit = Dhdl_util.Emit
+module Json = Dhdl_util.Json
 module Obs = Dhdl_obs.Obs
 
 let parse_params strs =
@@ -29,13 +28,6 @@ let parse_params strs =
         | None -> failwith (Printf.sprintf "bad parameter %S (%S is not an integer)" s v))
       | _ -> failwith (Printf.sprintf "bad parameter %S (expected name=value)" s))
     strs
-
-let lookup_app name =
-  try Registry.find name
-  with Not_found ->
-    failwith
-      (Printf.sprintf "unknown benchmark %S (available: %s)" name
-         (String.concat ", " Registry.names))
 
 (* [quiet] routes the setup chatter to stderr so machine-readable stdout
    (e.g. [dhdl profile --json]) stays one clean JSON document. *)
@@ -67,18 +59,10 @@ let make_eval ?cache ?quiet ?(no_cache = false) ~seed ~train_samples () =
   let est = make_estimator ?cache ?quiet ~seed ~train_samples () in
   if no_cache then Eval.create ~analysis_cap:0 ~estimate_cap:0 est else Eval.create est
 
-(* Resolve the CLI's positional parameters to the concrete binding the
-   generator will see — the defaults with each given [name=value]
-   overriding its entry — without elaborating. Generators tolerate
-   partial bindings, but the symbolic predicate routes on the full
-   point (pinned parameters included), so the merge matters. *)
-let resolved_point ~app ~params =
-  let app = lookup_app app in
-  (app, App.resolve app app.App.paper_sizes (parse_params params))
-
-let design_of ~app ~params =
-  let app, params = resolved_point ~app ~params in
-  (app, app.App.generate ~sizes:app.App.paper_sizes ~params)
+(* The design point the positional arguments name, checked and
+   elaborated by the request layer before any estimator is built, so a
+   bad binding fails at once. *)
+let point ~app ~params = Request.point app (parse_params params)
 
 (* --- common args ---------------------------------------------------- *)
 
@@ -181,14 +165,14 @@ let with_obs ~trace ~jsonl ~metrics f =
 let estimate_cmd =
   let run app params seed train cache trace jsonl metrics =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
+    let p = point ~app ~params in
     let ev = make_eval ?cache ~seed ~train_samples:train () in
-    let est = Eval.estimator ev in
-    let _, design = design_of ~app ~params in
     let t0 = Unix.gettimeofday () in
-    let e = Eval.estimate ev design in
+    let r = (Request.estimate ev p).Request.e_eval in
     let elapsed = Unix.gettimeofday () -. t0 in
+    let e = r.Outcome.estimate in
     let a = e.Estimator.area in
-    let alm, dsp, bram = Estimator.utilization est a in
+    let design = p.Request.design in
     Printf.printf "design %s\n" design.Dhdl_ir.Ir.d_name;
     Printf.printf "  parameters : %s\n"
       (String.concat " "
@@ -196,11 +180,11 @@ let estimate_cmd =
     Printf.printf "  cycles     : %s (%.4f s at 150 MHz)\n"
       (Dhdl_util.Texttable.fmt_int_commas (int_of_float e.Estimator.cycles))
       e.Estimator.seconds;
-    Printf.printf "  ALMs       : %d (%.1f%%)\n" a.Estimator.alms alm;
-    Printf.printf "  DSPs       : %d (%.1f%%)\n" a.Estimator.dsps dsp;
-    Printf.printf "  BRAMs      : %d (%.1f%%)\n" a.Estimator.brams bram;
+    Printf.printf "  ALMs       : %d (%.1f%%)\n" a.Estimator.alms r.Outcome.alm_pct;
+    Printf.printf "  DSPs       : %d (%.1f%%)\n" a.Estimator.dsps r.Outcome.dsp_pct;
+    Printf.printf "  BRAMs      : %d (%.1f%%)\n" a.Estimator.brams r.Outcome.bram_pct;
     Printf.printf "  registers  : %d\n" a.Estimator.regs;
-    Printf.printf "  fits       : %b\n" (Estimator.fits est a);
+    Printf.printf "  fits       : %b\n" r.Outcome.valid;
     Printf.printf "  estimation : %.4f ms\n" (elapsed *. 1000.0)
   in
   Cmd.v
@@ -212,7 +196,7 @@ let estimate_cmd =
 let synth_cmd =
   let run app params trace jsonl metrics =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
-    let _, design = design_of ~app ~params in
+    let design = (point ~app ~params).Request.design in
     let rpt = Dhdl_synth.Toolchain.synthesize design in
     let sim = Dhdl_sim.Perf_sim.simulate design in
     let wall = Dhdl_synth.Toolchain.synthesis_wall_seconds (Dhdl_synth.Toolchain.netlist design) in
@@ -334,6 +318,7 @@ let dse_cmd =
   let run app seed train points cache trace jsonl metrics jobs chunk no_cache checkpoint resume
       deadline inject faults_seed no_absint no_symbolic profile =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
+    let a = Request.app app in
     let cfg =
       Explore.Config.make ~seed ~max_points:points ~absint:(not no_absint)
         ~symbolic:(not no_symbolic) ~jobs ~chunk ?checkpoint ~resume ?deadline_seconds:deadline
@@ -345,7 +330,6 @@ let dse_cmd =
         Printf.printf "[dev] injecting faults at p=%g (seed %d)\n%!" p faults_seed)
       inject;
     let ev = make_eval ?cache ~no_cache ~seed ~train_samples:train () in
-    let a = lookup_app app in
     let result =
       Explore.run cfg ev
         ~space:(a.App.space a.App.paper_sizes)
@@ -416,7 +400,7 @@ let codegen_cmd =
     Arg.(value & flag & info [ "manager" ] ~doc:"Emit the MaxJ manager instead of the kernel.")
   in
   let run app params manager =
-    let _, design = design_of ~app ~params in
+    let design = (point ~app ~params).Request.design in
     let text =
       if manager then Dhdl_codegen.Maxj.emit_manager design else Dhdl_codegen.Maxj.emit design
     in
@@ -428,9 +412,10 @@ let codegen_cmd =
 
 let compare_cmd =
   let run app params seed train cache =
+    let p = point ~app ~params in
+    let design = p.Request.design in
     let ev = make_eval ?cache ~seed ~train_samples:train () in
-    let _, design = design_of ~app ~params in
-    let e = Eval.estimate ev design in
+    let e = (Request.estimate ev p).Request.e_eval.Outcome.estimate in
     let rpt = Dhdl_synth.Toolchain.synthesize design in
     let sim = Dhdl_sim.Perf_sim.simulate design in
     let err actual predicted = Dhdl_util.Stats.percent_error ~actual ~predicted in
@@ -460,18 +445,14 @@ let compare_cmd =
     Term.(const run $ app_arg $ params_arg $ seed_arg $ train_arg $ cache_arg)
 
 let dot_cmd =
-  let run app params =
-    let _, design = design_of ~app ~params in
-    print_string (Dhdl_codegen.Dot.emit design)
+  let run app params = print_string (Dhdl_codegen.Dot.emit (point ~app ~params).Request.design)
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit the design's dataflow graph as Graphviz DOT.")
     Term.(const run $ app_arg $ params_arg)
 
 let print_cmd =
-  let run app params =
-    let _, design = design_of ~app ~params in
-    print_endline (Dhdl_ir.Pretty.design design)
+  let run app params = print_endline (Dhdl_ir.Pretty.design (point ~app ~params).Request.design)
   in
   Cmd.v
     (Cmd.info "print" ~doc:"Pretty-print the DHDL IR of a design point.")
@@ -530,7 +511,7 @@ let experiments_cmd =
 
 let interpret_cmd =
   let run app =
-    let a = lookup_app app in
+    let a = Request.app app in
     let sizes = a.App.test_sizes in
     let design = a.App.generate ~sizes ~params:(a.App.default_params sizes) in
     let rng = Dhdl_util.Rng.create 7 in
@@ -588,30 +569,21 @@ let lint_cmd =
           ~doc:"Exit non-zero when diagnostics at or above SEVERITY are present (error|warning|info).")
   in
   let run app_opt params json all fail_on =
-    let targets =
-      if all then
-        List.map
-          (fun (a : App.t) ->
-            let sizes = a.App.paper_sizes in
-            a.App.generate ~sizes ~params:(a.App.default_params sizes))
-          Registry.all
+    let points =
+      if all then List.map (fun (a : App.t) -> Request.point a.App.name []) Registry.all
       else
         match app_opt with
         | None -> failwith "expected a BENCHMARK name (or --all)"
-        | Some app -> [ snd (design_of ~app ~params) ]
+        | Some app -> [ point ~app ~params ]
     in
-    let reports = List.map (fun design -> (design, Lint.check design)) targets in
+    let reports = List.map Request.lint points in
+    let render l = Json.render (Request.lint_json l) in
     if json then
       match reports with
-      | [ (design, diags) ] when not all -> print_endline (Lint.render_json ~design diags)
-      | _ ->
-        print_endline
-          ("["
-          ^ String.concat ",\n "
-              (List.map (fun (design, diags) -> Lint.render_json ~design diags) reports)
-          ^ "]")
-    else List.iter (fun (design, diags) -> print_endline (Lint.render_text ~design diags)) reports;
-    let code = Lint.exit_code ~fail_on (List.concat_map snd reports) in
+      | [ l ] when not all -> print_endline (render l)
+      | _ -> print_endline ("[" ^ String.concat ",\n " (List.map render reports) ^ "]")
+    else List.iter (fun l -> print_endline (Request.lint_text l)) reports;
+    let code = Lint.exit_code ~fail_on (List.concat_map (fun l -> l.Request.l_diags) reports) in
     if code <> 0 then exit code
   in
   Cmd.v
@@ -633,60 +605,19 @@ let analyze_cmd =
   in
   let run app params json symbolic =
     if symbolic then begin
-      let a, point = resolved_point ~app ~params in
-      let sizes = a.App.paper_sizes in
-      let gate =
-        Symgate.derive ~space:(a.App.space sizes)
-          ~generate:(fun p -> a.App.generate ~sizes ~params:p)
-          ()
-      in
-      let verdict = Symgate.verdict gate point in
-      (* The gate refutes or answers Unknown; it never constructs Legal. *)
-      let why = match verdict with Symbolic.Unknown why -> why | _ -> "" in
-      let point_str =
-        String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) point)
-      in
-      if json then begin
-        let str s = "\"" ^ Emit.json_escape s ^ "\"" in
-        let verdict_json =
-          match verdict with
-          | Symbolic.Refuted { code; witness } ->
-            Printf.sprintf "{\"kind\":\"refuted\",\"code\":%s,\"witness\":%s}" (str code)
-              (str witness)
-          | _ -> Printf.sprintf "{\"kind\":\"unknown\",\"why\":%s}" (str why)
-        in
-        print_endline
-          (Printf.sprintf "{\"systems\":[%s],\"point\":{%s},\"verdict\":%s}"
-             (String.concat ","
-                (List.map Symbolic.render_json (Symgate.systems gate)))
-             (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s:%d" (str k) v) point))
-             verdict_json)
-      end
-      else begin
-        List.iter (fun sys -> print_string (Symbolic.render_text sys)) (Symgate.systems gate);
-        match verdict with
-        | Symbolic.Refuted { code; witness } ->
-          Printf.printf "point %s: Refuted [%s] %s\n" point_str code witness
-        | _ -> Printf.printf "point %s: Unknown (%s)\n" point_str why
-      end;
-      match verdict with Symbolic.Refuted _ -> exit 2 | _ -> ()
+      let r = Request.symbolic app (parse_params params) in
+      if json then print_endline (Json.render (Request.symbolic_json r))
+      else print_string (Request.symbolic_text r);
+      if Request.symbolic_refuted r then exit 2
     end
     else begin
-      let _, design = design_of ~app ~params in
-      let report = Absint.analyze design in
-      let deps = Dhdl_absint.Dependence.analyze design in
-      if json then
-        print_endline
-          (Printf.sprintf "{\"absint\":%s,\"dependence\":%s}" (Absint.render_json report)
-             (Dhdl_absint.Dependence.render_json deps))
-      else begin
-        print_string (Absint.render_text report);
-        print_string (Dhdl_absint.Dependence.render_text deps)
-      end;
+      let r = Request.analyze (point ~app ~params) in
+      if json then print_endline (Json.render (Request.analysis_json r))
+      else print_string (Request.analysis_text r);
       (* Mirror lint's convention: exit 2 when a proven violation (out-of-
          bounds access, bank conflict, illegal vectorization, or cross-stage
          overlap) is present. *)
-      if not (Absint.clean report && Dhdl_absint.Dependence.clean deps) then exit 2
+      if not (Request.analysis_clean r) then exit 2
     end
   in
   Cmd.v
@@ -736,8 +667,8 @@ let profile_cmd =
   let run app jobs_list seed train points cache json trace jsonl metrics =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
     if jobs_list = [] then failwith "expected at least one --jobs level";
+    let a = Request.app app in
     let ev = make_eval ?cache ~quiet:json ~seed ~train_samples:train () in
-    let a = lookup_app app in
     let space = a.App.space a.App.paper_sizes in
     let generate p = a.App.generate ~sizes:a.App.paper_sizes ~params:p in
     let levels =
@@ -850,11 +781,12 @@ let metrics_cmd =
       | Some app -> app
       | None -> failwith "expected a BENCHMARK name (or --from FILE)"
     in
+    let p = point ~app ~params in
+    let a = p.Request.app in
     Obs.enable ();
     let ev = make_eval ?cache ~seed ~train_samples:train () in
-    let a, design = design_of ~app ~params in
-    let e = Eval.estimate ev design in
-    ignore (Dhdl_sim.Perf_sim.simulate design);
+    let e = (Request.estimate ev p).Request.e_eval.Outcome.estimate in
+    ignore (Dhdl_sim.Perf_sim.simulate p.Request.design);
     let result =
       Explore.run
         Explore.Config.(default |> with_seed seed |> with_max_points points)

@@ -23,12 +23,17 @@ let get params name default =
 let generate_default t sizes = t.generate ~sizes ~params:(t.default_params sizes)
 
 let resolve t sizes overrides =
-  let merged =
-    List.map
-      (fun (k, v) -> (k, match List.assoc_opt k overrides with Some v' -> v' | None -> v))
-      (t.default_params sizes)
-  in
-  merged @ List.filter (fun (k, _) -> not (List.mem_assoc k merged)) overrides
+  let defaults = t.default_params sizes in
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem_assoc k defaults) then
+        failwith
+          (Printf.sprintf "%s has no parameter %S (its parameters: %s)" t.name k
+             (String.concat ", " (List.map fst defaults))))
+    overrides;
+  List.map
+    (fun (k, v) -> (k, match List.assoc_opt k overrides with Some v' -> v' | None -> v))
+    defaults
 
 (* Largest divisor of [n] that is <= [cap] and divisible by [par]; used by
    default design points so they are legal at any dataset size. Scanning

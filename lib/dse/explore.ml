@@ -64,7 +64,6 @@ module Config = struct
     symbolic : bool;
     jobs : int;
     chunk : int;
-    span_every : int;
     tick_every : int;
     checkpoint : string option;
     checkpoint_every : int;
@@ -115,7 +114,6 @@ module Config = struct
       symbolic = true;
       jobs = 1;
       chunk = 16;
-      span_every = 100;
       tick_every = 1000;
       checkpoint = None;
       checkpoint_every = 500;
@@ -127,13 +125,12 @@ module Config = struct
 
   let make ?(seed = default.seed) ?(max_points = default.max_points) ?(lint = default.lint)
       ?(absint = default.absint) ?(symbolic = default.symbolic) ?(jobs = default.jobs)
-      ?(chunk = default.chunk) ?(span_every = default.span_every)
-      ?(tick_every = default.tick_every) ?checkpoint
+      ?(chunk = default.chunk) ?(tick_every = default.tick_every) ?checkpoint
       ?(checkpoint_every = default.checkpoint_every) ?(resume = default.resume)
       ?deadline_seconds ?(profile = default.profile) ?stop_requested () =
     validate_run
-      { seed; max_points; lint; absint; symbolic; jobs; chunk; span_every; tick_every;
-        checkpoint; checkpoint_every; resume; deadline_seconds; profile; stop_requested }
+      { seed; max_points; lint; absint; symbolic; jobs; chunk; tick_every; checkpoint;
+        checkpoint_every; resume; deadline_seconds; profile; stop_requested }
 
   let with_seed seed t = validate { t with seed }
   let with_max_points max_points t = validate { t with max_points }
@@ -142,8 +139,6 @@ module Config = struct
   let with_symbolic symbolic t = validate { t with symbolic }
   let with_jobs jobs t = validate { t with jobs }
   let with_chunk chunk t = validate { t with chunk }
-  let with_span_every span_every t = validate { t with span_every }
-  let with_tick_every tick_every t = validate { t with tick_every }
 
   let with_checkpoint ?(every = default.checkpoint_every) path t =
     validate { t with checkpoint = Some path; checkpoint_every = every }
@@ -151,7 +146,6 @@ module Config = struct
   let with_resume resume t = validate { t with resume }
   let with_deadline deadline t = validate { t with deadline_seconds = Some deadline }
   let with_profile profile t = validate { t with profile }
-  let with_stop_check stop t = validate { t with stop_requested = Some stop }
 end
 
 let pareto_of evals =
@@ -246,10 +240,13 @@ module Chan = struct
     x
 end
 
+(* With the Obs sink on, every 100th point gets a [dse.point] span. *)
+let point_span_every = 100
+
 let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let cfg = Config.validate_run cfg in
-  let { Config.seed; max_points; lint; absint; symbolic; jobs; chunk; span_every; tick_every;
-        checkpoint; checkpoint_every; resume; deadline_seconds; profile; stop_requested } =
+  let { Config.seed; max_points; lint; absint; symbolic; jobs; chunk; tick_every; checkpoint;
+        checkpoint_every; resume; deadline_seconds; profile; stop_requested } =
     cfg
   in
   Obs.span "dse.run"
@@ -329,7 +326,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       let start = Unix.gettimeofday () in
       let e =
         Faults.with_key i @@ fun () ->
-        Obs.span_sampled ~every:span_every ~i "dse.point" @@ fun () ->
+        Obs.span_sampled ~every:point_span_every ~i "dse.point" @@ fun () ->
         (* Pre-elaboration gate: a refuted point never generates, and
            every other point pays the full pipeline as before. Verdict
            time is attributed to the probe stage when profiling. *)

@@ -128,7 +128,6 @@ module Config : sig
             of a sweep. No effect on results: the collector releases
             chunks in index order, so entries and checkpoints stay
             bit-identical across chunk sizes. Ignored when [jobs = 1]. *)
-    span_every : int;  (** Record a [dse.point] span every N points; 0 off. *)
     tick_every : int;  (** Progress tick on stderr every N points; 0 off. *)
     checkpoint : string option;  (** JSONL checkpoint path. *)
     checkpoint_every : int;  (** Periodic write cadence; 0 = only at end. *)
@@ -167,7 +166,6 @@ module Config : sig
     ?symbolic:bool ->
     ?jobs:int ->
     ?chunk:int ->
-    ?span_every:int ->
     ?tick_every:int ->
     ?checkpoint:string ->
     ?checkpoint_every:int ->
@@ -194,9 +192,6 @@ module Config : sig
   val with_chunk : int -> t -> t
   (** Raises [Failure] unless [1 <= chunk <= max_chunk]. *)
 
-  val with_span_every : int -> t -> t
-  val with_tick_every : int -> t -> t
-
   val with_checkpoint : ?every:int -> string -> t -> t
   (** Set the checkpoint path and (optionally) the periodic write cadence. *)
 
@@ -209,9 +204,6 @@ module Config : sig
 
   val with_profile : bool -> t -> t
   (** Toggle time attribution; see {!Profile} and [result.attribution]. *)
-
-  val with_stop_check : (unit -> bool) -> t -> t
-  (** Install a cooperative cancellation hook (see [stop_requested]). *)
 end
 
 val run :
@@ -307,7 +299,7 @@ val run :
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
     at zero — plus [dse.resumed] on resume), a [dse.ms_per_design]
     histogram over estimator calls, a per-point [dse.point] span for every
-    [span_every]-th point (default 100; 0 disables), and a progress tick
+    100th point, and a progress tick
     on stderr every [tick_every] points (default 1000). With the sink
     disabled (the default) none of this costs anything.
 

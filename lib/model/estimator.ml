@@ -149,6 +149,16 @@ let estimate_area_uncorrected t design =
   let raw = Area_model.raw_estimate t.char t.dev design in
   assemble t.dev raw no_corrections
 
+let estimate_uncorrected t design =
+  let raw = Area_model.raw_estimate t.char t.dev design in
+  let cycles = Cycle_model.estimate ~board:t.brd design in
+  {
+    area = assemble t.dev raw no_corrections;
+    cycles;
+    seconds = cycles /. (t.brd.Target.fabric_mhz *. 1e6);
+    raw;
+  }
+
 let fits t a = a.alms <= t.dev.Target.alms && a.dsps <= t.dev.Target.dsps && a.brams <= t.dev.Target.brams
 
 let utilization t a =

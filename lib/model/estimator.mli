@@ -57,6 +57,10 @@ val estimate_area_uncorrected : t -> Dhdl_ir.Ir.design -> area
     buys (routing, duplication and packing-loss effects are simply
     missing). *)
 
+val estimate_uncorrected : t -> Dhdl_ir.Ir.design -> estimate
+(** {!estimate_area_uncorrected} and the cycle model as one estimate: the
+    cheap fallback a degraded served estimate answers with. *)
+
 val fits : t -> area -> bool
 (** Whether the estimated design fits the target device. *)
 

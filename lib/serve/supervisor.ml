@@ -1,15 +1,12 @@
 module P = Protocol
 module Json = Dhdl_util.Json
 module App = Dhdl_apps.App
-module Registry = Dhdl_apps.Registry
+module Request = Dhdl_apps.Request
 module Estimator = Dhdl_model.Estimator
-module Target = Dhdl_device.Target
 module Explore = Dhdl_dse.Explore
 module Eval = Dhdl_dse.Eval
 module Checkpoint = Dhdl_dse.Checkpoint
 module Lint = Dhdl_lint.Lint
-module Absint = Dhdl_absint.Absint
-module Dependence = Dhdl_absint.Dependence
 module Obs = Dhdl_obs.Obs
 module Faults = Dhdl_util.Faults
 
@@ -102,13 +99,6 @@ let cached t id = locked t.lock (fun () -> Hashtbl.find_opt t.cache id)
 
 (* ---------------- helpers shared by the handlers -------------------- *)
 
-let lookup_app name =
-  try Registry.find name
-  with Not_found ->
-    failwith
-      (Printf.sprintf "unknown benchmark %S (available: %s)" name
-         (String.concat ", " Registry.names))
-
 let need req field value =
   match value with
   | Some v -> v
@@ -116,23 +106,13 @@ let need req field value =
     failwith
       (Printf.sprintf "verb %S requires field %S" (P.verb_name req.P.q_verb) field)
 
-let need_app req = lookup_app (need req "app" req.P.q_app)
+let need_app req = need req "app" req.P.q_app
 
 let need_session req =
   let sid = need req "session" req.P.q_session in
   if not (Session.id_ok sid) then
     failwith (Printf.sprintf "bad session id %S (use [A-Za-z0-9._-], <= 64 chars)" sid);
   sid
-
-(* A request's parameters resolve against the app's defaults exactly as
-   the CLI's do ([App.resolve]), so a served reply and [dhdl] agree on
-   the design a partial binding names. *)
-let design_of (app : App.t) params =
-  let sizes = app.App.paper_sizes in
-  let params = App.resolve app sizes params in
-  (params, app.App.generate ~sizes ~params)
-
-let params_json params = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) params)
 
 let expired p =
   match p.p_req.P.q_deadline_ms with
@@ -153,68 +133,31 @@ let nn_fallback_tripped t =
 
 (* ---------------- estimate / lint / analyze ------------------------- *)
 
-let area_json (a : Estimator.area) =
-  Json.Obj
-    [
-      ("alms", Json.Int a.Estimator.alms);
-      ("luts", Json.Int a.Estimator.luts);
-      ("regs", Json.Int a.Estimator.regs);
-      ("dsps", Json.Int a.Estimator.dsps);
-      ("brams", Json.Int a.Estimator.brams);
-    ]
-
 (* One estimate item's payload, shared by the estimate verb and every
-   estimate_batch entry. The corrected path goes through the shared
-   [Eval.t], so repeated specs — within one batch, across requests, or
-   against designs a sweep already visited — answer from the estimate
-   cache. The degraded path stays on the raw analytical model: it is the
-   cheap fallback for an overloaded or NN-suspect server, and must not
-   depend on what happens to be cached. *)
-let estimate_payload t ev ~depth (app : App.t) req_params =
-  let est = Eval.estimator ev in
-  let params, design = design_of app req_params in
+   estimate_batch entry. The point is resolved and checked by the request
+   layer, exactly as the CLI's is; this handler only decides whether to
+   degrade. The corrected path goes through the shared [Eval.t], so
+   repeated specs — within one batch, across requests, or against designs
+   a sweep already visited — answer from the estimate cache. The degraded
+   path is the raw analytical model: the cheap fallback for an overloaded
+   or NN-suspect server. *)
+let estimate_payload t ev ~depth app params =
+  let p = Request.point app params in
   let degraded = depth >= t.cfg.degrade_depth || nn_fallback_tripped t in
-  let area, cycles, seconds =
-    if degraded then begin
-      (* Raw analytical model: no NN corrections, no routing/duplication
-         effects — cheaper and immune to a misbehaving correction net. *)
-      Obs.count "serve.degraded";
-      let area = Estimator.estimate_area_uncorrected est design in
-      let cycles = Estimator.estimate_cycles est design in
-      let mhz = (Estimator.board est).Target.fabric_mhz in
-      (area, cycles, cycles /. (mhz *. 1e6))
-    end
-    else
-      let e = Eval.estimate ev design in
-      (e.Estimator.area, e.Estimator.cycles, e.Estimator.seconds)
-  in
-  let alm, dsp, bram = Estimator.utilization est area in
-  Json.Obj
-    [
-      ("app", Json.Str app.App.name);
-      ("params", params_json params);
-      ("degraded", Json.Bool degraded);
-      ("cycles", Json.Float cycles);
-      ("seconds", Json.Float seconds);
-      ("area", area_json area);
-      ("alm_pct", Json.Float alm);
-      ("dsp_pct", Json.Float dsp);
-      ("bram_pct", Json.Float bram);
-      ("fits", Json.Bool (Estimator.fits est area));
-    ]
+  if degraded then Obs.count "serve.degraded";
+  Request.estimate_json (Request.estimate ~degraded ev p)
 
 let estimate_reply t req ~depth =
   let id = req.P.q_id in
   let ev = Lazy.force t.eval in
-  let app = need_app req in
-  P.ok ~id (estimate_payload t ev ~depth app req.P.q_params)
+  P.ok ~id (estimate_payload t ev ~depth (need_app req) req.P.q_params)
 
 (* The whole batch runs under the request's one deadline, checked before
    each item: items reached in time estimate (through the shared cache),
    later ones answer per-item [deadline_exceeded] — the batch reply
    itself still succeeds, carrying one typed entry per spec in request
-   order. A bad spec (unknown benchmark, bad parameters) poisons only its
-   own entry. *)
+   order. A bad spec (unknown benchmark, bad parameters, a stage that
+   fails) poisons only its own entry. *)
 let estimate_batch_reply t p ~depth =
   let req = p.p_req in
   let id = req.P.q_id in
@@ -232,15 +175,14 @@ let estimate_batch_reply t p ~depth =
   let failed = ref 0 in
   let items =
     List.map
-      (fun (app_name, params) ->
+      (fun (app, params) ->
         if expired p then begin
           incr failed;
           item_error P.Deadline_exceeded "batch deadline expired before this item"
         end
         else
           match
-            try Ok (estimate_payload t ev ~depth (lookup_app app_name) params)
-            with Failure msg -> Error msg
+            try Ok (estimate_payload t ev ~depth app params) with Failure msg -> Error msg
           with
           | Ok payload -> Json.Obj [ ("ok", payload) ]
           | Error msg ->
@@ -256,32 +198,24 @@ let estimate_batch_reply t p ~depth =
          ("items", Json.List items);
        ])
 
+(* Lint and analyze wrap the CLI's [--json] document: lint adds [clean]
+   and [errors] around the report, analyze adds [clean] to it. *)
 let lint_reply req =
-  let id = req.P.q_id in
-  let app = need_app req in
-  let _, design = design_of app req.P.q_params in
-  let diags = Lint.check design in
-  P.ok ~id
+  let l = Request.lint (Request.point (need_app req) req.P.q_params) in
+  let diags = l.Request.l_diags in
+  P.ok ~id:req.P.q_id
     (Json.Obj
        [
          ("clean", Json.Bool (diags = []));
          ("errors", Json.Int (List.length (Lint.errors diags)));
-         ("report", Json.Raw (Lint.render_json ~design diags));
+         ("report", Request.lint_json l);
        ])
 
 let analyze_reply req =
-  let id = req.P.q_id in
-  let app = need_app req in
-  let _, design = design_of app req.P.q_params in
-  let report = Absint.analyze design in
-  let deps = Dependence.analyze design in
-  P.ok ~id
+  let a = Request.analyze (Request.point (need_app req) req.P.q_params) in
+  P.ok ~id:req.P.q_id
     (Json.Obj
-       [
-         ("clean", Json.Bool (Absint.clean report && Dependence.clean deps));
-         ("absint", Json.Raw (Absint.render_json report));
-         ("dependence", Json.Raw (Dependence.render_json deps));
-       ])
+       (("clean", Json.Bool (Request.analysis_clean a)) :: Json.obj_or_empty (Request.analysis_json a)))
 
 (* ---------------- sessions ------------------------------------------ *)
 
@@ -384,7 +318,7 @@ let dse_start t p =
   let id = req.P.q_id in
   let sid = need_session req in
   let root = t.cfg.sessions_root in
-  let app = need_app req in
+  let app = Request.app (need_app req) in
   let spec =
     {
       Session.s_app = app.App.name;

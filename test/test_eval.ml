@@ -4,8 +4,10 @@
    resume, deterministic eviction, fault-injection cache bypass, the
    symbolic-gate memo (derived once per space content, byte-identical
    either way, kept out of the per-point cache counts), and grep-level
-   pins that no caller outside Eval still wires Estimator.estimate, the
-   concrete analyses or Symgate.derive into a pipeline by hand.
+   pins that no caller outside Eval and the request layer still wires
+   Estimator.estimate, the concrete analyses or Symgate.derive into a
+   pipeline by hand, and that the front ends resolve every point through
+   the request layer.
 
    Runs under both `dune runtest` and the focused `dune build @eval`. *)
 
@@ -497,13 +499,15 @@ let scan_offenders ~needle dirs =
 (* [Estimator.estimate] (the corrected-model entry point, not
    estimate_cycles / estimate_area_uncorrected / timed_estimate) may
    appear in exactly one production file: lib/dse/eval.ml. Everything
-   else — the explorer, the serve supervisor, the CLI, the experiment
-   drivers, the benches, the examples — must go through Eval. *)
+   else — the explorer, the request layer, the serve supervisor, the CLI,
+   the experiment drivers, the benches, the examples — must go through
+   Eval. *)
 let test_no_direct_estimator_pipelines () =
   let offenders =
     scan_offenders ~needle:"Estimator.estimate"
       [
         ("../lib/dse", [ "eval.ml" ]);
+        ("../lib/apps", []);
         ("../lib/serve", []);
         ("../lib/core", []);
         ("../bin", []);
@@ -516,18 +520,19 @@ let test_no_direct_estimator_pipelines () =
 
 (* Same discipline for the concrete analysis passes: [Absint.analyze] /
    [Dependence.analyze] (and anything else on those modules) may only be
-   reached through [Eval]'s cached pipeline or the two deliberate
-   analysis surfaces — [dhdl analyze] (bin/dhdl.ml) and the serve
-   supervisor's [analyze] verb. A new caller that invoked them directly
-   would silently bypass the symbolic pre-elaboration gate (and the
-   analysis cache), so the boundary is pinned here. *)
+   reached through [Eval]'s cached pipeline or the request layer
+   (lib/apps/request.ml), which answers [dhdl analyze] and the served
+   [analyze] verb alike. A new caller that invoked them directly would
+   silently bypass the symbolic pre-elaboration gate (and the analysis
+   cache), so the boundary is pinned here. *)
 let test_no_direct_analysis_pipelines () =
   let dirs =
     [
       ("../lib/dse", [ "eval.ml" ]);
-      ("../lib/serve", [ "supervisor.ml" ]);
+      ("../lib/apps", [ "request.ml" ]);
+      ("../lib/serve", []);
       ("../lib/core", []);
-      ("../bin", [ "dhdl.ml" ]);
+      ("../bin", []);
       ("../bench", []);
       ("../examples", []);
     ]
@@ -535,25 +540,40 @@ let test_no_direct_analysis_pipelines () =
   List.iter
     (fun needle ->
       Alcotest.(check (list string))
-        (Printf.sprintf "no direct %s call-chains outside Eval and dhdl analyze" needle)
+        (Printf.sprintf "no direct %s call-chains outside Eval and Request" needle)
         []
         (scan_offenders ~needle dirs))
     [ "Absint."; "Dependence." ]
 
 (* The symbolic gate is derived through [Eval.gate]'s memo. The one other
-   caller is [dhdl analyze --symbolic], which derives a gate to print it. *)
+   caller is the request layer's symbolic analyze, which derives a gate
+   to print it. *)
 let test_no_direct_gate_derivation () =
   Alcotest.(check (list string))
-    "no Symgate.derive outside Eval and dhdl analyze --symbolic" []
+    "no Symgate.derive outside Eval and Request" []
     (scan_offenders ~needle:"Symgate.derive"
        [
          ("../lib/dse", [ "eval.ml" ]);
+         ("../lib/apps", [ "request.ml" ]);
          ("../lib/serve", []);
          ("../lib/core", []);
-         ("../bin", [ "dhdl.ml" ]);
+         ("../bin", []);
          ("../bench", []);
          ("../examples", []);
        ])
+
+(* The front ends name a design point only through the request layer:
+   neither the CLI nor the server looks a benchmark up, resolves a
+   binding or lints a design itself, so both check a binding the same
+   way, once. *)
+let test_front_ends_through_request () =
+  List.iter
+    (fun needle ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "no %s in bin/ or lib/serve/" needle)
+        []
+        (scan_offenders ~needle [ ("../bin", []); ("../lib/serve", []) ]))
+    [ "Registry.find"; "App.resolve"; "Lint.check" ]
 
 (* One JSON reader: the ['u' ->] arm that decodes a \u escape appears
    only in lib/util/json.ml. Every hand-written reader carries one, and
@@ -612,10 +632,12 @@ let () =
         [
           Alcotest.test_case "no direct pipelines outside Eval" `Quick
             test_no_direct_estimator_pipelines;
-          Alcotest.test_case "no direct analysis outside Eval / dhdl analyze" `Quick
+          Alcotest.test_case "no direct analysis outside Eval / Request" `Quick
             test_no_direct_analysis_pipelines;
-          Alcotest.test_case "no gate derivation outside Eval / dhdl analyze" `Quick
+          Alcotest.test_case "no gate derivation outside Eval / Request" `Quick
             test_no_direct_gate_derivation;
           Alcotest.test_case "one JSON reader" `Quick test_one_json_reader;
+          Alcotest.test_case "front ends resolve through Request" `Quick
+            test_front_ends_through_request;
         ] );
     ]

@@ -25,6 +25,8 @@ module Eval = Dhdl_dse.Eval
 module Checkpoint = Dhdl_dse.Checkpoint
 module App = Dhdl_apps.App
 module Registry = Dhdl_apps.Registry
+module Request = Dhdl_apps.Request
+module Space = Dhdl_dse.Space
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -359,6 +361,36 @@ let test_cli_success_still_zero () =
   let code, out, _ = run_cli [ "list" ] in
   check_int "dhdl list exits 0" 0 code;
   check_bool "lists the paper benchmarks" true (contains out "dotproduct")
+
+(* A binding the request layer refuses, or a point whose generator
+   fails, ends in one [dhdl: error:] line and exit 1, before any
+   estimator is trained: nothing reaches stdout. *)
+let test_cli_hostile_bindings () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let t0 = Unix.gettimeofday () in
+      let code, out, err = run_cli args in
+      let dt = Unix.gettimeofday () -. t0 in
+      check_int (what ^ " exits 1") 1 code;
+      check_str (what ^ " prints nothing on stdout") "" out;
+      check_int
+        (what ^ " prints one dhdl: error: line")
+        1
+        (List.length
+           (List.filter
+              (String.starts_with ~prefix:"dhdl: error:")
+              (String.split_on_char '\n' err)));
+      check_bool (Printf.sprintf "%s answers within a second (%.3f s)" what dt) true (dt < 1.0))
+    [
+      [ "estimate"; "gda"; "tile=0" ];
+      [ "lint"; "gda"; "tile=0" ];
+      [ "analyze"; "gda"; "tile=0" ];
+      [ "estimate"; "gda"; "bogus=3" ];
+      [ "estimate"; "kmeans"; "meta=7" ];
+      [ "estimate"; "dotproduct"; "tile=7" ];
+      [ "lint"; "kmeans"; "parDist=4611686018427387903" ];
+    ]
 
 (* ==================================================================== *)
 (* 2b. Golden point corpus: what the CLI prints and the server answers  *)
@@ -1398,6 +1430,163 @@ let test_fault_soak_exactly_one_reply () =
   rm_rf root
 
 (* ==================================================================== *)
+(* 9. The request layer under hostile bindings                          *)
+(* ==================================================================== *)
+
+let app_dims =
+  List.map (fun (a : App.t) -> (a, Space.dims (a.App.space a.App.paper_sizes))) Registry.all
+
+(* Bindings a client could send: any app, zero to four overrides, names
+   mostly real and sometimes not, values often hostile (0, negatives,
+   min_int, values near max_int, 2^62), otherwise a sampled candidate or
+   a small integer. *)
+let gen_hostile_binding =
+  let open QCheck.Gen in
+  oneofl app_dims >>= fun ((a : App.t), dims) ->
+  let name =
+    frequency [ (5, oneofl (List.map fst dims)); (1, oneofl [ "bogus"; "Tile"; "meta "; "" ]) ]
+  in
+  let value n =
+    frequency
+      [
+        (3, match List.assoc_opt n dims with Some vs -> oneofl vs | None -> return 1);
+        (1, int_range 1 300);
+        (1, return 0);
+        (1, map (fun k -> -k) (int_range 1 1000));
+        (1, return min_int);
+        (1, map (fun k -> max_int - k) (int_range 0 2));
+        (1, return (1 lsl 62));
+      ]
+  in
+  map
+    (fun b -> (a.App.name, b))
+    (list_size (int_range 0 4) (name >>= fun n -> map (fun v -> (n, v)) (value n)))
+
+let print_binding (app, b) =
+  String.concat " " (app :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) b)
+
+(* What the layer must refuse, worked out from the spaces directly: an
+   unknown name, or a value (the first given for its name) of the wrong
+   kind for its dimension. *)
+let must_refuse (app, b) =
+  let dims = List.assoc app (List.map (fun ((a : App.t), d) -> (a.App.name, d)) app_dims) in
+  let starts prefix n = String.starts_with ~prefix n in
+  List.exists (fun (k, _) -> not (List.mem_assoc k dims)) b
+  || List.exists
+       (fun (n, vs) ->
+         match List.assoc_opt n b with
+         | None -> false
+         | Some v ->
+           if starts "tile" n then v < 1
+           else if starts "par" n then v < 1 || v > List.fold_left max 1 vs
+           else v <> 0 && v <> 1)
+       dims
+
+let hostile_eval = lazy (Eval.create (Lazy.force estimator))
+
+(* Each request returns a result or raises [Failure], within a second,
+   and the binding check refuses exactly what [must_refuse] does. *)
+let prop_hostile_layer =
+  QCheck.Test.make ~count:200 ~name:"hostile bindings: a result or a Failure, promptly"
+    (QCheck.make ~print:print_binding gen_hostile_binding)
+    (fun ((app, b) as binding) ->
+      let ev = Lazy.force hostile_eval in
+      let refused = match Request.binding app b with _ -> false | exception Failure _ -> true in
+      refused = must_refuse binding
+      && List.for_all
+           (fun run ->
+             let t0 = Unix.gettimeofday () in
+             (try run () with Failure _ -> ());
+             Unix.gettimeofday () -. t0 < 1.0)
+           [
+             (fun () -> ignore (Request.estimate ev (Request.point app b)));
+             (fun () -> ignore (Request.lint (Request.point app b)));
+             (fun () -> ignore (Request.analyze (Request.point app b)));
+             (fun () -> ignore (Request.symbolic app b));
+           ])
+
+(* The same bindings through a supervisor: exactly one typed reply per
+   request, an error only ever [bad_request] (never [quarantined]), and a
+   batch of them fails only the items the layer fails. *)
+let test_hostile_supervisor () =
+  let bindings =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 23 |]) ~n:40 gen_hostile_binding
+  in
+  with_sup (sup_config ()) @@ fun sup ->
+  let delivered = Hashtbl.create 128 in
+  let m = Mutex.create () in
+  let call id req =
+    let put, wait = inbox () in
+    let count r =
+      Mutex.protect m (fun () ->
+          Hashtbl.replace delivered id (1 + Option.value ~default:0 (Hashtbl.find_opt delivered id)));
+      put r
+    in
+    Supervisor.submit sup req ~reply_to:count;
+    wait ()
+  in
+  List.iteri
+    (fun i (app, params) ->
+      List.iter
+        (fun verb ->
+          let id = Printf.sprintf "hostile-%d-%s" i (P.verb_name verb) in
+          match (call id (P.request ~id ~app ~params verb)).P.r_body with
+          | Ok _ -> ()
+          | Error e ->
+            check_str
+              (Printf.sprintf "%s %s: error code" (P.verb_name verb) (print_binding (app, params)))
+              "bad_request" (P.error_code_name e.P.err_code))
+        [ P.Estimate; P.Lint; P.Analyze ])
+    bindings;
+  let ev = Lazy.force hostile_eval in
+  let expected_failed =
+    List.length
+      (List.filter
+         (fun (app, b) ->
+           match Request.estimate ev (Request.point app b) with
+           | _ -> false
+           | exception Failure _ -> true)
+         bindings)
+  in
+  let batch = payload (call "hostile-batch" (P.request ~id:"hostile-batch" ~specs:bindings P.Estimate_batch)) in
+  check_int "one batch entry per spec" (List.length bindings) (ifield "count" batch);
+  check_int "the batch fails what the layer fails" expected_failed (ifield "failed" batch);
+  let e =
+    err_of
+      (call "huge-par"
+         (P.request ~id:"huge-par" ~app:"kmeans" ~params:[ ("parDist", 1 lsl 62) ] P.Lint))
+  in
+  check_bool "parDist=2^62 is refused by name" true
+    (e.P.err_code = P.Bad_request && contains e.P.err_message "parDist");
+  check_bool "a ping is still answered" true
+    (bfield "pong" (payload (call "after-huge" (P.request ~id:"after-huge" P.Ping))));
+  Hashtbl.iter (fun id n -> check_int (id ^ ": replies delivered") 1 n) delivered
+
+(* The binding check reads a parameter's kind from its name, so every
+   dimension must carry one, every toggle must sample exactly {0, 1},
+   and the defaults must name exactly the space's dimensions (those are
+   the names [App.resolve] accepts). *)
+let test_dimension_kinds () =
+  List.iter
+    (fun ((a : App.t), dims) ->
+      List.iter
+        (fun (n, vs) ->
+          check_bool
+            (Printf.sprintf "%s: %s is tile*, par* or meta*" a.App.name n)
+            true
+            (List.exists (fun prefix -> String.starts_with ~prefix n) [ "tile"; "par"; "meta" ]);
+          if String.starts_with ~prefix:"meta" n then
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: %s samples {0, 1}" a.App.name n)
+              [ 0; 1 ] (List.sort compare vs))
+        dims;
+      Alcotest.(check (list string))
+        (a.App.name ^ ": the defaults name the space's dimensions")
+        (List.map fst dims)
+        (List.map fst (a.App.default_params a.App.paper_sizes)))
+    app_dims
+
+(* ==================================================================== *)
 
 let () =
   Alcotest.run "serve"
@@ -1417,6 +1606,7 @@ let () =
           Alcotest.test_case "client without a server" `Quick test_cli_client_unreachable;
           Alcotest.test_case "train-samples below one" `Quick test_cli_train_samples_below_one;
           Alcotest.test_case "valid command still exits 0" `Quick test_cli_success_still_zero;
+          Alcotest.test_case "hostile bindings exit 1" `Quick test_cli_hostile_bindings;
         ] );
       ( "corpus",
         [ Alcotest.test_case "CLI and served outputs by digest" `Quick test_golden_corpus ] );
@@ -1478,5 +1668,12 @@ let () =
         [
           Alcotest.test_case "5% faults, one typed reply each" `Quick
             test_fault_soak_exactly_one_reply;
+        ] );
+      ( "request",
+        [
+          QCheck_alcotest.to_alcotest prop_hostile_layer;
+          Alcotest.test_case "hostile bindings: one typed reply each" `Quick
+            test_hostile_supervisor;
+          Alcotest.test_case "every dimension has a kind" `Quick test_dimension_kinds;
         ] );
     ]
