@@ -445,14 +445,16 @@ let compare_cmd =
     Term.(const run $ app_arg $ params_arg $ seed_arg $ train_arg $ cache_arg)
 
 let dot_cmd =
-  let run app params = print_string (Dhdl_codegen.Dot.emit (point ~app ~params).Request.design)
+  let run app params =
+    print_string (Dhdl_codegen.Dot.emit (point ~app ~params).Request.design)
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit the design's dataflow graph as Graphviz DOT.")
     Term.(const run $ app_arg $ params_arg)
 
 let print_cmd =
-  let run app params = print_endline (Dhdl_ir.Pretty.design (point ~app ~params).Request.design)
+  let run app params =
+    print_endline (Dhdl_ir.Pretty.design (point ~app ~params).Request.design)
   in
   Cmd.v
     (Cmd.info "print" ~doc:"Pretty-print the DHDL IR of a design point.")

@@ -106,7 +106,7 @@ let need req field value =
     failwith
       (Printf.sprintf "verb %S requires field %S" (P.verb_name req.P.q_verb) field)
 
-let need_app req = need req "app" req.P.q_app
+let app_name req = need req "app" req.P.q_app
 
 let need_session req =
   let sid = need req "session" req.P.q_session in
@@ -150,7 +150,7 @@ let estimate_payload t ev ~depth app params =
 let estimate_reply t req ~depth =
   let id = req.P.q_id in
   let ev = Lazy.force t.eval in
-  P.ok ~id (estimate_payload t ev ~depth (need_app req) req.P.q_params)
+  P.ok ~id (estimate_payload t ev ~depth (app_name req) req.P.q_params)
 
 (* The whole batch runs under the request's one deadline, checked before
    each item: items reached in time estimate (through the shared cache),
@@ -201,7 +201,7 @@ let estimate_batch_reply t p ~depth =
 (* Lint and analyze wrap the CLI's [--json] document: lint adds [clean]
    and [errors] around the report, analyze adds [clean] to it. *)
 let lint_reply req =
-  let l = Request.lint (Request.point (need_app req) req.P.q_params) in
+  let l = Request.lint (Request.point (app_name req) req.P.q_params) in
   let diags = l.Request.l_diags in
   P.ok ~id:req.P.q_id
     (Json.Obj
@@ -212,7 +212,7 @@ let lint_reply req =
        ])
 
 let analyze_reply req =
-  let a = Request.analyze (Request.point (need_app req) req.P.q_params) in
+  let a = Request.analyze (Request.point (app_name req) req.P.q_params) in
   P.ok ~id:req.P.q_id
     (Json.Obj
        (("clean", Json.Bool (Request.analysis_clean a)) :: Json.obj_or_empty (Request.analysis_json a)))
@@ -318,7 +318,7 @@ let dse_start t p =
   let id = req.P.q_id in
   let sid = need_session req in
   let root = t.cfg.sessions_root in
-  let app = Request.app (need_app req) in
+  let app = Request.app (app_name req) in
   let spec =
     {
       Session.s_app = app.App.name;

@@ -36,7 +36,11 @@
 
     Expected handler errors ([Failure] from bad arguments, unknown
     benchmarks, missing fields) are [bad_request] replies, not crashes —
-    only escaping exceptions count toward quarantine.
+    only escaping exceptions count toward quarantine. The estimate,
+    estimate_batch, lint and analyze handlers ask {!Dhdl_apps.Request},
+    which checks each binding and turns what a checked point still
+    raises into such a [Failure], so no binding a client sends can crash
+    a handler.
 
     Every estimate — the [estimate] verb, each [estimate_batch] item, and
     every point of every sweep the supervisor starts — goes through one

@@ -311,7 +311,9 @@ let test_kill_resume_byte_identical () =
 
 let dhdl_exe = Filename.concat (Filename.concat ".." "bin") "dhdl.exe"
 
-let run_cli args =
+(* With [timeout_s], a run still going after that long is killed, so a
+   runaway fails its test instead of hanging the suite. *)
+let run_cli ?timeout_s args =
   let base = tmp (fresh_id "cli") in
   let out_path = base ^ ".out" and err_path = base ^ ".err" in
   let openw p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
@@ -321,7 +323,23 @@ let run_cli args =
   Unix.close devnull;
   Unix.close out_fd;
   Unix.close err_fd;
-  let _, status = Unix.waitpid [] pid in
+  let status =
+    match timeout_s with
+    | None -> snd (Unix.waitpid [] pid)
+    | Some s ->
+      let deadline = Unix.gettimeofday () +. s in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < deadline ->
+          Unix.sleepf 0.002;
+          wait ()
+        | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          snd (Unix.waitpid [] pid)
+        | _, status -> status
+      in
+      wait ()
+  in
   let code =
     match status with
     | Unix.WEXITED n -> n
@@ -370,7 +388,7 @@ let test_cli_hostile_bindings () =
     (fun args ->
       let what = String.concat " " args in
       let t0 = Unix.gettimeofday () in
-      let code, out, err = run_cli args in
+      let code, out, err = run_cli ~timeout_s:5.0 args in
       let dt = Unix.gettimeofday () -. t0 in
       check_int (what ^ " exits 1") 1 code;
       check_str (what ^ " prints nothing on stdout") "" out;
@@ -397,8 +415,9 @@ let test_cli_hostile_bindings () =
 (*     for one design point, pinned by exit code and digest             *)
 (* ==================================================================== *)
 
-(* Every app's defaults, kmeans at a clean and at a bank-conflicting
-   parDist, and a dotproduct point whose tile its par does not divide. *)
+(* Every app's defaults, kmeans at two refuted parDist values (12 with a
+   2-D witness), and a dotproduct point whose tile its par does not
+   divide. *)
 let corpus_bindings =
   List.map (fun (a : App.t) -> (a.App.name, [])) Registry.all
   @ [
