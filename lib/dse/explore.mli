@@ -299,9 +299,9 @@ val run :
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
     at zero — plus [dse.resumed] on resume), a [dse.ms_per_design]
     histogram over estimator calls, a per-point [dse.point] span for every
-    100th point, and a progress tick
-    on stderr every [tick_every] points (default 1000). With the sink
-    disabled (the default) none of this costs anything.
+    100th point, and a progress tick on stderr every [tick_every] points
+    (default 1000). With the sink disabled (the default) none of this
+    costs anything.
 
     {b Profiling.} With [config.profile = true] the sweep additionally
     attributes every worker-second to
