@@ -11,6 +11,9 @@ type t = {
 
 let create ?(timeout_s = 10.0) ?(max_attempts = 5) ?(backoff_ms = 25) ?(seed = 42) ~socket_path ()
     =
+  (* A server that hangs up before reading must fail the write with
+     EPIPE, not kill the calling process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   { socket_path; timeout_s; max_attempts; backoff_ms; rng = Rng.create seed }
 
 (* One connection, one request line, one reply line (or a timeout). *)

@@ -1347,6 +1347,33 @@ let test_client_reply_reads () =
   let r = with_scripted_server socket ~gap:0.01 [ String.sub line 0 (String.length line - 1); "\n" ] call in
   check_str "a newline alone in the last read" "dribbled" r.P.r_id
 
+(* A server that hangs up before reading the request: the client's write
+   fails and [call] answers [Error "send: ..."]. SIGPIPE is at its default
+   disposition for this test, as in a fresh process, so a client that
+   left it there would be killed by the write instead. *)
+let test_client_survives_hang_up () =
+  let socket = tmp "hangup.sock" in
+  let saved = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe saved) @@ fun () ->
+  (try Sys.remove socket with Sys_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 1;
+  let server = Domain.spawn (fun () -> Unix.close (fst (Unix.accept lfd))) in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join server;
+      Unix.close lfd;
+      try Sys.remove socket with Sys_error _ -> ())
+  @@ fun () ->
+  let client = Client.create ~max_attempts:1 ~socket_path:socket () in
+  (* 1 MB: more than the socket buffer holds, so the write cannot finish
+     before the server hangs up. *)
+  let req = P.request ~id:"hang-up" ~app:(String.make 1_000_000 'x') P.Estimate in
+  match Client.call client req with
+  | Error msg -> check_bool (msg ^ ": a send error") true (String.starts_with ~prefix:"send: " msg)
+  | Ok r -> Alcotest.failf "a server that hung up answered %s" (P.render_reply r)
+
 (* With Obs on, every request line is parsed under [serve.parse] and
    every reply rendered under [serve.render] inside its request's span,
    so a [dhdl serve --jsonl] log accounts for the codec per request. *)
@@ -1681,6 +1708,8 @@ let () =
             test_socket_wrong_typed_fields;
           Alcotest.test_case "client: reply byte by byte, two lines in one read" `Quick
             test_client_reply_reads;
+          Alcotest.test_case "client: a server that hangs up first" `Quick
+            test_client_survives_hang_up;
           Alcotest.test_case "codec spans per request" `Quick test_socket_codec_spans;
         ] );
       ( "soak",
