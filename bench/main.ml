@@ -112,7 +112,7 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 10) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 11) from GDA sweeps plus a kmeans
    symbolic-gate A/B, the estimator's setup and the served request's
    path. Every timed figure is the median, min and max of [warm_runs]
    runs (a single cold run moved by 40% or more between runs), and every
@@ -147,7 +147,8 @@ let run_ablations ~quick () =
      spec, lint and analyze resolves its parameters), the codec of a
      64-spec gda estimate_batch request and of its reply, and that
      batch's handler on a fresh supervisor (every spec misses the design
-     caches, as a first request does). *)
+     caches, as a first request does); and over the socket, sequential
+     pings against a forked server ([ping_block]). *)
 let run_label = ref "dev"
 let warm_runs = 5
 
@@ -178,7 +179,64 @@ let us_per_call ~iters f =
          done;
          (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters))
 
-let serve_block ~quick est =
+let serve_config est =
+  Dhdl_serve.Supervisor.default_config ~sessions_root:(Filename.get_temp_dir_name ())
+    ~estimator:(lazy est)
+
+(* [warm_runs] runs of [ping_count] sequential pings, each run against a
+   fresh forked [Server.run] and each ping on a connection of its own, as
+   `dhdl client` makes them: the serve layer's own cost per request,
+   connect and accept included. 600 connections cross the kernel's
+   fd-table growth points (64, 128, 256 and 512 descriptors) and stay
+   below the 1,024 at which the server's select fails, since it keeps
+   hung-up fds open until it drains. Forks, so it must run before the
+   process spawns its first domain. *)
+let ping_count = 600
+
+let ping_block est =
+  let module P = Dhdl_serve.Protocol in
+  let module Client = Dhdl_serve.Client in
+  let socket = Filename.concat (Filename.get_temp_dir_name ()) "dhdl_bench_ping.sock" in
+  let run () =
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+      Unix._exit
+        (match Dhdl_serve.Server.run ~socket_path:socket (serve_config est) with
+        | () -> 0
+        | exception _ -> 3)
+    | pid ->
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        (fun () ->
+          let client = Client.create ~max_attempts:1 ~socket_path:socket () in
+          if not (Client.wait_ready ~timeout_s:60.0 client) then
+            failwith "ping server did not come up";
+          Array.init ping_count (fun i ->
+              let t0 = Unix.gettimeofday () in
+              (match Client.call client (P.request ~id:(Printf.sprintf "ping-%d" i) P.Ping) with
+              | Ok { P.r_body = Ok _; _ } -> ()
+              | _ -> failwith (Printf.sprintf "ping %d got no pong" i));
+              (Unix.gettimeofday () -. t0) *. 1e6))
+  in
+  let runs = repeat run in
+  let stat f = spread_json "%.1f" (List.map f runs) in
+  Printf.sprintf
+    "{\"count\":%d,\"mean_us\":%s,\"p50_us\":%s,\"p99_us\":%s,\"max_us\":%s,\"over_1ms\":%s}"
+    ping_count
+    (stat (fun us -> Dhdl_util.Stats.mean (Array.to_list us)))
+    (stat (fun us -> Obs.percentile us 50.0))
+    (stat (fun us -> Obs.percentile us 99.0))
+    (stat (Array.fold_left Float.max 0.0))
+    (spread_json "%.0f"
+       (List.map
+          (fun us -> float_of_int (Array.fold_left (fun n x -> if x > 1000.0 then n + 1 else n) 0 us))
+          runs))
+
+let serve_block ~quick ~pings est =
   let module P = Dhdl_serve.Protocol in
   let module Supervisor = Dhdl_serve.Supervisor in
   let resolve =
@@ -196,28 +254,15 @@ let serve_block ~quick est =
       (Dhdl_dse.Space.sample (gda.App.space gda.App.paper_sizes) ~seed ~max_points:64)
   in
   let request id = P.request ~id ~specs P.Estimate_batch in
-  (* Submit to a fresh, started supervisor and wait for the reply: the
-     handler's time plus one hand-off to the worker domain each way. *)
+  (* Submit to a fresh supervisor and run the request on this thread, as
+     the server's event loop does: the handler's time and nothing else. *)
   let handle id =
-    let cfg =
-      Supervisor.default_config ~sessions_root:(Filename.get_temp_dir_name ())
-        ~estimator:(lazy est)
-    in
-    let sup = Supervisor.create cfg in
-    Supervisor.start sup;
-    let m = Mutex.create () and c = Condition.create () and slot = ref None in
+    let sup = Supervisor.create (serve_config est) in
+    let slot = ref None in
     let t0 = Unix.gettimeofday () in
     Supervisor.submit sup (request id) ~reply_to:(fun r ->
-        let dt = Unix.gettimeofday () -. t0 in
-        Mutex.lock m;
-        slot := Some (r, dt);
-        Condition.signal c;
-        Mutex.unlock m);
-    Mutex.lock m;
-    while Option.is_none !slot do
-      Condition.wait c m
-    done;
-    Mutex.unlock m;
+        slot := Some (r, Unix.gettimeofday () -. t0));
+    ignore (Supervisor.run_next sup);
     Supervisor.drain sup;
     Option.get !slot
   in
@@ -226,7 +271,7 @@ let serve_block ~quick est =
   let req_line = P.render_request req and reply_line = P.render_reply reply in
   let iters = if quick then 50 else 500 in
   Printf.sprintf
-    "{\"runs\":%d,\"resolve_us\":{%s},\"batch\":{\"app\":\"gda\",\"specs\":%d,\"request_bytes\":%d,\"reply_bytes\":%d,\"request_render_us\":%s,\"request_parse_us\":%s,\"reply_render_us\":%s,\"reply_parse_us\":%s,\"handler_ms\":%s}}"
+    "{\"runs\":%d,\"resolve_us\":{%s},\"batch\":{\"app\":\"gda\",\"specs\":%d,\"request_bytes\":%d,\"reply_bytes\":%d,\"request_render_us\":%s,\"request_parse_us\":%s,\"reply_render_us\":%s,\"reply_parse_us\":%s,\"handler_ms\":%s},\"pings\":%s}"
     warm_runs (String.concat "," resolve) (List.length specs) (String.length req_line)
     (String.length reply_line)
     (us_per_call ~iters (fun () -> P.render_request req))
@@ -234,10 +279,13 @@ let serve_block ~quick est =
     (us_per_call ~iters (fun () -> P.render_reply reply))
     (us_per_call ~iters (fun () -> P.parse_reply reply_line))
     (spread_json "%.3f" (List.map (fun (_, dt) -> dt *. 1000.0) handled))
+    pings
 
 let run_dseperf ~quick () =
   banner "DSE throughput (telemetry-derived): points/sec per jobs level, cache A/B, symbolic A/B";
   let est = Eval.estimator (the_eval ~quick ()) in
+  (* First: the pings fork, and the jobs sweep below spawns domains. *)
+  let pings = ping_block est in
   let fresh_eval () = Eval.create est in
   let app = Dhdl_apps.Registry.find "gda" in
   let sizes = app.App.paper_sizes in
@@ -385,7 +433,7 @@ let run_dseperf ~quick () =
       (setup_spread (fun (_, t, _) -> t))
       (setup_spread (fun (_, _, b) -> b))
   in
-  let serve = serve_block ~quick est in
+  let serve = serve_block ~quick ~pings est in
   let sym_on = repeat (fun () -> sym_run ~symbolic:true) in
   let sym_off = repeat (fun () -> sym_run ~symbolic:false) in
   let sym_side runs =
@@ -439,7 +487,7 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":10,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), and that batch's handler on a fresh supervisor (ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":11,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
@@ -462,7 +510,7 @@ let run_dseperf ~quick () =
     rwarm.Explore.cache_hits rwarm.Explore.cache_misses;
   Printf.printf "warm sessions (checkpoint every %d): %s\n" every warm_session;
   Printf.printf "estimator setup (seed %d, 200 samples): %s\n" seed setup;
-  Printf.printf "serve path (in process): %s\n" serve;
+  Printf.printf "serve path: %s\n" serve;
   List.iter
     (fun (jobs, cold, _, attr) ->
       let module P = Dhdl_dse.Profile in

@@ -20,6 +20,10 @@ let size sizes name =
 let get params name default =
   match List.assoc_opt name params with Some v -> v | None -> default
 
+let must_divide name v ~extent:(dim, n) =
+  if v < 1 || n mod v <> 0 then
+    failwith (Printf.sprintf "parameter %S must divide %s = %d (got %d)" name dim n v)
+
 let generate_default t sizes = t.generate ~sizes ~params:(t.default_params sizes)
 
 let resolve t sizes overrides =

@@ -25,6 +25,11 @@ val size : sizes -> string -> int
 val get : params -> string -> int -> int
 (** [get params name default] with a default for omitted parameters. *)
 
+val must_divide : string -> int -> extent:string * int -> unit
+(** [must_divide name v ~extent:(dim, n)] checks, in a generator, that
+    the tile parameter [name] = [v] divides the extent [dim] = [n] it
+    tiles, and raises [Failure] naming all four otherwise. *)
+
 val generate_default : t -> sizes -> Dhdl_ir.Ir.design
 (** Instantiate at the default parameters. *)
 

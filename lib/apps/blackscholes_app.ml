@@ -45,7 +45,7 @@ let generate ~sizes ~params =
   let tile = App.get params "tile" 1024 in
   let par = App.get params "par" 2 in
   let meta = App.get params "meta" 1 <> 0 in
-  assert (n mod tile = 0);
+  App.must_divide "tile" tile ~extent:("n", n);
   let b = B.create ~params "blackscholes" in
   let spot = B.offchip b "spot" Dtype.float32 [ n ] in
   let strike = B.offchip b "strike" Dtype.float32 [ n ] in

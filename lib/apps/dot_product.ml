@@ -15,7 +15,7 @@ let generate ~sizes ~params =
   let tile = App.get params "tile" 1024 in
   let par = App.get params "par" 4 in
   let meta = App.get params "meta" 1 <> 0 in
-  assert (n mod tile = 0);
+  App.must_divide "tile" tile ~extent:("n", n);
   let b = B.create ~params "dotproduct" in
   let x = B.offchip b "x" Dtype.float32 [ n ] in
   let y = B.offchip b "y" Dtype.float32 [ n ] in

@@ -19,7 +19,7 @@ let generate ~sizes ~params =
   let p2 = App.get params "parP2" 4 in
   let m1 = App.get params "metaM1" 1 <> 0 in
   let m2 = App.get params "metaM2" 1 <> 0 in
-  assert (rows mod rtile = 0);
+  App.must_divide "tile" rtile ~extent:("r", rows);
   let b = B.create ~params "gda" in
   let x = B.offchip b "x" Dtype.float32 [ rows; cols ] in
   let y = B.offchip b "y" Dtype.bool_t [ rows ] in

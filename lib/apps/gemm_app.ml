@@ -21,7 +21,9 @@ let generate ~sizes ~params =
   let par = App.get params "par" 4 in
   let meta_k = App.get params "metaK" 1 <> 0 in
   let meta_r = App.get params "metaR" 0 <> 0 in
-  assert (n mod tn = 0 && m mod tm = 0 && k mod tk = 0);
+  App.must_divide "tileN" tn ~extent:("n", n);
+  App.must_divide "tileM" tm ~extent:("m", m);
+  App.must_divide "tileK" tk ~extent:("k", k);
   let b = B.create ~params "gemm" in
   let a = B.offchip b "a" Dtype.float32 [ n; k ] in
   let bm = B.offchip b "b" Dtype.float32 [ k; m ] in

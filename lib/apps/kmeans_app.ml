@@ -21,7 +21,7 @@ let generate ~sizes ~params =
   let pa = App.get params "parAcc" 2 in
   let pp = App.get params "parPoints" 1 in
   let meta = App.get params "meta" 1 <> 0 in
-  assert (points mod tile = 0);
+  App.must_divide "tile" tile ~extent:("n", points);
   let b = B.create ~params "kmeans" in
   let data = B.offchip b "points" Dtype.float32 [ points; dims ] in
   let cents = B.offchip b "centroids" Dtype.float32 [ k; dims ] in

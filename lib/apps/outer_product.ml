@@ -18,7 +18,8 @@ let generate ~sizes ~params =
   let par = App.get params "par" 4 in
   let m1 = App.get params "metaA" 1 <> 0 in
   let m2 = App.get params "metaB" 1 <> 0 in
-  assert (n mod tn = 0 && m mod tm = 0);
+  App.must_divide "tileA" tn ~extent:("n", n);
+  App.must_divide "tileB" tm ~extent:("m", m);
   let b = B.create ~params "outerprod" in
   let x = B.offchip b "x" Dtype.float32 [ n ] in
   let y = B.offchip b "y" Dtype.float32 [ m ] in

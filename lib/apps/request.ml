@@ -61,9 +61,10 @@ type point = { app : App.t; binding : App.params; design : Ir.design }
    barrier in [Eval.evaluate], keyed by point index for fault injection;
    a request has no index. *)
 let barrier stage f =
-  try f ()
-  with exn ->
-    failwith (Printf.sprintf "%s: %s" (Outcome.stage_name stage) (Printexc.to_string exn))
+  let fail msg = failwith (Printf.sprintf "%s: %s" (Outcome.stage_name stage) msg) in
+  try f () with
+  | Failure msg -> fail msg
+  | exn -> fail (Printexc.to_string exn)
 
 let point name overrides =
   let app, binding = binding name overrides in

@@ -15,7 +15,7 @@ let generate ~sizes ~params =
   let tile = App.get params "tile" 2048 in
   let par = App.get params "par" 4 in
   let meta = App.get params "meta" 1 <> 0 in
-  assert (n mod tile = 0);
+  App.must_divide "tile" tile ~extent:("n", n);
   let b = B.create ~params "tpchq6" in
   let price = B.offchip b "price" Dtype.float32 [ n ] in
   let discount = B.offchip b "discount" Dtype.float32 [ n ] in

@@ -3,6 +3,7 @@ module Design_key = Dhdl_model.Design_key
 module Lint = Dhdl_lint.Lint
 module Diag = Dhdl_ir.Diag
 module Faults = Dhdl_util.Faults
+module Fifo_table = Dhdl_util.Fifo_table
 module Obs = Dhdl_obs.Obs
 
 type stages = {
@@ -52,18 +53,16 @@ type cached_eval = {
   ce_bram : float;
 }
 
-(* Bounded content-addressed memo table. FIFO eviction in insertion order:
-   deterministic, and cheap enough to run under the same mutex as the
-   probe. Hit/miss/eviction counts are atomics so the accounting itself
-   never extends the critical section or races across domains; [obs]
-   names the Obs counter family ([obs ^ ".hit"] etc.) each table reports
-   under. *)
+(* Bounded content-addressed memo table: a [Fifo_table] (deterministic
+   eviction in insertion order) under a mutex held for the table
+   operation alone. Hit/miss/eviction counts are atomics so the
+   accounting itself never extends the critical section or races across
+   domains; [obs] names the Obs counter family ([obs ^ ".hit"] etc.)
+   each table reports under. *)
 module Cache = struct
   type 'a t = {
-    cap : int;
     m : Mutex.t;
-    tbl : (string, 'a) Hashtbl.t;
-    fifo : string Queue.t;
+    tbl : (string, 'a) Fifo_table.t;
     hits : int Atomic.t;
     misses : int Atomic.t;
     evictions : int Atomic.t;
@@ -74,10 +73,8 @@ module Cache = struct
 
   let create ~obs cap =
     {
-      cap;
       m = Mutex.create ();
-      tbl = Hashtbl.create (max 16 (min 4096 cap));
-      fifo = Queue.create ();
+      tbl = Fifo_table.create cap;
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       evictions = Atomic.make 0;
@@ -86,11 +83,11 @@ module Cache = struct
       evict_counter = obs ^ ".evict";
     }
 
-  let enabled c = c.cap > 0
+  let enabled c = Fifo_table.cap c.tbl > 0
 
   let find c k =
     Mutex.lock c.m;
-    let r = Hashtbl.find_opt c.tbl k in
+    let r = Fifo_table.find_opt c.tbl k in
     Mutex.unlock c.m;
     (match r with
     | Some _ ->
@@ -101,23 +98,14 @@ module Cache = struct
       if Obs.enabled () then Obs.count c.miss_counter);
     r
 
-  (* Two domains can race the same miss; the second [add] is a no-op so
-     the FIFO never holds a key twice. *)
+  (* Two domains can race the same miss; the second [add] is a no-op. *)
   let add c k v =
-    let evicted = ref 0 in
     Mutex.lock c.m;
-    if not (Hashtbl.mem c.tbl k) then begin
-      Hashtbl.replace c.tbl k v;
-      Queue.push k c.fifo;
-      while Hashtbl.length c.tbl > c.cap do
-        Hashtbl.remove c.tbl (Queue.pop c.fifo);
-        incr evicted
-      done
-    end;
+    let evicted = Fifo_table.add c.tbl k v in
     Mutex.unlock c.m;
-    if !evicted > 0 then begin
-      ignore (Atomic.fetch_and_add c.evictions !evicted);
-      if Obs.enabled () then Obs.count ~by:!evicted c.evict_counter
+    if evicted > 0 then begin
+      ignore (Atomic.fetch_and_add c.evictions evicted);
+      if Obs.enabled () then Obs.count ~by:evicted c.evict_counter
     end
 end
 

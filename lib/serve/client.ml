@@ -9,8 +9,11 @@ type t = {
   rng : Rng.t;  (* jitter stream; deterministic per client *)
 }
 
-let create ?(timeout_s = 10.0) ?(max_attempts = 5) ?(backoff_ms = 25) ?(seed = 42) ~socket_path ()
-    =
+let default_max_attempts = 5
+let default_backoff_ms = 25
+
+let create ?(timeout_s = 10.0) ?(max_attempts = default_max_attempts)
+    ?(backoff_ms = default_backoff_ms) ?(seed = 42) ~socket_path () =
   (* A server that hangs up before reading must fail the write with
      EPIPE, not kill the calling process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -78,6 +81,12 @@ let backoff_delay t ~attempt ~hint =
     | None -> t.backoff_ms * (1 lsl min attempt 10)
   in
   int_of_float (float_of_int base *. Rng.float_in t.rng 0.5 1.5)
+
+(* Attempt [a] of [max_attempts - 1] backs off at most 1.5 times its base
+   of [backoff_ms * 2^a]: 50, 100, 200 and 400 ms at the defaults. *)
+let retry_window_s =
+  let rec bases a = if a >= default_max_attempts then 0 else (default_backoff_ms lsl a) + bases (a + 1) in
+  1.5 *. float_of_int (bases 1) /. 1000.0
 
 let call t req =
   let rec go attempt last_err =

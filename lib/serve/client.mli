@@ -23,16 +23,24 @@ val create :
   socket_path:string ->
   unit ->
   t
-(** Defaults: [timeout_s 10.], [max_attempts 5], [backoff_ms 25] (the
-    first retry's base delay; doubles each attempt), [seed 42] (jitter
-    stream). *)
+(** Defaults: [timeout_s 10.], [max_attempts 5], [backoff_ms 25] (half
+    the first retry's base delay; the base doubles each attempt), [seed 42]
+    (jitter stream). SIGPIPE is ignored from here on, process-wide, so a
+    server that hangs up before reading fails the write with EPIPE
+    instead of killing the caller. *)
 
 val call : t -> Protocol.request -> (Protocol.reply, string) result
 (** Send one request, retrying as described above. [Ok] is the server's
     reply (which may itself be a typed error such as [quarantined] —
     retryable rejections are only surfaced once attempts are exhausted);
-    [Error] means no reply was obtained (server unreachable, or every
-    attempt timed out / was shed). *)
+    [Error] means no reply was obtained (server unreachable, every
+    attempt timed out / was shed, or the server hung up before reading:
+    [Error "send: ..."]). *)
+
+val retry_window_s : float
+(** The longest a {!call} at the default [max_attempts] and [backoff_ms]
+    spends backing off between its first and last attempt: 1.125 s. The
+    server sizes its reply cache from it. *)
 
 val wait_ready : ?timeout_s:float -> t -> bool
 (** Poll [ping] until the server answers (true) or the timeout elapses

@@ -9,6 +9,7 @@ module Checkpoint = Dhdl_dse.Checkpoint
 module Lint = Dhdl_lint.Lint
 module Obs = Dhdl_obs.Obs
 module Faults = Dhdl_util.Faults
+module Fifo_table = Dhdl_util.Fifo_table
 
 type config = {
   sessions_root : string;
@@ -39,19 +40,20 @@ type pending = {
   p_reply : P.reply -> unit;
 }
 
-type item = Req of pending | Quit
-
 (* A running sweep. [sw_finished] flips (in the sweep domain's last act)
-   before the domain exits, so the worker can poll it without blocking;
-   the domain handle is joined from the worker once finished, or by
-   [drain]. All durable state is in the session directory — this record
-   is only bookkeeping for cancellation and joining. *)
+   before the domain exits, so the supervisor can poll it without
+   blocking; the domain handle is joined once finished, or by [drain].
+   All durable state is in the session directory — this record is only
+   bookkeeping for cancellation and joining. *)
 type sweep = {
   sw_stop : bool Atomic.t;
   sw_finished : bool Atomic.t;
   mutable sw_domain : unit Domain.t option;
 }
 
+(* Everything below runs on the one thread that calls [submit],
+   [run_next] and [drain]; only sweeps run on domains of their own, and
+   they touch nothing here but their [sweep] atomics. *)
 type t = {
   cfg : config;
   (* The one evaluation pipeline every handler shares: estimate and
@@ -59,43 +61,39 @@ type t = {
      through this [Eval.t], so its design-key caches are cross-request —
      a design estimated for one client answers the next client (or the
      next sweep) from the cache. Forced lazily like the estimator it
-     wraps, and from the worker domain only. *)
+     wraps, and never from a sweep domain. *)
   eval : Eval.t Lazy.t;
-  q : item Queue.t;
-  q_mutex : Mutex.t;
-  q_nonempty : Condition.t;
-  drain_flag : bool Atomic.t;
-  lock : Mutex.t;  (* guards cache, crashes, sweeps *)
-  cache : (string, P.reply) Hashtbl.t;  (* request id -> final reply *)
+  q : pending Queue.t;
+  mutable drain_flag : bool;
+  cache : (string, P.reply) Fifo_table.t;  (* request id -> final reply *)
   crashes : (string, string list) Hashtbl.t;  (* request id -> errors, newest first *)
   sweeps : (string, sweep) Hashtbl.t;  (* session id -> running sweep *)
   nn_base : int;  (* estimator.nn_fallback counter at startup *)
-  mutable worker : unit Domain.t option;
 }
+
+(* A cached reply matters only to a retry of its id, and a [Client.call]
+   backs off for at most [Client.retry_window_s] (1.125 s) in all
+   between its attempts. The cache holds that window's replies at 4,000
+   a second, well above the rate the serve benchmark's mix is answered
+   at (about 1,500 a second): 4,500 replies, at most 95 MB even if every
+   one were a 21 KB 64-spec batch reply. *)
+let reply_cache_cap = int_of_float (Float.ceil (Client.retry_window_s *. 4000.0))
 
 let create cfg =
   {
     cfg;
     eval = lazy (Eval.create (Lazy.force cfg.estimator));
     q = Queue.create ();
-    q_mutex = Mutex.create ();
-    q_nonempty = Condition.create ();
-    drain_flag = Atomic.make false;
-    lock = Mutex.create ();
-    cache = Hashtbl.create 64;
+    drain_flag = false;
+    cache = Fifo_table.create reply_cache_cap;
     crashes = Hashtbl.create 8;
     sweeps = Hashtbl.create 8;
     nn_base = Obs.counter_value "estimator.nn_fallback";
-    worker = None;
   }
 
-let locked mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-let draining t = Atomic.get t.drain_flag
-let queue_depth t = locked t.q_mutex (fun () -> Queue.length t.q)
-let cached t id = locked t.lock (fun () -> Hashtbl.find_opt t.cache id)
+let draining t = t.drain_flag
+let queue_depth t = Queue.length t.q
+let cached t id = Fifo_table.find_opt t.cache id
 
 (* ---------------- helpers shared by the handlers -------------------- *)
 
@@ -261,7 +259,7 @@ let run_sweep cfg ~sid ~(spec : Session.spec) ~(app : App.t) ~ev ?deadline_secon
     if not r.Explore.truncated then Session.mark_done ~root sid (summary_json r)
   with e -> ( try Session.mark_failed ~root sid (Printexc.to_string e) with _ -> ())
 
-(* Reap a finished sweep's domain. Caller holds [t.lock]. *)
+(* Reap a finished sweep's domain. *)
 let reap t sid =
   match Hashtbl.find_opt t.sweeps sid with
   | Some sw when Atomic.get sw.sw_finished ->
@@ -271,9 +269,8 @@ let reap t sid =
   | _ -> ()
 
 let sweep_running t sid =
-  locked t.lock (fun () ->
-      reap t sid;
-      Hashtbl.mem t.sweeps sid)
+  reap t sid;
+  Hashtbl.mem t.sweeps sid
 
 let checkpoint_entries cfg sid =
   match Checkpoint.load ~path:(Session.checkpoint_path ~root:cfg.sessions_root sid) with
@@ -361,13 +358,13 @@ let dse_start t p =
         match st with Session.Interrupted (_, n, _) -> n | _ -> 0
       in
       (* Force outside the sweep domain: Lazy.t is not safe to force from
-         two domains, and the worker is the only other forcer. The sweep
+         two domains, and this thread is the only other forcer. The sweep
          shares the supervisor's [Eval.t], so designs this server already
          proved or estimated (for any client) skip those stages. *)
       let ev = Lazy.force t.eval in
       let stop = Atomic.make false in
       let sw = { sw_stop = stop; sw_finished = Atomic.make false; sw_domain = None } in
-      locked t.lock (fun () -> Hashtbl.replace t.sweeps sid sw);
+      Hashtbl.replace t.sweeps sid sw;
       let deadline_seconds = remaining_seconds p in
       let cfg = t.cfg in
       let finished = sw.sw_finished in
@@ -401,14 +398,15 @@ let dse_cancel t req =
   let id = req.P.q_id in
   let sid = need_session req in
   let cancelled =
-    match locked t.lock (fun () -> reap t sid; Hashtbl.find_opt t.sweeps sid) with
+    reap t sid;
+    match Hashtbl.find_opt t.sweeps sid with
     | Some sw ->
       Atomic.set sw.sw_stop true;
       (* The sweep notices within one point; join so the final checkpoint
          is on disk before we report the post-cancel state. *)
       Option.iter Domain.join sw.sw_domain;
       sw.sw_domain <- None;
-      locked t.lock (fun () -> Hashtbl.remove t.sweeps sid);
+      Hashtbl.remove t.sweeps sid;
       true
     | None -> false
   in
@@ -426,7 +424,7 @@ let exec t p ~depth =
     match req.P.q_verb with
     | P.Ping -> P.ok ~id (Json.Obj [ ("pong", Json.Bool true) ])
     | P.Shutdown ->
-      Atomic.set t.drain_flag true;
+      t.drain_flag <- true;
       P.ok ~id (Json.Obj [ ("draining", Json.Bool true) ])
     | P.Estimate -> estimate_reply t req ~depth
     | P.Estimate_batch -> estimate_batch_reply t p ~depth
@@ -439,10 +437,12 @@ let exec t p ~depth =
   | Failure msg -> P.error ~id P.Bad_request msg
   | Session.Store_error msg -> P.error ~id P.Internal ("session store: " ^ msg)
 
+(* A final reply is cached under its id; past [reply_cache_cap] the
+   oldest is evicted, and a retry of its id runs again. *)
 let finalize t id reply =
-  locked t.lock (fun () ->
-      Hashtbl.replace t.cache id reply;
-      Hashtbl.remove t.crashes id);
+  let evicted = Fifo_table.add t.cache id reply in
+  if evicted > 0 then Obs.count ~by:evicted "serve.reply_cache.evict";
+  Hashtbl.remove t.crashes id;
   reply
 
 (* Execute one pending request to a final reply: serve from the reply
@@ -461,7 +461,7 @@ let rec process t p ~depth =
            (Printf.sprintf "deadline of %d ms expired before execution"
               (Option.value p.p_req.P.q_deadline_ms ~default:0)))
     else begin
-      let attempt = locked t.lock (fun () -> List.length (Option.value (Hashtbl.find_opt t.crashes id) ~default:[])) in
+      let attempt = List.length (Option.value (Hashtbl.find_opt t.crashes id) ~default:[]) in
       match
         (* Key every fault decision of this attempt by (id, attempt), so
            retries re-roll instead of replaying the same crash forever. *)
@@ -473,13 +473,8 @@ let rec process t p ~depth =
       | exception e ->
         let msg = Printexc.to_string e in
         Obs.count "serve.handler_crash";
-        let crashes =
-          locked t.lock (fun () ->
-              let prev = Option.value (Hashtbl.find_opt t.crashes id) ~default:[] in
-              let now = msg :: prev in
-              Hashtbl.replace t.crashes id now;
-              now)
-        in
+        let crashes = msg :: Option.value (Hashtbl.find_opt t.crashes id) ~default:[] in
+        Hashtbl.replace t.crashes id crashes;
         if List.length crashes >= t.cfg.quarantine_threshold then begin
           Obs.count "serve.quarantined";
           finalize t id
@@ -489,81 +484,56 @@ let rec process t p ~depth =
         else process t p ~depth
     end
 
-let rec worker_loop t =
-  Mutex.lock t.q_mutex;
-  while Queue.is_empty t.q do
-    Condition.wait t.q_nonempty t.q_mutex
-  done;
-  let item = Queue.pop t.q in
-  let depth = Queue.length t.q in
-  Mutex.unlock t.q_mutex;
-  match item with
-  | Quit -> ()
-  | Req p ->
+let deliver reply_to r = try reply_to r with _ -> ()
+
+let run_next t =
+  match Queue.take_opt t.q with
+  | None -> false
+  | Some p ->
+    let depth = Queue.length t.q in
     let verb = P.verb_name p.p_req.P.q_verb in
     (* The reply is delivered inside the request's span, so the span
        covers what its callback spends rendering and writing it. *)
     Obs.with_request_track
       ~attrs:[ ("id", p.p_req.P.q_id); ("verb", verb) ]
       ("serve." ^ verb)
-      (fun () ->
-        let reply = process t p ~depth in
-        try p.p_reply reply with _ -> ());
-    worker_loop t
-
-let start t =
-  match t.worker with
-  | Some _ -> ()
-  | None -> t.worker <- Some (Domain.spawn (fun () -> worker_loop t))
+      (fun () -> deliver p.p_reply (process t p ~depth));
+    true
 
 let submit t req ~reply_to =
   let id = req.P.q_id in
-  let deliver r = try reply_to r with _ -> () in
   match cached t id with
-  | Some r -> deliver r
+  | Some r -> deliver reply_to r
   | None ->
-    if Atomic.get t.drain_flag then
-      deliver (P.error ~id P.Draining "server is draining; retry against another instance")
+    if t.drain_flag then
+      deliver reply_to (P.error ~id P.Draining "server is draining; retry against another instance")
     else begin
-      Mutex.lock t.q_mutex;
       let depth = Queue.length t.q in
       if depth >= t.cfg.queue_capacity then begin
-        Mutex.unlock t.q_mutex;
         Obs.count "serve.shed";
-        deliver
+        deliver reply_to
           (P.error
              ~retry_after_ms:(25 * (depth + 1))
              ~id P.Overloaded
              (Printf.sprintf "pending queue is full (%d request(s))" depth))
       end
       else begin
-        Queue.push (Req { p_req = req; p_arrival = Unix.gettimeofday (); p_reply = reply_to }) t.q;
-        Condition.signal t.q_nonempty;
-        Mutex.unlock t.q_mutex;
+        Queue.push { p_req = req; p_arrival = Unix.gettimeofday (); p_reply = reply_to } t.q;
         Obs.count "serve.admitted"
       end
     end
 
 let drain t =
-  Atomic.set t.drain_flag true;
-  (* FIFO: Quit lands behind every admitted request, so the worker drains
-     all in-flight work first. *)
-  (match t.worker with
-  | Some d ->
-    Mutex.lock t.q_mutex;
-    Queue.push Quit t.q;
-    Condition.signal t.q_nonempty;
-    Mutex.unlock t.q_mutex;
-    Domain.join d;
-    t.worker <- None
-  | None -> ());
+  t.drain_flag <- true;
+  while run_next t do
+    ()
+  done;
   (* Cancel any sweep still running; each truncates at its next point and
      writes a final checkpoint, leaving the session resumable. *)
-  let sweeps = locked t.lock (fun () -> Hashtbl.fold (fun _ sw acc -> sw :: acc) t.sweeps []) in
-  List.iter (fun sw -> Atomic.set sw.sw_stop true) sweeps;
-  List.iter
-    (fun sw ->
+  Hashtbl.iter (fun _ sw -> Atomic.set sw.sw_stop true) t.sweeps;
+  Hashtbl.iter
+    (fun _ sw ->
       Option.iter Domain.join sw.sw_domain;
       sw.sw_domain <- None)
-    sweeps;
-  locked t.lock (fun () -> Hashtbl.reset t.sweeps)
+    t.sweeps;
+  Hashtbl.reset t.sweeps

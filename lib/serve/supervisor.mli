@@ -1,19 +1,22 @@
 (** The DSE server's supervisor: session table, admission control, and
-    the single worker that executes requests.
+    the execution of requests.
 
-    The supervisor owns a bounded pending queue fed by {!submit} (called
-    from the socket event loop or directly by in-process tests) and
-    drained by one worker domain ({!start}); long-running sweeps run on
-    their own domains, tracked in the session table and cancellable
-    through the {!Dhdl_dse.Explore} [stop_requested] hook. The robustness
-    contract, layer by layer:
+    The supervisor owns a bounded pending queue fed by {!submit} and
+    emptied one request at a time by {!run_next}, which runs the request
+    on the caller's thread: the socket event loop calls both between its
+    [select] polls, and in-process callers (tests, benchmarks) drive the
+    same two functions. A [t] belongs to that one thread. Only sweeps run
+    elsewhere: each [dse_start] spawns a domain for its sweep, tracked in
+    the session table and cancellable through the {!Dhdl_dse.Explore}
+    [stop_requested] hook. The robustness contract, layer by layer:
 
     - {b Admission control}: when the pending queue holds
       [queue_capacity] requests, {!submit} sheds the request with a typed
       [overloaded] reply carrying a [retry_after_ms] hint — it never
       blocks the event loop and never drops silently.
     - {b Deadlines}: a request's [deadline_ms] is measured from
-      admission. Work still queued when it expires answers
+      admission ({!submit}; on the server, when the event loop reads the
+      request line). Work still queued when it expires answers
       [deadline_exceeded]; a [dse_start]'s remaining budget becomes the
       sweep's deadline, so an over-budget sweep truncates, checkpoints,
       and stays resumable.
@@ -24,7 +27,10 @@
     - {b Idempotent retries}: final replies are cached by request id, so
       a client resending an id (after a timeout it cannot distinguish
       from loss) gets the original reply, not a re-execution.
-      [overloaded]/[draining] rejections are not cached.
+      [overloaded]/[draining] rejections are not cached. The cache keeps
+      the newest {!reply_cache_cap} replies and evicts the oldest first
+      (counted as [serve.reply_cache.evict]); an evicted id that comes
+      back runs again.
     - {b Quarantine}: a request whose handler crashes
       [quarantine_threshold] times (each attempt re-rolled via the
       [serve.handler] fault site keyed by (id, attempt)) is parked with a
@@ -52,7 +58,7 @@
 type config = {
   sessions_root : string;  (** Directory holding {!Session} state. *)
   estimator : Dhdl_model.Estimator.t Lazy.t;
-      (** Forced on first use, from the worker domain only. *)
+      (** Forced on first use, by the thread that runs requests. *)
   queue_capacity : int;  (** Pending-queue bound; over it = [overloaded]. *)
   degrade_depth : int;  (** Queue depth at dispatch that degrades estimates. *)
   quarantine_threshold : int;  (** Handler crashes before a request is parked. *)
@@ -71,19 +77,26 @@ val default_config :
 
 type t
 
-val create : config -> t
-(** Build the supervisor without starting the worker — requests submitted
-    before {!start} queue up (the admission tests rely on this). *)
+val reply_cache_cap : int
+(** How many final replies the idempotency cache keeps: 4,500, the
+    replies of {!Client.retry_window_s} at 4,000 replies a second. *)
 
-val start : t -> unit
-(** Spawn the worker domain. Idempotent. *)
+val create : config -> t
+(** Build the supervisor. Submitted requests queue until {!run_next}
+    runs them. *)
 
 val submit : t -> Protocol.request -> reply_to:(Protocol.reply -> unit) -> unit
 (** Admit one request. [reply_to] is invoked exactly once per call —
-    immediately for cached/[overloaded]/[draining] outcomes, from the
-    worker otherwise. It may be called from the worker domain and must
-    not raise (a raise is swallowed so a dead connection cannot kill the
-    worker). *)
+    before [submit] returns for cached/[overloaded]/[draining] outcomes,
+    from the {!run_next} that runs the request otherwise. It must not
+    raise (a raise is swallowed, so a dead connection cannot fail the
+    caller). *)
+
+val run_next : t -> bool
+(** Run the oldest queued request to its final reply on the caller's
+    thread, deliver it, and return [true]; [false] when nothing is
+    queued. Blocks for as long as the handler runs (a [dse_cancel] also
+    waits for its sweep's final checkpoint). *)
 
 val draining : t -> bool
 (** Set by a [shutdown] request or {!drain}; new submissions answer
@@ -92,6 +105,6 @@ val draining : t -> bool
 val queue_depth : t -> int
 
 val drain : t -> unit
-(** Graceful shutdown: refuse new work, finish every queued request,
-    stop the worker, cancel running sweeps (they truncate and write a
-    final checkpoint), and join every domain. Safe to call twice. *)
+(** Graceful shutdown: refuse new work, run every queued request, cancel
+    running sweeps (they truncate and write a final checkpoint), and join
+    their domains. Safe to call twice. *)

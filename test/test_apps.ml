@@ -150,6 +150,50 @@ let test_spaces_nonempty_and_legal () =
         pts)
     Registry.all
 
+(* Each tile parameter of each app, and the dataset extent it tiles. *)
+let tile_extents =
+  [
+    ("dotproduct", [ ("tile", "n") ]);
+    ("outerprod", [ ("tileA", "n"); ("tileB", "m") ]);
+    ("gemm", [ ("tileN", "n"); ("tileM", "m"); ("tileK", "k") ]);
+    ("tpchq6", [ ("tile", "n") ]);
+    ("blackscholes", [ ("tile", "n") ]);
+    ("gda", [ ("tile", "r") ]);
+    ("kmeans", [ ("tile", "n") ]);
+  ]
+
+(* A tile that does not divide its extent is refused with a [Failure]
+   naming the parameter, its value and the extent, not an assertion's
+   source location; through the request layer the message keeps only
+   the stage's name in front of it. *)
+let test_tile_must_divide () =
+  List.iter
+    (fun (app : App.t) ->
+      let sizes = app.App.paper_sizes in
+      let defaults = app.App.default_params sizes in
+      let extents = List.assoc app.App.name tile_extents in
+      Alcotest.(check (list string))
+        (app.App.name ^ ": every tile parameter has an extent")
+        (List.filter (String.starts_with ~prefix:"tile") (List.map fst defaults))
+        (List.map fst extents);
+      List.iter
+        (fun (param, dim) ->
+          let n = App.size sizes dim in
+          let rec non_divisor v = if n mod v <> 0 then v else non_divisor (v + 1) in
+          let v = non_divisor 2 in
+          let params = List.map (fun (k, x) -> if k = param then (k, v) else (k, x)) defaults in
+          let expected = Printf.sprintf "parameter %S must divide %s = %d (got %d)" param dim n v in
+          let what = Printf.sprintf "%s %s=%d" app.App.name param v in
+          (match app.App.generate ~sizes ~params with
+          | _ -> Alcotest.failf "%s generated a design" what
+          | exception Failure msg -> Alcotest.(check string) (what ^ ": generator") expected msg);
+          match Dhdl_apps.Request.point app.App.name [ (param, v) ] with
+          | _ -> Alcotest.failf "%s resolved to a point" what
+          | exception Failure msg ->
+            Alcotest.(check string) (what ^ ": request layer") ("generator: " ^ expected) msg)
+        extents)
+    Registry.all
+
 let test_generation_deterministic () =
   List.iter
     (fun (app : App.t) ->
@@ -320,6 +364,7 @@ let () =
           Alcotest.test_case "validate test sizes" `Quick test_all_validate_at_test_sizes;
           Alcotest.test_case "validate paper sizes" `Quick test_all_validate_at_paper_sizes;
           Alcotest.test_case "spaces legal" `Quick test_spaces_nonempty_and_legal;
+          Alcotest.test_case "tiles must divide their extents" `Quick test_tile_must_divide;
           Alcotest.test_case "deterministic" `Quick test_generation_deterministic;
           Alcotest.test_case "params recorded" `Quick test_params_recorded;
         ] );

@@ -117,25 +117,19 @@ let bfield name j =
   | Some b -> b
   | None -> Alcotest.failf "field %S is not a bool in %s" name (Sjson.render j)
 
-(* One-shot mailbox for a reply delivered from the worker domain. *)
-let inbox () =
-  let m = Mutex.create () and c = Condition.create () in
+(* One-shot mailbox for a reply. [wait] runs [sup]'s queued requests on
+   this thread, as the server's event loop does, until the reply is in. *)
+let inbox sup =
   let slot = ref None in
-  let put reply =
-    Mutex.lock m;
-    slot := Some reply;
-    Condition.signal c;
-    Mutex.unlock m
-  in
-  let wait () =
-    Mutex.lock m;
-    while Option.is_none !slot do
-      Condition.wait c m
-    done;
-    let v = Option.get !slot in
-    slot := None;
-    Mutex.unlock m;
-    v
+  let put reply = slot := Some reply in
+  let rec wait () =
+    match !slot with
+    | Some v ->
+      slot := None;
+      v
+    | None ->
+      if Supervisor.run_next sup then wait ()
+      else Alcotest.fail "the queue ran dry before the reply was delivered"
   in
   (put, wait)
 
@@ -143,7 +137,7 @@ let inbox () =
    wire codec so Raw payload fragments come back as parsed JSON and every
    in-process test also exercises render/parse. *)
 let rpc sup req =
-  let put, wait = inbox () in
+  let put, wait = inbox sup in
   Supervisor.submit sup req ~reply_to:put;
   let reply = wait () in
   match P.parse_reply (P.render_reply reply) with
@@ -164,9 +158,8 @@ let sup_config ?root ?(queue_capacity = 64) ?(degrade_depth = 16) ?(quarantine_t
     dse_checkpoint_every = checkpoint_every;
   }
 
-let with_sup ?(start = true) cfg f =
+let with_sup cfg f =
   let sup = Supervisor.create cfg in
-  if start then Supervisor.start sup;
   Fun.protect ~finally:(fun () -> Supervisor.drain sup) (fun () -> f sup)
 
 let must_call client req =
@@ -410,6 +403,31 @@ let test_cli_hostile_bindings () =
       [ "lint"; "kmeans"; "parDist=4611686018427387903" ];
     ]
 
+(* With no sweep running, `dhdl serve` is one thread: its event loop runs
+   every request itself. Skipped where /proc is absent. *)
+let test_serve_one_thread () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  let socket = tmp (fresh_id "thread.sock") in
+  let root = fresh_root "thread" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process dhdl_exe
+      [| dhdl_exe; "serve"; "--socket"; socket; "--sessions"; root |]
+      devnull devnull devnull
+  in
+  Unix.close devnull;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      rm_rf root)
+  @@ fun () ->
+  let client = Client.create ~timeout_s:10.0 ~socket_path:socket () in
+  check_bool "server came up" true (Client.wait_ready ~timeout_s:60.0 client);
+  check_bool "pong" true (bfield "pong" (payload (must_call client (P.request ~id:"one-thread" P.Ping))));
+  check_int "threads of the serving process" 1
+    (Array.length (Sys.readdir (Printf.sprintf "/proc/%d/task" pid)))
+
 (* ==================================================================== *)
 (* 2b. Golden point corpus: what the CLI prints and the server answers  *)
 (*     for one design point, pinned by exit code and digest             *)
@@ -483,7 +501,7 @@ let corpus_served ~cache =
     (fun (app, params) ->
       List.map
         (fun verb ->
-          let put, wait = inbox () in
+          let put, wait = inbox sup in
           Supervisor.submit sup (P.request ~id:(fresh_id "corpus") ~app ~params verb) ~reply_to:put;
           let outcome, text =
             match (wait ()).P.r_body with
@@ -916,9 +934,34 @@ let test_idempotent_reply_cache () =
   let r2 = rpc sup req in
   check_str "a retried id returns the cached bytes" (P.render_reply r1) (P.render_reply r2)
 
+(* The cache keeps the newest [reply_cache_cap] replies: one past the
+   bound, the oldest id queues again when resubmitted, while the next
+   oldest and the newest are still answered at once. *)
+let test_reply_cache_bound () =
+  with_sup (sup_config ()) @@ fun sup ->
+  let cap = Supervisor.reply_cache_cap in
+  let id i = Printf.sprintf "rc-%d" i in
+  for i = 0 to cap do
+    ignore (payload (rpc sup (P.request ~id:(id i) P.Ping)))
+  done;
+  check_int "nothing queued" 0 (Supervisor.queue_depth sup);
+  let answered = ref 0 in
+  let resubmit i =
+    Supervisor.submit sup (P.request ~id:(id i) P.Ping) ~reply_to:(fun _ -> incr answered)
+  in
+  resubmit 0;
+  check_int "the evicted oldest id queues again" 1 (Supervisor.queue_depth sup);
+  check_int "and is not answered yet" 0 !answered;
+  resubmit 1;
+  resubmit cap;
+  check_int "the next oldest and the newest do not queue" 1 (Supervisor.queue_depth sup);
+  check_int "both are answered from the cache" 2 !answered;
+  check_bool "the requeued id runs" true (Supervisor.run_next sup);
+  check_int "and is answered" 3 !answered
+
 let test_admission_control () =
-  with_sup ~start:false (sup_config ~queue_capacity:2 ()) @@ fun sup ->
-  let put1, wait1 = inbox () and put2, wait2 = inbox () and put3, wait3 = inbox () in
+  with_sup (sup_config ~queue_capacity:2 ()) @@ fun sup ->
+  let put1, wait1 = inbox sup and put2, wait2 = inbox sup and put3, wait3 = inbox sup in
   Supervisor.submit sup (P.request ~id:"adm-1" P.Ping) ~reply_to:put1;
   Supervisor.submit sup (P.request ~id:"adm-2" P.Ping) ~reply_to:put2;
   check_int "queue holds the capacity" 2 (Supervisor.queue_depth sup);
@@ -927,40 +970,37 @@ let test_admission_control () =
   check_bool "third is shed, typed" true (e.P.err_code = P.Overloaded);
   check_bool "shed reply carries a backoff hint" true (e.P.err_retry_after_ms = Some 75);
   check_bool "message says full" true (contains e.P.err_message "full");
-  Supervisor.start sup;
   check_bool "first queued request completes" true (bfield "pong" (payload (wait1 ())));
   check_bool "second queued request completes" true (bfield "pong" (payload (wait2 ())));
   (* A shed is never cached against the id: once the queue drains, the
      same id is admitted and executed. *)
-  let put3b, wait3b = inbox () in
+  let put3b, wait3b = inbox sup in
   Supervisor.submit sup (P.request ~id:"adm-3" P.Ping) ~reply_to:put3b;
   check_bool "shed id succeeds on retry" true (bfield "pong" (payload (wait3b ())))
 
 let test_deadline_exceeded () =
-  with_sup ~start:false (sup_config ()) @@ fun sup ->
-  let put, wait = inbox () in
+  with_sup (sup_config ()) @@ fun sup ->
+  let put, wait = inbox sup in
   let req = P.request ~id:"dl-1" ~deadline_ms:5 ~app:"dotproduct" P.Estimate in
   Supervisor.submit sup req ~reply_to:put;
   Unix.sleepf 0.05;
-  Supervisor.start sup;
   let e = err_of (wait ()) in
   check_bool "expired work answers deadline_exceeded" true (e.P.err_code = P.Deadline_exceeded);
   check_bool "names the budget" true (contains e.P.err_message "5 ms");
   (* Expiry is a final reply: the retried id gets the cached verdict. *)
-  let put2, wait2 = inbox () in
+  let put2, wait2 = inbox sup in
   Supervisor.submit sup req ~reply_to:put2;
   check_bool "expiry is cached" true ((err_of (wait2 ())).P.err_code = P.Deadline_exceeded);
   (* A generous deadline is not in the way. *)
-  let put3, wait3 = inbox () in
+  let put3, wait3 = inbox sup in
   Supervisor.submit sup (P.request ~id:"dl-2" ~deadline_ms:60_000 P.Ping) ~reply_to:put3;
   check_bool "live deadline passes" true (bfield "pong" (payload (wait3 ())))
 
 let test_degraded_under_queue_depth () =
-  with_sup ~start:false (sup_config ~degrade_depth:1 ()) @@ fun sup ->
-  let put1, wait1 = inbox () and put2, wait2 = inbox () in
+  with_sup (sup_config ~degrade_depth:1 ()) @@ fun sup ->
+  let put1, wait1 = inbox sup and put2, wait2 = inbox sup in
   Supervisor.submit sup (P.request ~id:"dg-1" ~app:"dotproduct" P.Estimate) ~reply_to:put1;
   Supervisor.submit sup (P.request ~id:"dg-2" ~app:"dotproduct" P.Estimate) ~reply_to:put2;
-  Supervisor.start sup;
   let p1 = payload (wait1 ()) and p2 = payload (wait2 ()) in
   (* dg-1 dispatched with dg-2 still queued: depth 1 >= degrade_depth. *)
   check_bool "deep queue degrades to the analytical model" true (bfield "degraded" p1);
@@ -1007,7 +1047,6 @@ let test_quarantine_after_repeated_crashes () =
 let test_draining_refuses_new_work () =
   let root = fresh_root "drainsess" in
   let sup = Supervisor.create (sup_config ~root ~checkpoint_every:3 ()) in
-  Supervisor.start sup;
   ignore
     (payload
        (rpc sup
@@ -1016,7 +1055,7 @@ let test_draining_refuses_new_work () =
   let p = payload (rpc sup (P.request ~id:"dr-2" P.Shutdown)) in
   check_bool "shutdown acknowledges" true (bfield "draining" p);
   check_bool "flag visible" true (Supervisor.draining sup);
-  let put, wait = inbox () in
+  let put, wait = inbox sup in
   Supervisor.submit sup (P.request ~id:"dr-3" P.Ping) ~reply_to:put;
   check_bool "new work refused while draining" true ((err_of (wait ())).P.err_code = P.Draining);
   Supervisor.drain sup;
@@ -1387,8 +1426,8 @@ let test_socket_codec_spans () =
         (fun req -> ignore (must_call client req))
         [ P.request ~id:"sp-1" P.Ping; P.request ~id:"sp-2" ~app:"dotproduct" P.Estimate;
           P.request ~id:"sp-3" ~specs:[ ("gda", []); ("kmeans", []) ] P.Estimate_batch ]);
-  (* [with_server] has shut the server down and joined it: its worker's
-     spans are all in the sink. *)
+  (* [with_server] has shut the server down and joined it: its
+     request spans are all in the sink. *)
   let spans = (Obs.snapshot ()).Obs.snap_spans in
   let named name = List.filter (fun sp -> sp.Obs.sp_name = name) spans in
   let requests =
@@ -1562,7 +1601,7 @@ let test_hostile_supervisor () =
   let delivered = Hashtbl.create 128 in
   let m = Mutex.create () in
   let call id req =
-    let put, wait = inbox () in
+    let put, wait = inbox sup in
     let count r =
       Mutex.protect m (fun () ->
           Hashtbl.replace delivered id (1 + Option.value ~default:0 (Hashtbl.find_opt delivered id)));
@@ -1607,6 +1646,21 @@ let test_hostile_supervisor () =
   check_bool "a ping is still answered" true
     (bfield "pong" (payload (call "after-huge" (P.request ~id:"after-huge" P.Ping))));
   Hashtbl.iter (fun id n -> check_int (id ^ ": replies delivered") 1 n) delivered
+
+(* A tile that does not divide its extent answers one message naming
+   the parameter, its value and the extent, with no exception wrapper:
+   on the CLI and in the served bad_request alike. *)
+let test_tile_must_divide_message () =
+  let expected = "generator: parameter \"tile\" must divide n = 187200000 (got 7)" in
+  let code, _, err = run_cli ~timeout_s:5.0 [ "estimate"; "dotproduct"; "tile=7" ] in
+  check_int "the CLI exits 1" 1 code;
+  check_bool ("the CLI prints: " ^ err) true (contains err ("dhdl: error: " ^ expected ^ "\n"));
+  with_sup (sup_config ()) @@ fun sup ->
+  let e =
+    err_of (rpc sup (P.request ~id:"tile-7" ~app:"dotproduct" ~params:[ ("tile", 7) ] P.Estimate))
+  in
+  check_bool "served as bad_request" true (e.P.err_code = P.Bad_request);
+  check_str "served message" expected e.P.err_message
 
 (* The binding check reads a parameter's kind from its name, so every
    dimension must carry one, every toggle must sample exactly {0, 1},
@@ -1653,6 +1707,7 @@ let () =
           Alcotest.test_case "train-samples below one" `Quick test_cli_train_samples_below_one;
           Alcotest.test_case "valid command still exits 0" `Quick test_cli_success_still_zero;
           Alcotest.test_case "hostile bindings exit 1" `Quick test_cli_hostile_bindings;
+          Alcotest.test_case "serve runs on one thread" `Quick test_serve_one_thread;
         ] );
       ( "corpus",
         [ Alcotest.test_case "CLI and served outputs by digest" `Quick test_golden_corpus ] );
@@ -1687,6 +1742,7 @@ let () =
           Alcotest.test_case "estimate batch" `Quick test_estimate_batch;
           Alcotest.test_case "bad requests are typed" `Quick test_bad_requests_are_typed;
           Alcotest.test_case "idempotent reply cache" `Quick test_idempotent_reply_cache;
+          Alcotest.test_case "reply cache is bounded" `Quick test_reply_cache_bound;
           Alcotest.test_case "admission control" `Quick test_admission_control;
           Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
           Alcotest.test_case "degraded under queue depth" `Quick test_degraded_under_queue_depth;
@@ -1723,5 +1779,7 @@ let () =
           Alcotest.test_case "hostile bindings: one typed reply each" `Quick
             test_hostile_supervisor;
           Alcotest.test_case "every dimension has a kind" `Quick test_dimension_kinds;
+          Alcotest.test_case "a tile that does not divide is named" `Quick
+            test_tile_must_divide_message;
         ] );
     ]

@@ -10,6 +10,7 @@ module Pareto = Dhdl_util.Pareto
 module Texttable = Dhdl_util.Texttable
 module Asciiplot = Dhdl_util.Asciiplot
 module Emit = Dhdl_util.Emit
+module Fifo_table = Dhdl_util.Fifo_table
 module Json = Dhdl_util.Json
 module Checkpoint = Dhdl_dse.Checkpoint
 module Outcome = Dhdl_dse.Outcome
@@ -20,6 +21,34 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let qtest = QCheck_alcotest.to_alcotest
+
+(* ------------------------- Fifo_table ------------------------------ *)
+
+(* Against a list model in insertion order: adding a bound key is a
+   no-op, and past the cap the oldest entries go first. *)
+let prop_fifo_table =
+  QCheck.Test.make ~count:500 ~name:"Fifo_table = insertion-order list model"
+    QCheck.(pair (int_range 0 6) (small_list (pair (int_range 0 9) small_nat)))
+    (fun (cap, adds) ->
+      let t = Fifo_table.create cap in
+      let model = ref [] in
+      List.for_all
+        (fun (k, v) ->
+          let evicted = Fifo_table.add t k v in
+          let expected =
+            if List.mem_assoc k !model then 0
+            else begin
+              model := !model @ [ (k, v) ];
+              let extra = max 0 (List.length !model - cap) in
+              model := List.filteri (fun i _ -> i >= extra) !model;
+              extra
+            end
+          in
+          evicted = expected
+          && Fifo_table.length t = List.length !model
+          && List.for_all (fun key -> Fifo_table.find_opt t key = List.assoc_opt key !model)
+               (List.init 10 Fun.id))
+        adds)
 
 (* ------------------------- Rng ------------------------------------- *)
 
@@ -735,6 +764,7 @@ let () =
           qtest prop_rng_float_bounds;
           qtest prop_shuffle_permutation;
         ] );
+      ("fifo", [ qtest prop_fifo_table ]);
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_mean;
