@@ -2,7 +2,6 @@ type ('k, 'v) t = { cap : int; tbl : ('k, 'v) Hashtbl.t; order : 'k Queue.t }
 
 let create cap = { cap; tbl = Hashtbl.create (max 16 (min 4096 cap)); order = Queue.create () }
 let cap t = t.cap
-let length t = Hashtbl.length t.tbl
 let find_opt t k = Hashtbl.find_opt t.tbl k
 
 let add t k v =

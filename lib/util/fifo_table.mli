@@ -11,7 +11,6 @@ val create : int -> ('k, 'v) t
 (** A table holding at most [cap] entries; a cap of [0] holds none. *)
 
 val cap : ('k, 'v) t -> int
-val length : ('k, 'v) t -> int
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 
 val add : ('k, 'v) t -> 'k -> 'v -> int

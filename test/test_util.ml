@@ -45,7 +45,6 @@ let prop_fifo_table =
             end
           in
           evicted = expected
-          && Fifo_table.length t = List.length !model
           && List.for_all (fun key -> Fifo_table.find_opt t key = List.assoc_opt key !model)
                (List.init 10 Fun.id))
         adds)
