@@ -112,7 +112,7 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 11) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 12) from GDA sweeps plus a kmeans
    symbolic-gate A/B, the estimator's setup and the served request's
    path. Every timed figure is the median, min and max of [warm_runs]
    runs (a single cold run moved by 40% or more between runs), and every
@@ -132,7 +132,9 @@ let run_ablations ~quick () =
    - warm_session: the warm repeat as the DSE server runs it for a
      dse_start — a fresh checkpoint path, resume on, a checkpoint every
      [Supervisor.default_config]'s [dse_checkpoint_every] points — as
-     points/s and profiled collector write seconds.
+     points/s and profiled collector write seconds, plus one untimed
+     session's generator calls (gate probes included) and its
+     [dse.index.hit] count.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
@@ -336,7 +338,7 @@ let run_dseperf ~quick () =
       .Dhdl_serve.Supervisor.dse_checkpoint_every
   in
   let session_path = Filename.concat (Filename.get_temp_dir_name ()) "dhdl_bench_session.jsonl" in
-  let session ~profile =
+  let session ?(generate = generate) ~profile () =
     if Sys.file_exists session_path then Sys.remove session_path;
     let cfg =
       Explore.Config.(
@@ -348,8 +350,21 @@ let run_dseperf ~quick () =
     Sys.remove session_path;
     r
   in
-  let sessions = repeat (fun () -> session ~profile:false) in
-  let profiled = repeat (fun () -> session ~profile:true) in
+  let sessions = repeat (fun () -> session ~profile:false ()) in
+  let profiled = repeat (fun () -> session ~profile:true ()) in
+  (* One more, untimed session counts what a warm point still elaborates
+     (gate probes included) and how many points the point index answered. *)
+  let generate_calls, index_hits =
+    let calls = ref 0 in
+    let counted p =
+      incr calls;
+      generate p
+    in
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable @@ fun () ->
+    ignore (session ~generate:counted ~profile:false ());
+    (!calls, Obs.counter_value "dse.index.hit")
+  in
   (* Beside the collector's checkpoint writes, what is left of a warm
      point: its generate and cache-probe (design key) lanes. *)
   let warm_session =
@@ -358,11 +373,12 @@ let run_dseperf ~quick () =
     let lane f = spread_json "%.6f" (List.map f attrs) in
     let workers f (a : P.t) = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
     Printf.sprintf
-      "{\"jobs\":1,\"points\":%d,\"checkpoint_every\":%d,\"runs\":%d,\"points_per_sec\":%s,\"collector_write_s\":%s,\"generate_s\":%s,\"probe_s\":%s}"
+      "{\"jobs\":1,\"points\":%d,\"checkpoint_every\":%d,\"runs\":%d,\"points_per_sec\":%s,\"collector_write_s\":%s,\"generate_s\":%s,\"probe_s\":%s,\"generate_calls\":%d,\"index_hits\":%d}"
       (List.hd sessions).Explore.sampled every warm_runs (rates sessions)
       (lane (fun a -> a.P.collector.P.c_write_s))
       (lane (workers (fun w -> w.P.w_generate_s)))
       (lane (workers (fun w -> w.P.w_probe_s)))
+      generate_calls index_hits
   in
   (* Cold timing + warm profiled attribution per jobs level. The warm
      repeats share [ev_seq]'s cache. *)
@@ -487,7 +503,7 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":11,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence). setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":12,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); its generate_calls and index_hits come from one more untimed session with a counting generator and the telemetry sink on. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)

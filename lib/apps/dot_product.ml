@@ -57,7 +57,7 @@ let space sizes =
     ~legal:(fun p ->
       let tile = App.get p "tile" 0 and par = App.get p "par" 1 in
       tile mod par = 0)
-    ()
+    ~sizes ()
 
 let app =
   {

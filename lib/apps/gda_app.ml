@@ -112,7 +112,7 @@ let space sizes =
     ~legal:(fun p ->
       let tile = App.get p "tile" 0 in
       tile * cols <= Space.mem_limit_words)
-    ()
+    ~sizes ()
 
 let app =
   {

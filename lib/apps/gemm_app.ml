@@ -98,7 +98,7 @@ let space sizes =
       let tk = App.get p "tileK" 0 and par = App.get p "par" 1 in
       let words = (tn * tk) + (tk * tm) + (tn * tm) in
       words <= 2 * Space.mem_limit_words && tm mod par = 0)
-    ()
+    ~sizes ()
 
 let app =
   {

@@ -130,7 +130,7 @@ let space sizes =
     ~legal:(fun p ->
       let tile = App.get p "tile" 0 and pp = App.get p "parPoints" 1 in
       tile * dims <= Space.mem_limit_words && tile mod pp = 0)
-    ()
+    ~sizes ()
 
 let app =
   {

@@ -74,7 +74,7 @@ let space sizes =
       let tn = App.get p "tileA" 0 and tm = App.get p "tileB" 0 in
       let par = App.get p "par" 1 in
       tn * tm <= Space.mem_limit_words && tm mod par = 0)
-    ()
+    ~sizes ()
 
 let app =
   {

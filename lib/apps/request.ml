@@ -18,22 +18,28 @@ let app name =
       (Printf.sprintf "unknown benchmark %S (available: %s)" name
          (String.concat ", " Registry.names))
 
-(* The largest candidate of every par dimension, per app, from the
-   paper-size spaces. Built once, when the program starts (all seven
-   spaces in about 0.1 ms); a space built per request would cost half a
-   served estimate. The bound also bounds the analyses, whose time grows
-   with par. *)
+(* The paper-size space of every app. Built once, when the program
+   starts (all seven in about 0.1 ms); a space built per request would
+   cost half a served estimate. *)
+let paper_spaces = List.map (fun (a : App.t) -> (a.App.name, a.App.space a.App.paper_sizes)) Registry.all
+
+(* The largest candidate of every par dimension, per app. The bound also
+   bounds the analyses, whose time grows with par. *)
 let par_limits =
   List.map
-    (fun (a : App.t) ->
-      ( a.App.name,
+    (fun (name, space) ->
+      ( name,
         List.filter_map
           (fun (name, candidates) ->
             if String.starts_with ~prefix:"par" name then
               Some (name, List.fold_left max 1 candidates)
             else None)
-          (Space.dims (a.App.space a.App.paper_sizes)) ))
-    Registry.all
+          (Space.dims space) ))
+    paper_spaces
+
+(* The point index family a served point is bound under: the app's name
+   and paper sizes, the family its paper-size sweeps file points under. *)
+let families = List.map (fun (name, space) -> (name, Space.family space)) paper_spaces
 
 let check (a : App.t) (name, v) =
   let refuse fmt = Printf.ksprintf failwith ("parameter %S " ^^ fmt) name in
@@ -66,17 +72,28 @@ let barrier stage f =
   | Failure msg -> fail msg
   | exn -> fail (Printexc.to_string exn)
 
+let generate_checked (app : App.t) params =
+  barrier Outcome.Generator_error (fun () -> app.App.generate ~sizes:app.App.paper_sizes ~params)
+
 let point name overrides =
   let app, binding = binding name overrides in
-  let design =
-    barrier Outcome.Generator_error (fun () ->
-        app.App.generate ~sizes:app.App.paper_sizes ~params:binding)
-  in
-  { app; binding; design }
+  { app; binding; design = generate_checked app binding }
+
+type bound = { b_app : App.t; b_binding : App.params; b_bound : Eval.bound }
+
+let bind ev name overrides =
+  let app, binding = binding name overrides in
+  let family = List.assoc app.App.name families in
+  { b_app = app; b_binding = binding; b_bound = Eval.bind ?family ev ~generate:(generate_checked app) binding }
 
 (* ---- estimate ------------------------------------------------------ *)
 
-type estimate = { e_point : point; e_degraded : bool; e_eval : Outcome.evaluation }
+type estimate = {
+  e_app : App.t;
+  e_binding : App.params;
+  e_degraded : bool;
+  e_eval : Outcome.evaluation;
+}
 
 (* The raw analytical model: no corrections and no cache, so a degraded
    answer depends on nothing a misbehaving network or an earlier request
@@ -93,13 +110,19 @@ let raw_evaluation est binding design =
     bram_pct = bram;
   }
 
-let estimate ?(degraded = false) ev p =
+let estimate_bound ?(degraded = false) ev b =
   let e_eval =
     barrier Outcome.Estimator_error (fun () ->
-        if degraded then raw_evaluation (Eval.estimator ev) p.binding p.design
-        else Eval.evaluation ev p.binding p.design)
+        if degraded then raw_evaluation (Eval.estimator ev) b.b_binding (Eval.bound_design b.b_bound)
+        else Eval.bound_evaluation ev b.b_bound)
   in
-  { e_point = p; e_degraded = degraded; e_eval }
+  { e_app = b.b_app; e_binding = b.b_binding; e_degraded = degraded; e_eval }
+
+(* A point already elaborated binds to its own design, outside any
+   family. *)
+let estimate ?degraded ev p =
+  estimate_bound ?degraded ev
+    { b_app = p.app; b_binding = p.binding; b_bound = Eval.bind ev ~generate:(fun _ -> p.design) p.binding }
 
 let params_json params = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) params)
 
@@ -109,8 +132,8 @@ let estimate_json e =
   let a = est.Estimator.area in
   Json.Obj
     [
-      ("app", Json.Str e.e_point.app.App.name);
-      ("params", params_json e.e_point.binding);
+      ("app", Json.Str e.e_app.App.name);
+      ("params", params_json e.e_binding);
       ("degraded", Json.Bool e.e_degraded);
       ("cycles", Json.Float est.Estimator.cycles);
       ("seconds", Json.Float est.Estimator.seconds);

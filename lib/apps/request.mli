@@ -64,13 +64,36 @@ val point : string -> App.params -> point
 
 (** {1 Estimate} *)
 
-type estimate = { e_point : point; e_degraded : bool; e_eval : Outcome.evaluation }
+type estimate = {
+  e_app : App.t;
+  e_binding : App.params;
+  e_degraded : bool;
+  e_eval : Outcome.evaluation;
+}
 
 val estimate : ?degraded:bool -> Eval.t -> point -> estimate
 (** The corrected estimate with fit and utilization, through
     {!Eval.evaluation} and its cache; with [~degraded:true], the raw
     analytical model instead (no NN corrections, no cache). An exception
     becomes a [Failure] prefixed [estimator:]. *)
+
+(** A checked, resolved point bound to its design through [Eval]'s point
+    index: the served estimate's way in, which generates a revisited
+    point only when the estimate cache misses. *)
+type bound = { b_app : App.t; b_binding : App.params; b_bound : Eval.bound }
+
+val bind : Eval.t -> string -> App.params -> bound
+(** {!binding}, then {!Eval.bind} under the app's paper-size family
+    (its name and paper sizes, computed once at start, as a paper-size
+    sweep files its points), with the app's generator at paper sizes. A
+    point the index lacks is generated here, and a generator exception
+    becomes a [Failure] prefixed [generator:], as in {!point}. *)
+
+val estimate_bound : ?degraded:bool -> Eval.t -> bound -> estimate
+(** {!estimate} of a bound point: the corrected path through
+    {!Eval.bound_evaluation}, the degraded one on the design, generated
+    now if [bind] did not. Same values and failures as {!estimate} of
+    {!point}. *)
 
 val estimate_json : estimate -> Json.t
 (** The served estimate payload: app, resolved params, degraded, cycles,

@@ -114,6 +114,7 @@ type t = {
   analysis : verdict Cache.t;
   estimates : cached_eval Cache.t;
   gates : Symgate.t Cache.t;
+  index : Design_key.t Cache.t;
 }
 
 type stats = { hits : int; misses : int; evictions : int }
@@ -137,6 +138,7 @@ let create ?(analysis_cap = default_cap) ?(estimate_cap = default_cap) est =
     analysis = Cache.create ~obs:"dse.cache" analysis_cap;
     estimates = Cache.create ~obs:"dse.cache" estimate_cap;
     gates = Cache.create ~obs:"dse.symgate" (if analysis_cap = 0 then 0 else gate_cap);
+    index = Cache.create ~obs:"dse.index" (max analysis_cap estimate_cap);
   }
 
 let estimator t = t.est
@@ -169,7 +171,7 @@ let non_finite_detail (e : Outcome.evaluation) =
    device is deliberately absent — one [Eval.t] wraps one estimator and
    therefore one device, so it is constant per cache. *)
 let analysis_cache_key ~lint ~absint key =
-  Design_key.to_string key ^ (if lint then "/l" else "/-") ^ if absint then "a" else "-"
+  key ^ (if lint then "/l" else "/-") ^ if absint then "a" else "-"
 
 let run_analysis t ?stages ~lint ~absint design =
   timed stages add_analyze @@ fun () ->
@@ -188,9 +190,12 @@ let run_analysis t ?stages ~lint ~absint design =
   else if List.for_all (fun g -> g.Diag.code = "L013") proof then Dep_refuted
   else Absint_refuted
 
+(* [key] is the rendered design key and [design] the design, both lazy:
+   a hit forces neither the design nor, on an index hit, a generator. *)
 let analysis_verdict t ?stages ~bypass ~lint ~absint ~key design =
   if (not lint) && not absint then Clean
-  else if bypass || not (Cache.enabled t.analysis) then run_analysis t ?stages ~lint ~absint design
+  else if bypass || not (Cache.enabled t.analysis) then
+    run_analysis t ?stages ~lint ~absint (Lazy.force design)
   else begin
     let ck =
       timed stages add_probe @@ fun () -> analysis_cache_key ~lint ~absint (Lazy.force key)
@@ -198,7 +203,7 @@ let analysis_verdict t ?stages ~bypass ~lint ~absint ~key design =
     match timed stages add_probe (fun () -> Cache.find t.analysis ck) with
     | Some v -> v
     | None ->
-      let v = run_analysis t ?stages ~lint ~absint design in
+      let v = run_analysis t ?stages ~lint ~absint (Lazy.force design) in
       timed stages add_probe (fun () -> Cache.add t.analysis ck v);
       v
   end
@@ -216,45 +221,111 @@ let run_estimate t ?stages design =
   }
 
 let cached_estimate t ?stages ~bypass ~key design =
-  if bypass || not (Cache.enabled t.estimates) then run_estimate t ?stages design
+  if bypass || not (Cache.enabled t.estimates) then run_estimate t ?stages (Lazy.force design)
   else begin
-    let ck = timed stages add_probe @@ fun () -> Design_key.to_string (Lazy.force key) in
+    let ck = timed stages add_probe @@ fun () -> Lazy.force key in
     match timed stages add_probe (fun () -> Cache.find t.estimates ck) with
     | Some v -> v
     | None ->
-      let v = run_estimate t ?stages design in
+      let v = run_estimate t ?stages (Lazy.force design) in
       timed stages add_probe (fun () -> Cache.add t.estimates ck v);
       v
   end
+
+(* ---- the point index ------------------------------------------------ *)
+
+(* A point bound to its design. On an index hit the design key is known
+   and the design waits, unforced, until a cache misses; otherwise the
+   design was generated at bind time and its key is derived, and filed
+   in the index, when a cache first asks for it. *)
+type bound = {
+  b_point : Space.point;
+  b_design : Dhdl_ir.Ir.design Lazy.t;
+  b_key : Design_key.t Lazy.t;
+}
+
+(* The point index answers only for a space with a family, with the
+   index on and no fault site armed: faults are keyed per call site and
+   per point, and a skipped generation would skip its site. *)
+let index_slot t ~bypass family point =
+  match family with
+  | Some f when (not bypass) && Cache.enabled t.index -> Some (Space.point_key f point)
+  | _ -> None
+
+(* [generate ()] runs now on an index miss, so its exception escapes
+   [bind_with]; on a hit it runs when [b_design] is first forced. *)
+let bind_with t ?stages ~bypass family point generate =
+  let slot, filed =
+    timed stages add_probe @@ fun () ->
+    match index_slot t ~bypass family point with
+    | None -> (None, None)
+    | Some s as slot -> (slot, Cache.find t.index s)
+  in
+  match filed with
+  | Some key -> { b_point = point; b_design = lazy (generate ()); b_key = Lazy.from_val key }
+  | None ->
+    let design = generate () in
+    let key =
+      lazy
+        (let k = Design_key.of_design design in
+         Option.iter (fun s -> Cache.add t.index s k) slot;
+         k)
+    in
+    { b_point = point; b_design = Lazy.from_val design; b_key = key }
+
+let rendered_key b = lazy (Design_key.to_string (Lazy.force b.b_key))
+
+let bind ?family t ~generate point =
+  bind_with t ~bypass:(Faults.active ()) family point (fun () -> generate point)
+
+let bound_design b = Lazy.force b.b_design
+
+let evaluation_of_cached point ce =
+  {
+    Outcome.point;
+    estimate = ce.ce_estimate;
+    valid = ce.ce_valid;
+    alm_pct = ce.ce_alm;
+    dsp_pct = ce.ce_dsp;
+    bram_pct = ce.ce_bram;
+  }
+
+(* Raised by a design generated lazily, after an index hit, whose
+   generator failed: the point's barrier classifies it as a generator
+   error wherever a cache miss forced it. *)
+exception Generate_failed of exn
 
 (* The exception barrier around one point's generate -> analyze ->
    estimate pipeline: every failure mode becomes a classified entry
    instead of killing the sweep. [Faults.inject] sites (keyed by point
    index so a resumed sweep replays the same faults) let tests exercise
-   each arm. When any fault site is armed the caches are bypassed
-   outright: the [estimator.nn_correction] site fires *inside*
-   [Estimator.estimate] under the ambient per-point key, so a memoized
-   estimate would replay another point's fault decision and break the
-   bit-identical-under-faults guarantee the fault tests pin. *)
-let evaluate t ?stages ~lint ~absint ~index ~generate point =
-  match
-    try
-      Faults.inject ~key:index "dse.generator";
-      Ok (timed stages add_generate (fun () -> generate point))
-    with exn -> Error (Outcome.Generator_error, describe exn)
-  with
-  | Error (stage, msg) -> Outcome.Failed (stage, msg)
-  | Ok design -> (
-    let bypass = Faults.active () in
-    (* Shared lazily between the two cached stages: the estimate probe
-       reuses the key the analysis probe derived, and cache-off or
-       bypassed runs never pay for a key at all. *)
-    let key = lazy (Design_key.of_design design) in
+   each arm. When any fault site is armed the caches and the point index
+   are bypassed outright: the [estimator.nn_correction] site fires
+   *inside* [Estimator.estimate] under the ambient per-point key, so a
+   memoized estimate would replay another point's fault decision and
+   break the bit-identical-under-faults guarantee the fault tests pin;
+   and a point the index answered would skip its [dse.generator] site. *)
+let evaluate t ?stages ?family ~lint ~absint ~index ~generate point =
+  let bypass = Faults.active () in
+  let generate () =
+    Faults.inject ~key:index "dse.generator";
+    timed stages add_generate (fun () -> generate point)
+  in
+  let lazily () = try generate () with exn -> raise (Generate_failed exn) in
+  match bind_with t ?stages ~bypass family point lazily with
+  | exception Generate_failed exn -> Outcome.Failed (Outcome.Generator_error, describe exn)
+  | b -> (
+    (* Rendered once, lazily, and shared between the two cached stages:
+       cache-off or bypassed runs never pay for a key at all. *)
+    let key = rendered_key b in
+    let design = b.b_design in
     match
       try
         Faults.inject ~key:index "dse.lint";
         Ok (analysis_verdict t ?stages ~bypass ~lint ~absint ~key design)
-      with exn -> Error (Outcome.Lint_error, describe exn)
+      with
+      | Generate_failed exn -> Error (Outcome.Generator_error, describe exn)
+      | exn -> Error (Outcome.Lint_error, describe exn)
     with
     | Error (stage, msg) -> Outcome.Failed (stage, msg)
     | Ok Heuristic_errors -> Outcome.Pruned
@@ -263,17 +334,7 @@ let evaluate t ?stages ~lint ~absint ~index ~generate point =
     | Ok Clean -> (
       try
         Faults.inject ~key:index "dse.estimator";
-        let ce = cached_estimate t ?stages ~bypass ~key design in
-        let e =
-          {
-            Outcome.point;
-            estimate = ce.ce_estimate;
-            valid = ce.ce_valid;
-            alm_pct = ce.ce_alm;
-            dsp_pct = ce.ce_dsp;
-            bram_pct = ce.ce_bram;
-          }
-        in
+        let e = evaluation_of_cached point (cached_estimate t ?stages ~bypass ~key design) in
         let e =
           if Faults.fires ~key:index "dse.non_finite" then
             { e with Outcome.estimate = { e.Outcome.estimate with Estimator.cycles = Float.nan } }
@@ -283,7 +344,9 @@ let evaluate t ?stages ~lint ~absint ~index ~generate point =
         else
           Outcome.Failed
             (Outcome.Non_finite_estimate, "estimate not finite: " ^ non_finite_detail e)
-      with exn -> Outcome.Failed (Outcome.Estimator_error, describe exn)))
+      with
+      | Generate_failed exn -> Outcome.Failed (Outcome.Generator_error, describe exn)
+      | exn -> Outcome.Failed (Outcome.Estimator_error, describe exn)))
 
 (* The gate memo key is exactly what [Symgate.of_probes] reads: the
    parameter names and every generated probe's point and design, the
@@ -295,40 +358,57 @@ let gate_key ~params probes =
   let b = Buffer.create 8192 in
   List.iter (fun p -> Printf.bprintf b "%S," p) params;
   List.iter
-    (fun (p : Symgate.probe) ->
+    (fun pb ->
       Buffer.add_char b '\n';
-      List.iter (fun (n, v) -> Printf.bprintf b "%S=%d," n v) p.Symgate.point;
-      Buffer.add_string b (Design_key.to_string p.Symgate.key))
+      List.iter (fun (n, v) -> Printf.bprintf b "%S=%d," n v) pb.b_point;
+      Buffer.add_string b (Design_key.to_string (Lazy.force pb.b_key)))
     probes;
   Buffer.contents b
 
+(* Each probe point is bound through the point index, so a space swept
+   before keys its probes without generating them; a probe point the
+   index lacks is generated now, and dropped if its generator raises, as
+   [Symgate.probes] drops it. Only a memo miss forces the designs. *)
 let gate t ~space ~generate =
   let params = List.map fst (Space.dims space) in
-  let probes = Symgate.probes ~space ~generate () in
-  if not (Cache.enabled t.gates) then Symgate.of_probes ~params probes
+  let family = Space.family space in
+  let bypass = Faults.active () in
+  let bound =
+    List.filter_map
+      (fun p ->
+        match bind_with t ~bypass family p (fun () -> generate p) with
+        | b -> Some b
+        | exception _ -> None)
+      (Symgate.probe_sample space)
+  in
+  let derive () =
+    Symgate.of_probes ~params
+      (List.map
+         (fun b ->
+           { Symgate.point = b.b_point; design = Lazy.force b.b_design; key = Lazy.force b.b_key })
+         bound)
+  in
+  if not (Cache.enabled t.gates) then derive ()
   else begin
-    let k = gate_key ~params probes in
+    let k = gate_key ~params bound in
     match Cache.find t.gates k with
     | Some g -> g
     | None ->
-      let g = Symgate.of_probes ~params probes in
+      let g = derive () in
       Cache.add t.gates k g;
       g
   end
 
 let cached_eval_of ?(cache = true) t design =
   let bypass = (not cache) || Faults.active () in
-  cached_estimate t ~bypass ~key:(lazy (Design_key.of_design design)) design
+  cached_estimate t ~bypass
+    ~key:(lazy (Design_key.to_string (Design_key.of_design design)))
+    (Lazy.from_val design)
 
 let estimate ?cache t design = (cached_eval_of ?cache t design).ce_estimate
 
-let evaluation ?cache t point design =
-  let ce = cached_eval_of ?cache t design in
-  {
-    Outcome.point;
-    estimate = ce.ce_estimate;
-    valid = ce.ce_valid;
-    alm_pct = ce.ce_alm;
-    dsp_pct = ce.ce_dsp;
-    bram_pct = ce.ce_bram;
-  }
+let evaluation ?cache t point design = evaluation_of_cached point (cached_eval_of ?cache t design)
+
+let bound_evaluation t b =
+  evaluation_of_cached b.b_point
+    (cached_estimate t ~bypass:(Faults.active ()) ~key:(rendered_key b) b.b_design)

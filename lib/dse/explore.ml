@@ -271,6 +271,9 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     Obs.count ~by:0 "dse.cache.evict";
     Obs.count ~by:0 "dse.symgate.hit";
     Obs.count ~by:0 "dse.symgate.miss";
+    Obs.count ~by:0 "dse.index.hit";
+    Obs.count ~by:0 "dse.index.miss";
+    Obs.count ~by:0 "dse.index.evict";
     List.iter
       (fun stage -> Obs.count ~by:0 (stage_counter stage))
       [ Generator_error; Lint_error; Estimator_error; Non_finite_estimate ]
@@ -296,6 +299,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       Some (Obs.span "dse.symgate" (fun () -> Eval.gate ev ~space ~generate))
     else None
   in
+  let family = Space.family space in
   let stats0 = Eval.stats ev in
   let past_deadline () =
     match deadline_seconds with
@@ -347,7 +351,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
           Outcome.Sym_pruned
         | Symbolic.Legal | Symbolic.Unknown _ ->
           if Obs.enabled () then begin
-            let e = Eval.evaluate ev ?stages ~lint ~absint ~index:i ~generate p in
+            let e = Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p in
             (match e with
             | Outcome.Evaluated _ ->
               Obs.count "dse.estimated";
@@ -359,7 +363,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
             | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage));
             e
           end
-          else Eval.evaluate ev ?stages ~lint ~absint ~index:i ~generate p
+          else Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p
       in
       (e, false, Unix.gettimeofday () -. start)
   in

@@ -218,6 +218,16 @@ val run :
     concurrent server request sharing the same [Eval.t] — skip those
     stages via the design-key caches ([cache_hits]/[cache_misses] in the
     result account for both).
+
+    {b The contract on [generate].} When [space] carries dataset sizes
+    (every registry app's [space sizes] does), [generate] must be that
+    app's generator at those sizes, or a wrapper that elaborates the same
+    designs: [ev]'s point index files each point's design key under the
+    space's {!Space.family}, so a point this [Eval.t] has seen in that
+    family, in any sweep or served request, reaches the caches without
+    being generated, and a warm re-sweep generates nothing, gate probes
+    included. A space made without sizes has no family and every point is
+    generated, as before.
     When [config.lint] is [true] (the default), each generated design runs
     through {!Dhdl_lint.Lint.check} against the estimator's device and
     points with error-level diagnostics are pruned before estimation.
@@ -295,6 +305,8 @@ val run :
     ([dse.points_sampled] / [dse.lint_pruned] / [dse.absint_pruned] /
     [dse.dep_pruned] / [dse.sym_pruned] / [dse.estimated] /
     [dse.unfit] / [dse.cache.hit] / [dse.cache.miss] / [dse.cache.evict]
+    / [dse.symgate.hit] / [dse.symgate.miss] / [dse.index.hit] /
+    [dse.index.miss] / [dse.index.evict]
     / [dse.failed.generator] / [dse.failed.lint] /
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
     at zero — plus [dse.resumed] on resume), a [dse.ms_per_design]

@@ -29,13 +29,17 @@ type probe = { point : Space.point; design : Dhdl_ir.Ir.design; key : Design_key
 
 let probe_seed = 0x5eed
 
-let probes ?(probe_points = 48) ~space ~generate () =
+(* The fixed-seed sample [probes] elaborates, in order. *)
+let probe_sample ?(probe_points = 48) space =
+  Space.sample space ~seed:probe_seed ~max_points:probe_points
+
+let probes ?probe_points ~space ~generate () =
   List.filter_map
     (fun point ->
       match generate point with
       | design -> Some { point; design; key = Design_key.of_design design }
       | exception _ -> None)
-    (Space.sample space ~seed:probe_seed ~max_points:probe_points)
+    (probe_sample ?probe_points space)
 
 let of_probes ~params probes =
   let groups : (string, probe list ref) Hashtbl.t = Hashtbl.create 4 in

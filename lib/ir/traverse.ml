@@ -23,31 +23,63 @@ let ctrls_with_replication (d : Ir.design) =
   in
   List.rev (walk 1 [] d.d_top)
 
-(* Memories referenced anywhere under a controller (loads, stores, tile
-   endpoints, reductions). *)
-let ctrl_touches ctrl (m : Ir.mem) =
-  let touches_stmt = function
-    | Ir.Sload { mem; _ } | Ir.Sstore { mem; _ } -> Ir.mem_equal mem m
-    | Ir.Sread_reg { reg; _ } | Ir.Swrite_reg { reg; _ } -> Ir.mem_equal reg m
-    | Ir.Spush { queue; _ } | Ir.Spop { queue; _ } -> Ir.mem_equal queue m
-    | Ir.Sop _ -> false
-  in
-  match ctrl with
+(* Every memory one controller itself references (loads, stores, tile
+   endpoints, reductions), passed to [f] once per reference. *)
+let iter_touched f = function
   | Ir.Pipe { body; reduce; _ } ->
-    List.exists touches_stmt body
-    || (match reduce with Some r -> Ir.mem_equal r.Ir.sr_out m | None -> false)
-  | Ir.Loop { reduce; _ } -> (
-    match reduce with
-    | Some r -> Ir.mem_equal r.Ir.mr_src m || Ir.mem_equal r.Ir.mr_dst m
-    | None -> false)
-  | Ir.Parallel _ -> false
-  | Ir.Tile_load { src; dst; _ } -> Ir.mem_equal src m || Ir.mem_equal dst m
-  | Ir.Tile_store { dst; src; _ } -> Ir.mem_equal dst m || Ir.mem_equal src m
+    List.iter
+      (function
+        | Ir.Sload { mem; _ } | Ir.Sstore { mem; _ } -> f mem
+        | Ir.Sread_reg { reg; _ } | Ir.Swrite_reg { reg; _ } -> f reg
+        | Ir.Spush { queue; _ } | Ir.Spop { queue; _ } -> f queue
+        | Ir.Sop _ -> ())
+      body;
+    Option.iter (fun r -> f r.Ir.sr_out) reduce
+  | Ir.Loop { reduce; _ } ->
+    Option.iter
+      (fun r ->
+        f r.Ir.mr_src;
+        f r.Ir.mr_dst)
+      reduce
+  | Ir.Parallel _ -> ()
+  | Ir.Tile_load { src; dst; _ } | Ir.Tile_store { src; dst; _ } ->
+    f src;
+    f dst
+
+(* [f ctrl factor] for every controller, pre-order, with the factor
+   [ctrls_with_replication] pairs it with. *)
+let iter_replicated f (d : Ir.design) =
+  let rec walk factor ctrl =
+    f ctrl factor;
+    let child_factor =
+      match ctrl with Ir.Loop { loop; _ } -> factor * max 1 loop.Ir.lp_par | _ -> factor
+    in
+    List.iter (walk child_factor) (children ctrl)
+  in
+  walk 1 d.d_top
 
 let mem_replication d m =
-  List.fold_left
-    (fun acc (c, factor) -> if ctrl_touches c m then max acc factor else acc)
-    1 (ctrls_with_replication d)
+  let r = ref 1 in
+  iter_replicated
+    (fun ctrl factor -> iter_touched (fun m' -> if Ir.mem_equal m m' && factor > !r then r := factor) ctrl)
+    d;
+  !r
+
+(* A design has a handful of memories, so a touched memory finds its
+   slot by a scan, cheaper than hashing its id. *)
+let mem_replications (d : Ir.design) =
+  let mems = Array.of_list d.d_mems in
+  let factors = Array.make (Array.length mems) 1 in
+  iter_replicated
+    (fun ctrl factor ->
+      iter_touched
+        (fun m ->
+          Array.iteri
+            (fun i m' -> if Ir.mem_equal m m' && factors.(i) < factor then factors.(i) <- factor)
+            mems)
+        ctrl)
+    d;
+  Array.to_list (Array.mapi (fun i m -> (m, factors.(i))) mems)
 
 let pipes d = List.filter (function Ir.Pipe _ -> true | _ -> false) (all_ctrls d)
 

@@ -22,7 +22,12 @@ val ctrls_with_replication : Ir.design -> (Ir.ctrl * int) list
 val mem_replication : Ir.design -> Ir.mem -> int
 (** Max replication factor over all controllers accessing the memory: the
     number of duplicated buffer instances the hardware needs. 1 when the
-    memory is only touched at top level. *)
+    memory is only touched at top level. It walks the whole design; a
+    caller that wants every memory's factor uses {!mem_replications}. *)
+
+val mem_replications : Ir.design -> (Ir.mem * int) list
+(** Every memory of [d.d_mems], in order, paired with its
+    {!mem_replication} factor, all from one walk of the controller tree. *)
 
 val pipes : Ir.design -> Ir.ctrl list
 (** Just the [Pipe] nodes. *)

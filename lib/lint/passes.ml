@@ -144,8 +144,11 @@ let mem_limit_words = 65_536
    lower bound on what the estimator will charge — a design flagged here can
    never fit, which makes error-level pruning in Explore.run sound. *)
 let capacity_pass dev (d : Ir.design) =
-  let blocks m = Traverse.mem_replication d m * Area_model.bram_blocks_estimate dev m in
-  let total = List.fold_left (fun acc m -> acc + blocks m) 0 d.Ir.d_mems in
+  let total =
+    List.fold_left
+      (fun acc (m, factor) -> acc + (factor * Area_model.bram_blocks_estimate dev m))
+      0 (Traverse.mem_replications d)
+  in
   let big =
     List.filter_map
       (fun m ->

@@ -293,9 +293,8 @@ let raw_estimate char dev (d : Ir.design) =
   let ctrl_res =
     R.sum (List.map (fun (c, factor) -> R.scale factor (ctrl_estimate char dev c)) tagged)
   in
-  let mem_res =
-    R.sum (List.map (fun m -> R.scale (Traverse.mem_replication d m) (mem_estimate dev m)) d.d_mems)
-  in
+  let replicated = Traverse.mem_replications d in
+  let mem_res = R.sum (List.map (fun (m, factor) -> R.scale factor (mem_estimate dev m)) replicated) in
   let resources = R.add ctrl_res mem_res in
   let mem_nets (m : Ir.mem) =
     match m.Ir.mem_kind with
@@ -306,7 +305,7 @@ let raw_estimate char dev (d : Ir.design) =
   in
   let nets =
     List.fold_left (fun acc (c, factor) -> acc + (factor * ctrl_nets c)) 0 tagged
-    + List.fold_left (fun acc m -> acc + (Traverse.mem_replication d m * mem_nets m)) 0 d.d_mems
+    + List.fold_left (fun acc (m, factor) -> acc + (factor * mem_nets m)) 0 replicated
   in
   let prim_count =
     List.fold_left

@@ -135,15 +135,16 @@ let nn_fallback_tripped t =
    estimate_batch entry. The point is resolved and checked by the request
    layer, exactly as the CLI's is; this handler only decides whether to
    degrade. The corrected path goes through the shared [Eval.t], so
-   repeated specs — within one batch, across requests, or against designs
-   a sweep already visited — answer from the estimate cache. The degraded
+   repeated specs — within one batch, across requests, or against points
+   a paper-size sweep already visited — answer from the estimate cache,
+   found through the point index without generating the design. The degraded
    path is the raw analytical model: the cheap fallback for an overloaded
    or NN-suspect server. *)
 let estimate_payload t ev ~depth app params =
-  let p = Request.point app params in
+  let p = Request.bind ev app params in
   let degraded = depth >= t.cfg.degrade_depth || nn_fallback_tripped t in
   if degraded then Obs.count "serve.degraded";
-  Request.estimate_json (Request.estimate ~degraded ev p)
+  Request.estimate_json (Request.estimate_bound ~degraded ev p)
 
 let estimate_reply t req ~depth =
   let id = req.P.q_id in

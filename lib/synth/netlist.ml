@@ -409,14 +409,14 @@ let elaborate dev (d : Ir.design) =
         (R.add acc (R.scale factor r), f + (factor * fc)))
       (R.zero, 0) tagged
   in
+  let replicated = Traverse.mem_replications d in
   let mem_res =
-    R.sum
-      (List.map (fun m -> R.scale (Traverse.mem_replication d m) (mem_resources dev m)) d.d_mems)
+    R.sum (List.map (fun (m, factor) -> R.scale factor (mem_resources dev m)) replicated)
   in
   let raw = R.add ctrl_res mem_res in
   let nets =
     List.fold_left (fun acc (c, factor) -> acc + (factor * ctrl_nets c)) 0 tagged
-    + List.fold_left (fun acc m -> acc + (Traverse.mem_replication d m * mem_nets m)) 0 d.d_mems
+    + List.fold_left (fun acc (m, factor) -> acc + (factor * mem_nets m)) 0 replicated
   in
   let prim_count =
     List.fold_left

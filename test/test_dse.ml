@@ -61,6 +61,69 @@ let test_sample_hostile_legality () =
   let pts = Space.sample hostile ~seed:3 ~max_points:50 in
   check_bool "terminates with few points" true (List.length pts <= 1)
 
+(* [Space.sample] decodes each draw from arrays built once per call; it
+   must draw exactly the points the old [List.nth] decoder drew, kept
+   verbatim in oracle/space_oracle.ml. *)
+let random_space =
+  let open QCheck.Gen in
+  let dims =
+    int_range 1 5 >>= fun n ->
+    list_repeat n (list_size (int_range 1 9) (int_range (-50) 1000))
+  in
+  map
+    (fun (domains, m, (seed, max_points)) ->
+      let space =
+        Space.make ~name:"random"
+          ~dims:(List.mapi (fun i vs -> (Printf.sprintf "d%d" i, vs)) domains)
+          ~legal:(fun p -> Hashtbl.hash p mod m <> 0)
+          ()
+      in
+      (space, seed, max_points))
+    (triple dims (int_range 1 4) (pair (int_range 0 10_000) (int_range 1 200)))
+
+let prop_sample_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"sample and decoder = the List.nth decoder"
+    (QCheck.make
+       ~print:(fun (sp, seed, n) ->
+         Printf.sprintf "dims=%s seed=%d max_points=%d"
+           (String.concat ";"
+              (List.map
+                 (fun (k, vs) -> k ^ "=" ^ String.concat "," (List.map string_of_int vs))
+                 (Space.dims sp)))
+           seed n)
+       random_space)
+    (fun (sp, seed, max_points) ->
+      let decode = Space.decoder sp in
+      let total = Space.raw_size sp in
+      let rng = Dhdl_util.Rng.create seed in
+      List.for_all
+        (fun _ ->
+          let idx = Dhdl_util.Rng.int rng total in
+          decode idx = Space_oracle.point_at sp idx)
+        (List.init 20 Fun.id)
+      && Space.sample sp ~seed ~max_points = Space_oracle.sample sp ~seed ~max_points)
+
+let test_sample_registry_matches_oracle () =
+  List.iter
+    (fun (a : App.t) ->
+      let sp = a.App.space a.App.paper_sizes in
+      List.iter
+        (fun seed ->
+          check_bool
+            (Printf.sprintf "%s seed %d draws the oracle's points" a.App.name seed)
+            true
+            (Space.sample sp ~seed ~max_points:1000 = Space_oracle.sample sp ~seed ~max_points:1000))
+        [ 1; 7; 11; 2016; 0x5eed ])
+    Dhdl_apps.Registry.all
+
+let test_family () =
+  check_bool "a space made without sizes has no family" true (Space.family small_space = None);
+  let a = Dhdl_apps.Registry.find "gda" in
+  let key sizes = Option.map (fun f -> Space.point_key f [ ("tile", 8) ]) (Space.family (a.App.space sizes)) in
+  check_bool "an app's space has a family" true (key a.App.paper_sizes <> None);
+  check_bool "sizes tell families apart" true (key a.App.paper_sizes <> key a.App.test_sizes);
+  check_bool "one family per name and sizes" true (key a.App.paper_sizes = key a.App.paper_sizes)
+
 let test_divisor_helpers () =
   Alcotest.(check (list int)) "divisors_for" [ 1; 2; 4; 8 ] (Space.divisors_for 8);
   check_bool "par candidates capped" true (List.for_all (fun p -> p <= 64) (Space.par_candidates 1024))
@@ -189,6 +252,10 @@ let () =
           Alcotest.test_case "small space full" `Quick test_sample_small_space_full;
           Alcotest.test_case "sample deterministic" `Quick test_sample_deterministic;
           Alcotest.test_case "hostile legality" `Quick test_sample_hostile_legality;
+          QCheck_alcotest.to_alcotest prop_sample_matches_oracle;
+          Alcotest.test_case "registry samples = oracle, 5 seeds" `Quick
+            test_sample_registry_matches_oracle;
+          Alcotest.test_case "families" `Quick test_family;
           Alcotest.test_case "divisor helpers" `Quick test_divisor_helpers;
           Alcotest.test_case "mem limit" `Quick test_mem_limit;
         ] );

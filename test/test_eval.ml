@@ -439,6 +439,206 @@ let test_gate_memo_outside_cache_stats () =
   check_bool "a gate hit leaves Eval.stats alone" true (Eval.stats ev = before)
 
 (* ------------------------------------------------------------------ *)
+(* Point index: a revisited point is answered from its binding         *)
+(* ------------------------------------------------------------------ *)
+
+let gda = lazy (Dhdl_apps.Registry.find "gda")
+
+(* The same space without its sizes, hence without a family: what a
+   sweep sees with no point index. *)
+let unfamilied sp = Space.make ~name:(Space.name sp) ~dims:(Space.dims sp) ~legal:(Space.legal sp) ()
+
+(* One server-style session (fresh checkpoint, resume on, a checkpoint
+   every 8 points) with a generator that counts its calls: the result,
+   the checkpoint bytes and the calls. *)
+let counted_session ?(points = 1_000) ev ~space ~sizes name =
+  let a = Lazy.force gda in
+  let calls = ref 0 in
+  let generate p =
+    incr calls;
+    a.App.generate ~sizes ~params:p
+  in
+  let path = tmp name in
+  if Sys.file_exists path then Sys.remove path;
+  let cfg =
+    Explore.Config.make ~seed:7 ~max_points:points ~checkpoint:path ~checkpoint_every:8
+      ~resume:true ~tick_every:0 ()
+  in
+  let r = Explore.run cfg ev ~space ~generate in
+  let bytes = read_file path in
+  Sys.remove path;
+  (r, bytes, !calls)
+
+let counts (r : Explore.result) = (r.Explore.cache_hits, r.Explore.cache_misses)
+
+let test_index_warm_resweep () =
+  let est = Lazy.force estimator in
+  let a = Lazy.force gda in
+  let space = a.App.space a.App.paper_sizes in
+  let sizes = a.App.paper_sizes in
+  let ev = Eval.create est in
+  let cold, cold_bytes, cold_calls = counted_session ev ~space ~sizes "index_cold.jsonl" in
+  let probes = List.length (Symgate.probe_sample space) in
+  check_int "the cold fill generates every point and every probe"
+    (cold.Explore.sampled - cold.Explore.sym_pruned + probes)
+    cold_calls;
+  let warm, warm_bytes, warm_calls = counted_session ev ~space ~sizes "index_warm.jsonl" in
+  check_int "the warm re-sweep generates nothing, gate probes included" 0 warm_calls;
+  (* The same two sessions with no point index. *)
+  let plain = Eval.create est in
+  let bare = unfamilied space in
+  let _, _, _ = counted_session plain ~space:bare ~sizes "plain_cold.jsonl" in
+  let pwarm, pwarm_bytes, pwarm_calls = counted_session plain ~space:bare ~sizes "plain_warm.jsonl" in
+  check_int "without the index the warm re-sweep generates it all" cold_calls pwarm_calls;
+  check_bool "warm result = the result without the index" true (strip warm = strip pwarm);
+  check_str "warm checkpoint = the checkpoint without the index" pwarm_bytes warm_bytes;
+  check_str "warm checkpoint = the cold one" cold_bytes warm_bytes;
+  Alcotest.(check (pair int int)) "cache hits and misses = without the index" (counts pwarm) (counts warm)
+
+let test_index_sizes_apart () =
+  (* One Eval sweeps gda at paper and at test sizes, back and forth: each
+     family's points must come back as a fresh Eval computes them. *)
+  let est = Lazy.force estimator in
+  let a = Lazy.force gda in
+  let shared = Eval.create est in
+  List.iteri
+    (fun i sizes ->
+      let space = a.App.space sizes in
+      let got, got_bytes, _ = counted_session ~points:200 shared ~space ~sizes "sizes_shared.jsonl" in
+      let want, want_bytes, _ =
+        counted_session ~points:200 (Eval.create est) ~space ~sizes "sizes_fresh.jsonl"
+      in
+      check_bool (Printf.sprintf "run %d: result = a fresh Eval's" i) true (strip got = strip want);
+      check_str (Printf.sprintf "run %d: checkpoint = a fresh Eval's" i) want_bytes got_bytes)
+    [ a.App.paper_sizes; a.App.test_sizes; a.App.paper_sizes; a.App.test_sizes ]
+
+let index_counters () =
+  let snap = Obs.snapshot () in
+  List.map
+    (fun name -> List.assoc_opt name snap.Obs.snap_counters)
+    [ "dse.index.hit"; "dse.index.miss"; "dse.index.evict" ]
+
+let test_index_needs_a_family () =
+  let est = Lazy.force estimator in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let ev = Eval.create est in
+  let toy = unfamilied (space ()) in
+  let run space = Explore.run (Explore.Config.make ~seed:11 ~max_points:60 ~tick_every:0 ()) ev ~space ~generate in
+  ignore (run toy);
+  ignore (run toy);
+  Alcotest.(check (list (option int)))
+    "a space without sizes registers dse.index.* at zero and never counts them"
+    [ Some 0; Some 0; Some 0 ] (index_counters ());
+  (* The same points under the app's family do use the index. *)
+  ignore (run (space ()));
+  ignore (run (space ()));
+  check_bool "the app's space counts index hits" true (Obs.counter_value "dse.index.hit" > 0)
+
+let test_index_off_under_faults () =
+  with_faults @@ fun () ->
+  let est = Lazy.force estimator in
+  let warm = Eval.create est in
+  ignore (sweep warm);
+  let calls = ref 0 in
+  let counted p =
+    incr calls;
+    generate p
+  in
+  let cfg path =
+    Explore.Config.make ~seed:11 ~max_points:60 ~checkpoint:path ~checkpoint_every:4 ~tick_every:0 ()
+  in
+  (* Armed with nothing firing: every point still reaches its generator. *)
+  Faults.configure ~seed:5 ~p:0.0 ();
+  Obs.enable ();
+  let r =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        let r = Explore.run (cfg (tmp "armed.jsonl")) warm ~space:(space ()) ~generate:counted in
+        Alcotest.(check (list (option int)))
+          "no index traffic while faults are armed" [ Some 0; Some 0; Some 0 ] (index_counters ());
+        r)
+  in
+  Sys.remove (tmp "armed.jsonl");
+  check_int "the generator runs for every point" r.Explore.sampled !calls;
+  (* Firing faults on a warm Eval replay what a fresh Eval sees. *)
+  let under_faults ev name =
+    mixed_faults ();
+    let path = tmp name in
+    let r = Explore.run (cfg path) ev ~space:(space ()) ~generate in
+    let bytes = read_file path in
+    Sys.remove path;
+    (r, bytes)
+  in
+  let got, got_bytes = under_faults warm "faults_warm.jsonl" in
+  let want, want_bytes = under_faults (Eval.create est) "faults_fresh.jsonl" in
+  check_bool "faults fired" true (Explore.failed_count want > 0);
+  check_bool "warm Eval under faults = fresh Eval" true (strip got = strip want);
+  check_str "and its checkpoint bytes" want_bytes got_bytes
+
+(* A generator first run after an index hit (here the analysis cache is
+   off, so the hit still needs the design) fails its point as a
+   generator error, as an eager generation would. *)
+let test_index_lazy_generator_failure () =
+  let ev = Eval.create ~analysis_cap:0 (Lazy.force estimator) in
+  let p = List.hd (points 1) in
+  let fail = ref false in
+  let generate q = if !fail then failwith "boom" else generate q in
+  let family = Space.family (space ()) in
+  let run () = Eval.evaluate ev ?family ~lint:true ~absint:true ~index:0 ~generate p in
+  check_bool "the first run does not fail" true (match run () with Outcome.Failed _ -> false | _ -> true);
+  fail := true;
+  match run () with
+  | Outcome.Failed (Outcome.Generator_error, msg) -> check_str "its message" "Failure(\"boom\")" msg
+  | _ -> Alcotest.fail "expected a generator error"
+
+(* A served estimate, repeated alone and inside a batch, is found through
+   the point index and answers the same bytes. *)
+let test_index_served () =
+  let module P = Dhdl_serve.Protocol in
+  let module Supervisor = Dhdl_serve.Supervisor in
+  let est = Lazy.force estimator in
+  let root = tmp "served_sessions" in
+  let sup = Supervisor.create (Supervisor.default_config ~sessions_root:root ~estimator:(Lazy.from_val est)) in
+  Fun.protect ~finally:(fun () -> Supervisor.drain sup) @@ fun () ->
+  let call req =
+    let slot = ref None in
+    Supervisor.submit sup req ~reply_to:(fun r -> slot := Some r);
+    while !slot = None && Supervisor.run_next sup do () done;
+    match !slot with
+    | Some { P.r_body = Ok payload; _ } -> payload
+    | _ -> Alcotest.failf "%s: no ok reply" req.P.q_id
+  in
+  let render = Dhdl_util.Json.render in
+  let params = [ ("tile", 40); ("parP1", 4) ] in
+  let expected =
+    let module Request = Dhdl_apps.Request in
+    render (Request.estimate_json (Request.estimate (Eval.create est) (Request.point "gda" params)))
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let hits () = Obs.counter_value "dse.index.hit" in
+  let first = call (P.request ~id:"e1" ~app:"gda" ~params P.Estimate) in
+  check_int "a first estimate misses the index" 0 (hits ());
+  let again = call (P.request ~id:"e2" ~app:"gda" ~params P.Estimate) in
+  check_int "a repeated estimate hits the index" 1 (hits ());
+  check_str "first reply = the unindexed payload" expected (render first);
+  check_str "repeated reply, same bytes" expected (render again);
+  let batch =
+    call (P.request ~id:"b1" ~specs:[ ("kmeans", []); ("kmeans", []) ] P.Estimate_batch)
+  in
+  check_int "a repeated spec within a batch hits the index" 2 (hits ());
+  let single =
+    let module Request = Dhdl_apps.Request in
+    render (Request.estimate_json (Request.estimate (Eval.create est) (Request.point "kmeans" [])))
+  in
+  match Dhdl_util.Json.member "items" batch with
+  | Some (Dhdl_util.Json.List [ i1; i2 ]) ->
+    check_str "batch item 1 = the unindexed payload" single
+      (render (Option.get (Dhdl_util.Json.member "ok" i1)));
+    check_str "batch item 2, same bytes" single (render (Option.get (Dhdl_util.Json.member "ok" i2)))
+  | _ -> Alcotest.fail "batch reply lacks two items"
+
+(* ------------------------------------------------------------------ *)
 (* Grep pin: Eval is the only evaluation pipeline                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -627,6 +827,15 @@ let () =
           Alcotest.test_case "keyed by content, not name" `Quick test_gate_memo_keyed_by_content;
           Alcotest.test_case "off with analysis_cap 0" `Quick test_gate_memo_off_without_cache;
           Alcotest.test_case "outside the cache stats" `Quick test_gate_memo_outside_cache_stats;
+        ] );
+      ( "point index",
+        [
+          Alcotest.test_case "warm gda re-sweep generates nothing" `Quick test_index_warm_resweep;
+          Alcotest.test_case "paper and test sizes on one Eval" `Quick test_index_sizes_apart;
+          Alcotest.test_case "no family, no index" `Quick test_index_needs_a_family;
+          Alcotest.test_case "off while faults are armed" `Quick test_index_off_under_faults;
+          Alcotest.test_case "served repeats hit the index" `Quick test_index_served;
+          Alcotest.test_case "a lazy generator failure" `Quick test_index_lazy_generator_failure;
         ] );
       ( "api boundary",
         [

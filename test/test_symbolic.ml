@@ -352,17 +352,19 @@ let test_gate_byte_identity_across_jobs_chunk () =
     List.iter Sys.remove files
 
 let test_gate_reduces_elaborations () =
-  let ev = Eval.create (Lazy.force estimator) in
   let count = ref 0 in
   let a = app "kmeans" in
   let counted p =
     incr count;
     generate_of a p
   in
+  (* Each run gets a fresh Eval: the comparison is of cold elaborations,
+     and a shared Eval's point index would spare the second run every
+     point the first one generated. *)
   let run ~symbolic =
     count := 0;
     let cfg = Explore.Config.make ~seed:2016 ~max_points:300 ~symbolic () in
-    let r = Explore.run cfg ev ~space:(space_of a) ~generate:counted in
+    let r = Explore.run cfg (Eval.create (Lazy.force estimator)) ~space:(space_of a) ~generate:counted in
     (r, !count)
   in
   let r_on, gen_on = run ~symbolic:true in
