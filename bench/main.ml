@@ -112,7 +112,7 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 12) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 13) from GDA sweeps plus a kmeans
    symbolic-gate A/B, the estimator's setup and the served request's
    path. Every timed figure is the median, min and max of [warm_runs]
    runs (a single cold run moved by 40% or more between runs), and every
@@ -131,10 +131,12 @@ let run_ablations ~quick () =
      cache — the memoization headline.
    - warm_session: the warm repeat as the DSE server runs it for a
      dse_start — a fresh checkpoint path, resume on, a checkpoint every
-     [Supervisor.default_config]'s [dse_checkpoint_every] points — as
-     points/s and profiled collector write seconds, plus one untimed
-     session's generator calls (gate probes included) and its
-     [dse.index.hit] count.
+     [Supervisor.default_config]'s [dse_checkpoint_every] points — for
+     gda and for kmeans (whose gate refutes about 40% of its points), as
+     points/s, each session's major collections and minor words, and
+     profiled collector write seconds, plus one untimed session's
+     generator calls (gate probes included) and its [dse.index.hit]
+     count.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
@@ -331,14 +333,16 @@ let run_dseperf ~quick () =
   let warm = repeat (fun () -> fst (sweep ev_seq)) in
   let rwarm = List.hd warm in
   let warm_pps = List.map pps warm in
-  (* Warm server sessions on the same cache: what a dse_start of a sweep
-     the server has seen pays, key and checkpoint writes included. *)
+  (* Warm server sessions: what a dse_start of a sweep the server has seen
+     pays, key and checkpoint writes included, and the GC work it does.
+     gda's sessions re-sweep [ev_seq]; kmeans, whose gate refutes about
+     40% of its points, is filled by one cold sweep on an Eval of its own. *)
   let every =
     (Dhdl_serve.Supervisor.default_config ~sessions_root:"" ~estimator:(lazy est))
       .Dhdl_serve.Supervisor.dse_checkpoint_every
   in
   let session_path = Filename.concat (Filename.get_temp_dir_name ()) "dhdl_bench_session.jsonl" in
-  let session ?(generate = generate) ~profile () =
+  let session ev ~space ~generate ~profile () =
     if Sys.file_exists session_path then Sys.remove session_path;
     let cfg =
       Explore.Config.(
@@ -346,40 +350,68 @@ let run_dseperf ~quick () =
         |> with_checkpoint ~every session_path
         |> with_resume true |> with_profile profile)
     in
-    let r = Explore.run cfg ev_seq ~space ~generate in
+    let r = Explore.run cfg ev ~space ~generate in
     Sys.remove session_path;
     r
   in
-  let sessions = repeat (fun () -> session ~profile:false ()) in
-  let profiled = repeat (fun () -> session ~profile:true ()) in
-  (* One more, untimed session counts what a warm point still elaborates
-     (gate probes included) and how many points the point index answered. *)
-  let generate_calls, index_hits =
-    let calls = ref 0 in
-    let counted p =
-      incr calls;
-      generate p
-    in
-    Obs.enable ();
-    Fun.protect ~finally:Obs.disable @@ fun () ->
-    ignore (session ~generate:counted ~profile:false ());
-    (!calls, Obs.counter_value "dse.index.hit")
-  in
-  (* Beside the collector's checkpoint writes, what is left of a warm
-     point: its generate and cache-probe (design key) lanes. *)
-  let warm_session =
+  let warm_session ev ~space ~generate =
     let module P = Dhdl_dse.Profile in
+    (* [Gc.minor_words], not [quick_stat]'s, which counts only the
+       minor heaps already collected. *)
+    let gc_session () =
+      let majors = (Gc.quick_stat ()).Gc.major_collections and words = Gc.minor_words () in
+      let r = session ev ~space ~generate ~profile:false () in
+      ( r,
+        float_of_int ((Gc.quick_stat ()).Gc.major_collections - majors),
+        Gc.minor_words () -. words )
+    in
+    let runs = repeat gc_session in
+    let sessions = List.map (fun (r, _, _) -> r) runs in
+    let profiled = repeat (fun () -> session ev ~space ~generate ~profile:true ()) in
+    (* One more, untimed session counts what a warm point still elaborates
+       (gate probes included) and how many points the point index
+       answered. *)
+    let generate_calls, index_hits =
+      let calls = ref 0 in
+      let counted p =
+        incr calls;
+        generate p
+      in
+      Obs.enable ();
+      Fun.protect ~finally:Obs.disable @@ fun () ->
+      ignore (session ev ~space ~generate:counted ~profile:false ());
+      (!calls, Obs.counter_value "dse.index.hit")
+    in
+    (* Beside the collector's checkpoint writes, what is left of a warm
+       point: its generate and cache-probe (design key) lanes. *)
     let attrs = List.map attr_of profiled in
     let lane f = spread_json "%.6f" (List.map f attrs) in
     let workers f (a : P.t) = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
     Printf.sprintf
-      "{\"jobs\":1,\"points\":%d,\"checkpoint_every\":%d,\"runs\":%d,\"points_per_sec\":%s,\"collector_write_s\":%s,\"generate_s\":%s,\"probe_s\":%s,\"generate_calls\":%d,\"index_hits\":%d}"
+      "{\"jobs\":1,\"points\":%d,\"checkpoint_every\":%d,\"runs\":%d,\"points_per_sec\":%s,\"major_collections\":%s,\"minor_words\":%s,\"sym_pruned\":%d,\"collector_write_s\":%s,\"generate_s\":%s,\"probe_s\":%s,\"generate_calls\":%d,\"index_hits\":%d}"
       (List.hd sessions).Explore.sampled every warm_runs (rates sessions)
+      (spread_json "%.0f" (List.map (fun (_, m, _) -> m) runs))
+      (spread_json "%.0f" (List.map (fun (_, _, w) -> w) runs))
+      (List.hd sessions).Explore.sym_pruned
       (lane (fun a -> a.P.collector.P.c_write_s))
       (lane (workers (fun w -> w.P.w_generate_s)))
       (lane (workers (fun w -> w.P.w_probe_s)))
       generate_calls index_hits
   in
+  let warm_gda = warm_session ev_seq ~space ~generate in
+  let warm_kmeans =
+    let km = Dhdl_apps.Registry.find "kmeans" in
+    let sizes = km.App.paper_sizes in
+    let space = km.App.space sizes in
+    let generate p = km.App.generate ~sizes ~params:p in
+    let ev = fresh_eval () in
+    ignore
+      (Explore.run
+         Explore.Config.(default |> with_seed seed |> with_max_points points)
+         ev ~space ~generate);
+    warm_session ev ~space ~generate
+  in
+  let warm_session = Printf.sprintf "{\"gda\":%s,\"kmeans\":%s}" warm_gda warm_kmeans in
   (* Cold timing + warm profiled attribution per jobs level. The warm
      repeats share [ev_seq]'s cache. *)
   let jobs_levels = [ 1; 2; 4 ] in
@@ -503,7 +535,7 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":12,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs the warm sweep as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); its generate_calls and index_hits come from one more untimed session with a counting generator and the telemetry sink on. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":13,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs warm gda and kmeans sweeps as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); major_collections and minor_words are each timed session's deltas of Gc.quick_stat's major collections and of Gc.minor_words; generate_calls and index_hits come from one more untimed session with a counting generator and the telemetry sink on. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)

@@ -13,9 +13,10 @@
      refutation clauses, conjunctions of linear inequalities /
      divisibility atoms whose truth implies the concrete pass refutes
      with the same diagnostic code;
-   - {!Predicate.eval} decides a fresh binding in microseconds, without
-     elaborating the design: [Refuted] points skip generation entirely,
-     and every other point is [Unknown] and takes the full pipeline.
+   - {!Predicate} compiles the systems once and then decides a fresh
+     binding in well under a microsecond, without elaborating the
+     design: [Refuted] points skip generation entirely, and every other
+     point is [Unknown] and takes the full pipeline.
 
    The gate refutes; it never proves a point legal. Each refutation
    clause reproduces the concrete checker's own decision, so it is
@@ -200,51 +201,289 @@ let conj_to_string = function
 (* ------------------------------------------------------------------ *)
 (* The per-point evaluator.                                             *)
 
+(* Systems are compiled once, when they are derived: parameter names
+   become positions in a frame built once per binding, and every distinct
+   atom gets an index, so one binding decides each atom at most once
+   however many clauses share it. An atom is decided in native integers
+   (both sides scaled to integer coefficients) when every bound value is
+   within [small_limit] and the atom's coefficients keep that exact; any
+   other binding is decided in exact rationals, operation for operation as
+   [Expr.eval] computes them. The two agree wherever the rationals do not
+   overflow, and the fallback reproduces them where they do. *)
 module Predicate = struct
-  let atom_holds bindings = function
-    | Le (a, b) -> (
-      match (Expr.eval a bindings, Expr.eval b bindings) with
-      | Some x, Some y -> Some (Q.leq x y)
-      | _ -> None)
-    | Divides (d, e) -> (
-      match (Expr.eval_int d bindings, Expr.eval_int e bindings) with
-      | Some 0, _ -> Some false
-      | Some dv, Some ev -> Some (ev mod dv = 0)
-      | _ -> None)
+  let small_limit = 1 lsl 30
 
-  let literal_holds bindings = function
-    | Pos a -> atom_holds bindings a
-    | Neg a -> Option.map not (atom_holds bindings a)
+  (* One side of an atom: the source expression's coefficients for the
+     rational path, its term positions, and [scale] times it in integers
+     ([k0], [ks]) for the integer path. *)
+  type side = { c0 : Q.t; qs : Q.t array; pos : int array; k0 : int; ks : int array }
 
-  let conj_holds bindings lits =
-    List.for_all (fun l -> literal_holds bindings l = Some true) lits
+  (* [fast]: with every value within [small_limit], neither the integer
+     path nor [Expr.eval]'s rationals can overflow, so the integer path
+     answers. Both sides share [scale]. *)
+  type catom = { le : bool; lhs : side; rhs : side; scale : int; fast : bool }
 
-  let applies sys bindings =
-    List.for_all (fun (k, v) -> List.assoc_opt k bindings = Some v) sys.sy_pinned
+  type csystem = {
+    sys : system;
+    pinned : int array;  (* position, value, position, value, ... *)
+    checks : (check * (clause * int array) array) array;
+        (* each clause's literals as [atom lsl 1], [lor 1] when negated *)
+  }
 
-  (* Decide one binding: the first refutation clause that evaluates to
-     true wins (the concrete pass provably errors with that code);
-     otherwise the binding is [Unknown]. Atoms that cannot be evaluated
-     (missing parameter, non-integral divisor) make their clause not
-     fire — toward [Unknown], never toward an unsound verdict. *)
-  let eval sys bindings =
-    if not (applies sys bindings) then
-      Unknown "binding disagrees with the family's pinned parameters"
+  type t = {
+    names : string array;  (* the space's parameters first, in order *)
+    in_order : int;  (* how many leading [names] a point in space order binds *)
+    atoms : catom array;
+    index : (atom, int) Hashtbl.t;
+    systems : csystem array;
+  }
+
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+  let compile_atom position atom =
+    let le, a, b = match atom with Le (a, b) -> (true, a, b) | Divides (a, b) -> (false, a, b) in
+    let coefficients (e : Expr.t) = e.Expr.c0 :: List.map snd e.Expr.terms in
+    let qs = coefficients a @ coefficients b in
+    (* At |value| <= small_limit a side's value is within [bound] (S), and
+       every denominator divides [p] (P). [Expr.eval]'s accumulator then
+       stays within 2 S P^2, [Q.leq]'s products within S P^2, and the
+       scaled integers within S P. *)
+    let magnitude (q : Q.t) = Float.abs (float_of_int q.Q.num) /. float_of_int q.Q.den in
+    let bound (e : Expr.t) =
+      List.fold_left
+        (fun acc (_, q) -> acc +. (magnitude q *. float_of_int small_limit))
+        (magnitude e.Expr.c0) e.Expr.terms
+    in
+    let p = List.fold_left (fun acc (q : Q.t) -> acc *. float_of_int q.Q.den) 1.0 qs in
+    let fast = 2.0 *. Float.max (bound a) (bound b) *. p *. p < 0x1p60 in
+    let lcm l (q : Q.t) = l / gcd l q.Q.den * q.Q.den in
+    let scale = if fast then List.fold_left lcm 1 qs else 1 in
+    let scaled (q : Q.t) = q.Q.num * (scale / q.Q.den) in
+    let side (e : Expr.t) =
+      {
+        c0 = e.Expr.c0;
+        qs = Array.of_list (List.map snd e.Expr.terms);
+        pos = Array.of_list (List.map (fun (n, _) -> position n) e.Expr.terms);
+        k0 = scaled e.Expr.c0;
+        ks = Array.of_list (List.map (fun (_, q) -> scaled q) e.Expr.terms);
+      }
+    in
+    { le; lhs = side a; rhs = side b; scale; fast }
+
+  let compile ~params systems =
+    let names = ref [] in
+    let positions = Hashtbl.create 16 in
+    let position n =
+      match Hashtbl.find_opt positions n with
+      | Some k -> k
+      | None ->
+        let k = Hashtbl.length positions in
+        Hashtbl.add positions n k;
+        names := n :: !names;
+        k
+    in
+    List.iter (fun n -> ignore (position n)) params;
+    let in_order = Hashtbl.length positions in
+    let index = Hashtbl.create 16 in
+    let atoms = ref [] in
+    let atom_index a =
+      match Hashtbl.find_opt index a with
+      | Some k -> k
+      | None ->
+        let k = Hashtbl.length index in
+        Hashtbl.add index a k;
+        atoms := compile_atom position a :: !atoms;
+        k
+    in
+    let literal = function Pos a -> atom_index a lsl 1 | Neg a -> (atom_index a lsl 1) lor 1 in
+    let clause cl = (cl, Array.of_list (List.map literal cl.cl_lits)) in
+    let csystem sys =
+      {
+        sys;
+        pinned = Array.of_list (List.concat_map (fun (n, v) -> [ position n; v ]) sys.sy_pinned);
+        checks =
+          Array.of_list
+            (List.map (fun ck -> (ck, Array.of_list (List.map clause ck.ck_refutes))) sys.sy_checks);
+      }
+    in
+    let systems = Array.of_list (List.map csystem systems) in
+    {
+      names = Array.of_list (List.rev !names);
+      in_order;
+      atoms = Array.of_list (List.rev !atoms);
+      index;
+      systems;
+    }
+
+  (* One binding over a compiled [t]: each position's value and whether
+     the binding has it (the first occurrence of a repeated name, as
+     [List.assoc_opt] reads it), and each atom's decision once made:
+     '\000' not yet, '\001' true, '\002' false, '\003' undecided. The
+     helpers below are top-level recursive functions rather than local
+     loops so that deciding a point allocates only the frame. *)
+  type frame = { values : int array; present : Bytes.t; mutable small : bool; memo : Bytes.t }
+
+  let set fr k v =
+    fr.values.(k) <- v;
+    Bytes.unsafe_set fr.present k '\001';
+    if v > small_limit || v < -small_limit then fr.small <- false
+
+  (* A sampled point binds the space's parameters in order. *)
+  let rec ordered t fr k = function
+    | [] -> k = t.in_order
+    | (name, v) :: rest ->
+      k < t.in_order
+      && String.equal name t.names.(k)
+      && begin
+           set fr k v;
+           ordered t fr (k + 1) rest
+         end
+
+  let frame t binding =
+    let n = Array.length t.names in
+    let fr =
+      { values = Array.make n 0; present = Bytes.make n '\000'; small = true;
+        memo = Bytes.make (Array.length t.atoms) '\000' }
+    in
+    if not (ordered t fr 0 binding) then begin
+      Bytes.fill fr.present 0 n '\000';
+      fr.small <- true;
+      Array.iteri
+        (fun k name -> match List.assoc_opt name binding with Some v -> set fr k v | None -> ())
+        t.names
+    end;
+    fr
+
+  let has fr p = Bytes.unsafe_get fr.present p <> '\000'
+
+  let rec all_present fr pos k = k = Array.length pos || (has fr pos.(k) && all_present fr pos (k + 1))
+
+  let present fr s = all_present fr s.pos 0
+
+  (* The integer path: [scale] times the side's value. *)
+  let scaled fr s =
+    let acc = ref s.k0 in
+    for k = 0 to Array.length s.pos - 1 do
+      acc := !acc + (s.ks.(k) * fr.values.(s.pos.(k)))
+    done;
+    !acc
+
+  (* The rational path, as [Expr.eval] computes it. *)
+  let rec exact fr s acc k =
+    if k = Array.length s.pos then Some acc
+    else if not (has fr s.pos.(k)) then None
+    else exact fr s (Q.add acc (Q.mul s.qs.(k) (Q.of_int fr.values.(s.pos.(k))))) (k + 1)
+
+  let exact_int fr s = Option.bind (exact fr s s.c0 0) Q.to_int
+
+  let yes = '\001'
+  let no = '\002'
+  let undecided = '\003'
+  let of_bool b = if b then yes else no
+
+  (* [lhs <= rhs]; [lhs | rhs], false when [lhs] is 0. An atom over a
+     missing parameter, or a divisibility side that is not an integer, is
+     undecided — except that a zero divisor decides [Divides] alone. *)
+  let decide_atom a fr =
+    if a.fast && fr.small then
+      if a.le then
+        if present fr a.lhs && present fr a.rhs then of_bool (scaled fr a.lhs <= scaled fr a.rhs)
+        else undecided
+      else if not (present fr a.lhs) then undecided
+      else
+        let d = scaled fr a.lhs in
+        if d mod a.scale <> 0 then undecided
+        else if d = 0 then no
+        else if not (present fr a.rhs) then undecided
+        else
+          let e = scaled fr a.rhs in
+          if e mod a.scale <> 0 then undecided else of_bool ((e / a.scale) mod (d / a.scale) = 0)
+    else if a.le then
+      match (exact fr a.lhs a.lhs.c0 0, exact fr a.rhs a.rhs.c0 0) with
+      | Some x, Some y -> of_bool (Q.leq x y)
+      | _ -> undecided
     else
-      let rec first = function
-        | [] -> Unknown (if sys.sy_note = "" then "no refutation clause fires" else sys.sy_note)
-        | ck :: rest -> (
-          match List.find_opt (fun cl -> conj_holds bindings cl.cl_lits) ck.ck_refutes with
-          | Some cl ->
-            Refuted
-              {
-                code = ck.ck_code;
-                witness =
-                  Printf.sprintf "%s: %s [%s]" ck.ck_site cl.cl_desc (conj_to_string cl.cl_lits);
-              }
-          | None -> first rest)
-      in
-      first sys.sy_checks
+      match (exact_int fr a.lhs, exact_int fr a.rhs) with
+      | Some 0, _ -> no
+      | Some dv, Some ev -> of_bool (ev mod dv = 0)
+      | _ -> undecided
+
+  let atom t fr k =
+    match Bytes.unsafe_get fr.memo k with
+    | '\000' ->
+      let d = decide_atom t.atoms.(k) fr in
+      Bytes.unsafe_set fr.memo k d;
+      d
+    | d -> d
+
+  let rec fires t fr lits k =
+    k = Array.length lits
+    || (atom t fr (lits.(k) lsr 1) = (if lits.(k) land 1 = 0 then yes else no)
+       && fires t fr lits (k + 1))
+
+  let rec applies fr pinned k =
+    k = Array.length pinned
+    || (has fr pinned.(k) && fr.values.(pinned.(k)) = pinned.(k + 1) && applies fr pinned (k + 2))
+
+  (* What a compiled [t] says of one binding: no system's pinned
+     parameters match it, several do, or the one that does has no clause
+     that fires, or the first clause that fires (checks, then clauses, in
+     order). *)
+  type outcome =
+    | Uncovered
+    | Contested
+    | Quiet of system
+    | Fires of check * clause
+
+  (* The first clause that fires from clause [j] of check [i] on. *)
+  let rec first_firing t fr cs i j =
+    if i = Array.length cs.checks then Quiet cs.sys
+    else
+      let ck, clauses = cs.checks.(i) in
+      if j = Array.length clauses then first_firing t fr cs (i + 1) 0
+      else
+        let cl, lits = clauses.(j) in
+        if fires t fr lits 0 then Fires (ck, cl) else first_firing t fr cs i (j + 1)
+
+  (* [found] is the one system so far whose pinned parameters match, or -1. *)
+  let rec route t fr found i =
+    if i = Array.length t.systems then
+      if found < 0 then Uncovered else first_firing t fr t.systems.(found) 0 0
+    else if applies fr t.systems.(i).pinned 0 then
+      if found < 0 then route t fr i (i + 1) else Contested
+    else route t fr found (i + 1)
+
+  let decide t binding = route t (frame t binding) (-1) 0
+
+  let refutes t binding = match decide t binding with Fires _ -> true | _ -> false
+
+  let unknown_quiet sys =
+    Unknown (if sys.sy_note = "" then "no refutation clause fires" else sys.sy_note)
+
+  let refuted ck cl =
+    let witness = Printf.sprintf "%s: %s [%s]" ck.ck_site cl.cl_desc (conj_to_string cl.cl_lits) in
+    Refuted { code = ck.ck_code; witness }
+
+  (* A literal of [t]'s systems over a frame of [t]: [None] when its atom
+     is undecided. *)
+  let literal t fr l =
+    let a, holds = match l with Pos a -> (a, yes) | Neg a -> (a, no) in
+    match atom t fr (Hashtbl.find t.index a) with
+    | d when d = undecided -> None
+    | d -> Some (d = holds)
+
+  let conj_holds t fr lits = List.for_all (fun l -> literal t fr l = Some true) lits
+
+  (* Decide one binding against one system: the first refutation clause
+     that evaluates to true wins (the concrete pass provably errors with
+     that code); otherwise the binding is [Unknown]. Atoms that cannot be
+     evaluated (missing parameter, non-integral divisor) make their clause
+     not fire — toward [Unknown], never toward an unsound verdict. *)
+  let eval sys bindings =
+    match decide (compile ~params:[] [ sys ]) bindings with
+    | Uncovered | Contested -> Unknown "binding disagrees with the family's pinned parameters"
+    | Quiet sys -> unknown_quiet sys
+    | Fires (ck, cl) -> refuted ck cl
 end
 
 (* ------------------------------------------------------------------ *)
@@ -687,17 +926,14 @@ let concrete_has pb = function
   | "L013" -> pb.pb_l013
   | _ -> false
 
-(* Constant folding. [Predicate.literal_holds []] decides exactly the
-   literals no binding can change: a clause holding one decided false
-   never fires and goes, a literal decided true adds nothing to its
-   clause and goes. No binding's verdict, nor the clause that refutes
-   it, changes; gated points evaluate, and readers see, only the atoms
-   a binding can move. *)
-let fold_clause cl =
-  if List.exists (fun l -> Predicate.literal_holds [] l = Some false) cl.cl_lits then None
-  else
-    Some
-      { cl with cl_lits = List.filter (fun l -> Predicate.literal_holds [] l = None) cl.cl_lits }
+(* Constant folding. A literal decided over the empty binding is one no
+   binding can change: a clause holding one decided false never fires and
+   goes, a literal decided true adds nothing to its clause and goes. No
+   binding's verdict, nor the clause that refutes it, changes; gated
+   points evaluate, and readers see, only the atoms a binding can move. *)
+let fold_clause ~decided cl =
+  if List.exists (fun l -> decided l = Some false) cl.cl_lits then None
+  else Some { cl with cl_lits = List.filter (fun l -> decided l = None) cl.cl_lits }
 
 let derive_exn ~skeleton ~params ~probes:raw_probes =
   let probes = List.map elaborate_probe raw_probes in
@@ -738,19 +974,27 @@ let derive_exn ~skeleton ~params ~probes:raw_probes =
        surviving clauses remain sound because each fired-and-confirmed
        or never-fired clause is exactly the concrete checker's own
        decision. *)
+    let candidates = word_checks @ tile_checks @ pipe_checks in
+    let compiled =
+      Predicate.compile ~params
+        [ { (degenerate ~skeleton ~params ~probes:nprobes "") with sy_checks = candidates } ]
+    in
+    let frames = List.map (fun pb -> (pb, Predicate.frame compiled pb.pb_bindings)) probes in
     let confirmed ck cl =
       List.for_all
-        (fun pb ->
-          (not (Predicate.conj_holds pb.pb_bindings cl.cl_lits)) || concrete_has pb ck.ck_code)
-        probes
+        (fun (pb, fr) ->
+          (not (Predicate.conj_holds compiled fr cl.cl_lits)) || concrete_has pb ck.ck_code)
+        frames
     in
+    let decided = Predicate.literal compiled (Predicate.frame compiled []) in
     let checks =
       List.filter_map
         (fun ck ->
-          match List.filter_map fold_clause (List.filter (confirmed ck) ck.ck_refutes) with
+          let kept = List.filter (confirmed ck) ck.ck_refutes in
+          match List.filter_map (fold_clause ~decided) kept with
           | [] -> None
           | refutes -> Some { ck with ck_refutes = refutes })
-        (word_checks @ tile_checks @ pipe_checks)
+        candidates
     in
     {
       sy_skeleton = skeleton;

@@ -21,26 +21,29 @@ let version = 1
    loaded checkpoint reproduces the original values bit-for-bit — the
    resume guarantee is that a resumed sweep equals an uninterrupted one
    structurally, floats included. Every field is written straight into
-   the buffer through [Emit], which produces the bytes [Printf] would. *)
+   the buffer through [Emit], which produces the bytes [Printf] would and
+   allocates nothing per number; each field's prefix is one string. *)
 
 let add_str buf s =
   Buffer.add_char buf '"';
   Emit.add_json_escaped buf s;
   Buffer.add_char buf '"'
 
-let add_hex buf f =
-  Buffer.add_char buf '"';
+(* [prefix] ends with the field's opening quote. *)
+let add_hex buf prefix f =
+  Buffer.add_string buf prefix;
   Emit.add_hex_float buf f;
   Buffer.add_char buf '"'
 
-let add_ints buf xs =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun k x ->
-      if k > 0 then Buffer.add_char buf ',';
-      Emit.add_int buf x)
-    xs;
-  Buffer.add_char buf ']'
+let add_next buf n =
+  Buffer.add_char buf ',';
+  Emit.add_int buf n
+
+let rec add_values buf = function
+  | [] -> ()
+  | (_, v) :: rest ->
+    add_next buf v;
+    add_values buf rest
 
 (* [{"kind":"<kind>","i":<i>] — the opening every entry line shares. *)
 let add_entry_head buf kind i =
@@ -49,27 +52,11 @@ let add_entry_head buf kind i =
   Buffer.add_string buf "\",\"i\":";
   Emit.add_int buf i
 
-let add_field buf name =
-  Buffer.add_string buf ",\"";
-  Buffer.add_string buf name;
-  Buffer.add_string buf "\":"
-
 let add_pruned buf kind i =
   add_entry_head buf kind i;
   Buffer.add_string buf "}\n"
 
-(* What a writer last put on disk: the path, the identity of the file it
-   wrote there, and how many of the writer's bytes that file holds. *)
-type flushed = { f_path : string; f_dev : int; f_ino : int; f_len : int }
-
-(* A writer is the rendered file so far: the header line, then one line
-   per appended entry. Each entry is rendered once, when it is appended,
-   so a sweep that checkpoints every few points pays for the bytes once;
-   after the first flush, a flush writes only the bytes since the last. *)
-type writer = { buf : Buffer.t; mutable flushed : flushed option }
-
-let append w i (e : Outcome.entry) =
-  let buf = w.buf in
+let add_entry buf i (e : Outcome.entry) =
   match e with
   | Outcome.Pruned -> add_pruned buf "pruned" i
   | Outcome.Absint_pruned -> add_pruned buf "absint_pruned" i
@@ -77,9 +64,9 @@ let append w i (e : Outcome.entry) =
   | Outcome.Sym_pruned -> add_pruned buf "sym_pruned" i
   | Outcome.Failed (stage, msg) ->
     add_entry_head buf "failed" i;
-    add_field buf "stage";
+    Buffer.add_string buf ",\"stage\":";
     add_str buf (Outcome.stage_name stage);
-    add_field buf "msg";
+    Buffer.add_string buf ",\"msg\":";
     add_str buf msg;
     Buffer.add_string buf "}\n"
   | Outcome.Evaluated ev ->
@@ -88,112 +75,214 @@ let append w i (e : Outcome.entry) =
     let raw = est.Estimator.raw in
     let res = raw.Area_model.resources in
     add_entry_head buf "eval" i;
-    add_field buf "point";
-    add_ints buf (List.map snd ev.Outcome.point);
-    add_field buf "valid";
-    Buffer.add_string buf (if ev.Outcome.valid then "true" else "false");
-    add_field buf "alm_pct";
-    add_hex buf ev.Outcome.alm_pct;
-    add_field buf "dsp_pct";
-    add_hex buf ev.Outcome.dsp_pct;
-    add_field buf "bram_pct";
-    add_hex buf ev.Outcome.bram_pct;
-    add_field buf "cycles";
-    add_hex buf est.Estimator.cycles;
-    add_field buf "seconds";
-    add_hex buf est.Estimator.seconds;
-    add_field buf "area";
-    add_ints buf
-      [ a.Estimator.alms; a.Estimator.luts; a.Estimator.regs; a.Estimator.dsps;
-        a.Estimator.brams; a.Estimator.routing_luts; a.Estimator.unavailable_luts;
-        a.Estimator.duplicated_regs; a.Estimator.duplicated_brams ];
-    add_field buf "raw";
-    add_ints buf
-      [ res.R.lut_packable; res.R.lut_unpackable; res.R.regs; res.R.dsps; res.R.brams;
-        raw.Area_model.nets; raw.Area_model.tree_depth; raw.Area_model.streams;
-        raw.Area_model.ctrl_count; raw.Area_model.double_buffers; raw.Area_model.prim_count ];
-    add_field buf "avg_fanout";
-    add_hex buf raw.Area_model.avg_fanout;
+    Buffer.add_string buf ",\"point\":[";
+    (match ev.Outcome.point with
+    | [] -> ()
+    | (_, v) :: rest ->
+      Emit.add_int buf v;
+      add_values buf rest);
+    Buffer.add_string buf (if ev.Outcome.valid then "],\"valid\":true" else "],\"valid\":false");
+    add_hex buf ",\"alm_pct\":\"" ev.Outcome.alm_pct;
+    add_hex buf ",\"dsp_pct\":\"" ev.Outcome.dsp_pct;
+    add_hex buf ",\"bram_pct\":\"" ev.Outcome.bram_pct;
+    add_hex buf ",\"cycles\":\"" est.Estimator.cycles;
+    add_hex buf ",\"seconds\":\"" est.Estimator.seconds;
+    Buffer.add_string buf ",\"area\":[";
+    Emit.add_int buf a.Estimator.alms;
+    add_next buf a.Estimator.luts;
+    add_next buf a.Estimator.regs;
+    add_next buf a.Estimator.dsps;
+    add_next buf a.Estimator.brams;
+    add_next buf a.Estimator.routing_luts;
+    add_next buf a.Estimator.unavailable_luts;
+    add_next buf a.Estimator.duplicated_regs;
+    add_next buf a.Estimator.duplicated_brams;
+    Buffer.add_string buf "],\"raw\":[";
+    Emit.add_int buf res.R.lut_packable;
+    add_next buf res.R.lut_unpackable;
+    add_next buf res.R.regs;
+    add_next buf res.R.dsps;
+    add_next buf res.R.brams;
+    add_next buf raw.Area_model.nets;
+    add_next buf raw.Area_model.tree_depth;
+    add_next buf raw.Area_model.streams;
+    add_next buf raw.Area_model.ctrl_count;
+    add_next buf raw.Area_model.double_buffers;
+    add_next buf raw.Area_model.prim_count;
+    add_hex buf "],\"avg_fanout\":\"" raw.Area_model.avg_fanout;
     Buffer.add_string buf "}\n"
 
-let writer t =
-  let buf = Buffer.create 4096 in
+let header_line t =
+  let buf = Buffer.create 256 in
   Buffer.add_string buf "{\"kind\":\"header\",\"version\":";
   Emit.add_int buf version;
-  add_field buf "space";
+  Buffer.add_string buf ",\"space\":";
   add_str buf t.space_name;
-  add_field buf "seed";
+  Buffer.add_string buf ",\"seed\":";
   Emit.add_int buf t.seed;
-  add_field buf "max_points";
+  Buffer.add_string buf ",\"max_points\":";
   Emit.add_int buf t.max_points;
-  add_field buf "total";
+  Buffer.add_string buf ",\"total\":";
   Emit.add_int buf t.total;
-  add_field buf "params";
-  Buffer.add_char buf '[';
+  Buffer.add_string buf ",\"params\":[";
   List.iteri
     (fun k p ->
       if k > 0 then Buffer.add_char buf ',';
       add_str buf p)
     t.params;
   Buffer.add_string buf "]}\n";
-  let w = { buf; flushed = None } in
-  List.iter (fun (i, e) -> append w i e) t.entries;
-  w
+  Buffer.contents buf
+
+let render t =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (header_line t);
+  List.iter (fun (i, e) -> add_entry buf i e) t.entries;
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Writing.                                                             *)
+
+(* What a writer last put on disk: the path, the identity of the file it
+   wrote there, and how many of the writer's bytes that file holds. *)
+type flushed = { f_path : string; f_dev : int; f_ino : int; f_len : int }
+
+(* A writer keeps the entries appended so far, to re-render the file when
+   it must be replaced, and [pending], the rendered bytes not yet on disk:
+   each entry is rendered once, into [line], and copied there. A flush that
+   appends writes [pending] as it is; only a replace renders the whole file
+   again, a bounded chunk at a time. Either way the writer's memory is its
+   entries and a few kilobytes, not the file. *)
+type writer = {
+  header : string;
+  mutable entries : (int * Outcome.entry) list;  (* newest first *)
+  line : Buffer.t;
+  mutable pending : Bytes.t;
+  mutable pending_len : int;
+  mutable flushed : flushed option;
+}
+
+let writer t =
+  { header = header_line t; entries = List.rev t.entries; line = Buffer.create 512;
+    pending = Bytes.create 4096; pending_len = 0; flushed = None }
+
+(* Copy [line] onto the end of [pending], growing it if need be. *)
+let push w =
+  let n = Buffer.length w.line in
+  let need = w.pending_len + n in
+  if need > Bytes.length w.pending then begin
+    let grown = Bytes.create (max need (2 * Bytes.length w.pending)) in
+    Bytes.blit w.pending 0 grown 0 w.pending_len;
+    w.pending <- grown
+  end;
+  Buffer.blit w.line 0 w.pending w.pending_len n;
+  w.pending_len <- need
+
+let append w i e =
+  w.entries <- (i, e) :: w.entries;
+  Buffer.clear w.line;
+  add_entry w.line i e;
+  push w
+
+(* A failed write names the checkpoint, not the syscall: the CLI prints
+   the message after "dhdl: error:", and a served sweep records it. *)
+let write_error path err = Sys_error (path ^ ": " ^ Unix.error_message err)
+
+(* Write [pending] whole and empty it; returns how many bytes it held. *)
+let write_pending fd w =
+  let n = w.pending_len in
+  let sent = ref 0 in
+  while !sent < n do
+    sent := !sent + Unix.write fd w.pending !sent (n - !sent)
+  done;
+  w.pending_len <- 0;
+  n
+
+(* A replace renders this much before writing it. *)
+let replace_chunk = 65_536
+
+(* The whole file, the header and then every entry re-rendered, written
+   through [pending] a chunk at a time; returns its length. *)
+let write_whole fd w =
+  let written = ref 0 in
+  let emit () =
+    push w;
+    Buffer.clear w.line;
+    if w.pending_len >= replace_chunk then written := !written + write_pending fd w
+  in
+  w.pending_len <- 0;
+  Buffer.clear w.line;
+  Buffer.add_string w.line w.header;
+  emit ();
+  List.iter
+    (fun (i, e) ->
+      add_entry w.line i e;
+      emit ())
+    (List.rev w.entries);
+  !written + write_pending fd w
 
 (* Full replace: the temp file is written whole, then renamed over [path],
    so whatever [path] held before (another sweep's file, a torn tail) is
-   never half-replaced. Returns the written file's identity. *)
-let replace ~path buf =
+   never half-replaced. A failure removes the temp file. Returns the
+   written file's identity and length. *)
+let replace ~path w =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  let st =
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Buffer.output_buffer oc buf;
-        Stdlib.flush oc;
-        Unix.fstat (Unix.descr_of_out_channel oc))
+  let fail err =
+    (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+    raise (write_error path err)
   in
-  Sys.rename tmp path;
-  st
+  match Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666 with
+  | exception Unix.Unix_error (err, _, _) -> fail err
+  | fd -> (
+    match
+      let len = write_whole fd w in
+      (Unix.fstat fd, len)
+    with
+    | exception Unix.Unix_error (err, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      fail err
+    | written -> (
+      match
+        Unix.close fd;
+        Unix.rename tmp path
+      with
+      | () -> written
+      | exception Unix.Unix_error (err, _, _) -> fail err))
 
-(* Append the bytes past [f.f_len] if [path] is still the file the last
-   flush left: same inode, same length. [false] (nothing written) when it
-   is not, or when it is gone. *)
-let append_new ~path buf f =
+(* Append [pending] if [path] is still the file the last flush [f] left:
+   same inode, same length. [None] (nothing written) when it is not, or
+   when it is gone; otherwise what the file is after the append. *)
+let append_new ~path w f =
   match Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> false
+  | exception Unix.Unix_error _ -> None
   | fd ->
     Fun.protect
-      ~finally:(fun () -> Unix.close fd)
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let st = Unix.fstat fd in
-        st.Unix.st_dev = f.f_dev && st.Unix.st_ino = f.f_ino && st.Unix.st_size = f.f_len
-        && begin
-             let fresh = Buffer.sub buf f.f_len (Buffer.length buf - f.f_len) in
-             let len = String.length fresh in
-             let sent = ref 0 in
-             while !sent < len do
-               sent := !sent + Unix.write_substring fd fresh !sent (len - !sent)
-             done;
-             true
-           end)
+        try
+          let st = Unix.fstat fd in
+          if st.Unix.st_dev = f.f_dev && st.Unix.st_ino = f.f_ino && st.Unix.st_size = f.f_len
+          then Some { f with f_len = f.f_len + write_pending fd w }
+          else None
+        with Unix.Unix_error (err, _, _) -> raise (write_error path err))
 
 let flush ~path w =
   let last = w.flushed in
   (* Cleared first: if this flush raises, the next one replaces the file
      whole instead of trusting a length that may no longer hold. *)
   w.flushed <- None;
-  let len = Buffer.length w.buf in
-  match last with
-  | Some f when String.equal f.f_path path && append_new ~path w.buf f ->
-    w.flushed <- Some { f with f_len = len }
-  | Some _ | None ->
-    let st = replace ~path w.buf in
-    w.flushed <- Some { f_path = path; f_dev = st.Unix.st_dev; f_ino = st.Unix.st_ino; f_len = len }
+  let appended =
+    match last with
+    | Some f when String.equal f.f_path path -> append_new ~path w f
+    | Some _ | None -> None
+  in
+  w.flushed <-
+    (match appended with
+    | Some _ -> appended
+    | None ->
+      let st, len = replace ~path w in
+      Some { f_path = path; f_dev = st.Unix.st_dev; f_ino = st.Unix.st_ino; f_len = len })
 
-let render t = Buffer.contents (writer t).buf
-let save ~path t = ignore (replace ~path (writer t).buf)
+let save ~path t = ignore (replace ~path (writer t))
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: each line is one object read by [Json.parse]. Integers are

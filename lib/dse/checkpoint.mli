@@ -15,12 +15,13 @@
     sweep's evaluations structurally equal to an uninterrupted run's.
 
     A sweep that writes its checkpoint as it goes keeps a {!writer}: it
-    renders each entry once, on {!append}, straight into the writer's
-    buffer. The first {!flush} replaces the file atomically, like {!save};
-    every later flush appends only the bytes rendered since the previous
-    one, as long as the file is still the one that flush left (see
-    {!flush}). {!render} and {!save} are a writer filled from a whole [t],
-    so there is one rendering path and the bytes are the same either way.
+    renders each entry once, on {!append}, into the writer's buffer of
+    bytes not yet on disk. The first {!flush} replaces the file
+    atomically, like {!save}; every later flush appends that buffer, as
+    long as the file is still the one the previous flush left (see
+    {!flush}). Only a replace renders the whole file again, from the
+    entries the writer keeps. {!render}, {!save} and the writer share one
+    entry renderer, so the bytes are the same either way.
 
     {b Crash guarantee.} The file always starts with a complete header and
     is always a byte prefix of what the writer rendered. A kill during an
@@ -58,11 +59,14 @@ val render : t -> string
 
 val save : path:string -> t -> unit
 (** Atomically replace [path] with [render t] (writes [path ^ ".tmp"],
-    then renames). *)
+    then renames). A failed write raises [Sys_error (path ^ ": " ^
+    reason)] and removes the temp file. *)
 
 type writer
-(** A checkpoint being built: the header and the entries appended so
-    far, already rendered, and what the last {!flush} left on disk.
+(** A checkpoint being built: the header, the entries appended so far,
+    the rendered bytes not yet on disk, and what the last {!flush} left
+    there. It never holds the whole file: its memory is its entries and a
+    few kilobytes of buffer (up to 64 KB while a replace renders).
     Single owner; not thread-safe. *)
 
 val writer : t -> writer
@@ -81,12 +85,16 @@ val flush : path:string -> writer -> unit
     After a flush the writer records the path, the written file's device
     and inode (from [fstat]) and its length. The next flush to the same
     path opens it with [O_APPEND] and, if it is still that file with that
-    length, writes only the new bytes. Otherwise — the first flush
-    (a resumed sweep's too, which drops any torn tail), another path, a
-    file that was replaced, truncated, grown or deleted — it replaces the
-    file atomically (writes [path ^ ".tmp"], then renames). The record is
-    cleared before writing, so a flush that raises leaves the next one to
-    replace the file whole. *)
+    length, writes only the bytes appended since, straight from the
+    writer's buffer. Otherwise — the first flush (a resumed sweep's too,
+    which drops any torn tail), another path, a file that was replaced,
+    truncated, grown or deleted — it renders the whole file again into
+    [path ^ ".tmp"] and renames that over [path].
+
+    A write that fails raises [Sys_error (path ^ ": " ^ reason)] (for
+    example ["F: File too large"]) on either path; a failed replace
+    removes its temp file. The record is cleared before writing, so a
+    flush that raises leaves the next one to replace the file whole. *)
 
 val load : path:string -> (t, string) result
 (** Parse a checkpoint, each line with [Dhdl_util.Json.parse]; [Error]

@@ -136,8 +136,9 @@ val evaluation :
 
 (** [gate t ~space ~generate] is [Symgate.derive ~space ~generate ()],
     memoized. It keys the 48 probes, each through the point index when
-    [space] has a family, and skips the derivation itself (about 0.2 s
-    for kmeans, 1.8 s for gda) when an earlier call saw the same
+    [space] has a family, and skips the derivation itself (on a fresh
+    [t], with the probes generated and keyed, about 15 ms for kmeans or
+    gda) when an earlier call saw the same
     parameter names, probe points and probe designs. A probe point the
     index lacks is generated and keyed (a few ms for all 48), and one
     whose generator raises is dropped, as {!Symgate.probes} drops it; the
@@ -145,7 +146,8 @@ val evaluation :
     built from content, not from [generate]'s identity: the server and
     the CLI build a fresh closure per session, and one space name can
     stand for several sizes. Derivation reads nothing else, so a hit
-    returns exactly what a fresh derivation would. *)
+    returns exactly what a fresh derivation would, the systems compiled
+    for {!Symgate.refutes} included. *)
 val gate :
   t -> space:Space.t -> generate:(Space.point -> Dhdl_ir.Ir.design) -> Symgate.t
 

@@ -2,7 +2,6 @@ module Estimator = Dhdl_model.Estimator
 module Pareto = Dhdl_util.Pareto
 module Faults = Dhdl_util.Faults
 module Obs = Dhdl_obs.Obs
-module Symbolic = Dhdl_absint.Symbolic
 
 type evaluation = Outcome.evaluation = {
   point : Space.point;
@@ -334,36 +333,35 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
         (* Pre-elaboration gate: a refuted point never generates, and
            every other point pays the full pipeline as before. Verdict
            time is attributed to the probe stage when profiling. *)
-        let verdict =
+        let refuted =
           match gate with
-          | None -> Symbolic.Unknown "gate off"
+          | None -> false
           | Some g ->
             let t0 = if stages <> None then Unix.gettimeofday () else 0.0 in
-            let v = Symgate.verdict g p in
+            let r = Symgate.refutes g p in
             (match stages with
             | Some s -> s.Eval.s_probe <- s.Eval.s_probe +. (Unix.gettimeofday () -. t0)
             | None -> ());
-            v
+            r
         in
-        match verdict with
-        | Symbolic.Refuted _ ->
+        if refuted then begin
           if Obs.enabled () then Obs.count "dse.sym_pruned";
           Outcome.Sym_pruned
-        | Symbolic.Legal | Symbolic.Unknown _ ->
-          if Obs.enabled () then begin
-            let e = Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p in
-            (match e with
-            | Outcome.Evaluated _ ->
-              Obs.count "dse.estimated";
-              Obs.observe "dse.ms_per_design" ((Unix.gettimeofday () -. start) *. 1000.0)
-            | Outcome.Pruned -> Obs.count "dse.lint_pruned"
-            | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
-            | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
-            | Outcome.Sym_pruned -> Obs.count "dse.sym_pruned"
-            | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage));
-            e
-          end
-          else Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p
+        end
+        else if Obs.enabled () then begin
+          let e = Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p in
+          (match e with
+          | Outcome.Evaluated _ ->
+            Obs.count "dse.estimated";
+            Obs.observe "dse.ms_per_design" ((Unix.gettimeofday () -. start) *. 1000.0)
+          | Outcome.Pruned -> Obs.count "dse.lint_pruned"
+          | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
+          | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
+          | Outcome.Sym_pruned -> Obs.count "dse.sym_pruned"
+          | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage));
+          e
+        end
+        else Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p
       in
       (e, false, Unix.gettimeofday () -. start)
   in

@@ -5,11 +5,14 @@
    groups them by [Design_key] skeleton (one app space can contain
    several skeletons when meta-flags switch the generated graph shape)
    and hands each group to [Symbolic.derive] as its probe set. The
-   result is a list of per-skeleton constraint systems; [verdict] routes
-   a fresh binding to the unique system whose pinned parameters it
-   satisfies and evaluates the predicate — microseconds, no generation.
-   The split lets [Eval.gate] key a memo by the probes' content and skip
-   [of_probes], the expensive half, when it has seen them before.
+   result is a list of per-skeleton constraint systems, compiled once
+   ({!Symbolic.Predicate.compile}) over the space's parameter order;
+   [refutes] routes a fresh binding to the unique system whose pinned
+   parameters it satisfies and evaluates the predicate — well under a
+   microsecond, no generation — and [verdict] also says why, for callers
+   that print it. The split lets [Eval.gate] key a memo by the probes'
+   content and skip [of_probes], the expensive half, when it has seen
+   them before; the memo keeps the compiled form with the systems.
 
    Routing is sound because a system's pinned parameters are exactly the
    ones constant across its probes: registry app generators branch on
@@ -21,7 +24,9 @@
 module Symbolic = Dhdl_absint.Symbolic
 module Design_key = Dhdl_model.Design_key
 
-type t = { g_systems : Symbolic.system list }
+module Predicate = Symbolic.Predicate
+
+type t = { g_systems : Symbolic.system list; g_compiled : Predicate.t }
 
 (* One generated probe. Derivation reads only the point and the design;
    the key rides along for grouping and for [Eval.gate]'s memo key. *)
@@ -60,15 +65,18 @@ let of_probes ~params probes =
         Symbolic.derive ~skeleton:sk ~params ~probes)
       !order
   in
-  { g_systems = systems }
+  { g_systems = systems; g_compiled = Predicate.compile ~params systems }
 
 let derive ?probe_points ~space ~generate () =
   of_probes ~params:(List.map fst (Space.dims space)) (probes ?probe_points ~space ~generate ())
 
 let systems t = t.g_systems
 
+let refutes t (point : Space.point) = Predicate.refutes t.g_compiled point
+
 let verdict t (point : Space.point) =
-  match List.filter (fun sys -> Symbolic.Predicate.applies sys point) t.g_systems with
-  | [ sys ] -> Symbolic.Predicate.eval sys point
-  | [] -> Symbolic.Unknown "no derived system covers this binding"
-  | _ :: _ :: _ -> Symbolic.Unknown "several derived systems claim this binding"
+  match Predicate.decide t.g_compiled point with
+  | Predicate.Uncovered -> Symbolic.Unknown "no derived system covers this binding"
+  | Predicate.Contested -> Symbolic.Unknown "several derived systems claim this binding"
+  | Predicate.Quiet sys -> Predicate.unknown_quiet sys
+  | Predicate.Fires (ck, cl) -> Predicate.refuted ck cl

@@ -63,9 +63,10 @@ let handle_line sup conns conn line =
 
 (* Only the bytes just read are scanned for newlines; the partial line
    before them stays in [rbuf] and is copied out once, when its newline
-   arrives, so a long line costs time linear in its length. *)
-let on_readable sup conns conn =
-  let chunk = Bytes.create 4096 in
+   arrives, so a long line costs time linear in its length. [chunk] is
+   the loop's one read buffer: every byte of it is copied out before the
+   next read. *)
+let on_readable sup conns ~chunk conn =
   match retrying "serve.sock_read" (fun () -> Unix.read conn.fd chunk 0 (Bytes.length chunk)) with
   | 0 -> hang_up conns conn
   | n ->
@@ -101,6 +102,7 @@ let run ?(install_signals = true) ~socket_path sup_cfg =
   Unix.listen listen_fd 16;
   Printf.eprintf "[serve] listening on %s\n%!" socket_path;
   let conns = { live = Hashtbl.create 64; hung_up = [] } in
+  let chunk = Bytes.create 4096 in
   let draining () = Atomic.get stop_sig || Supervisor.draining sup in
   (* One turn: poll without waiting while requests are queued, read what
      is readable (each complete line is admitted or shed), then run one
@@ -119,7 +121,7 @@ let run ?(install_signals = true) ~socket_path sup_cfg =
               Obs.count "serve.connections";
               Hashtbl.replace conns.live cfd { fd = cfd; rbuf = Buffer.create 256; closed = false }
             end
-            else Option.iter (on_readable sup conns) (Hashtbl.find_opt conns.live fd))
+            else Option.iter (on_readable sup conns ~chunk) (Hashtbl.find_opt conns.live fd))
           readable
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       ignore (Supervisor.run_next sup);

@@ -302,6 +302,98 @@ let test_changed_file_rewritten_whole () =
   Sys.remove src;
   Sys.remove out
 
+(* A failed write names the checkpoint, not the syscall, and leaves no
+   temp file; the checkpoint keeps what the last good flush left, and the
+   next flush replaces it whole. The temp file is a symlink to /dev/full,
+   so every write of the replace fails with ENOSPC. *)
+let test_failed_replace_names_the_file () =
+  let est = Lazy.force estimator in
+  let src = tmp "full_src.jsonl" and path = tmp "full.jsonl" in
+  let temp = path ^ ".tmp" in
+  let link_exists p = match Unix.lstat p with _ -> true | exception Unix.Unix_error _ -> false in
+  List.iter (fun p -> if link_exists p then Sys.remove p) [ path; temp ];
+  ignore (run_sweep ~checkpoint:src est);
+  let c = match Checkpoint.load ~path:src with Ok c -> c | Error msg -> Alcotest.fail msg in
+  let half = List.length c.Checkpoint.entries / 2 in
+  let w = Checkpoint.writer { c with Checkpoint.entries = [] } in
+  List.iteri (fun k (i, e) -> if k < half then Checkpoint.append w i e) c.Checkpoint.entries;
+  Checkpoint.flush ~path w;
+  let good = read_file path in
+  List.iteri (fun k (i, e) -> if k >= half then Checkpoint.append w i e) c.Checkpoint.entries;
+  (* Another file renamed over the checkpoint sends the flush down the
+     replace path. *)
+  let other = tmp "full_other.jsonl" in
+  write_file other good;
+  Sys.rename other path;
+  let copied = inode path in
+  Unix.symlink "/dev/full" temp;
+  (match Checkpoint.flush ~path w with
+  | () -> Alcotest.fail "a flush through /dev/full must fail"
+  | exception Sys_error msg ->
+    Alcotest.(check string)
+      "the error names the checkpoint" (path ^ ": No space left on device") msg);
+  check_bool "no temp file left behind" false (link_exists temp);
+  Alcotest.(check string) "the checkpoint keeps its last good bytes" good (read_file path);
+  Checkpoint.flush ~path w;
+  Alcotest.(check string)
+    "the next flush writes the whole file" (Checkpoint.render c) (read_file path);
+  check_bool "by replacing it" true (inode path <> copied);
+  Sys.remove src;
+  Sys.remove path
+
+(* The CLI prints that message as its one error line and exits 1. A file
+   size limit makes the first flush fail; SIGXFSZ is ignored so the write
+   fails with EFBIG instead of killing the process. *)
+let test_cli_names_the_checkpoint () =
+  let dir = tmp "xfsz" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let dhdl = Filename.concat (Filename.dirname (Sys.getcwd ())) (Filename.concat "bin" "dhdl.exe") in
+  let cp = Filename.concat dir "F" and err = Filename.concat dir "err" in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ cp; cp ^ ".tmp"; err ];
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "(trap '' XFSZ; ulimit -f 8; exec %s dse gda --train-samples 40 -n 300 --checkpoint %s) \
+          >/dev/null 2>%s"
+         (Filename.quote dhdl) (Filename.quote cp) (Filename.quote err))
+  in
+  check_int "exit code" 1 code;
+  Alcotest.(check string) "one error line naming the checkpoint"
+    (Printf.sprintf "dhdl: error: %s: File too large" cp)
+    (List.hd (String.split_on_char '\n' (read_file err)));
+  check_bool "no temp file left behind" false (Sys.file_exists (cp ^ ".tmp"));
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ cp; err ];
+  Sys.rmdir dir
+
+(* The writer holds the entries and the bytes not yet flushed, never the
+   file: appending and flushing 20,000 entries at the server's cadence
+   allocates fewer major-heap words (promotions included) than the file
+   holds. A writer that kept the rendered file in one growing buffer
+   allocated 3.4 times the file. *)
+let test_writer_major_words () =
+  let est = Lazy.force estimator in
+  let src = tmp "major_src.jsonl" and path = tmp "major.jsonl" in
+  ignore (run_sweep ~checkpoint:src est);
+  let c = match Checkpoint.load ~path:src with Ok c -> c | Error msg -> Alcotest.fail msg in
+  let pool = Array.of_list (List.map snd c.Checkpoint.entries) in
+  let n = 20_000 and every = 8 in
+  let entries = List.init n (fun i -> (i, pool.(i mod Array.length pool))) in
+  let w = Checkpoint.writer { c with Checkpoint.entries = [] } in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  List.iteri
+    (fun k (i, e) ->
+      Checkpoint.append w i e;
+      if (k + 1) mod every = 0 then Checkpoint.flush ~path w)
+    entries;
+  Checkpoint.flush ~path w;
+  let major = (Gc.quick_stat ()).Gc.major_words -. before in
+  let file_words = float_of_int (Unix.stat path).Unix.st_size /. float_of_int (Sys.word_size / 8) in
+  check_bool
+    (Printf.sprintf "%.0f major words < the file's %.0f words" major file_words)
+    true (major < file_words);
+  Sys.remove src;
+  Sys.remove path
+
 (* A kill during an append can cut the file at any byte of the appended
    segment. Every complete line survives the cut; [truncated_tail] is set
    exactly when a partial line is left; and a resumed sweep converges to
@@ -596,6 +688,10 @@ let () =
           Alcotest.test_case "changed file rewritten whole" `Quick
             test_changed_file_rewritten_whole;
           Alcotest.test_case "every cut of the appended segment" `Quick test_cut_appended_segment;
+          Alcotest.test_case "failed replace names the file" `Quick
+            test_failed_replace_names_the_file;
+          Alcotest.test_case "CLI names the checkpoint" `Quick test_cli_names_the_checkpoint;
+          Alcotest.test_case "major words below the file" `Quick test_writer_major_words;
         ] );
       ( "serializer oracle",
         [ QCheck_alcotest.to_alcotest (Serial_oracle.prop_entries ~count:500) ] );

@@ -191,7 +191,7 @@ let test_derivation_folds_constants () =
                 (fun (cl : Symbolic.clause) ->
                   List.iter
                     (fun l ->
-                      if Symbolic.Predicate.literal_holds [] l <> None then
+                      if Predicate_oracle.literal_holds [] l <> None then
                         Alcotest.failf "%s: %s keeps the constant literal %s" (where d)
                           ck.Symbolic.ck_site (Symbolic.literal_to_string l))
                     cl.Symbolic.cl_lits)
@@ -290,6 +290,160 @@ let test_differential_oracle () =
     (Hashtbl.find refuted ("kmeans", "paper") > 0);
   check_bool "oracle saw Refuted verdicts at test sizes" true
     (Hashtbl.fold (fun (_, table) n acc -> acc || (table = "test" && n > 0)) refuted false)
+
+(* ------------------------------------------------------------------ *)
+(* The compiled gate against the interpreted evaluator                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Symgate] compiles its systems once; [Predicate_oracle] keeps the
+   evaluator that looked every parameter up by name and evaluated every
+   clause in rationals. They must agree on the decision and the witness
+   for every binding, whatever it binds. *)
+let same_verdict ~what expected got =
+  let show = function
+    | Symbolic.Refuted { code; witness } -> Printf.sprintf "Refuted [%s] %s" code witness
+    | Symbolic.Unknown why -> "Unknown: " ^ why
+    | Symbolic.Legal -> "Legal"
+  in
+  if expected <> got then
+    Alcotest.failf "%s: the compiled gate answered %s, the interpreted one %s" what (show got)
+      (show expected)
+
+let show_point p = String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) p)
+
+(* Gate and system level, against the oracle. *)
+let agrees d p =
+  let what = Printf.sprintf "%s at [%s]" (where d) (show_point p) in
+  let systems = Symgate.systems d.gate in
+  let expected = Predicate_oracle.verdict systems p in
+  same_verdict ~what expected (Symgate.verdict d.gate p);
+  check_bool (what ^ ": refutes") (match expected with Symbolic.Refuted _ -> true | _ -> false)
+    (Symgate.refutes d.gate p);
+  List.iter
+    (fun sys ->
+      same_verdict ~what:(what ^ " (one system)") (Predicate_oracle.eval sys p)
+        (Symbolic.Predicate.eval sys p))
+    systems
+
+let gate_sample d = Array.of_list (Space.sample d.space ~seed:oracle_seed ~max_points:oracle_points)
+
+let test_compiled_gate_on_samples () =
+  List.iter (fun d -> Array.iter (agrees d) (gate_sample d)) (Lazy.force derived)
+
+let hostile_values =
+  [| 0; 1; -1; -7; min_int; max_int; min_int + 1; max_int - 1; 1 lsl 62; -(1 lsl 62);
+     Symbolic.Predicate.small_limit; Symbolic.Predicate.small_limit + 1;
+     -Symbolic.Predicate.small_limit - 1 |]
+
+(* A sampled point with up to five edits: a value replaced (by a hostile
+   value or a small one), a name dropped, a name repeated in front (which
+   shadows it) or at the back (shadowed), a name no space has, or the
+   order rotated. *)
+let edit p (kind, (at, v)) =
+  let n = List.length p in
+  if n = 0 then [ ("extra", v) ]
+  else
+    let name, _ = List.nth p (at mod n) in
+    match kind with
+    | 0 -> List.map (fun (m, x) -> if m = name then (m, v) else (m, x)) p
+    | 1 -> List.filter (fun (m, _) -> m <> name) p
+    | 2 -> (name, v) :: p
+    | 3 -> p @ [ (name, v) ]
+    | 4 -> p @ [ ("extra", v) ]
+    | _ -> ( match p with x :: rest -> rest @ [ x ] | [] -> [])
+
+let prop_compiled_gate_hostile =
+  let gates = lazy (Array.of_list (List.map (fun d -> (d, gate_sample d)) (Lazy.force derived))) in
+  let value = QCheck.Gen.(oneof [ oneofa hostile_values; int_range (-64) 256 ]) in
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 13) nat
+        (list_size (int_range 1 5) (pair (int_bound 5) (pair nat value))))
+  in
+  QCheck.Test.make ~count:3_000 ~name:"compiled gate = interpreted evaluator on hostile bindings"
+    (QCheck.make
+       ~print:(fun (g, k, edits) ->
+         Printf.sprintf "gate %d, point %d, edits [%s]" g k
+           (String.concat "; "
+              (List.map (fun (kind, (at, v)) -> Printf.sprintf "%d@%d=%d" kind at v) edits)))
+       gen)
+    (fun (g, k, edits) ->
+      let d, sample = (Lazy.force gates).(g) in
+      let base = if Array.length sample = 0 then [] else sample.(k mod Array.length sample) in
+      agrees d (List.fold_left edit base edits);
+      true)
+
+(* Two checks share the atom [9 <= p]: the first fires only when it is
+   false, the second when it holds and [t] does not divide [n], so every
+   binding that refutes must take the second check's code and witness
+   from the atom decided once. [t | n] also meets a zero divisor, and a
+   missing [t] or [n] under a [Neg] literal. *)
+let test_shared_atom_second_check () =
+  let open Symbolic in
+  let shared = Le (Expr.of_int 9, Expr.var "p") in
+  let t_divides = Divides (Expr.var "t", Expr.var "n") in
+  let sys =
+    {
+      sy_skeleton = "shared";
+      sy_params = [ "p"; "t"; "n" ];
+      sy_pinned = [];
+      sy_checks =
+        [
+          {
+            ck_code = "L013";
+            ck_site = "first";
+            ck_refutes =
+              [
+                {
+                  cl_desc = "p below 9";
+                  cl_lits = [ Neg shared; Pos (Le (Expr.var "t", Expr.of_int (-1))) ];
+                };
+              ];
+          };
+          {
+            ck_code = "L009";
+            ck_site = "second";
+            ck_refutes =
+              [ { cl_desc = "t does not divide n"; cl_lits = [ Pos shared; Neg t_divides ] } ];
+          };
+        ];
+      sy_probes = 2;
+      sy_note = "";
+    }
+  in
+  let gate = Predicate.compile ~params:[ "p"; "t"; "n" ] [ sys ] in
+  let point = [ ("p", 12); ("t", 7); ("n", 96) ] in
+  (match Predicate.decide gate point with
+  | Predicate.Fires (ck, cl) ->
+    Alcotest.(check string) "the second check fires" "second" ck.ck_site;
+    Alcotest.(check string) "with its clause" "t does not divide n" cl.cl_desc
+  | _ -> Alcotest.fail "p=12, t=7, n=96 must fire the second check");
+  (match Predicate.eval sys point with
+  | Refuted { code; witness } ->
+    Alcotest.(check string) "its code" "L009" code;
+    Alcotest.(check string) "its witness" "second: t does not divide n [9 <= p  &&  !(t | n)]"
+      witness
+  | _ -> Alcotest.fail "p=12, t=7, n=96 must be Refuted");
+  let values = Array.to_list hostile_values @ [ 7; 9; 12; 32; 96; -96 ] in
+  let with_ name values = List.map (fun v -> Some (name, v)) values @ [ None ] in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun t ->
+          List.iter
+            (fun n ->
+              let b = List.filter_map Fun.id [ p; t; n ] in
+              List.iter
+                (fun b ->
+                  let what = Printf.sprintf "[%s]" (show_point b) in
+                  same_verdict ~what (Predicate_oracle.eval sys b) (Predicate.eval sys b);
+                  check_bool (what ^ ": refutes")
+                    (match Predicate_oracle.eval sys b with Refuted _ -> true | _ -> false)
+                    (Predicate.refutes gate b))
+                [ b; List.rev b ])
+            (with_ "n" [ 96; 0; 7; max_int ]))
+        (with_ "t" values))
+    (with_ "p" values)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep integration: Sym_pruned, checkpoints, byte identity           *)
@@ -417,6 +571,14 @@ let () =
         [
           Alcotest.test_case "symbolic never contradicts concrete" `Quick
             test_differential_oracle;
+        ] );
+      ( "compiled",
+        [
+          Alcotest.test_case "compiled gate = interpreted on sampled points" `Quick
+            test_compiled_gate_on_samples;
+          QCheck_alcotest.to_alcotest prop_compiled_gate_hostile;
+          Alcotest.test_case "shared atom, second check fires" `Quick
+            test_shared_atom_second_check;
         ] );
       ( "sweep",
         [
