@@ -296,13 +296,9 @@ let run_dseperf ~quick () =
   let points = if quick then 200 else 1_000 in
   let space = app.App.space sizes in
   let generate p = app.App.generate ~sizes ~params:p in
-  let sweep ?(jobs = 1) ?(chunk = 16) ?(profile = false) ?(obs = false) ev =
+  let sweep ?(jobs = 1) ?(profile = false) ?(obs = false) ev =
     if obs then Obs.enable ();
-    let cfg =
-      Explore.Config.(
-        default |> with_seed seed |> with_max_points points |> with_jobs jobs |> with_chunk chunk
-        |> with_profile profile)
-    in
+    let cfg = Explore.Config.make ~seed ~max_points:points ~jobs ~profile () in
     let r = Explore.run cfg ev ~space ~generate in
     let snap = if obs then Some (Obs.snapshot ()) else None in
     if obs then Obs.disable ();
@@ -345,10 +341,8 @@ let run_dseperf ~quick () =
   let session ev ~space ~generate ~profile () =
     if Sys.file_exists session_path then Sys.remove session_path;
     let cfg =
-      Explore.Config.(
-        default |> with_seed seed |> with_max_points points
-        |> with_checkpoint ~every session_path
-        |> with_resume true |> with_profile profile)
+      Explore.Config.make ~seed ~max_points:points ~checkpoint:session_path
+        ~checkpoint_every:every ~resume:true ~profile ()
     in
     let r = Explore.run cfg ev ~space ~generate in
     Sys.remove session_path;
@@ -407,7 +401,7 @@ let run_dseperf ~quick () =
     let ev = fresh_eval () in
     ignore
       (Explore.run
-         Explore.Config.(default |> with_seed seed |> with_max_points points)
+         (Explore.Config.make ~seed ~max_points:points ())
          ev ~space ~generate);
     warm_session ev ~space ~generate
   in

@@ -251,10 +251,12 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run the sweep on N worker domains (default 1 = sequential). Results, Pareto \
-           frontier, and checkpoint files are bit-identical at every jobs level, so \
-           $(b,--resume) works across jobs settings and $(b,--deadline) still yields a \
-           resumable truncated result; only wall-clock time changes.")
+          "Run the sweep with N workers (default 1). At 1 the domain that runs the sweep is its \
+           only worker and no domain is spawned; above 1 the sweep runs on N worker domains \
+           and that domain merges their results in sampling order. Results, Pareto frontier, \
+           and checkpoint files are bit-identical at every jobs level, so $(b,--resume) works \
+           across jobs settings and $(b,--deadline) still yields a resumable truncated result; \
+           only wall-clock time changes.")
 
 let inject_faults_arg =
   Arg.(
@@ -278,16 +280,6 @@ let profile_flag_arg =
            {recv-block, reorder-stall, write, merge}, and print the attribution report after the \
            sweep. Results and checkpoints stay bit-identical; see $(b,dhdl profile) for the \
            multi-level scaling report.")
-
-let chunk_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Points per worker claim in the parallel engine (default 16). Workers take index \
-           ranges of N points from the shared cursor and send each completed range to the \
-           collector as one message; results and checkpoints are bit-identical at every \
-           chunk size.")
 
 let no_eval_cache_arg =
   Arg.(
@@ -315,13 +307,13 @@ let no_symbolic_arg =
            identical modulo pruned-outcome kind; only elaboration work changes.")
 
 let dse_cmd =
-  let run app seed train points cache trace jsonl metrics jobs chunk no_cache checkpoint resume
+  let run app seed train points cache trace jsonl metrics jobs no_cache checkpoint resume
       deadline inject faults_seed no_absint no_symbolic profile =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
     let a = Request.app app in
     let cfg =
       Explore.Config.make ~seed ~max_points:points ~absint:(not no_absint)
-        ~symbolic:(not no_symbolic) ~jobs ~chunk ?checkpoint ~resume ?deadline_seconds:deadline
+        ~symbolic:(not no_symbolic) ~jobs ?checkpoint ~resume ?deadline_seconds:deadline
         ~profile ()
     in
     Option.iter
@@ -391,7 +383,7 @@ let dse_cmd =
     (Cmd.info "dse" ~doc:"Explore a benchmark's design space and print the Pareto frontier.")
     Term.(
       const run $ app_arg $ seed_arg $ train_arg $ points_arg $ cache_arg $ trace_arg $ jsonl_arg
-      $ metrics_arg $ jobs_arg $ chunk_arg $ no_eval_cache_arg $ checkpoint_arg $ resume_arg
+      $ metrics_arg $ jobs_arg $ no_eval_cache_arg $ checkpoint_arg $ resume_arg
       $ deadline_arg $ inject_faults_arg $ faults_seed_arg $ no_absint_arg $ no_symbolic_arg
       $ profile_flag_arg)
 
@@ -791,7 +783,7 @@ let metrics_cmd =
     ignore (Dhdl_sim.Perf_sim.simulate p.Request.design);
     let result =
       Explore.run
-        Explore.Config.(default |> with_seed seed |> with_max_points points)
+        (Explore.Config.make ~seed ~max_points:points ())
         ev
         ~space:(a.App.space a.App.paper_sizes)
         ~generate:(fun p -> a.App.generate ~sizes:a.App.paper_sizes ~params:p)

@@ -24,7 +24,7 @@ let () =
 
   let result =
     Explore.run
-      Explore.Config.(default |> with_seed 2016 |> with_max_points 1500)
+      (Explore.Config.make ~seed:2016 ~max_points:1500 ())
       ev ~space
       ~generate:(fun p -> app.App.generate ~sizes ~params:p)
   in

@@ -13,16 +13,10 @@ module Asciiplot = Dhdl_util.Asciiplot
 module Rng = Dhdl_util.Rng
 module Obs = Dhdl_obs.Obs
 
-let explore_app ?(seed = 2016) ?(jobs = 1) ~max_points ev (app : App.t) =
+let explore_app ?(seed = 2016) ~max_points ev (app : App.t) =
   Obs.span "experiment.explore" ~attrs:[ ("app", app.App.name) ] @@ fun () ->
   let sizes = app.App.paper_sizes in
-  let cfg =
-    Explore.Config.default
-    |> Explore.Config.with_seed seed
-    |> Explore.Config.with_max_points max_points
-    |> Explore.Config.with_jobs jobs
-  in
-  Explore.run cfg ev ~space:(app.App.space sizes)
+  Explore.run (Explore.Config.make ~seed ~max_points ()) ev ~space:(app.App.space sizes)
     ~generate:(fun point -> app.App.generate ~sizes ~params:point)
 
 (* Pick up to [k] evaluations spread evenly along a Pareto frontier. *)

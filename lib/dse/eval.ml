@@ -166,21 +166,17 @@ let non_finite_detail (e : Outcome.evaluation) =
     e.Outcome.estimate.Estimator.cycles e.Outcome.estimate.Estimator.seconds e.Outcome.alm_pct
     e.Outcome.dsp_pct e.Outcome.bram_pct
 
-(* The analysis cache key: full design key plus the enabled analysis set
-   (a lint-only verdict must never answer a lint+absint probe). The
-   device is deliberately absent — one [Eval.t] wraps one estimator and
-   therefore one device, so it is constant per cache. *)
-let analysis_cache_key ~lint ~absint key =
-  key ^ (if lint then "/l" else "/-") ^ if absint then "a" else "-"
+(* The analysis cache key: full design key plus whether the proof passes
+   ran (a heuristic-only verdict must never answer a probe that wants the
+   proofs). The device is deliberately absent — one [Eval.t] wraps one
+   estimator and therefore one device, so it is constant per cache. *)
+let analysis_cache_key ~absint key = key ^ if absint then "/la" else "/l-"
 
-let run_analysis t ?stages ~lint ~absint design =
+let run_analysis t ?stages ~absint design =
   timed stages add_analyze @@ fun () ->
   let dev = Estimator.device t.est in
   let diags =
-    if lint && absint then Lint.check ~dev design
-    else if lint then Lint.check ~dev ~only:Lint.heuristic_codes design
-    else if absint then Lint.check ~dev ~validate:false ~only:Lint.proof_codes design
-    else []
+    if absint then Lint.check ~dev design else Lint.check ~dev ~only:Lint.heuristic_codes design
   in
   let proof, heuristic =
     List.partition (fun g -> List.mem g.Diag.code Lint.proof_codes) (Lint.errors diags)
@@ -192,18 +188,15 @@ let run_analysis t ?stages ~lint ~absint design =
 
 (* [key] is the rendered design key and [design] the design, both lazy:
    a hit forces neither the design nor, on an index hit, a generator. *)
-let analysis_verdict t ?stages ~bypass ~lint ~absint ~key design =
-  if (not lint) && not absint then Clean
-  else if bypass || not (Cache.enabled t.analysis) then
-    run_analysis t ?stages ~lint ~absint (Lazy.force design)
+let analysis_verdict t ?stages ~bypass ~absint ~key design =
+  if bypass || not (Cache.enabled t.analysis) then
+    run_analysis t ?stages ~absint (Lazy.force design)
   else begin
-    let ck =
-      timed stages add_probe @@ fun () -> analysis_cache_key ~lint ~absint (Lazy.force key)
-    in
+    let ck = timed stages add_probe @@ fun () -> analysis_cache_key ~absint (Lazy.force key) in
     match timed stages add_probe (fun () -> Cache.find t.analysis ck) with
     | Some v -> v
     | None ->
-      let v = run_analysis t ?stages ~lint ~absint (Lazy.force design) in
+      let v = run_analysis t ?stages ~absint (Lazy.force design) in
       timed stages add_probe (fun () -> Cache.add t.analysis ck v);
       v
   end
@@ -305,7 +298,7 @@ exception Generate_failed of exn
    memoized estimate would replay another point's fault decision and
    break the bit-identical-under-faults guarantee the fault tests pin;
    and a point the index answered would skip its [dse.generator] site. *)
-let evaluate t ?stages ?family ~lint ~absint ~index ~generate point =
+let evaluate t ?stages ?family ~absint ~index ~generate point =
   let bypass = Faults.active () in
   let generate () =
     Faults.inject ~key:index "dse.generator";
@@ -322,7 +315,7 @@ let evaluate t ?stages ?family ~lint ~absint ~index ~generate point =
     match
       try
         Faults.inject ~key:index "dse.lint";
-        Ok (analysis_verdict t ?stages ~bypass ~lint ~absint ~key design)
+        Ok (analysis_verdict t ?stages ~bypass ~absint ~key design)
       with
       | Generate_failed exn -> Error (Outcome.Generator_error, describe exn)
       | exn -> Error (Outcome.Lint_error, describe exn)

@@ -9,7 +9,7 @@
     bounded tables:
 
     - {b analysis} verdicts (lint + abstract-interpretation pruning) are
-      keyed by the design key plus the enabled analysis set, so any two
+      keyed by the design key plus whether the proof passes ran, so any two
       points that elaborate to the same graph share one proof effort —
       across sweeps, resumed sessions and server requests alike;
     - {b estimates} (area/cycles plus fit and utilization) are keyed by
@@ -99,9 +99,12 @@ val estimator : t -> Estimator.t
 
 val stats : t -> stats
 
-(** [evaluate t ?family ~lint ~absint ~index ~generate point] runs the
-    full barriered pipeline for one design-space point: every failure
-    mode becomes a classified {!Outcome.entry} instead of an exception.
+(** [evaluate t ?family ~absint ~index ~generate point] runs the full
+    barriered pipeline for one design-space point: every failure mode
+    becomes a classified {!Outcome.entry} instead of an exception. Lint
+    always runs; [absint] adds the proof passes (bounds, banking and
+    dependence), whose refutations prune the point as
+    {!Outcome.Absint_pruned} or {!Outcome.Dep_pruned}.
     [index] keys the deterministic fault-injection sites
     ([dse.generator] / [dse.lint] / [dse.estimator] / [dse.non_finite])
     so a resumed or parallel sweep replays the same faults at the same
@@ -114,7 +117,6 @@ val evaluate :
   t ->
   ?stages:stages ->
   ?family:Space.family ->
-  lint:bool ->
   absint:bool ->
   index:int ->
   generate:(Space.point -> Dhdl_ir.Ir.design) ->

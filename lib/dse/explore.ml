@@ -51,18 +51,17 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Sweep configuration.  One record replaces the labelled-optional
    argument soup the old [run] signature had accreted: every knob has a
-   validated default, call sites spell out only what they change, and new
-   knobs (like [jobs]) stop rippling through every caller's signature. *)
+   validated default, call sites spell out only what they change, and
+   [make] is the only way to build one, so [run] never sees an invalid
+   config. *)
 
 module Config = struct
   type t = {
     seed : int;
     max_points : int;
-    lint : bool;
     absint : bool;
     symbolic : bool;
     jobs : int;
-    chunk : int;
     tick_every : int;
     checkpoint : string option;
     checkpoint_every : int;
@@ -77,74 +76,21 @@ module Config = struct
      [Failure]-based message style the CLI's error handler renders. *)
   let max_jobs = 64
 
-  (* A chunk is one claim and one collector message; past a few thousand
-     points per message the reorder buffer holds most of the sweep. *)
-  let max_chunk = 65_536
-
-  let validate t =
-    if t.jobs < 1 then failwith (Printf.sprintf "jobs must be >= 1 (got %d)" t.jobs);
-    if t.jobs > max_jobs then
-      failwith (Printf.sprintf "jobs must be <= %d (got %d)" max_jobs t.jobs);
-    if t.chunk < 1 then failwith (Printf.sprintf "chunk must be >= 1 (got %d)" t.chunk);
-    if t.chunk > max_chunk then
-      failwith (Printf.sprintf "chunk must be <= %d (got %d)" max_chunk t.chunk);
-    if t.max_points < 0 then
-      failwith (Printf.sprintf "max_points must be >= 0 (got %d)" t.max_points);
-    if t.checkpoint_every < 0 then
-      failwith (Printf.sprintf "checkpoint_every must be >= 0 (got %d)" t.checkpoint_every);
-    (match t.deadline_seconds with
+  let make ?(seed = 2016) ?(max_points = 75_000) ?(absint = true) ?(symbolic = true) ?(jobs = 1)
+      ?(tick_every = 1000) ?checkpoint ?(checkpoint_every = 500) ?(resume = false)
+      ?deadline_seconds ?(profile = false) ?stop_requested () =
+    if resume && checkpoint = None then failwith "--resume requires --checkpoint FILE";
+    if jobs < 1 then failwith (Printf.sprintf "jobs must be >= 1 (got %d)" jobs);
+    if jobs > max_jobs then failwith (Printf.sprintf "jobs must be <= %d (got %d)" max_jobs jobs);
+    if max_points < 0 then failwith (Printf.sprintf "max_points must be >= 0 (got %d)" max_points);
+    if checkpoint_every < 0 then
+      failwith (Printf.sprintf "checkpoint_every must be >= 0 (got %d)" checkpoint_every);
+    (match deadline_seconds with
     | Some d when not (Float.is_finite d && d >= 0.0) ->
       failwith (Printf.sprintf "deadline must be a finite number of seconds >= 0 (got %g)" d)
     | _ -> ());
-    t
-
-  (* Cross-field check, applied when the config is consumed (not in every
-     [with_*] builder, so builder order never matters). *)
-  let validate_run t =
-    if t.resume && t.checkpoint = None then failwith "--resume requires --checkpoint FILE";
-    validate t
-
-  let default =
-    {
-      seed = 2016;
-      max_points = 75_000;
-      lint = true;
-      absint = true;
-      symbolic = true;
-      jobs = 1;
-      chunk = 16;
-      tick_every = 1000;
-      checkpoint = None;
-      checkpoint_every = 500;
-      resume = false;
-      deadline_seconds = None;
-      profile = false;
-      stop_requested = None;
-    }
-
-  let make ?(seed = default.seed) ?(max_points = default.max_points) ?(lint = default.lint)
-      ?(absint = default.absint) ?(symbolic = default.symbolic) ?(jobs = default.jobs)
-      ?(chunk = default.chunk) ?(tick_every = default.tick_every) ?checkpoint
-      ?(checkpoint_every = default.checkpoint_every) ?(resume = default.resume)
-      ?deadline_seconds ?(profile = default.profile) ?stop_requested () =
-    validate_run
-      { seed; max_points; lint; absint; symbolic; jobs; chunk; tick_every; checkpoint;
-        checkpoint_every; resume; deadline_seconds; profile; stop_requested }
-
-  let with_seed seed t = validate { t with seed }
-  let with_max_points max_points t = validate { t with max_points }
-  let with_lint lint t = validate { t with lint }
-  let with_absint absint t = validate { t with absint }
-  let with_symbolic symbolic t = validate { t with symbolic }
-  let with_jobs jobs t = validate { t with jobs }
-  let with_chunk chunk t = validate { t with chunk }
-
-  let with_checkpoint ?(every = default.checkpoint_every) path t =
-    validate { t with checkpoint = Some path; checkpoint_every = every }
-
-  let with_resume resume t = validate { t with resume }
-  let with_deadline deadline t = validate { t with deadline_seconds = Some deadline }
-  let with_profile profile t = validate { t with profile }
+    { seed; max_points; absint; symbolic; jobs; tick_every; checkpoint; checkpoint_every; resume;
+      deadline_seconds; profile; stop_requested }
 end
 
 let pareto_of evals =
@@ -169,9 +115,11 @@ let load_resume ~path ~space ~seed ~max_points ~total ~param_names =
         failwith
           (Printf.sprintf
              "cannot resume: checkpoint %s was taken for sweep (space=%s seed=%d max_points=%d \
-              total=%d), not (space=%s seed=%d max_points=%d total=%d)"
+              total=%d params=%s), not (space=%s seed=%d max_points=%d total=%d params=%s)"
              path c.Checkpoint.space_name c.Checkpoint.seed c.Checkpoint.max_points
-             c.Checkpoint.total (Space.name space) seed max_points total)
+             c.Checkpoint.total
+             (String.concat "," c.Checkpoint.params)
+             (Space.name space) seed max_points total (String.concat "," param_names))
       else begin
         if c.Checkpoint.truncated_tail then
           Printf.eprintf
@@ -242,10 +190,14 @@ end
 (* With the Obs sink on, every 100th point gets a [dse.point] span. *)
 let point_span_every = 100
 
+(* Points per cursor claim and per worker-to-collector message. At
+   jobs = 4, chunks of 1, 4, 16 and 64 points swept within 10% of each
+   other and ranked differently from run to run, so the size is fixed. *)
+let chunk = 16
+
 let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
-  let cfg = Config.validate_run cfg in
-  let { Config.seed; max_points; lint; absint; symbolic; jobs; chunk; tick_every; checkpoint;
-        checkpoint_every; resume; deadline_seconds; profile; stop_requested } =
+  let { Config.seed; max_points; absint; symbolic; jobs; tick_every; checkpoint; checkpoint_every;
+        resume; deadline_seconds; profile; stop_requested } =
     cfg
   in
   Obs.span "dse.run"
@@ -284,17 +236,17 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     | _ -> Hashtbl.create 1
   in
   (* The symbolic gate is fetched once, before any worker starts, from a
-     fixed-seed probe sample — so every point (on every domain, at every
-     chunk size) consults the identical constraint system and the
-     bit-identical-checkpoint guarantee survives. [Eval.gate] derives it
-     on the first sweep of a space and answers later sweeps on the same
-     [Eval.t] from its memo. It only runs when both analysis passes it
-     fronts for are on (otherwise pruning points the concrete pipeline
-     would have kept changes results), and stands down while fault
-     injection is armed, because its probe elaborations would consume
-     fault sites the per-point replay expects. *)
+     fixed-seed probe sample — so every point (on every domain) consults
+     the identical constraint system and the bit-identical-checkpoint
+     guarantee survives. [Eval.gate] derives it on the first sweep of a
+     space and answers later sweeps on the same [Eval.t] from its memo. It
+     only runs when the proof passes it fronts for are on (otherwise
+     pruning points the concrete pipeline would have kept changes
+     results), and stands down while fault injection is armed, because its
+     probe elaborations would consume fault sites the per-point replay
+     expects. *)
   let gate =
-    if symbolic && lint && absint && not (Faults.active ()) then
+    if symbolic && absint && not (Faults.active ()) then
       Some (Obs.span "dse.symgate" (fun () -> Eval.gate ev ~space ~generate))
     else None
   in
@@ -318,13 +270,11 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
      pipeline. Pure in the point index (sampling is seeded, fault sites
      are keyed by [with_key i], and [Eval]'s caches memoize pure functions
      of the design key — and stand down entirely while fault injection is
-     armed), which is what lets the parallel path promise results
-     bit-identical to the sequential one at any cache temperature. *)
+     armed), which is what lets every jobs level promise the same results
+     at any cache temperature. *)
   let compute ?stages i p =
     match Hashtbl.find_opt prior i with
-    | Some e ->
-      if Obs.enabled () then Obs.count "dse.resumed";
-      (e, true, 0.0)
+    | Some e -> (e, true, 0.0)
     | None ->
       let start = Unix.gettimeofday () in
       let e =
@@ -344,31 +294,15 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
             | None -> ());
             r
         in
-        if refuted then begin
-          if Obs.enabled () then Obs.count "dse.sym_pruned";
-          Outcome.Sym_pruned
-        end
-        else if Obs.enabled () then begin
-          let e = Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p in
-          (match e with
-          | Outcome.Evaluated _ ->
-            Obs.count "dse.estimated";
-            Obs.observe "dse.ms_per_design" ((Unix.gettimeofday () -. start) *. 1000.0)
-          | Outcome.Pruned -> Obs.count "dse.lint_pruned"
-          | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
-          | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
-          | Outcome.Sym_pruned -> Obs.count "dse.sym_pruned"
-          | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage));
-          e
-        end
-        else Eval.evaluate ev ?stages ?family ~lint ~absint ~index:i ~generate p
+        if refuted then Outcome.Sym_pruned
+        else Eval.evaluate ev ?stages ?family ~absint ~index:i ~generate p
       in
       (e, false, Unix.gettimeofday () -. start)
   in
   (* Collector state. Only the domain running the collector touches any of
      this — in particular the checkpoint file has a single writer, so the
-     replace-then-append flush protocol (and the resume guarantees) are
-     untouched by parallelism. *)
+     replace-then-append flush protocol (and the resume guarantees) hold at
+     every jobs level. *)
   let entries = ref [] (* (index, entry), newest first *) in
   let lint_pruned = ref 0 in
   let absint_pruned = ref 0 in
@@ -380,8 +314,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let cpu_seconds = ref 0.0 in
   (* The checkpoint is rendered as entries are recorded, each once;
      periodic writes flush the rendered bytes. Profiled rendering and
-     writes both accumulate into the collector's [write] category; only
-     the collector (or the sequential loop) calls these. *)
+     writes both accumulate into the collector's [write] category. *)
   let writer =
     Option.map
       (fun path ->
@@ -398,25 +331,42 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
             } ))
       checkpoint
   in
-  let write_seconds = ref 0.0 in
-  let timed_write f =
+  (* [f ()], its seconds added to [acc] when profiling. *)
+  let timed acc f =
     if profile then begin
       let t0 = Unix.gettimeofday () in
       f ();
-      write_seconds := !write_seconds +. (Unix.gettimeofday () -. t0)
+      acc := !acc +. (Unix.gettimeofday () -. t0)
     end
     else f ()
   in
+  let write_seconds = ref 0.0 in
   let write_checkpoint () =
     match writer with
     | None -> ()
     | Some (path, w) ->
-      Obs.span "dse.checkpoint" @@ fun () -> timed_write (fun () -> Checkpoint.flush ~path w)
+      Obs.span "dse.checkpoint" @@ fun () ->
+      timed write_seconds (fun () -> Checkpoint.flush ~path w)
   in
-  (* Merge one point's outcome, in sampling-index order. *)
+  (* Merge one point's outcome, in sampling-index order. This is the one
+     place an outcome is counted: a reused point only under
+     [dse.resumed], a computed one under its own counter. *)
   let record i p (entry, was_resumed, dt) =
     Obs.tick ~every:tick_every ~label:("dse " ^ Space.name space) ~total i;
     if was_resumed then incr resumed;
+    if Obs.enabled () then begin
+      if was_resumed then Obs.count "dse.resumed"
+      else
+        match entry with
+        | Outcome.Evaluated _ ->
+          Obs.count "dse.estimated";
+          Obs.observe "dse.ms_per_design" (dt *. 1000.0)
+        | Outcome.Pruned -> Obs.count "dse.lint_pruned"
+        | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
+        | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
+        | Outcome.Sym_pruned -> Obs.count "dse.sym_pruned"
+        | Outcome.Failed (stage, _) -> Obs.count (stage_counter stage)
+    end;
     (match entry with
     | Outcome.Pruned -> incr lint_pruned
     | Outcome.Absint_pruned -> incr absint_pruned
@@ -427,245 +377,189 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     | Outcome.Evaluated _ -> ());
     entries := (i, entry) :: !entries;
     (match writer with
-    | Some (_, w) -> timed_write (fun () -> Checkpoint.append w i entry)
+    | Some (_, w) -> timed write_seconds (fun () -> Checkpoint.append w i entry)
     | None -> ());
     incr processed;
     cpu_seconds := !cpu_seconds +. dt;
     if checkpoint_every > 0 && !processed mod checkpoint_every = 0 then write_checkpoint ()
   in
-  let truncated, attribution =
-    if jobs <= 1 then begin
-      (* Sequential path: exactly the pre-parallel sweep loop. When
-         profiling, the loop is accounted as one worker (stage split,
-         no send-block) and checkpoint writes as the collector. *)
-      let stages = if profile then Some (Eval.fresh_stages ()) else None in
-      let t_loop0 = if profile then Unix.gettimeofday () else 0.0 in
-      let truncated = ref false in
-      List.iteri
-        (fun i p ->
-          if not !truncated then begin
-            record i p (compute ?stages i p);
-            if should_stop () then truncated := true
-          end)
-        points;
-      let attribution =
-        match stages with
-        | None -> None
-        | Some a ->
-          let loop_wall = Unix.gettimeofday () -. t_loop0 in
-          let w_wall_s = Float.max 0.0 (loop_wall -. !write_seconds) in
-          let accounted = a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze +. a.Eval.s_estimate in
-          Some
-            {
-              Profile.jobs = 1;
-              wall_s = loop_wall;
-              workers =
-                [
-                  {
-                    Profile.w_domain = 0;
-                    w_points = !processed - !resumed;
-                    w_wall_s;
-                    w_generate_s = a.Eval.s_generate;
-                    w_probe_s = a.Eval.s_probe;
-                    w_analyze_s = a.Eval.s_analyze;
-                    w_estimate_s = a.Eval.s_estimate;
-                    w_send_block_s = 0.0;
-                    w_idle_s = Float.max 0.0 (w_wall_s -. accounted);
-                  };
-                ];
-              collector =
-                {
-                  Profile.c_wall_s = !write_seconds;
-                  c_recv_block_s = 0.0;
-                  c_reorder_stall_s = 0.0;
-                  c_write_s = !write_seconds;
-                  c_merge_s = 0.0;
-                };
-              max_queue_depth = 0;
-              max_reorder_occupancy = 0;
-            }
-      in
-      (!truncated, attribution)
-    end
-    else begin
-      (* Parallel path: [jobs] worker domains claim contiguous index
-         *ranges* (of [Config.chunk] points) from a shared atomic cursor,
-         run the pipeline into a buffer only they own, and send the
-         collector one message per chunk; the collector merges whole
-         chunks in sampling-index order through a reorder buffer. Chunked
-         claims keep the claim protocol a single fetch-and-add while
-         cutting channel traffic (and its condition-variable wakeups) by
-         the chunk factor — the contention Profile attributed the jobs>1
-         collapse to. When profiling, every accumulator below is either
-         owned by exactly one domain (stage/claims/send-block slots by
-         worker index, collector refs by the collector) or updated under
-         a lock that already exists, so the profiler adds no contention
-         of its own. *)
-      let points_arr = Array.of_list points in
-      let cursor = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let chan : msg Chan.t = Chan.create () in
-      let obs_prof = profile && Obs.enabled () in
-      let stage_slots = Array.init jobs (fun _ -> Eval.fresh_stages ()) in
-      let claim_slots = Array.make jobs 0 in
-      let send_slots = Array.make jobs 0.0 in
-      let wall_slots = Array.make jobs 0.0 in
-      let worker k () =
-        Obs.with_domain_buffer ~track:(k + 1) @@ fun () ->
-        let stages = if profile then Some stage_slots.(k) else None in
-        let wait = if profile then Some (ref 0.0) else None in
-        let t_w0 = if profile then Unix.gettimeofday () else 0.0 in
-        (* Ship the first [n] outcomes of the chunk at [lo]. A chunk cut
-           short by a stop request ships as a shorter run; a chunk the
-           stop emptied entirely ships nothing (the collector's post-join
-           sweep releases past the gap). *)
-        let send lo buf n =
-          if n > 0 then begin
-            let payload = if n = Array.length buf then buf else Array.sub buf 0 n in
-            match wait with
-            | None -> Chan.push chan (Chunk (lo, payload))
-            | Some acc ->
-              let before = !acc in
-              Chan.push ~wait:acc chan (Chunk (lo, payload));
-              if obs_prof then Obs.observe "dse.chan.send_wait_us" ((!acc -. before) *. 1e6)
-          end
-        in
-        let rec loop () =
-          if not (Atomic.get stop) then begin
-            let lo = Atomic.fetch_and_add cursor chunk in
-            if lo < total then begin
-              let hi = min total (lo + chunk) in
-              let buf = Array.make (hi - lo) (Outcome.Pruned, false, 0.0) in
-              let n = ref 0 in
-              while lo + !n < hi && not (Atomic.get stop) do
-                let i = lo + !n in
-                buf.(!n) <- compute ?stages i points_arr.(i);
-                incr n;
-                if profile then claim_slots.(k) <- claim_slots.(k) + 1;
-                (* Mirror the sequential loop: the deadline (or a cancel
-                   request) is checked after each consumed point, and
-                   tripping it stops every worker from pulling further
-                   points. *)
-                if should_stop () then Atomic.set stop true
-              done;
-              send lo buf !n;
-              loop ()
-            end
-          end
-        in
-        loop ();
-        if profile then begin
-          wall_slots.(k) <- Unix.gettimeofday () -. t_w0;
-          (match wait with Some acc -> send_slots.(k) <- !acc | None -> ());
-          if obs_prof then Obs.count ~by:claim_slots.(k) (Printf.sprintf "dse.claims.w%d" (k + 1))
-        end
-      in
-      let recv_block = ref 0.0 in
-      let reorder_stall = ref 0.0 in
-      let max_pending = ref 0 in
-      let t_col0 = if profile then Unix.gettimeofday () else 0.0 in
-      let domains =
-        List.init jobs (fun k ->
-            Domain.spawn (fun () ->
-                Fun.protect ~finally:(fun () -> Chan.push chan Worker_done) (worker k)))
-      in
-      (* Reorder buffer, now chunk-granular: chunks arrive in completion
-         order, keyed by their first index; release them in index order so
-         entries, failures, counters and every periodic checkpoint match
-         the sequential run's byte for byte. Arrival stamps (profiling
-         only) measure how long out-of-order chunks sit parked before
-         their predecessor completes. *)
-      let pending = Hashtbl.create 64 in
-      let next_emit = ref 0 in
-      let live_workers = ref jobs in
-      let release () =
-        let rec go () =
-          match Hashtbl.find_opt pending !next_emit with
-          | None -> ()
-          | Some (arr, arrived) ->
-            Hashtbl.remove pending !next_emit;
-            if profile && arrived > 0.0 then
-              reorder_stall :=
-                !reorder_stall +. Float.max 0.0 (Unix.gettimeofday () -. arrived);
-            let lo = !next_emit in
-            Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr;
-            next_emit := lo + Array.length arr;
-            go ()
-        in
-        go ()
-      in
-      (* The collector's own telemetry (recv-wait samples, checkpoint
-         spans, progress ticks) goes through a track-0 domain buffer too,
-         so it never contends with worker flushes mid-sweep. *)
-      Obs.with_domain_buffer ~track:0 (fun () ->
-          let wait = if profile then Some recv_block else None in
-          while !live_workers > 0 do
-            let before = !recv_block in
-            let m = Chan.pop ?wait chan in
-            if obs_prof then Obs.observe "dse.chan.recv_wait_us" ((!recv_block -. before) *. 1e6);
-            match m with
-            | Worker_done -> decr live_workers
-            | Chunk (lo, arr) ->
-              Hashtbl.replace pending lo
-                (arr, if profile then Unix.gettimeofday () else 0.0);
-              if profile then max_pending := max !max_pending (Hashtbl.length pending);
-              release ()
+  (* The sweep loop. Each worker claims contiguous index ranges of [chunk]
+     points from a shared atomic cursor, runs the pipeline into a buffer
+     only it owns, and hands each range to [send]. At [jobs = 1] the one
+     worker runs on the calling domain and its [send] records the range at
+     once: ranges arrive in index order. At [jobs > 1] the workers run on
+     their own domains, [send] is one channel message per range, and the
+     collector (the calling domain) merges whole ranges in sampling-index
+     order through a reorder buffer. Either way entries, counters and
+     every periodic checkpoint come out in the same order, byte for byte.
+     When profiling, every accumulator below is owned by exactly one
+     domain (stage/point/send-block slots by worker index, the rest by the
+     collector) or updated under a lock that already exists, so the
+     profiler adds no contention of its own. *)
+  let points_arr = Array.of_list points in
+  let record_range lo arr = Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr in
+  let cursor = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let obs_prof = profile && Obs.enabled () in
+  let stage_slots = Array.init jobs (fun _ -> Eval.fresh_stages ()) in
+  let point_slots = Array.make jobs 0 in
+  let send_slots = Array.init jobs (fun _ -> ref 0.0) in
+  let wall_slots = Array.make jobs 0.0 in
+  let worker k send =
+    let stages = if profile then Some stage_slots.(k) else None in
+    let t_w0 = if profile then Unix.gettimeofday () else 0.0 in
+    let rec loop () =
+      if not (Atomic.get stop) then begin
+        let lo = Atomic.fetch_and_add cursor chunk in
+        if lo < total then begin
+          let hi = min total (lo + chunk) in
+          let buf = Array.make (hi - lo) (Outcome.Pruned, false, 0.0) in
+          let n = ref 0 in
+          while lo + !n < hi && not (Atomic.get stop) do
+            let i = lo + !n in
+            let ((_, reused, _) as r) = compute ?stages i points_arr.(i) in
+            buf.(!n) <- r;
+            incr n;
+            if profile && not reused then point_slots.(k) <- point_slots.(k) + 1;
+            (* The deadline (or a cancel request) is checked after each
+               consumed point, and tripping it stops every worker from
+               pulling further points. *)
+            if should_stop () then Atomic.set stop true
           done;
-          List.iter Domain.join domains;
-          (* A tripped deadline can leave completed chunks beyond a gap (a
-             truncated chunk whose successors finished whole). Release
-             them too, still in index order: the checkpoint format
-             addresses entries by index, so a resumed sweep reuses every
-             one of them. *)
-          Hashtbl.fold (fun lo (arr, _) acc -> (lo, arr) :: acc) pending []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.iter (fun (lo, arr) ->
-                 Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr));
-      let attribution =
-        if not profile then None
-        else begin
-          let c_wall = Unix.gettimeofday () -. t_col0 in
-          if obs_prof then begin
-            Obs.gauge "dse.chan.max_queue_depth" (float_of_int chan.Chan.max_depth);
-            Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_pending)
-          end;
-          Some
-            {
-              Profile.jobs;
-              wall_s = c_wall;
-              workers =
-                List.init jobs (fun k ->
-                    let a = stage_slots.(k) in
-                    let accounted =
-                      a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze
-                      +. a.Eval.s_estimate +. send_slots.(k)
-                    in
-                    {
-                      Profile.w_domain = k;
-                      w_points = claim_slots.(k);
-                      w_wall_s = wall_slots.(k);
-                      w_generate_s = a.Eval.s_generate;
-                      w_probe_s = a.Eval.s_probe;
-                      w_analyze_s = a.Eval.s_analyze;
-                      w_estimate_s = a.Eval.s_estimate;
-                      w_send_block_s = send_slots.(k);
-                      w_idle_s = Float.max 0.0 (wall_slots.(k) -. accounted);
-                    });
-              collector =
-                {
-                  Profile.c_wall_s = c_wall;
-                  c_recv_block_s = !recv_block;
-                  c_reorder_stall_s = !reorder_stall;
-                  c_write_s = !write_seconds;
-                  c_merge_s =
-                    Float.max 0.0 (c_wall -. !recv_block -. !write_seconds);
-                };
-              max_queue_depth = chan.Chan.max_depth;
-              max_reorder_occupancy = !max_pending;
-            }
+          (* A range cut short by a stop request goes out shorter; one
+             the stop emptied goes out not at all (the collector's
+             post-join sweep releases past the gap). *)
+          if !n > 0 then send k lo (if !n = Array.length buf then buf else Array.sub buf 0 !n);
+          loop ()
         end
+      end
+    in
+    loop ();
+    if profile then begin
+      wall_slots.(k) <- Unix.gettimeofday () -. t_w0;
+      if obs_prof then Obs.count ~by:point_slots.(k) (Printf.sprintf "dse.claims.w%d" (k + 1))
+    end
+  in
+  let chan : msg Chan.t = Chan.create () in
+  let recv_block = ref 0.0 in
+  let reorder_stall = ref 0.0 in
+  let max_pending = ref 0 in
+  (* Seconds a [jobs = 1] worker's [send] spent recording. *)
+  let inline_seconds = ref 0.0 in
+  let t_loop0 = if profile then Unix.gettimeofday () else 0.0 in
+  if jobs = 1 then worker 0 (fun _ lo arr -> timed inline_seconds (fun () -> record_range lo arr))
+  else begin
+    let send k lo arr =
+      if profile then begin
+        let acc = send_slots.(k) in
+        let before = !acc in
+        Chan.push ~wait:acc chan (Chunk (lo, arr));
+        if obs_prof then Obs.observe "dse.chan.send_wait_us" ((!acc -. before) *. 1e6)
+      end
+      else Chan.push chan (Chunk (lo, arr))
+    in
+    let domains =
+      List.init jobs (fun k ->
+          Domain.spawn (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Chan.push chan Worker_done)
+                (fun () -> Obs.with_domain_buffer ~track:(k + 1) (fun () -> worker k send))))
+    in
+    (* Reorder buffer: ranges arrive in completion order, keyed by their
+       first index; release them in index order. Arrival stamps
+       (profiling only) measure how long out-of-order ranges sit parked
+       before their predecessor completes. *)
+    let pending = Hashtbl.create 64 in
+    let next_emit = ref 0 in
+    let live_workers = ref jobs in
+    let release () =
+      let rec go () =
+        match Hashtbl.find_opt pending !next_emit with
+        | None -> ()
+        | Some (arr, arrived) ->
+          Hashtbl.remove pending !next_emit;
+          if profile then
+            reorder_stall := !reorder_stall +. Float.max 0.0 (Unix.gettimeofday () -. arrived);
+          let lo = !next_emit in
+          record_range lo arr;
+          next_emit := lo + Array.length arr;
+          go ()
       in
-      (Atomic.get stop, attribution)
+      go ()
+    in
+    (* The collector's own telemetry (recv-wait samples, checkpoint
+       spans, progress ticks) goes through a track-0 domain buffer too,
+       so it never contends with worker flushes mid-sweep. *)
+    Obs.with_domain_buffer ~track:0 (fun () ->
+        let wait = if profile then Some recv_block else None in
+        while !live_workers > 0 do
+          let before = !recv_block in
+          let m = Chan.pop ?wait chan in
+          if obs_prof then Obs.observe "dse.chan.recv_wait_us" ((!recv_block -. before) *. 1e6);
+          match m with
+          | Worker_done -> decr live_workers
+          | Chunk (lo, arr) ->
+            Hashtbl.replace pending lo (arr, if profile then Unix.gettimeofday () else 0.0);
+            if profile then max_pending := max !max_pending (Hashtbl.length pending);
+            release ()
+        done;
+        List.iter Domain.join domains;
+        (* A tripped deadline can leave completed ranges beyond a gap (a
+           truncated range whose successors finished whole). Release them
+           too, still in index order: the checkpoint format addresses
+           entries by index, so a resumed sweep reuses every one of
+           them. *)
+        Hashtbl.fold (fun lo (arr, _) acc -> (lo, arr) :: acc) pending []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.iter (fun (lo, arr) -> record_range lo arr))
+  end;
+  let attribution =
+    if not profile then None
+    else begin
+      let wall = Unix.gettimeofday () -. t_loop0 in
+      (* At [jobs = 1] the collector is the worker's own [send], busy only
+         while it records; the worker's wall leaves that time out. At
+         [jobs > 1] the collector runs, or waits, for the whole loop. *)
+      let c_wall = if jobs = 1 then !inline_seconds else wall in
+      if obs_prof then begin
+        Obs.gauge "dse.chan.max_queue_depth" (float_of_int chan.Chan.max_depth);
+        Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_pending)
+      end;
+      Some
+        {
+          Profile.jobs;
+          wall_s = wall;
+          workers =
+            List.init jobs (fun k ->
+                let a = stage_slots.(k) in
+                let w_wall_s = wall_slots.(k) -. !inline_seconds in
+                let send_block = !(send_slots.(k)) in
+                let accounted =
+                  a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze +. a.Eval.s_estimate
+                  +. send_block
+                in
+                {
+                  Profile.w_domain = k;
+                  w_points = point_slots.(k);
+                  w_wall_s;
+                  w_generate_s = a.Eval.s_generate;
+                  w_probe_s = a.Eval.s_probe;
+                  w_analyze_s = a.Eval.s_analyze;
+                  w_estimate_s = a.Eval.s_estimate;
+                  w_send_block_s = send_block;
+                  w_idle_s = Float.max 0.0 (w_wall_s -. accounted);
+                });
+          collector =
+            {
+              Profile.c_wall_s = c_wall;
+              c_recv_block_s = !recv_block;
+              c_reorder_stall_s = !reorder_stall;
+              c_write_s = !write_seconds;
+              c_merge_s = Float.max 0.0 (c_wall -. !recv_block -. !write_seconds);
+            };
+          max_queue_depth = chan.Chan.max_depth;
+          max_reorder_occupancy = !max_pending;
+        }
     end
   in
   if checkpoint <> None then write_checkpoint ();
@@ -695,7 +589,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     dep_pruned = !dep_pruned;
     sym_pruned = !sym_pruned;
     resumed = !resumed;
-    truncated;
+    truncated = Atomic.get stop;
     jobs;
     elapsed_seconds = elapsed;
     cpu_seconds = !cpu_seconds;

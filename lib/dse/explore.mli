@@ -11,12 +11,14 @@
     run. Sweeps can checkpoint to disk and resume after a crash, and a
     deadline turns a too-long run into a flagged partial result.
 
-    Sweeps are configured through a {!Config.t} record (defaults +
-    [with_*] builders) and, with [Config.jobs] > 1, run on a pool of
-    worker domains that claim contiguous index {e chunks} and whose
-    outcome chunks a collector merges back in sampling-index order —
-    results and checkpoint files are bit-identical across every jobs
-    level, chunk size, and {!Eval} cache temperature.
+    Sweeps are configured through a {!Config.t} record, built only by
+    {!Config.make}. One loop runs every sweep: workers claim contiguous
+    index {e chunks} of 16 points, and a collector records the outcomes
+    in sampling-index order. At [Config.jobs = 1] the one worker runs on
+    the calling domain and records each chunk itself; at [jobs > 1] the
+    workers run on their own domains and the calling domain collects.
+    Results and checkpoint files are bit-identical across every jobs
+    level and {!Eval} cache temperature.
 
     Per-point evaluation itself — generate → lint/absint → estimate
     behind the design-key caches — lives in {!Eval}; [run] takes the
@@ -77,7 +79,7 @@ type result = {
           concrete passes. *)
   resumed : int;  (** Points reused from a checkpoint instead of recomputed. *)
   truncated : bool;  (** The deadline stopped the sweep early. *)
-  jobs : int;  (** Worker domains the sweep ran with (1 = sequential). *)
+  jobs : int;  (** Workers the sweep ran with (1 = the calling domain alone). *)
   elapsed_seconds : float;  (** Wall-clock duration of the whole sweep. *)
   cpu_seconds : float;
       (** Aggregate CPU seconds spent inside point pipelines, summed over
@@ -99,35 +101,27 @@ type result = {
 }
 
 (** Sweep configuration: one validated record instead of the
-    labelled-optional-argument signature [run] used to have. Start from
-    {!Config.default} (the paper's settings: seed 2016, up to 75,000
-    sampled points, lint pruning on, sequential) and refine with the
-    [with_*] builders, or construct in one call with {!Config.make}. *)
+    labelled-optional-argument signature [run] used to have. {!Config.make}
+    is the only way to build one. *)
 module Config : sig
-  type t = {
+  type t = private {
     seed : int;  (** Sampling seed (the paper uses 2016). *)
     max_points : int;  (** Sampling budget (the paper's cap is 75,000). *)
-    lint : bool;  (** Prune error-level heuristic lint diagnostics. *)
     absint : bool;
         (** Prune points the proof-backed passes refute: L009/L010
             abstract-interpretation errors count as [absint_pruned],
-            L013 dependence refutations as [dep_pruned]. Runs the proof
-            passes alone when [lint] is off. *)
+            L013 dependence refutations as [dep_pruned]. Heuristic lint
+            errors always prune, as [lint_pruned]. *)
     symbolic : bool;
         (** Gate points through the pre-elaboration symbolic refutation
-            predicate (default on). Effective only when [lint] and
-            [absint] are both on (otherwise pruning would change the
-            result set) and fault injection is not armed. Symbolically
-            refuted points count as [sym_pruned] and are never
-            generated; every other point runs the full pipeline. *)
-    jobs : int;  (** Worker domains; 1 (default) = sequential. *)
-    chunk : int;
-        (** Points per cursor claim and per worker→collector message when
-            [jobs > 1] (default 16). Larger chunks cut channel traffic
-            and wakeups; smaller chunks balance load better near the end
-            of a sweep. No effect on results: the collector releases
-            chunks in index order, so entries and checkpoints stay
-            bit-identical across chunk sizes. Ignored when [jobs = 1]. *)
+            predicate (default on). Effective only when [absint] is on
+            (otherwise pruning would change the result set) and fault
+            injection is not armed. Symbolically refuted points count as
+            [sym_pruned] and are never generated; every other point runs
+            the full pipeline. *)
+    jobs : int;
+        (** Workers (default 1). At 1 the calling domain is the only
+            worker; above 1 that many domains are spawned. *)
     tick_every : int;  (** Progress tick on stderr every N points; 0 off. *)
     checkpoint : string option;  (** JSONL checkpoint path. *)
     checkpoint_every : int;  (** Periodic write cadence; 0 = only at end. *)
@@ -136,7 +130,7 @@ module Config : sig
     profile : bool;
         (** Attribute worker/collector time (see {!Profile}); fills
             [result.attribution]. Independent of the Obs sink — when both
-            are on, wait histograms and per-domain claim counters are also
+            are on, wait histograms and per-worker point counters are also
             recorded. Off (the default) the sweep pays only a per-stage
             branch, keeping jobs=1 throughput within noise of unprofiled
             builds. *)
@@ -153,19 +147,12 @@ module Config : sig
   val max_jobs : int
   (** Upper bound accepted for [jobs] (64). *)
 
-  val max_chunk : int
-  (** Upper bound accepted for [chunk] (65536). *)
-
-  val default : t
-
   val make :
     ?seed:int ->
     ?max_points:int ->
-    ?lint:bool ->
     ?absint:bool ->
     ?symbolic:bool ->
     ?jobs:int ->
-    ?chunk:int ->
     ?tick_every:int ->
     ?checkpoint:string ->
     ?checkpoint_every:int ->
@@ -175,35 +162,12 @@ module Config : sig
     ?stop_requested:(unit -> bool) ->
     unit ->
     t
-  (** Smart constructor: every field defaults to {!default}'s value and the
-      result is validated (raises [Failure] with a CLI-renderable message
-      on [jobs] outside [1, max_jobs], negative budgets or cadences, a
-      non-finite/negative deadline, or [resume] without [checkpoint]). *)
-
-  val with_seed : int -> t -> t
-  val with_max_points : int -> t -> t
-  val with_lint : bool -> t -> t
-  val with_absint : bool -> t -> t
-  val with_symbolic : bool -> t -> t
-
-  val with_jobs : int -> t -> t
-  (** Raises [Failure] unless [1 <= jobs <= max_jobs]. *)
-
-  val with_chunk : int -> t -> t
-  (** Raises [Failure] unless [1 <= chunk <= max_chunk]. *)
-
-  val with_checkpoint : ?every:int -> string -> t -> t
-  (** Set the checkpoint path and (optionally) the periodic write cadence. *)
-
-  val with_resume : bool -> t -> t
-  (** The [resume]/[checkpoint] pairing is checked when the config is
-      consumed by {!run} (or built by {!make}), so builder order between
-      [with_resume] and [with_checkpoint] does not matter. *)
-
-  val with_deadline : float -> t -> t
-
-  val with_profile : bool -> t -> t
-  (** Toggle time attribution; see {!Profile} and [result.attribution]. *)
+  (** Every field defaults to the paper's settings (seed 2016, up to
+      75,000 sampled points, proof pruning and the symbolic gate on, one
+      job, a tick every 1,000 points, a checkpoint flush every 500). The
+      result is validated: raises [Failure] with a CLI-renderable message
+      on [resume] without [checkpoint], [jobs] outside [1, max_jobs],
+      negative budgets or cadences, or a non-finite/negative deadline. *)
 end
 
 val run :
@@ -228,20 +192,18 @@ val run :
     being generated, and a warm re-sweep generates nothing, gate probes
     included. A space made without sizes has no family and every point is
     generated, as before.
-    When [config.lint] is [true] (the default), each generated design runs
-    through {!Dhdl_lint.Lint.check} against the estimator's device and
-    points with error-level diagnostics are pruned before estimation.
-    Errors split by origin: points with heuristic lint errors count in
-    [lint_pruned]; points whose errors include an abstract-interpretation
-    proof ({!Dhdl_lint.Lint.proof_codes}: L009 out-of-bounds, L010 bank
-    conflict) count in [absint_pruned]; points whose only errors are
-    dependence refutations of the chosen parallelization (L013) count in
-    [dep_pruned]. With [config.absint] off the proof passes are skipped;
-    with [config.lint] off but [config.absint] on, only the proof passes
-    run (no validator, no heuristics).
+    Each generated design runs through {!Dhdl_lint.Lint.check} against
+    the estimator's device and points with error-level diagnostics are
+    pruned before estimation. Errors split by origin: points with
+    heuristic lint errors count in [lint_pruned]; points whose errors
+    include an abstract-interpretation proof ({!Dhdl_lint.Lint.proof_codes}:
+    L009 out-of-bounds, L010 bank conflict) count in [absint_pruned];
+    points whose only errors are dependence refutations of the chosen
+    parallelization (L013) count in [dep_pruned]. With [config.absint]
+    off the proof passes are skipped.
 
-    {b Symbolic gate.} When [config.symbolic], [config.lint] and
-    [config.absint] are all on and fault injection is idle, the sweep
+    {b Symbolic gate.} When [config.symbolic] and [config.absint] are
+    both on and fault injection is idle, the sweep
     first derives one symbolic constraint system per design-family
     skeleton from a small fixed-seed probe sample ({!Symgate.derive},
     recorded under the [dse.symgate] span) and consults it before each
@@ -253,21 +215,26 @@ val run :
     differs from one written with it off only in entries' pruned kind
     ([sym_pruned] vs [absint_pruned]/[dep_pruned]).
 
-    {b Parallel sweeps.} With [config.jobs = n > 1], [n] worker domains
-    claim contiguous runs of [config.chunk] point indices from a shared
-    atomic cursor, evaluate each chunk into a buffer only they own, and
-    send the collector (the calling domain) one message per chunk; the
-    collector merges whole chunks back in sampling-index order through a
-    chunk-granular reorder buffer. Because sampling is seeded, fault
-    sites are keyed per point index ({!Dhdl_util.Faults.with_key}) and
-    the pipeline shares no mutable per-sweep state (the {!Eval} caches
-    memoize pure functions of the design key), the parallel result —
-    evaluations, failures, Pareto set, counters — and its checkpoint file
-    are {e bit-identical} to the sequential run's at any chunk size and
-    cache temperature; only [elapsed_seconds]/[cpu_seconds] differ. The
-    estimator and generator must not hide process-global mutable state for
-    this to hold (every in-tree app and the estimator satisfy this).
-    Worker telemetry lands in per-domain scratch buffers
+    {b One loop at every jobs level.} Workers claim contiguous runs of
+    16 point indices (a {e chunk}) from a shared atomic cursor, evaluate
+    each chunk into a buffer only they own, and hand it to the collector,
+    which records outcomes in sampling-index order. With
+    [config.jobs = 1] the one worker is the calling domain, no domain is
+    spawned, and each chunk is recorded as soon as it is computed, so a
+    process may still fork after such a sweep. With [config.jobs = n > 1],
+    [n] worker domains send the collector (the calling domain) one
+    message per chunk, and it merges whole chunks back in sampling-index
+    order through a chunk-granular reorder buffer. Because sampling is
+    seeded, fault sites are keyed per point index
+    ({!Dhdl_util.Faults.with_key}) and the pipeline shares no mutable
+    per-sweep state (the {!Eval} caches memoize pure functions of the
+    design key), the result — evaluations, failures, Pareto set,
+    counters — and its checkpoint file are {e bit-identical} at every
+    jobs level and cache temperature; only
+    [elapsed_seconds]/[cpu_seconds] differ. The estimator and generator
+    must not hide process-global mutable state for this to hold (every
+    in-tree app and the estimator satisfy this). Worker domains'
+    telemetry lands in per-domain scratch buffers
     ({!Dhdl_obs.Obs.with_domain_buffer}), and only the collector writes
     the checkpoint file.
 
@@ -309,11 +276,12 @@ val run :
     [dse.index.miss] / [dse.index.evict]
     / [dse.failed.generator] / [dse.failed.lint] /
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
-    at zero — plus [dse.resumed] on resume), a [dse.ms_per_design]
-    histogram over estimator calls, a per-point [dse.point] span for every
-    100th point, and a progress tick on stderr every [tick_every] points
-    (default 1000). With the sink disabled (the default) none of this
-    costs anything.
+    at zero — plus [dse.resumed] on resume; the collector counts each
+    outcome once, a reused point only under [dse.resumed]), a
+    [dse.ms_per_design] histogram over estimated points, a per-point
+    [dse.point] span for every 100th point, and a progress tick on stderr
+    every [tick_every] points (default 1000). With the sink disabled (the
+    default) none of this costs anything.
 
     {b Profiling.} With [config.profile = true] the sweep additionally
     attributes every worker-second to
@@ -324,10 +292,10 @@ val run :
     profiling adds no cross-domain contention and — because it never
     touches the point pipeline's inputs — leaves results and checkpoints
     bit-identical to unprofiled runs at every jobs level. When the Obs
-    sink is {e also} enabled, the sweep records [dse.chan.send_wait_us] /
-    [dse.chan.recv_wait_us] wait histograms, [dse.chan.max_queue_depth] /
-    [dse.reorder.max_occupancy] gauges, and per-domain [dse.claims.w<k>]
-    cursor-claim counters. *)
+    sink is {e also} enabled, the sweep records [dse.chan.max_queue_depth]
+    / [dse.reorder.max_occupancy] gauges and per-worker [dse.claims.w<k>]
+    counters of the points each worker computed, and at [jobs > 1]
+    [dse.chan.send_wait_us] / [dse.chan.recv_wait_us] wait histograms. *)
 
 val unfit_count : result -> int
 (** Evaluated points that do not fit the device ([valid = false]) —

@@ -15,7 +15,11 @@
     {- the reorder buffer reports the total latency outcomes spent parked
        out of sampling-index order (this {e overlaps} recv-block: the
        collector is usually blocked while an entry is parked) plus its
-       peak occupancy.}}
+       peak occupancy;}
+    {- at [jobs = 1] the collector is the one worker's own hand-off of
+       each chunk: its wall is the time spent recording outcomes and
+       writing the checkpoint, which the worker's wall leaves out, and
+       recv-block, reorder-stall and send-block are 0.}}
 
     Attribution is measured with plain [Unix.gettimeofday] stamps
     accumulated into per-worker records that only the owning domain
@@ -26,7 +30,10 @@
 
 type worker = {
   w_domain : int;  (** Worker index, 0-based ([jobs = 1] has exactly one). *)
-  w_points : int;  (** Points this worker computed (over chunked claims). *)
+  w_points : int;
+      (** Points this worker computed. Points reused from a checkpoint
+          count for no worker, so the workers' sum is
+          [processed - resumed] at every jobs level. *)
   w_wall_s : float;  (** The worker's own wall-clock span. *)
   w_generate_s : float;
   w_probe_s : float;

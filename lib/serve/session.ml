@@ -9,7 +9,6 @@ type spec = {
   s_app : string;
   s_seed : int;
   s_max_points : int;
-  s_jobs : int;
 }
 
 type status =
@@ -80,7 +79,6 @@ let write_spec ~root id spec =
             ("app", Json.Str spec.s_app);
             ("seed", Json.Int spec.s_seed);
             ("max_points", Json.Int spec.s_max_points);
-            ("jobs", Json.Int spec.s_jobs);
           ]))
 
 let load_spec ~root id =
@@ -90,15 +88,12 @@ let load_spec ~root id =
     match Json.parse text with
     | Error _ -> None
     | Ok j ->
+      (* Older servers also wrote the sweep's ["jobs"]; it is no part of
+         the identity and is ignored. *)
       let int_field name = Option.bind (Json.member name j) Json.to_int in
-      (match
-         ( Option.bind (Json.member "app" j) Json.to_string,
-           int_field "seed",
-           int_field "max_points",
-           int_field "jobs" )
-       with
-      | Some s_app, Some s_seed, Some s_max_points, Some s_jobs ->
-        Some { s_app; s_seed; s_max_points; s_jobs }
+      let app = Option.bind (Json.member "app" j) Json.to_string in
+      (match (app, int_field "seed", int_field "max_points") with
+      | Some s_app, Some s_seed, Some s_max_points -> Some { s_app; s_seed; s_max_points }
       | _ -> None))
 
 let mark_done ~root id summary = write_atomic (done_path ~root id) (Json.render summary)

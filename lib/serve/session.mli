@@ -3,9 +3,11 @@
     A session is a directory under the server's sessions root whose {e
     files are the state} — there is no in-memory truth to lose:
 
-    - [spec.json] — the sweep identity ([app], [seed], [max_points],
-      [jobs]), written once at [dse_start] and validated on every
-      restart/resume;
+    - [spec.json] — the sweep identity ([app], [seed], [max_points]),
+      written once at [dse_start] and validated on every restart/resume.
+      The jobs level is not part of it: checkpoints are bit-identical
+      across jobs levels, so a session resumes under any server
+      [--jobs];
     - [checkpoint.jsonl] — the {!Dhdl_dse.Checkpoint} file the sweep
       itself maintains (replaced atomically on its first write, appended
       to after that, bit-identical across jobs levels and resume
@@ -29,7 +31,6 @@ type spec = {
   s_app : string;
   s_seed : int;
   s_max_points : int;
-  s_jobs : int;
 }
 
 (** Disk-derived session state (never cached across requests). *)
@@ -55,6 +56,9 @@ val write_spec : root:string -> string -> spec -> unit
     Raises {!Store_error}. *)
 
 val load_spec : root:string -> string -> spec option
+(** [None] when [spec.json] is missing or unreadable. A spec.json that
+    also holds a ["jobs"] field, as older servers wrote, reads as the
+    same spec. *)
 
 val mark_done : root:string -> string -> Dhdl_util.Json.t -> unit
 (** Write [done.json] atomically. Raises {!Store_error}. *)

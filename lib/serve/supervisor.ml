@@ -243,7 +243,7 @@ let run_sweep cfg ~sid ~(spec : Session.spec) ~(app : App.t) ~ev ?deadline_secon
   try
     let sweep_cfg =
       Explore.Config.make ~seed:spec.Session.s_seed ~max_points:spec.Session.s_max_points
-        ~jobs:spec.Session.s_jobs
+        ~jobs:cfg.dse_jobs
         ~checkpoint:(Session.checkpoint_path ~root sid)
         ~checkpoint_every:cfg.dse_checkpoint_every ~resume:true ?deadline_seconds
         ~stop_requested:(fun () -> Atomic.get stop)
@@ -322,7 +322,6 @@ let dse_start t p =
       Session.s_app = app.App.name;
       s_seed = Option.value req.P.q_seed ~default:2016;
       s_max_points = Option.value req.P.q_max_points ~default:2000;
-      s_jobs = t.cfg.dse_jobs;
     }
   in
   if sweep_running t sid then

@@ -66,7 +66,9 @@ type config = {
       (** [estimator.nn_fallback] trips (measured via the Obs counter,
           so only meaningful with the sink enabled) after which estimates
           degrade; [0] disables this trigger. *)
-  dse_jobs : int;  (** Worker domains per sweep. *)
+  dse_jobs : int;
+      (** Workers per sweep. Not part of a session's identity: a session
+          resumes at this server's level whatever level it started at. *)
   dse_checkpoint_every : int;  (** Sweep checkpoint cadence (points). *)
 }
 

@@ -521,31 +521,26 @@ let run_absint_sweep config =
    elaboration; these tests exercise the *concrete* classification
    machinery, so they run with the gate off. *)
 let test_explore_absint_pruning () =
-  let base =
-    Explore.Config.(default |> with_seed 1 |> with_max_points 10 |> with_symbolic false)
-  in
-  let r = run_absint_sweep base in
+  let config ?absint () = Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ?absint () in
+  let r = run_absint_sweep (config ()) in
   check_int "sampled both points" 2 r.Explore.sampled;
   check_int "proof refutation pruned the bad point" 1 r.Explore.absint_pruned;
   check_int "no heuristic pruning" 0 r.Explore.lint_pruned;
   check_int "good point estimated" 1 (List.length r.Explore.evaluations);
-  (* Proof passes alone (lint off) find the same refutation. *)
-  let r2 = run_absint_sweep (Explore.Config.with_lint false base) in
-  check_int "absint alone still prunes" 1 r2.Explore.absint_pruned;
   (* Turning the proofs off estimates provably broken hardware. *)
-  let r3 = run_absint_sweep (Explore.Config.with_absint false base) in
-  check_int "no proof pruning when disabled" 0 r3.Explore.absint_pruned;
-  check_int "both points estimated" 2 (List.length r3.Explore.evaluations)
+  let r2 = run_absint_sweep (config ~absint:false ()) in
+  check_int "no proof pruning when disabled" 0 r2.Explore.absint_pruned;
+  check_int "both points estimated" 2 (List.length r2.Explore.evaluations)
 
 let test_checkpoint_roundtrips_absint_pruned () =
   let path = Filename.temp_file "absint" ".jsonl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
-  let base =
-    Explore.Config.(default |> with_seed 1 |> with_max_points 10 |> with_symbolic false)
+  let config ~resume =
+    Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ~checkpoint:path ~resume ()
   in
-  let r = run_absint_sweep Explore.Config.(base |> with_checkpoint path) in
+  let r = run_absint_sweep (config ~resume:false) in
   check_int "pruned on first run" 1 r.Explore.absint_pruned;
-  let r2 = run_absint_sweep Explore.Config.(base |> with_checkpoint path |> with_resume true) in
+  let r2 = run_absint_sweep (config ~resume:true) in
   check_int "every point resumed" 2 r2.Explore.resumed;
   check_int "absint_pruned survives the checkpoint" 1 r2.Explore.absint_pruned;
   check_int "evaluations survive too" 1 (List.length r2.Explore.evaluations)

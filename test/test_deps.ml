@@ -324,27 +324,26 @@ let run_dep_sweep config =
    elaboration; these tests exercise the *concrete* classification
    machinery, so they run with the gate off. *)
 let test_explore_dep_pruning () =
-  let base =
-    Explore.Config.(default |> with_seed 1 |> with_max_points 10 |> with_symbolic false)
-  in
-  let r = run_dep_sweep base in
+  let r = run_dep_sweep (Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ()) in
   check_int "sampled both points" 2 r.Explore.sampled;
   check_int "refuted par pruned as dep_pruned" 1 r.Explore.dep_pruned;
   check_int "not counted as absint_pruned" 0 r.Explore.absint_pruned;
   check_int "not counted as lint_pruned" 0 r.Explore.lint_pruned;
   check_int "legal point estimated" 1 (List.length r.Explore.evaluations);
   (* --no-absint estimates the refuted point instead of dropping it. *)
-  let r2 = run_dep_sweep (Explore.Config.with_absint false base) in
+  let r2 =
+    run_dep_sweep (Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ~absint:false ())
+  in
   check_int "no dep pruning when proofs are off" 0 r2.Explore.dep_pruned;
   check_int "both points estimated" 2 (List.length r2.Explore.evaluations)
 
 let test_checkpoint_roundtrips_dep_pruned () =
   let path = Filename.temp_file "deps" ".jsonl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
-  let base =
-    Explore.Config.(default |> with_seed 1 |> with_max_points 10 |> with_symbolic false)
+  let config ~resume =
+    Explore.Config.make ~seed:1 ~max_points:10 ~symbolic:false ~checkpoint:path ~resume ()
   in
-  let r = run_dep_sweep Explore.Config.(base |> with_checkpoint path) in
+  let r = run_dep_sweep (config ~resume:false) in
   check_int "pruned on first run" 1 r.Explore.dep_pruned;
   (* The serialized entry round-trips through the JSONL parser... *)
   (match Checkpoint.load ~path with
@@ -353,7 +352,7 @@ let test_checkpoint_roundtrips_dep_pruned () =
     check_bool "dep_pruned entry serialized" true
       (List.exists (fun (_, e) -> e = Outcome.Dep_pruned) c.Checkpoint.entries));
   (* ...and a resumed sweep reuses it without reclassifying. *)
-  let r2 = run_dep_sweep Explore.Config.(base |> with_checkpoint path |> with_resume true) in
+  let r2 = run_dep_sweep (config ~resume:true) in
   check_int "every point resumed" 2 r2.Explore.resumed;
   check_int "dep_pruned survives the checkpoint" 1 r2.Explore.dep_pruned
 

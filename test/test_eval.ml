@@ -173,7 +173,7 @@ let direct_pipeline est ~index:_ point =
         }
 
 let eval_all ev pts =
-  List.mapi (fun i p -> Eval.evaluate ev ~lint:true ~absint:true ~index:i ~generate p) pts
+  List.mapi (fun i p -> Eval.evaluate ev ~absint:true ~index:i ~generate p) pts
 
 let test_extensional_equality () =
   let est = Lazy.force estimator in
@@ -225,9 +225,9 @@ let test_faults_bypass_cache () =
 (* Sweep-level identity across jobs x cache x profile                  *)
 (* ------------------------------------------------------------------ *)
 
-let sweep ?(jobs = 1) ?(chunk = 16) ?(profile = false) ?checkpoint ?(resume = false) ev =
+let sweep ?(jobs = 1) ?(profile = false) ?checkpoint ?(resume = false) ev =
   let cfg =
-    Explore.Config.make ~seed:11 ~max_points:60 ~jobs ~chunk ~profile ?checkpoint ~resume
+    Explore.Config.make ~seed:11 ~max_points:60 ~jobs ~profile ?checkpoint ~resume
       ~checkpoint_every:4 ~tick_every:0 ()
   in
   Explore.run cfg ev ~space:(space ()) ~generate
@@ -273,7 +273,8 @@ let test_checkpoint_identity_matrix () =
 
 let test_chunked_parallel_under_faults () =
   (* The chunked engine must keep the bit-identity contract with 5%
-     injected faults at every pipeline stage, at extreme chunk sizes. *)
+     injected faults at every pipeline stage, whichever worker gets which
+     chunk: 60 points are 4 chunks, shared by 2, 3 or 4 domains. *)
   with_faults @@ fun () ->
   let est = Lazy.force estimator in
   mixed_faults ();
@@ -281,15 +282,14 @@ let test_chunked_parallel_under_faults () =
   let seq = sweep ~checkpoint:p1 (Eval.create est) in
   check_bool "faults actually fired" true (Explore.failed_count seq > 0);
   List.iter
-    (fun chunk ->
+    (fun jobs ->
       mixed_faults ();
-      let pc = tmp (Printf.sprintf "faults_c%d.jsonl" chunk) in
-      let par = sweep ~jobs:4 ~chunk ~checkpoint:pc (Eval.create est) in
-      check_bool (Printf.sprintf "chunk=%d identical to sequential" chunk) true
-        (strip par = strip seq);
-      check_str (Printf.sprintf "chunk=%d checkpoint bytes" chunk) (read_file p1) (read_file pc);
-      Sys.remove pc)
-    [ 1; 3; 64 ];
+      let pj = tmp (Printf.sprintf "faults_j%d.jsonl" jobs) in
+      let par = sweep ~jobs ~checkpoint:pj (Eval.create est) in
+      check_bool (Printf.sprintf "jobs=%d identical to jobs=1" jobs) true (strip par = strip seq);
+      check_str (Printf.sprintf "jobs=%d checkpoint bytes" jobs) (read_file p1) (read_file pj);
+      Sys.remove pj)
+    [ 2; 3; 4 ];
   Sys.remove p1
 
 let test_warm_resume_determinism () =
@@ -342,14 +342,91 @@ let km_space sizes = (Lazy.force kmeans).App.space sizes
 let km_generate sizes p = (Lazy.force kmeans).App.generate ~sizes ~params:p
 let km_paper () = (Lazy.force kmeans).App.paper_sizes
 
-let km_sweep ?(jobs = 1) ?checkpoint ev =
+let km_sweep ?(jobs = 1) ?checkpoint ?resume ev =
   let sizes = km_paper () in
   let cfg =
-    Explore.Config.make ~seed:2016 ~max_points:60 ~jobs ?checkpoint ~checkpoint_every:4
+    Explore.Config.make ~seed:2016 ~max_points:60 ~jobs ?checkpoint ?resume ~checkpoint_every:4
       ~tick_every:0 ()
   in
   (* A fresh closure per run, as the server and the CLI pass. *)
   Explore.run cfg ev ~space:(km_space sizes) ~generate:(fun p -> km_generate sizes p)
+
+(* ------------------------------------------------------------------ *)
+(* Outcome counters: each outcome counted once, by the collector       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each dse.* outcome counter, beside the result's count it must equal. *)
+let result_counts (r : Explore.result) =
+  [
+    ("dse.lint_pruned", r.Explore.lint_pruned);
+    ("dse.absint_pruned", r.Explore.absint_pruned);
+    ("dse.dep_pruned", r.Explore.dep_pruned);
+    ("dse.sym_pruned", r.Explore.sym_pruned);
+    ("dse.estimated", List.length r.Explore.evaluations);
+  ]
+  @ List.map
+      (fun (stage, n) -> ("dse.failed." ^ Outcome.stage_name stage, n))
+      (Explore.failure_counts r)
+
+let counter_of = function
+  | Outcome.Evaluated _ -> "dse.estimated"
+  | Outcome.Pruned -> "dse.lint_pruned"
+  | Outcome.Absint_pruned -> "dse.absint_pruned"
+  | Outcome.Dep_pruned -> "dse.dep_pruned"
+  | Outcome.Sym_pruned -> "dse.sym_pruned"
+  | Outcome.Failed (stage, _) -> "dse.failed." ^ Outcome.stage_name stage
+
+(* [f]'s result, the outcome counters it recorded, and its dse.resumed. *)
+let with_counters f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let r = f () in
+  ( r,
+    List.map (fun (name, _) -> (name, Obs.counter_value name)) (result_counts r),
+    Obs.counter_value "dse.resumed" )
+
+let check_counts = Alcotest.(check (list (pair string int)))
+
+let test_outcome_counters () =
+  let est = Lazy.force estimator in
+  List.iter
+    (fun jobs ->
+      (* kmeans at paper sizes: the gate, the proofs and the estimator
+         each decide some of the points. *)
+      let r, got, resumed = with_counters (fun () -> km_sweep ~jobs (Eval.create est)) in
+      check_bool "gate and estimator both decide points" true
+        (r.Explore.sym_pruned > 0 && r.Explore.evaluations <> []);
+      check_counts (Printf.sprintf "kmeans, jobs=%d" jobs) (result_counts r) got;
+      check_int "nothing resumed" 0 resumed;
+      (* dotproduct under 5% faults: the failure counters. *)
+      with_faults @@ fun () ->
+      mixed_faults ();
+      let r, got, _ = with_counters (fun () -> sweep ~jobs (Eval.create est)) in
+      check_bool "faults fired" true (Explore.failed_count r > 0);
+      check_counts (Printf.sprintf "dotproduct under faults, jobs=%d" jobs) (result_counts r) got)
+    [ 1; 4 ];
+  (* Resumed from the first half of a checkpoint, a sweep counts the
+     reused half only under dse.resumed. *)
+  let full = tmp "counters_full.jsonl" and half = tmp "counters_half.jsonl" in
+  ignore (km_sweep ~checkpoint:full (Eval.create est));
+  let c = match Checkpoint.load ~path:full with Ok c -> c | Error msg -> Alcotest.fail msg in
+  let entries = c.Checkpoint.entries in
+  let kept = List.filteri (fun i _ -> 2 * i < List.length entries) entries in
+  let reused name = List.length (List.filter (fun (_, e) -> counter_of e = name) kept) in
+  List.iter
+    (fun jobs ->
+      Checkpoint.save ~path:half { c with Checkpoint.entries = kept };
+      let r, got, resumed =
+        with_counters (fun () -> km_sweep ~jobs ~checkpoint:half ~resume:true (Eval.create est))
+      in
+      check_int "dse.resumed counts the reused half" (List.length kept) resumed;
+      check_counts
+        (Printf.sprintf "resumed, jobs=%d: only computed points" jobs)
+        (List.map (fun (name, n) -> (name, n - reused name)) (result_counts r))
+        got)
+    [ 1; 4 ];
+  Sys.remove full;
+  Sys.remove half
 
 (* The dse.symgate.hit / dse.symgate.miss counters [f] records. *)
 let gate_counts f =
@@ -584,7 +661,7 @@ let test_index_lazy_generator_failure () =
   let fail = ref false in
   let generate q = if !fail then failwith "boom" else generate q in
   let family = Space.family (space ()) in
-  let run () = Eval.evaluate ev ?family ~lint:true ~absint:true ~index:0 ~generate p in
+  let run () = Eval.evaluate ev ?family ~absint:true ~index:0 ~generate p in
   check_bool "the first run does not fail" true (match run () with Outcome.Failed _ -> false | _ -> true);
   fail := true;
   match run () with
@@ -818,6 +895,8 @@ let () =
             test_chunked_parallel_under_faults;
           Alcotest.test_case "warm resume determinism" `Quick test_warm_resume_determinism;
           Alcotest.test_case "cache counters surfaced" `Quick test_cache_counters_surfaced;
+          Alcotest.test_case "outcome counters = result, jobs 1 and 4" `Quick
+            test_outcome_counters;
         ] );
       ( "gate memo",
         [

@@ -241,7 +241,8 @@ let inode path = (Unix.stat path).Unix.st_ino
 
 (* A sweep renames its checkpoint into place on the first flush only:
    every later flush appends to the same file. The stop hook runs after
-   each point, so it sees the file after every flush. *)
+   each point, so it sees the file between chunks: a chunk's 16 points
+   are recorded, and flushed every 4, when the chunk is done. *)
 let test_flushes_keep_inode () =
   let est = Lazy.force estimator in
   let path = tmp "inode.jsonl" in
@@ -547,6 +548,27 @@ let test_resume_rejects_mismatched_checkpoint () =
   | exception Failure msg -> check_bool "mentions mismatch" true (contains msg "cannot resume"));
   Sys.remove path
 
+(* A header that names other parameters is refused too. The space, seed
+   and budget agree, so the message must show both parameter lists or the
+   two sweeps it names print alike. *)
+let test_resume_mismatch_names_params () =
+  let est = Lazy.force estimator in
+  let path = tmp "params.jsonl" in
+  ignore (run_sweep ~checkpoint:path est);
+  let text = read_file path in
+  let header_end = String.index text '\n' in
+  (match find_sub text "\"tile\"" with
+  | Some i when i < header_end ->
+    let rest = String.sub text (i + 6) (String.length text - i - 6) in
+    write_file path (String.sub text 0 i ^ "\"tilE\"" ^ rest)
+  | _ -> Alcotest.fail "the header names no tile parameter");
+  (match run_sweep ~checkpoint:path ~resume:true est with
+  | _ -> Alcotest.fail "expected resume to reject a checkpoint of other parameters"
+  | exception Failure msg ->
+    check_bool "names the checkpoint's parameters" true (contains msg "params=tilE,par,meta)");
+    check_bool "names the sweep's parameters" true (contains msg "params=tile,par,meta)"));
+  Sys.remove path
+
 let test_resume_rejects_corrupt_checkpoint () =
   let path = tmp "corrupt.jsonl" in
   let oc = open_out path in
@@ -677,6 +699,7 @@ let () =
           Alcotest.test_case "resume bit-identical" `Quick test_resume_bit_identical_after_kill;
           Alcotest.test_case "torn tail tolerated at every cut" `Quick test_torn_tail_every_cut;
           Alcotest.test_case "mismatch rejected" `Quick test_resume_rejects_mismatched_checkpoint;
+          Alcotest.test_case "mismatch names the params" `Quick test_resume_mismatch_names_params;
           Alcotest.test_case "corrupt rejected" `Quick test_resume_rejects_corrupt_checkpoint;
           Alcotest.test_case "duplicated line rejected" `Quick test_duplicated_line_rejected;
           Alcotest.test_case "deadline + resume" `Quick test_deadline_truncates_then_resume_completes;

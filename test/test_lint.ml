@@ -283,20 +283,11 @@ let test_explore_prunes_lint_errors () =
   in
   let generate p = if List.assoc "racy" p = 1 then race_design () else clean () in
   let r =
-    Explore.run
-      Explore.Config.(default |> with_seed 3 |> with_max_points 10)
-      (Eval.create est) ~space ~generate
+    Explore.run (Explore.Config.make ~seed:3 ~max_points:10 ()) (Eval.create est) ~space ~generate
   in
   check_int "sampled both points" 2 r.Explore.sampled;
   check_int "racy point pruned" 1 r.Explore.lint_pruned;
-  check_int "clean point evaluated" 1 (List.length r.Explore.evaluations);
-  let r' =
-    Explore.run
-      Explore.Config.(default |> with_seed 3 |> with_max_points 10 |> with_lint false)
-      (Eval.create est) ~space ~generate
-  in
-  check_int "lint off evaluates everything" 2 (List.length r'.Explore.evaluations);
-  check_int "lint off prunes nothing" 0 r'.Explore.lint_pruned
+  check_int "clean point evaluated" 1 (List.length r.Explore.evaluations)
 
 let () =
   Alcotest.run "lint"

@@ -1,8 +1,9 @@
-(* Parallel-sweep suite: Explore.Config validation and the tentpole
-   guarantee that a [jobs > 1] sweep — run on real worker domains, with 5%
-   mixed faults injected — produces results and checkpoint files
-   bit-identical to the sequential sweep, including across resume and
-   deadline truncation. Runs under both `dune runtest` and the focused
+(* Parallel-sweep suite: Explore.Config validation, the one sweep loop
+   running on the calling domain alone at [jobs = 1], and the guarantee
+   that a [jobs > 1] sweep — run on real worker domains, with 5% mixed
+   faults injected — produces results and checkpoint files bit-identical
+   to the [jobs = 1] sweep, including across resume and deadline
+   truncation. Runs under both `dune runtest` and the focused
    `dune build @par` pre-merge alias. *)
 
 module Faults = Dhdl_util.Faults
@@ -28,16 +29,17 @@ let mixed_faults () =
   List.iter (fun s -> Faults.set_site s 0.05) [ "dse.generator"; "dse.lint"; "dse.estimator" ]
 
 let run_sweep ?checkpoint ?checkpoint_every ?resume ?deadline_seconds ?(jobs = 1) ?(seed = 11)
-    ?(max_points = 80) est =
+    ?(max_points = 80) ?generate est =
   let app = Dhdl_apps.Registry.find "dotproduct" in
   let sizes = [ ("n", 65_536) ] in
+  let generate =
+    Option.value generate ~default:(fun p -> app.App.generate ~sizes ~params:p)
+  in
   let cfg =
     Explore.Config.make ~seed ~max_points ?checkpoint ?checkpoint_every ?resume ?deadline_seconds
       ~jobs ()
   in
-  Explore.run cfg (Eval.create est)
-    ~space:(app.App.space sizes)
-    ~generate:(fun p -> app.App.generate ~sizes ~params:p)
+  Explore.run cfg (Eval.create est) ~space:(app.App.space sizes) ~generate
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("dhdl_par_" ^ name)
 
@@ -53,38 +55,58 @@ let fails_with_failure f =
 (* ------------------------- Config validation ------------------------- *)
 
 let test_config_defaults () =
-  let d = Explore.Config.default in
+  let d = Explore.Config.make () in
   check_int "paper seed" 2016 d.Explore.Config.seed;
   check_int "paper budget" 75_000 d.Explore.Config.max_points;
-  check_int "sequential by default" 1 d.Explore.Config.jobs;
-  check_bool "lint on by default" true d.Explore.Config.lint;
+  check_int "one job by default" 1 d.Explore.Config.jobs;
+  check_bool "proof pruning on by default" true d.Explore.Config.absint;
+  check_bool "symbolic gate on by default" true d.Explore.Config.symbolic;
   check_bool "no checkpoint by default" true (d.Explore.Config.checkpoint = None)
 
 let test_config_rejects () =
-  check_bool "jobs 0 rejected" true
-    (fails_with_failure (fun () -> Explore.Config.(default |> with_jobs 0)));
-  check_bool "negative jobs rejected" true
-    (fails_with_failure (fun () -> Explore.Config.make ~jobs:(-3) ()));
+  let make = Explore.Config.make in
+  check_bool "jobs 0 rejected" true (fails_with_failure (fun () -> make ~jobs:0 ()));
+  check_bool "negative jobs rejected" true (fails_with_failure (fun () -> make ~jobs:(-3) ()));
   check_bool "jobs above max_jobs rejected" true
-    (fails_with_failure (fun () ->
-         Explore.Config.(default |> with_jobs (Explore.Config.max_jobs + 1))));
-  check_bool "negative budget rejected" true
-    (fails_with_failure (fun () -> Explore.Config.(default |> with_max_points (-1))));
-  check_bool "nan deadline rejected" true
-    (fails_with_failure (fun () -> Explore.Config.(default |> with_deadline Float.nan)));
-  check_bool "resume without checkpoint rejected by make" true
-    (fails_with_failure (fun () -> Explore.Config.make ~resume:true ()))
-
-let test_config_builder_order () =
-  (* The resume/checkpoint pairing is checked at consumption time, so
-     setting resume before the checkpoint path must not raise mid-chain. *)
-  let cfg =
-    Explore.Config.(default |> with_resume true |> with_checkpoint ~every:10 (tmp "order.jsonl"))
-  in
-  check_bool "resume retained" true cfg.Explore.Config.resume;
-  check_int "cadence retained" 10 cfg.Explore.Config.checkpoint_every;
+    (fails_with_failure (fun () -> make ~jobs:(Explore.Config.max_jobs + 1) ()));
   check_bool "jobs accepted up to max" true
-    (Explore.Config.(default |> with_jobs max_jobs).Explore.Config.jobs = Explore.Config.max_jobs)
+    ((make ~jobs:Explore.Config.max_jobs ()).Explore.Config.jobs = Explore.Config.max_jobs);
+  check_bool "negative budget rejected" true
+    (fails_with_failure (fun () -> make ~max_points:(-1) ()));
+  check_bool "negative cadence rejected" true
+    (fails_with_failure (fun () -> make ~checkpoint:(tmp "c.jsonl") ~checkpoint_every:(-1) ()));
+  check_bool "nan deadline rejected" true
+    (fails_with_failure (fun () -> make ~deadline_seconds:Float.nan ()));
+  check_bool "resume without checkpoint rejected" true
+    (fails_with_failure (fun () -> make ~resume:true ()));
+  check_bool "resume with checkpoint accepted" true
+    (make ~resume:true ~checkpoint:(tmp "c.jsonl") ()).Explore.Config.resume
+
+(* ------------- jobs = 1: the calling domain is the worker ------------- *)
+
+(* The sweep loop is one loop at every jobs level; at [jobs = 1] it must
+   spawn nothing, so every generator call runs on the calling domain (and
+   a process can still fork after such a sweep). The [jobs = 4] run shows
+   the probe sees worker domains when there are some. *)
+let test_jobs1_runs_on_calling_domain () =
+  let est = Lazy.force estimator in
+  let app = Dhdl_apps.Registry.find "dotproduct" in
+  let sizes = [ ("n", 65_536) ] in
+  let self = Domain.self () in
+  let sweep jobs =
+    let calls = ref 0 and elsewhere = Atomic.make 0 in
+    let generate p =
+      if Domain.self () = self then incr calls else Atomic.incr elsewhere;
+      app.App.generate ~sizes ~params:p
+    in
+    let r = run_sweep ~jobs ~generate est in
+    (r, !calls, Atomic.get elsewhere)
+  in
+  let r, calls, elsewhere = sweep 1 in
+  check_bool "points were generated" true (r.Explore.processed > 0 && calls > 0);
+  check_int "no generator call off the calling domain" 0 elsewhere;
+  let _, _, elsewhere = sweep 4 in
+  check_bool "jobs=4 generates on worker domains" true (elsewhere > 0)
 
 (* --------------- the tentpole: parallel == sequential ---------------- *)
 
@@ -202,8 +224,10 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_config_defaults;
           Alcotest.test_case "rejects bad fields" `Quick test_config_rejects;
-          Alcotest.test_case "builder order" `Quick test_config_builder_order;
         ] );
+      ( "one loop",
+        [ Alcotest.test_case "jobs=1 runs on the calling domain" `Quick
+            test_jobs1_runs_on_calling_domain ] );
       ( "determinism",
         [
           Alcotest.test_case "jobs=4 with 5% faults == sequential" `Quick

@@ -8,6 +8,7 @@ module Obs = Dhdl_obs.Obs
 module Explore = Dhdl_dse.Explore
 module Profile = Dhdl_dse.Profile
 module Eval = Dhdl_dse.Eval
+module Checkpoint = Dhdl_dse.Checkpoint
 module Estimator = Dhdl_model.Estimator
 module App = Dhdl_apps.App
 
@@ -204,10 +205,10 @@ let test_summary_from_jsonl_rejects_garbage () =
 
 let estimator = lazy (Estimator.create ~seed:7 ~train_samples:60 ~epochs:100 ())
 
-let run_sweep ?checkpoint ?(jobs = 1) ?(profile = true) ?(max_points = 60) est =
+let run_sweep ?checkpoint ?resume ?(jobs = 1) ?(profile = true) ?(max_points = 60) est =
   let app = Dhdl_apps.Registry.find "dotproduct" in
   let sizes = [ ("n", 65_536) ] in
-  let cfg = Explore.Config.make ~seed:11 ~max_points ?checkpoint ~jobs ~profile () in
+  let cfg = Explore.Config.make ~seed:11 ~max_points ?checkpoint ?resume ~jobs ~profile () in
   Explore.run cfg (Eval.create est)
     ~space:(app.App.space sizes)
     ~generate:(fun p -> app.App.generate ~sizes ~params:p)
@@ -259,6 +260,29 @@ let test_parallel_attribution () =
     (attr.Profile.max_reorder_occupancy >= 0
     && attr.Profile.max_reorder_occupancy <= r.Explore.processed);
   check_fractions attr
+
+(* A worker's points are the points it computed. Resumed from half a
+   checkpoint, the reused half belongs to no worker, at either jobs
+   level. *)
+let test_resumed_points_are_no_workers () =
+  let est = Lazy.force estimator in
+  let full = tmp "resume_full.jsonl" and half = tmp "resume_half.jsonl" in
+  ignore (run_sweep ~checkpoint:full ~profile:false est);
+  let c = match Checkpoint.load ~path:full with Ok c -> c | Error msg -> Alcotest.fail msg in
+  let kept = List.length c.Checkpoint.entries / 2 in
+  List.iter
+    (fun jobs ->
+      Checkpoint.save ~path:half
+        { c with Checkpoint.entries = List.filteri (fun i _ -> i < kept) c.Checkpoint.entries };
+      let r = run_sweep ~checkpoint:half ~resume:true ~jobs est in
+      check_int (Printf.sprintf "jobs=%d reused half" jobs) kept r.Explore.resumed;
+      check_int
+        (Printf.sprintf "jobs=%d worker points = processed - resumed" jobs)
+        (r.Explore.processed - r.Explore.resumed)
+        (List.fold_left (fun acc w -> acc + w.Profile.w_points) 0 (attr_of r).Profile.workers))
+    [ 1; 4 ];
+  Sys.remove full;
+  Sys.remove half
 
 let test_profiling_keeps_checkpoints_bit_identical () =
   let est = Lazy.force estimator in
@@ -326,6 +350,8 @@ let () =
           Alcotest.test_case "off by default" `Quick test_off_by_default;
           Alcotest.test_case "sequential split" `Quick test_sequential_attribution;
           Alcotest.test_case "parallel split" `Quick test_parallel_attribution;
+          Alcotest.test_case "resumed points are no worker's" `Quick
+            test_resumed_points_are_no_workers;
           Alcotest.test_case "checkpoints bit-identical" `Quick
             test_profiling_keeps_checkpoints_bit_identical;
           Alcotest.test_case "obs instrumentation" `Quick test_attribution_with_obs_instrumentation;

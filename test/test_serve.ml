@@ -145,7 +145,7 @@ let rpc sup req =
   | Error msg -> Alcotest.failf "reply for %s does not round-trip: %s" req.P.q_id msg
 
 let sup_config ?root ?(queue_capacity = 64) ?(degrade_depth = 16) ?(quarantine_threshold = 3)
-    ?(nn_fallback_limit = 25) ?(checkpoint_every = 8) () =
+    ?(nn_fallback_limit = 25) ?(checkpoint_every = 8) ?(dse_jobs = 1) () =
   let root = match root with Some r -> r | None -> fresh_root "sup" in
   {
     Supervisor.sessions_root = root;
@@ -154,7 +154,7 @@ let sup_config ?root ?(queue_capacity = 64) ?(degrade_depth = 16) ?(quarantine_t
     degrade_depth;
     quarantine_threshold;
     nn_fallback_limit;
-    dse_jobs = 1;
+    dse_jobs;
     dse_checkpoint_every = checkpoint_every;
   }
 
@@ -768,7 +768,7 @@ let test_reply_non_finite () =
 (* 5. Session store                                                     *)
 (* ==================================================================== *)
 
-let spec = { Session.s_app = "dotproduct"; s_seed = 1; s_max_points = 10; s_jobs = 1 }
+let spec = { Session.s_app = "dotproduct"; s_seed = 1; s_max_points = 10 }
 
 let test_session_ids () =
   List.iter
@@ -1149,6 +1149,50 @@ let test_cancel_then_resume () =
   let summary = wait_done sup sid in
   check_int "processed the full budget after resume" max_points (ifield "processed" summary);
   check_int "reused exactly the cancelled prefix" resumed_entries (ifield "resumed" summary);
+  rm_rf root
+
+(* A session interrupted under `dhdl serve --jobs 1` starts again under
+   `--jobs 2`: the jobs level is no part of a session's identity, since
+   checkpoints are bit-identical across jobs levels. The session is left
+   as a server from before that change left it, its spec.json holding
+   "jobs":1, and the resumed sweep must end on the bytes of an
+   uninterrupted jobs=1 run. *)
+let test_resume_under_other_jobs () =
+  let root = fresh_root "jobs" in
+  let seed = 5 and max_points = 300 and sid = "s1" in
+  let start id = P.request ~id ~app:"dotproduct" ~session:sid ~seed ~max_points P.Dse_start in
+  (with_sup (sup_config ~root ~checkpoint_every:3 ~dse_jobs:1 ()) @@ fun sup ->
+   check_bool "started under --jobs 1" true (bfield "started" (payload (rpc sup (start "j1-1"))));
+   let p = payload (rpc sup (P.request ~id:"j1-2" ~session:sid P.Dse_cancel)) in
+   check_bool "cancelled under --jobs 1" true (bfield "cancelled" p));
+  let oc = open_out_bin (Filename.concat (Session.dir ~root sid) "spec.json") in
+  Printf.fprintf oc "{\"app\":\"dotproduct\",\"seed\":%d,\"max_points\":%d,\"jobs\":1}" seed
+    max_points;
+  close_out oc;
+  check_bool "a spec.json with jobs still reads" true
+    (Session.load_spec ~root sid
+    = Some { Session.s_app = "dotproduct"; s_seed = seed; s_max_points = max_points });
+  with_sup (sup_config ~root ~checkpoint_every:3 ~dse_jobs:2 ()) @@ fun sup ->
+  let p = payload (rpc sup (start "j2-1")) in
+  check_bool "started again under --jobs 2" true (bfield "started" p);
+  let resumed_entries = ifield "resumed_entries" p in
+  let summary = wait_done sup sid in
+  check_int "processed the full budget" max_points (ifield "processed" summary);
+  check_int "reused the --jobs 1 prefix" resumed_entries (ifield "resumed" summary);
+  let golden = tmp "jobs_golden.jsonl" in
+  (try Sys.remove golden with Sys_error _ -> ());
+  let app = Registry.find "dotproduct" in
+  let sizes = app.App.paper_sizes in
+  let cfg =
+    Explore.Config.make ~seed ~max_points ~checkpoint:golden ~checkpoint_every:3 ~tick_every:0 ()
+  in
+  ignore
+    (Explore.run cfg (Eval.create (Lazy.force estimator))
+       ~space:(app.App.space sizes)
+       ~generate:(fun pt -> app.App.generate ~sizes ~params:pt));
+  check_str "resumed under --jobs 2, the bytes of an uninterrupted jobs=1 run" (read_file golden)
+    (read_file (Session.checkpoint_path ~root sid));
+  Sys.remove golden;
   rm_rf root
 
 (* ==================================================================== *)
@@ -1754,6 +1798,7 @@ let () =
         [
           Alcotest.test_case "lifecycle + golden bytes" `Quick test_session_lifecycle_and_golden;
           Alcotest.test_case "cancel then resume" `Quick test_cancel_then_resume;
+          Alcotest.test_case "resume under another --jobs" `Quick test_resume_under_other_jobs;
         ] );
       ( "socket",
         [

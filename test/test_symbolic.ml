@@ -449,12 +449,11 @@ let test_shared_atom_second_check () =
 (* Sweep integration: Sym_pruned, checkpoints, byte identity           *)
 (* ------------------------------------------------------------------ *)
 
-let kmeans_sweep ?(points = 120) ?(jobs = 1) ?(chunk = 16) ?(symbolic = true) ?checkpoint
-    ?(resume = false) ev =
+let kmeans_sweep ?(points = 120) ?(jobs = 1) ?(symbolic = true) ?checkpoint ?(resume = false)
+    ev =
   let a = app "kmeans" in
   let cfg =
-    Explore.Config.make ~seed:2016 ~max_points:points ~symbolic ~jobs ~chunk ?checkpoint ~resume
-      ()
+    Explore.Config.make ~seed:2016 ~max_points:points ~symbolic ~jobs ?checkpoint ~resume ()
   in
   Explore.run cfg ev ~space:(space_of a) ~generate:(generate_of a)
 
@@ -482,17 +481,17 @@ let test_sym_pruned_checkpoint_roundtrip () =
   check_bool "resume reproduces the evaluations" true (eval_points r1 = eval_points r2);
   Sys.remove path
 
-let test_gate_byte_identity_across_jobs_chunk () =
+let test_gate_byte_identity_across_jobs () =
   let ev = Eval.create (Lazy.force estimator) in
   let files =
     List.map
-      (fun (jobs, chunk) ->
-        let path = tmp (Printf.sprintf "ident_j%d_c%d.jsonl" jobs chunk) in
+      (fun jobs ->
+        let path = tmp (Printf.sprintf "ident_j%d.jsonl" jobs) in
         if Sys.file_exists path then Sys.remove path;
-        let r = kmeans_sweep ~jobs ~chunk ~checkpoint:path ev in
+        let r = kmeans_sweep ~jobs ~checkpoint:path ev in
         check_bool "parallel sweep still sym-prunes" true (r.Explore.sym_pruned > 0);
         path)
-      [ (1, 16); (2, 16); (2, 7); (4, 3) ]
+      [ 1; 2; 3; 4 ]
   in
   match List.map read_file files with
   | [] -> assert false
@@ -538,19 +537,17 @@ let test_gate_reduces_elaborations () =
    + r_on.Explore.sym_pruned)
 
 let test_gate_requires_both_passes () =
-  (* With either analysis pass off the gate must stand down: pruning
-     points the concrete pipeline would have kept changes results. *)
+  (* Lint always runs; with the proof passes off the gate must stand
+     down: pruning points the concrete pipeline would have kept changes
+     results. *)
   let ev = Eval.create (Lazy.force estimator) in
   let a = app "kmeans" in
-  let run cfg = Explore.run cfg ev ~space:(space_of a) ~generate:(generate_of a) in
   let no_absint =
-    run (Explore.Config.make ~seed:2016 ~max_points:80 ~absint:false ~symbolic:true ())
+    Explore.run
+      (Explore.Config.make ~seed:2016 ~max_points:80 ~absint:false ~symbolic:true ())
+      ev ~space:(space_of a) ~generate:(generate_of a)
   in
-  check_int "no absint => no symbolic pruning" 0 no_absint.Explore.sym_pruned;
-  let no_lint =
-    run (Explore.Config.make ~seed:2016 ~max_points:80 ~lint:false ~symbolic:true ())
-  in
-  check_int "no lint => no symbolic pruning" 0 no_lint.Explore.sym_pruned
+  check_int "no absint => no symbolic pruning" 0 no_absint.Explore.sym_pruned
 
 let () =
   Alcotest.run "symbolic"
@@ -584,8 +581,7 @@ let () =
         [
           Alcotest.test_case "sym_pruned checkpoint roundtrip + resume" `Quick
             test_sym_pruned_checkpoint_roundtrip;
-          Alcotest.test_case "byte identity across jobs x chunk" `Quick
-            test_gate_byte_identity_across_jobs_chunk;
+          Alcotest.test_case "byte identity across jobs" `Quick test_gate_byte_identity_across_jobs;
           Alcotest.test_case "gate reduces elaborations" `Quick test_gate_reduces_elaborations;
           Alcotest.test_case "gate requires both passes" `Quick test_gate_requires_both_passes;
         ] );
