@@ -112,7 +112,7 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 13) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 14) from GDA sweeps plus a kmeans
    symbolic-gate A/B, the estimator's setup and the served request's
    path. Every timed figure is the median, min and max of [warm_runs]
    runs (a single cold run moved by 40% or more between runs), and every
@@ -123,7 +123,7 @@ let run_ablations ~quick () =
      with every historical entry), plus a contention attribution from
      *warm-cache* profiled repeats at the same level. Warm on purpose:
      with the evaluated work memoized away the attribution isolates pure
-     coordination overhead (channel waits, GC barriers, chunk merging),
+     coordination overhead (record-lock waits, GC barriers, chunk recording),
      which is the quantity the parallel engine is accountable for on any
      host — including a single-core container where cold jobs>1 walls are
      dominated by time-sliced estimation.
@@ -507,7 +507,6 @@ let run_dseperf ~quick () =
          colds)
   in
   let estimated = r1.Explore.sampled - r1.Explore.lint_pruned in
-  let recv_block attr = attr.Dhdl_dse.Profile.collector.Dhdl_dse.Profile.c_recv_block_s in
   let per_design f runs = spread_json "%.4f" (List.map (fun r -> f r *. 1000.0) runs) in
   let level_json (jobs, cold, warm, attr) =
     Printf.sprintf
@@ -529,7 +528,7 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":13,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs warm gda and kmeans sweeps as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); major_collections and minor_words are each timed session's deltas of Gc.quick_stat's major collections and of Gc.minor_words; generate_calls and index_hits come from one more untimed session with a counting generator and the telemetry sink on. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":14,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs warm gda and kmeans sweeps as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); major_collections and minor_words are each timed session's deltas of Gc.quick_stat's major collections and of Gc.minor_words; generate_calls and index_hits come from one more untimed session with a counting generator and the telemetry sink on. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
@@ -559,12 +558,12 @@ let run_dseperf ~quick () =
       let top_name, top_s = P.top_contender attr in
       Printf.printf
         "  jobs=%d: cold %.2f s wall, %.0f points/sec; warm attribution: work %.1f%%, \
-         contention %.1f%%, stall %.1f%% (top: %s %.4f s; recv-block %.4f s)\n"
+         contention %.1f%%, stall %.1f%% (top: %s %.4f s)\n"
         jobs (med elapsed cold) (med pps cold)
         (100.0 *. P.work_fraction attr)
         (100.0 *. P.contention_fraction attr)
         (100.0 *. P.stall_fraction attr)
-        top_name top_s (recv_block attr))
+        top_name top_s)
     levels;
   Printf.printf
     "symbolic gate A/B (kmeans, cold): on %d generate calls (%d sym-pruned, %.2f s), off %d \

@@ -251,12 +251,12 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run the sweep with N workers (default 1). At 1 the domain that runs the sweep is its \
-           only worker and no domain is spawned; above 1 the sweep runs on N worker domains \
-           and that domain merges their results in sampling order. Results, Pareto frontier, \
-           and checkpoint files are bit-identical at every jobs level, so $(b,--resume) works \
-           across jobs settings and $(b,--deadline) still yields a resumable truncated result; \
-           only wall-clock time changes.")
+          "Run the sweep with N workers (default 1): the domain that runs the sweep is one of \
+           them and N-1 domains are spawned, so at 1 none is. Each worker records the chunks it \
+           finishes in sampling order under one lock. Results, Pareto frontier, and checkpoint \
+           files are bit-identical at every jobs level, so $(b,--resume) works across jobs \
+           settings and $(b,--deadline) still yields a resumable truncated result; only \
+           wall-clock time changes.")
 
 let inject_faults_arg =
   Arg.(
@@ -276,10 +276,11 @@ let profile_flag_arg =
     & info [ "profile" ]
         ~doc:
           "Attribute every worker-second of the sweep to \
-           {generate, lint/absint, estimate, send-block, idle} and every collector-second to \
-           {recv-block, reorder-stall, write, merge}, and print the attribution report after the \
-           sweep. Results and checkpoints stay bit-identical; see $(b,dhdl profile) for the \
-           multi-level scaling report.")
+           {generate, lint/absint, estimate, send-block, idle}, where send-block is the wait for \
+           the record lock, and every second spent recording under that lock (the collector) to \
+           {write, merge}, and print the attribution report after the sweep. Results and \
+           checkpoints stay bit-identical; see $(b,dhdl profile) for the multi-level scaling \
+           report.")
 
 let no_eval_cache_arg =
   Arg.(
@@ -647,7 +648,7 @@ let profile_cmd =
       & opt (list int) [ 1; 2; 4 ]
       & info [ "jobs"; "j" ] ~docv:"N,N,..."
           ~doc:
-            "Comma-separated worker-domain counts to sweep at, in order. The first level is the \
+            "Comma-separated worker counts to sweep at, in order. The first level is the \
              speedup baseline (use 1 for textbook Amdahl numbers).")
   in
   let json_arg =
@@ -662,14 +663,16 @@ let profile_cmd =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
     if jobs_list = [] then failwith "expected at least one --jobs level";
     let a = Request.app app in
-    let ev = make_eval ?cache ~quiet:json ~seed ~train_samples:train () in
+    let est = make_estimator ?cache ~quiet:json ~seed ~train_samples:train () in
     let space = a.App.space a.App.paper_sizes in
     let generate p = a.App.generate ~sizes:a.App.paper_sizes ~params:p in
+    (* Every level sweeps on a fresh Eval.t, so none is answered from an
+       earlier level's caches. *)
     let levels =
       List.map
         (fun jobs ->
           let cfg = Explore.Config.make ~seed ~max_points:points ~jobs ~profile:true () in
-          let r = Explore.run cfg ev ~space ~generate in
+          let r = Explore.run cfg (Eval.create est) ~space ~generate in
           let attr =
             match r.Explore.attribution with
             | Some attr -> attr
@@ -743,7 +746,7 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Sweep a benchmark's design space at several worker-domain counts and print an \
+         "Sweep a benchmark's design space at several worker counts and print an \
           Amdahl-style scaling report: throughput, speedup, efficiency, inferred serial \
           fraction, and a full attribution of worker and collector time (work vs contention vs \
           stall).")

@@ -134,65 +134,12 @@ let load_resume ~path ~space ~seed ~max_points ~total ~param_names =
         tbl
       end
 
-(* One worker-to-collector message: a contiguous run of outcomes starting
-   at sampling index [lo] (each with its resume flag and pipeline CPU
-   seconds), or a worker signing off. One message per *chunk* — not per
-   point — is what keeps the channel off the contention profile. *)
-type msg = Chunk of int * (Outcome.entry * bool * float) array | Worker_done
-
-(* Minimal mutex/condition channel between worker domains and the
-   collector. Unbounded: the collector's per-message work (merging a
-   chunk and an occasional checkpoint) is far cheaper than the chunk's
-   pipeline, so the queue stays shallow. [max_depth] tracks the
-   high-water mark under the lock (one compare per push); when profiling,
-   [?wait] accumulates the seconds a caller spent blocked — lock
-   acquisition on the send side, lock + condition wait on the receive
-   side — into a caller-owned ref, so the measurement itself shares no
-   state between domains. *)
-module Chan = struct
-  type 'a t = {
-    m : Mutex.t;
-    nonempty : Condition.t;
-    q : 'a Queue.t;
-    mutable max_depth : int;
-  }
-
-  let create () =
-    { m = Mutex.create (); nonempty = Condition.create (); q = Queue.create (); max_depth = 0 }
-
-  let push ?wait t x =
-    (match wait with
-    | None -> Mutex.lock t.m
-    | Some acc ->
-      let t0 = Unix.gettimeofday () in
-      Mutex.lock t.m;
-      acc := !acc +. (Unix.gettimeofday () -. t0));
-    Queue.push x t.q;
-    let d = Queue.length t.q in
-    if d > t.max_depth then t.max_depth <- d;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m
-
-  let pop ?wait t =
-    let t0 = match wait with None -> 0.0 | Some _ -> Unix.gettimeofday () in
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.nonempty t.m
-    done;
-    (match wait with
-    | None -> ()
-    | Some acc -> acc := !acc +. (Unix.gettimeofday () -. t0));
-    let x = Queue.pop t.q in
-    Mutex.unlock t.m;
-    x
-end
-
 (* With the Obs sink on, every 100th point gets a [dse.point] span. *)
 let point_span_every = 100
 
-(* Points per cursor claim and per worker-to-collector message. At
-   jobs = 4, chunks of 1, 4, 16 and 64 points swept within 10% of each
-   other and ranked differently from run to run, so the size is fixed. *)
+(* Points per cursor claim and per recorded chunk. At jobs = 4, chunks
+   of 1, 4, 16 and 64 points swept within 10% of each other and ranked
+   differently from run to run, so the size is fixed. *)
 let chunk = 16
 
 let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
@@ -299,10 +246,10 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       in
       (e, false, Unix.gettimeofday () -. start)
   in
-  (* Collector state. Only the domain running the collector touches any of
-     this — in particular the checkpoint file has a single writer, so the
-     replace-then-append flush protocol (and the resume guarantees) hold at
-     every jobs level. *)
+  (* Recording state. Only the holder of the record lock (below) touches
+     any of this, so the checkpoint file has one writer at a time and the
+     replace-then-append flush protocol (and the resume guarantees) hold
+     at every jobs level. *)
   let entries = ref [] (* (index, entry), newest first *) in
   let lint_pruned = ref 0 in
   let absint_pruned = ref 0 in
@@ -385,17 +332,16 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   in
   (* The sweep loop. Each worker claims contiguous index ranges of [chunk]
      points from a shared atomic cursor, runs the pipeline into a buffer
-     only it owns, and hands each range to [send]. At [jobs = 1] the one
-     worker runs on the calling domain and its [send] records the range at
-     once: ranges arrive in index order. At [jobs > 1] the workers run on
-     their own domains, [send] is one channel message per range, and the
-     collector (the calling domain) merges whole ranges in sampling-index
-     order through a reorder buffer. Either way entries, counters and
-     every periodic checkpoint come out in the same order, byte for byte.
-     When profiling, every accumulator below is owned by exactly one
-     domain (stage/point/send-block slots by worker index, the rest by the
-     collector) or updated under a lock that already exists, so the
-     profiler adds no contention of its own. *)
+     only it owns, and hands each range to [send]. [send] takes the
+     sweep's one record lock, files the range in its slot by chunk number
+     and records every filed chunk that is now next in sampling order, so
+     entries, counters and every periodic checkpoint come out in the same
+     order, byte for byte, at every jobs level. Worker 0 runs on the
+     calling domain and [jobs - 1] domains are spawned: at [jobs = 1]
+     nothing is spawned and the lock is never contended. When profiling,
+     every accumulator below is owned by exactly one worker (slots by
+     worker index) or updated under the record lock, so the profiler adds
+     no contention of its own. *)
   let points_arr = Array.of_list points in
   let record_range lo arr = Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr in
   let cursor = Atomic.make 0 in
@@ -404,8 +350,47 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let stage_slots = Array.init jobs (fun _ -> Eval.fresh_stages ()) in
   let point_slots = Array.make jobs 0 in
   let send_slots = Array.init jobs (fun _ -> ref 0.0) in
+  let record_slots = Array.init jobs (fun _ -> ref 0.0) in
   let wall_slots = Array.make jobs 0.0 in
-  let worker k send =
+  (* Under [lock]: chunks filed ahead of [next] (the first chunk not yet
+     recorded) wait in [filed], and [failure] keeps the first exception a
+     worker raised. *)
+  let lock = Mutex.create () in
+  let filed = Array.make ((total + chunk - 1) / chunk) None in
+  let next = ref 0 in
+  let parked = ref 0 in
+  let max_parked = ref 0 in
+  let failure = ref None in
+  let fail_locked e bt =
+    if Option.is_none !failure then failure := Some (e, bt);
+    Atomic.set stop true
+  in
+  let rec record_filed () =
+    match if !next < Array.length filed then filed.(!next) else None with
+    | None -> ()
+    | Some arr ->
+      filed.(!next) <- None;
+      decr parked;
+      record_range (!next * chunk) arr;
+      incr next;
+      record_filed ()
+  in
+  (* Send-block is the wait for the lock, timed only when [try_lock]
+     fails. A failed record (a checkpoint flush) stops the sweep, and
+     nothing is recorded after it. *)
+  let send k lo arr =
+    if not (Mutex.try_lock lock) then timed send_slots.(k) (fun () -> Mutex.lock lock);
+    (if Option.is_none !failure then
+       try
+         timed record_slots.(k) (fun () ->
+             filed.(lo / chunk) <- Some arr;
+             incr parked;
+             record_filed ();
+             max_parked := max !max_parked !parked)
+       with e -> fail_locked e (Printexc.get_raw_backtrace ()));
+    Mutex.unlock lock
+  in
+  let worker k =
     let stages = if profile then Some stage_slots.(k) else None in
     let t_w0 = if profile then Unix.gettimeofday () else 0.0 in
     let rec loop () =
@@ -427,8 +412,8 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
             if should_stop () then Atomic.set stop true
           done;
           (* A range cut short by a stop request goes out shorter; one
-             the stop emptied goes out not at all (the collector's
-             post-join sweep releases past the gap). *)
+             the stop emptied goes out not at all (the post-join sweep
+             records past the gap). *)
           if !n > 0 then send k lo (if !n = Array.length buf then buf else Array.sub buf 0 !n);
           loop ()
         end
@@ -437,94 +422,48 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     loop ();
     if profile then begin
       wall_slots.(k) <- Unix.gettimeofday () -. t_w0;
-      if obs_prof then Obs.count ~by:point_slots.(k) (Printf.sprintf "dse.claims.w%d" (k + 1))
+      if obs_prof then Obs.count ~by:point_slots.(k) (Printf.sprintf "dse.claims.w%d" k)
     end
   in
-  let chan : msg Chan.t = Chan.create () in
-  let recv_block = ref 0.0 in
-  let reorder_stall = ref 0.0 in
-  let max_pending = ref 0 in
-  (* Seconds a [jobs = 1] worker's [send] spent recording. *)
-  let inline_seconds = ref 0.0 in
+  let guard f =
+    try f ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.protect lock (fun () -> fail_locked e bt)
+  in
   let t_loop0 = if profile then Unix.gettimeofday () else 0.0 in
-  if jobs = 1 then worker 0 (fun _ lo arr -> timed inline_seconds (fun () -> record_range lo arr))
-  else begin
-    let send k lo arr =
-      if profile then begin
-        let acc = send_slots.(k) in
-        let before = !acc in
-        Chan.push ~wait:acc chan (Chunk (lo, arr));
-        if obs_prof then Obs.observe "dse.chan.send_wait_us" ((!acc -. before) *. 1e6)
-      end
-      else Chan.push chan (Chunk (lo, arr))
-    in
-    let domains =
-      List.init jobs (fun k ->
+  (* Spawned workers' telemetry lands in per-domain buffers, one trace
+     lane each; worker 0's stays on the calling domain's. A spawn that
+     fails stops the sweep like any other worker exception. *)
+  let domains = ref [] in
+  guard (fun () ->
+      for k = 1 to jobs - 1 do
+        let d =
           Domain.spawn (fun () ->
-              Fun.protect
-                ~finally:(fun () -> Chan.push chan Worker_done)
-                (fun () -> Obs.with_domain_buffer ~track:(k + 1) (fun () -> worker k send))))
-    in
-    (* Reorder buffer: ranges arrive in completion order, keyed by their
-       first index; release them in index order. Arrival stamps
-       (profiling only) measure how long out-of-order ranges sit parked
-       before their predecessor completes. *)
-    let pending = Hashtbl.create 64 in
-    let next_emit = ref 0 in
-    let live_workers = ref jobs in
-    let release () =
-      let rec go () =
-        match Hashtbl.find_opt pending !next_emit with
-        | None -> ()
-        | Some (arr, arrived) ->
-          Hashtbl.remove pending !next_emit;
-          if profile then
-            reorder_stall := !reorder_stall +. Float.max 0.0 (Unix.gettimeofday () -. arrived);
-          let lo = !next_emit in
-          record_range lo arr;
-          next_emit := lo + Array.length arr;
-          go ()
-      in
-      go ()
-    in
-    (* The collector's own telemetry (recv-wait samples, checkpoint
-       spans, progress ticks) goes through a track-0 domain buffer too,
-       so it never contends with worker flushes mid-sweep. *)
-    Obs.with_domain_buffer ~track:0 (fun () ->
-        let wait = if profile then Some recv_block else None in
-        while !live_workers > 0 do
-          let before = !recv_block in
-          let m = Chan.pop ?wait chan in
-          if obs_prof then Obs.observe "dse.chan.recv_wait_us" ((!recv_block -. before) *. 1e6);
-          match m with
-          | Worker_done -> decr live_workers
-          | Chunk (lo, arr) ->
-            Hashtbl.replace pending lo (arr, if profile then Unix.gettimeofday () else 0.0);
-            if profile then max_pending := max !max_pending (Hashtbl.length pending);
-            release ()
-        done;
-        List.iter Domain.join domains;
-        (* A tripped deadline can leave completed ranges beyond a gap (a
-           truncated range whose successors finished whole). Release them
-           too, still in index order: the checkpoint format addresses
-           entries by index, so a resumed sweep reuses every one of
-           them. *)
-        Hashtbl.fold (fun lo (arr, _) acc -> (lo, arr) :: acc) pending []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-        |> List.iter (fun (lo, arr) -> record_range lo arr))
-  end;
+              guard (fun () -> Obs.with_domain_buffer ~track:k (fun () -> worker k)))
+        in
+        domains := d :: !domains
+      done);
+  guard (fun () -> worker 0);
+  List.iter Domain.join !domains;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
+  (* A tripped deadline can leave chunks filed beyond a gap (a chunk the
+     stop emptied, whose successors finished). Record them too, still in
+     index order: the checkpoint format addresses entries by index, so a
+     resumed sweep reuses every one of them. *)
+  let tail_seconds = ref 0.0 in
+  timed tail_seconds (fun () ->
+      for c = !next to Array.length filed - 1 do
+        Option.iter (record_range (c * chunk)) filed.(c)
+      done);
   let attribution =
     if not profile then None
     else begin
       let wall = Unix.gettimeofday () -. t_loop0 in
-      (* At [jobs = 1] the collector is the worker's own [send], busy only
-         while it records; the worker's wall leaves that time out. At
-         [jobs > 1] the collector runs, or waits, for the whole loop. *)
-      let c_wall = if jobs = 1 then !inline_seconds else wall in
-      if obs_prof then begin
-        Obs.gauge "dse.chan.max_queue_depth" (float_of_int chan.Chan.max_depth);
-        Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_pending)
-      end;
+      (* The collector is every second spent recording, by whichever
+         worker held the lock; each worker's wall leaves its own out. *)
+      let c_wall = Array.fold_left (fun acc r -> acc +. !r) !tail_seconds record_slots in
+      if obs_prof then Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_parked);
       Some
         {
           Profile.jobs;
@@ -532,7 +471,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
           workers =
             List.init jobs (fun k ->
                 let a = stage_slots.(k) in
-                let w_wall_s = wall_slots.(k) -. !inline_seconds in
+                let w_wall_s = wall_slots.(k) -. !(record_slots.(k)) in
                 let send_block = !(send_slots.(k)) in
                 let accounted =
                   a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze +. a.Eval.s_estimate
@@ -552,13 +491,10 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
           collector =
             {
               Profile.c_wall_s = c_wall;
-              c_recv_block_s = !recv_block;
-              c_reorder_stall_s = !reorder_stall;
               c_write_s = !write_seconds;
-              c_merge_s = Float.max 0.0 (c_wall -. !recv_block -. !write_seconds);
+              c_merge_s = Float.max 0.0 (c_wall -. !write_seconds);
             };
-          max_queue_depth = chan.Chan.max_depth;
-          max_reorder_occupancy = !max_pending;
+          max_reorder_occupancy = !max_parked;
         }
     end
   in

@@ -13,12 +13,12 @@
 
     Sweeps are configured through a {!Config.t} record, built only by
     {!Config.make}. One loop runs every sweep: workers claim contiguous
-    index {e chunks} of 16 points, and a collector records the outcomes
-    in sampling-index order. At [Config.jobs = 1] the one worker runs on
-    the calling domain and records each chunk itself; at [jobs > 1] the
-    workers run on their own domains and the calling domain collects.
-    Results and checkpoint files are bit-identical across every jobs
-    level and {!Eval} cache temperature.
+    index {e chunks} of 16 points, and a worker that finishes a chunk
+    records, under the sweep's one lock, every finished chunk that is
+    next in sampling-index order. Worker 0 is the calling domain and
+    [Config.jobs - 1] domains are spawned. Results and checkpoint files
+    are bit-identical across every jobs level and {!Eval} cache
+    temperature.
 
     Per-point evaluation itself — generate → lint/absint → estimate
     behind the design-key caches — lives in {!Eval}; [run] takes the
@@ -95,9 +95,8 @@ type result = {
       (** Where every worker- and collector-second went ([Some] iff
           [Config.profile] was set): per-worker
           {generate, analyze, estimate, send-block, idle} and collector
-          {recv-block, reorder-stall, write, merge} accounting, plus peak
-          channel queue depth and reorder-buffer occupancy. See
-          {!Profile}. *)
+          (recording under the record lock) {write, merge} accounting,
+          plus the peak of parked chunks. See {!Profile}. *)
 }
 
 (** Sweep configuration: one validated record instead of the
@@ -120,8 +119,8 @@ module Config : sig
             [sym_pruned] and are never generated; every other point runs
             the full pipeline. *)
     jobs : int;
-        (** Workers (default 1). At 1 the calling domain is the only
-            worker; above 1 that many domains are spawned. *)
+        (** Workers (default 1): the calling domain and [jobs - 1]
+            spawned domains, so at 1 none is spawned. *)
     tick_every : int;  (** Progress tick on stderr every N points; 0 off. *)
     checkpoint : string option;  (** JSONL checkpoint path. *)
     checkpoint_every : int;  (** Periodic write cadence; 0 = only at end. *)
@@ -130,8 +129,8 @@ module Config : sig
     profile : bool;
         (** Attribute worker/collector time (see {!Profile}); fills
             [result.attribution]. Independent of the Obs sink — when both
-            are on, wait histograms and per-worker point counters are also
-            recorded. Off (the default) the sweep pays only a per-stage
+            are on, the parked-chunk gauge and per-worker point counters
+            are also recorded. Off (the default) the sweep pays only a per-stage
             branch, keeping jobs=1 throughput within noise of unprofiled
             builds. *)
     stop_requested : (unit -> bool) option;
@@ -216,15 +215,14 @@ val run :
     ([sym_pruned] vs [absint_pruned]/[dep_pruned]).
 
     {b One loop at every jobs level.} Workers claim contiguous runs of
-    16 point indices (a {e chunk}) from a shared atomic cursor, evaluate
-    each chunk into a buffer only they own, and hand it to the collector,
-    which records outcomes in sampling-index order. With
-    [config.jobs = 1] the one worker is the calling domain, no domain is
-    spawned, and each chunk is recorded as soon as it is computed, so a
-    process may still fork after such a sweep. With [config.jobs = n > 1],
-    [n] worker domains send the collector (the calling domain) one
-    message per chunk, and it merges whole chunks back in sampling-index
-    order through a chunk-granular reorder buffer. Because sampling is
+    16 point indices (a {e chunk}) from a shared atomic cursor and
+    evaluate each chunk into a buffer only they own. A worker that
+    finishes a chunk takes the sweep's one record lock, files the chunk
+    by its chunk number, and records every filed chunk that is now next
+    in sampling-index order. Worker 0 is the calling domain and
+    [config.jobs - 1] domains are spawned: with [config.jobs = 1] no
+    domain is spawned and each chunk is recorded as soon as it is
+    computed, so a process may still fork after such a sweep. Because sampling is
     seeded, fault sites are keyed per point index
     ({!Dhdl_util.Faults.with_key}) and the pipeline shares no mutable
     per-sweep state (the {!Eval} caches memoize pure functions of the
@@ -233,10 +231,16 @@ val run :
     jobs level and cache temperature; only
     [elapsed_seconds]/[cpu_seconds] differ. The estimator and generator
     must not hide process-global mutable state for this to hold (every
-    in-tree app and the estimator satisfy this). Worker domains'
+    in-tree app and the estimator satisfy this). Spawned workers'
     telemetry lands in per-domain scratch buffers
-    ({!Dhdl_obs.Obs.with_domain_buffer}), and only the collector writes
-    the checkpoint file.
+    ({!Dhdl_obs.Obs.with_domain_buffer}), and only the holder of the
+    record lock writes the checkpoint file.
+
+    {b Failure.} An exception in any worker — a failed checkpoint flush
+    ([Sys_error] naming the file), a failed [Domain.spawn] — stops every
+    worker, and nothing is recorded after it. [run] re-raises the first
+    one unchanged, and only once every spawned domain has been joined,
+    so no worker outlives the call.
 
     {b Fault isolation.} Each point runs inside an exception barrier: an
     exception from the generator, the lint pass, or the estimator — or an
@@ -264,9 +268,9 @@ val run :
     consuming points once [d] seconds have elapsed, flags the result
     [truncated], and still writes a final checkpoint — so a later resume
     finishes the job. Under [jobs > 1] the deadline stops every worker
-    from pulling further indices; already-completed points beyond a
-    truncation gap are kept (the checkpoint addresses entries by index,
-    so a resume reuses them all).
+    from pulling further indices; already-completed chunks beyond a
+    truncation gap are recorded after the join (the checkpoint addresses
+    entries by index, so a resume reuses them all).
 
     When the {!Dhdl_obs.Obs} sink is enabled the sweep records counters
     ([dse.points_sampled] / [dse.lint_pruned] / [dse.absint_pruned] /
@@ -276,8 +280,9 @@ val run :
     [dse.index.miss] / [dse.index.evict]
     / [dse.failed.generator] / [dse.failed.lint] /
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
-    at zero — plus [dse.resumed] on resume; the collector counts each
-    outcome once, a reused point only under [dse.resumed]), a
+    at zero — plus [dse.resumed] on resume; each outcome is counted
+    once, when it is recorded, a reused point only under
+    [dse.resumed]), a
     [dse.ms_per_design] histogram over estimated points, a per-point
     [dse.point] span for every 100th point, and a progress tick on stderr
     every [tick_every] points (default 1000). With the sink disabled (the
@@ -285,17 +290,18 @@ val run :
 
     {b Profiling.} With [config.profile = true] the sweep additionally
     attributes every worker-second to
-    {generate, cache-probe, analyze, estimate, send-block, idle} and every
-    collector-second to {recv-block, reorder-stall, write, merge},
+    {generate, cache-probe, analyze, estimate, send-block, idle}
+    (send-block is the wait for the record lock) and every second spent
+    recording under that lock — the collector — to {write, merge},
     returning the breakdown in [result.attribution] (see {!Profile}).
-    Attribution accumulators are owned by exactly one domain each, so
-    profiling adds no cross-domain contention and — because it never
-    touches the point pipeline's inputs — leaves results and checkpoints
-    bit-identical to unprofiled runs at every jobs level. When the Obs
-    sink is {e also} enabled, the sweep records [dse.chan.max_queue_depth]
-    / [dse.reorder.max_occupancy] gauges and per-worker [dse.claims.w<k>]
-    counters of the points each worker computed, and at [jobs > 1]
-    [dse.chan.send_wait_us] / [dse.chan.recv_wait_us] wait histograms. *)
+    Attribution accumulators are owned by exactly one worker each or
+    kept under the record lock, so profiling adds no cross-domain
+    contention and — because it never touches the point pipeline's
+    inputs — leaves results and checkpoints bit-identical to unprofiled
+    runs at every jobs level. When the Obs sink is {e also} enabled, the
+    sweep records the [dse.reorder.max_occupancy] gauge (peak parked
+    chunks) and per-worker [dse.claims.w<k>] counters of the points
+    worker [k] computed. *)
 
 val unfit_count : result -> int
 (** Evaluated points that do not fit the device ([valid = false]) —

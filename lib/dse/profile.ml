@@ -14,8 +14,6 @@ type worker = {
 
 type collector = {
   c_wall_s : float;
-  c_recv_block_s : float;
-  c_reorder_stall_s : float;
   c_write_s : float;
   c_merge_s : float;
 }
@@ -25,7 +23,6 @@ type t = {
   wall_s : float;
   workers : worker list;
   collector : collector;
-  max_queue_depth : int;
   max_reorder_occupancy : int;
 }
 
@@ -57,14 +54,11 @@ let contention_fraction t =
 let stall_fraction t = frac t (List.fold_left (fun acc w -> acc +. w.w_idle_s) 0.0 t.workers)
 
 (* The resources a sweep can contend on, with the seconds lost to each:
-   the worker side of the collector channel (send block), the collector
-   side (recv block counts only against scaling when the collector is the
-   bottleneck, but it is the number to watch), and the checkpoint write. *)
+   the record lock workers wait for (send block), and the checkpoint
+   write that whoever holds it may be doing. *)
 let contenders t =
   [
-    ("collector-channel send", List.fold_left (fun a w -> a +. w.w_send_block_s) 0.0 t.workers);
-    ("collector-channel recv", t.collector.c_recv_block_s);
-    ("reorder buffer", t.collector.c_reorder_stall_s);
+    ("record lock", List.fold_left (fun a w -> a +. w.w_send_block_s) 0.0 t.workers);
     ("checkpoint write", t.collector.c_write_s);
   ]
 
@@ -102,13 +96,9 @@ let render t =
   let c = t.collector in
   Buffer.add_string buf
     (Printf.sprintf
-       "  collector: wall %.4f s — recv-block %.4f s, checkpoint write %.4f s, merge %.4f s\n"
-       c.c_wall_s c.c_recv_block_s c.c_write_s c.c_merge_s);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  reorder buffer: %.4f s total parked latency (overlaps recv-block), max occupancy %d; \
-        channel max depth %d\n"
-       c.c_reorder_stall_s t.max_reorder_occupancy t.max_queue_depth);
+       "  collector: %.4f s recording under the record lock — checkpoint write %.4f s, merge \
+        %.4f s; at most %d chunk(s) parked\n"
+       c.c_wall_s c.c_write_s c.c_merge_s t.max_reorder_occupancy);
   Buffer.contents buf
 
 let worker_json w =
@@ -121,9 +111,8 @@ let to_json t =
   let c = t.collector in
   let top_name, top_s = top_contender t in
   Printf.sprintf
-    "{\"jobs\":%d,\"wall_s\":%.6f,\"worker_seconds\":%.6f,\"work_frac\":%.6f,\"contention_frac\":%.6f,\"stall_frac\":%.6f,\"top_contender\":\"%s\",\"top_contender_s\":%.6f,\"workers\":[%s],\"collector\":{\"wall_s\":%.6f,\"recv_block_s\":%.6f,\"reorder_stall_s\":%.6f,\"write_s\":%.6f,\"merge_s\":%.6f},\"max_queue_depth\":%d,\"max_reorder_occupancy\":%d}"
+    "{\"jobs\":%d,\"wall_s\":%.6f,\"worker_seconds\":%.6f,\"work_frac\":%.6f,\"contention_frac\":%.6f,\"stall_frac\":%.6f,\"top_contender\":\"%s\",\"top_contender_s\":%.6f,\"workers\":[%s],\"collector\":{\"wall_s\":%.6f,\"write_s\":%.6f,\"merge_s\":%.6f},\"max_reorder_occupancy\":%d}"
     t.jobs t.wall_s (worker_seconds t) (work_fraction t) (contention_fraction t)
     (stall_fraction t) top_name top_s
     (String.concat "," (List.map worker_json t.workers))
-    c.c_wall_s c.c_recv_block_s c.c_reorder_stall_s c.c_write_s c.c_merge_s t.max_queue_depth
-    t.max_reorder_occupancy
+    c.c_wall_s c.c_write_s c.c_merge_s t.max_reorder_occupancy

@@ -6,26 +6,27 @@
     {- worker time splits into [generate] (design elaboration),
        [cache-probe] (deriving design keys and probing/filling the
        {!Eval} caches), [analyze] (lint + abstract interpretation),
-       [estimate] (the area/cycle/NN estimator), [send-block] (blocked acquiring the
-       collector-channel mutex — {e contention}), and [idle] (the residual:
-       cursor claims, fault-key bookkeeping, loop overhead — {e stall});}
-    {- collector time splits into [recv-block] (blocked waiting for worker
-       messages), [checkpoint write], and [merge] (releasing outcomes and
-       accounting — the residual);}
-    {- the reorder buffer reports the total latency outcomes spent parked
-       out of sampling-index order (this {e overlaps} recv-block: the
-       collector is usually blocked while an entry is parked) plus its
-       peak occupancy;}
-    {- at [jobs = 1] the collector is the one worker's own hand-off of
-       each chunk: its wall is the time spent recording outcomes and
-       writing the checkpoint, which the worker's wall leaves out, and
-       recv-block, reorder-stall and send-block are 0.}}
+       [estimate] (the area/cycle/NN estimator), [send-block] (waiting
+       for the sweep's record lock while another worker records —
+       {e contention}; timed only when [Mutex.try_lock] fails, so exactly
+       0 at [jobs = 1]), and [idle] (the residual: cursor claims,
+       fault-key bookkeeping, loop overhead — {e stall});}
+    {- the collector is no thread of its own: it is every second any
+       worker spent recording chunks under the record lock, split into
+       [checkpoint write] and [merge] (recording outcomes and accounting
+       — the residual). Each worker's wall leaves its own recording
+       seconds out, so at [jobs = 1] the worker's wall plus the
+       collector's is the sweep's wall;}
+    {- [max_reorder_occupancy] is the most chunks ever parked: filed
+       ahead of an earlier chunk that was still being computed (0 at
+       [jobs = 1], where chunks finish in index order).}}
 
     Attribution is measured with plain [Unix.gettimeofday] stamps
     accumulated into per-worker records that only the owning domain
-    writes, so profiling itself adds no cross-domain contention; it is
-    entirely independent of the {!Dhdl_obs.Obs} sink (which, when also
-    enabled, additionally receives wait histograms and per-domain
+    writes, or under the record lock the sweep takes anyway, so
+    profiling itself adds no cross-domain contention; it is entirely
+    independent of the {!Dhdl_obs.Obs} sink (which, when also enabled,
+    additionally receives the occupancy gauge and per-worker
     counters). *)
 
 type worker = {
@@ -34,7 +35,9 @@ type worker = {
       (** Points this worker computed. Points reused from a checkpoint
           count for no worker, so the workers' sum is
           [processed - resumed] at every jobs level. *)
-  w_wall_s : float;  (** The worker's own wall-clock span. *)
+  w_wall_s : float;
+      (** The worker's own wall-clock span, less the seconds it spent
+          recording (those are the collector's). *)
   w_generate_s : float;
   w_probe_s : float;
       (** Design-key derivation + {!Eval} cache probes and fills — kept
@@ -42,27 +45,22 @@ type worker = {
           masquerades as analysis work. *)
   w_analyze_s : float;  (** Lint + absint + dependence checking (misses only). *)
   w_estimate_s : float;
-  w_send_block_s : float;  (** Blocked sending to the collector channel. *)
+  w_send_block_s : float;  (** Waiting for the record lock. *)
   w_idle_s : float;  (** Residual: [wall - (the five above)], clamped at 0. *)
 }
 
 type collector = {
-  c_wall_s : float;
-  c_recv_block_s : float;  (** Blocked waiting on the channel. *)
-  c_reorder_stall_s : float;
-      (** Total time outcomes sat parked in the reorder buffer waiting for
-          a preceding index; overlaps [c_recv_block_s]. *)
+  c_wall_s : float;  (** Seconds spent recording, summed over workers. *)
   c_write_s : float;  (** Checkpoint serialization + file writes. *)
-  c_merge_s : float;  (** Residual: releasing/accounting outcomes. *)
+  c_merge_s : float;  (** Residual: recording/accounting outcomes. *)
 }
 
 type t = {
   jobs : int;
   wall_s : float;  (** Whole-sweep wall clock. *)
-  workers : worker list;  (** One per worker domain, in index order. *)
+  workers : worker list;  (** One per worker, in index order (worker 0 is the calling domain). *)
   collector : collector;
-  max_queue_depth : int;  (** Peak collector-channel queue length. *)
-  max_reorder_occupancy : int;  (** Peak parked entries in the reorder buffer. *)
+  max_reorder_occupancy : int;  (** Peak chunks parked ahead of an unrecorded one. *)
 }
 
 val worker_seconds : t -> float
@@ -73,7 +71,7 @@ val work_fraction : t -> float
     (generate + cache-probe + analyze + estimate). *)
 
 val contention_fraction : t -> float
-(** Share of accounted worker time blocked on shared resources
+(** Share of accounted worker time blocked on the record lock
     (send-block). *)
 
 val stall_fraction : t -> float
@@ -82,8 +80,8 @@ val stall_fraction : t -> float
     (fractions are taken over the accounted sum, not raw wall time). *)
 
 val contenders : t -> (string * float) list
-(** Seconds lost per contended resource: collector-channel send / recv,
-    reorder buffer, checkpoint write. *)
+(** Seconds lost per contended resource: the record lock (send-block
+    summed over workers) and the checkpoint write. *)
 
 val top_contender : t -> string * float
 (** The {!contenders} entry with the most seconds ([("none", 0.)] when
@@ -91,7 +89,8 @@ val top_contender : t -> string * float
 
 val render : t -> string
 (** Human-readable attribution report: headline fractions, top contended
-    resource, a per-worker table, and the collector breakdown. *)
+    resource, a per-worker table, and the collector breakdown with the
+    peak parked chunks. *)
 
 val to_json : t -> string
 (** The whole record as one JSON object (fractions included), embeddable

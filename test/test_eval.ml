@@ -352,7 +352,7 @@ let km_sweep ?(jobs = 1) ?checkpoint ?resume ev =
   Explore.run cfg ev ~space:(km_space sizes) ~generate:(fun p -> km_generate sizes p)
 
 (* ------------------------------------------------------------------ *)
-(* Outcome counters: each outcome counted once, by the collector       *)
+(* Outcome counters: each outcome counted once, when it is recorded    *)
 (* ------------------------------------------------------------------ *)
 
 (* Each dse.* outcome counter, beside the result's count it must equal. *)

@@ -3,7 +3,8 @@
    that a [jobs > 1] sweep — run on real worker domains, with 5% mixed
    faults injected — produces results and checkpoint files bit-identical
    to the [jobs = 1] sweep, including across resume and deadline
-   truncation. Runs under both `dune runtest` and the focused
+   truncation, and that a worker's failure is raised only after every
+   worker domain has stopped. Runs under both `dune runtest` and the focused
    `dune build @par` pre-merge alias. *)
 
 module Faults = Dhdl_util.Faults
@@ -179,6 +180,46 @@ let test_parallel_deadline () =
   check_bool "evaluations match from-scratch sweep" true
     (finished.Explore.evaluations = reference.Explore.evaluations)
 
+(* ------------- a failed worker leaves no domain running -------------- *)
+
+(* A checkpoint flush that fails at jobs = 4 (the checkpoint path is a
+   directory) raises out of [Explore.run] with the flush's own
+   [Sys_error], and only once every worker domain has stopped: neither
+   the generator nor the stop hook, which every worker polls after each
+   point, is called after the raise. Spawned workers sleep 2 ms per
+   generated design, so whenever the calling domain could return, they
+   are in mid-point. *)
+let test_failed_flush_joins_workers () =
+  let est = Lazy.force estimator in
+  let app = Dhdl_apps.Registry.find "gda" in
+  let sizes = app.App.paper_sizes in
+  let dir = tmp "checkpoint_dir" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let calls = Atomic.make 0 and polls = Atomic.make 0 in
+  let self = Domain.self () in
+  let generate p =
+    Atomic.incr calls;
+    if Domain.self () <> self then Unix.sleepf 0.002;
+    app.App.generate ~sizes ~params:p
+  in
+  let stop_requested () =
+    Atomic.incr polls;
+    false
+  in
+  let cfg =
+    Explore.Config.make ~max_points:2000 ~jobs:4 ~checkpoint:dir ~checkpoint_every:16
+      ~stop_requested ()
+  in
+  (match Explore.run cfg (Eval.create est) ~space:(app.App.space sizes) ~generate with
+  | _ -> Alcotest.fail "a sweep whose checkpoint is a directory returned"
+  | exception Sys_error msg ->
+    check_bool "the error names the checkpoint" true (String.starts_with ~prefix:dir msg));
+  let calls_at_raise = Atomic.get calls and polls_at_raise = Atomic.get polls in
+  Unix.sleepf 0.2;
+  check_int "no generator call after the raise" calls_at_raise (Atomic.get calls);
+  check_int "no point finished after the raise" polls_at_raise (Atomic.get polls);
+  Sys.rmdir dir
+
 (* ---------------------- telemetry under domains ---------------------- *)
 
 let counters_of () =
@@ -237,6 +278,9 @@ let () =
           Alcotest.test_case "parallel resume" `Quick test_parallel_resume;
           Alcotest.test_case "parallel deadline" `Quick test_parallel_deadline;
         ] );
+      ( "failure",
+        [ Alcotest.test_case "failed flush joins every worker" `Quick
+            test_failed_flush_joins_workers ] );
       ( "telemetry",
         [
           Alcotest.test_case "counter totals across jobs" `Quick test_parallel_counters;

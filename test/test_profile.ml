@@ -261,6 +261,26 @@ let test_parallel_attribution () =
     && attr.Profile.max_reorder_occupancy <= r.Explore.processed);
   check_fractions attr
 
+(* The lanes add up on the real sweep. At jobs = 1 the worker's wall and
+   the collector's (the seconds it spent recording) make the sweep's
+   wall, within 2 ms or 2%; at jobs = 3 no contended resource held more
+   seconds than the workers ran. *)
+let test_attribution_adds_up () =
+  let est = Lazy.force estimator in
+  let path = tmp "adds_up.jsonl" in
+  let a = attr_of (run_sweep ~checkpoint:path est) in
+  Sys.remove path;
+  let w = List.hd a.Profile.workers in
+  let sum = w.Profile.w_wall_s +. a.Profile.collector.Profile.c_wall_s in
+  if Float.abs (sum -. a.Profile.wall_s) > Float.max 0.002 (0.02 *. a.Profile.wall_s) then
+    Alcotest.failf "jobs=1: worker %.6f s + collector %.6f s = %.6f s, sweep wall %.6f s"
+      w.Profile.w_wall_s a.Profile.collector.Profile.c_wall_s sum a.Profile.wall_s;
+  let a = attr_of (run_sweep ~jobs:3 est) in
+  let name, secs = Profile.top_contender a in
+  if secs > Profile.worker_seconds a then
+    Alcotest.failf "jobs=3: top contender %s %.6f s exceeds %.6f worker-seconds" name secs
+      (Profile.worker_seconds a)
+
 (* A worker's points are the points it computed. Resumed from half a
    checkpoint, the reused half belongs to no worker, at either jobs
    level. *)
@@ -303,14 +323,11 @@ let test_attribution_with_obs_instrumentation () =
   let attr = attr_of r in
   check_fractions attr;
   (* With both profiling and the sink on, cursor claims surface as
-     per-domain counters that partition the processed points. *)
+     per-worker counters that partition the processed points. *)
   check_int "claim counters partition the points" r.Explore.processed
-    (Obs.counter_value "dse.claims.w1" + Obs.counter_value "dse.claims.w2");
-  let snap = Obs.snapshot () in
-  check_bool "wait histograms recorded" true
-    (List.mem_assoc "dse.chan.recv_wait_us" snap.Obs.snap_hists);
-  check_bool "queue-depth gauge recorded" true
-    (List.mem_assoc "dse.chan.max_queue_depth" snap.Obs.snap_gauges)
+    (Obs.counter_value "dse.claims.w0" + Obs.counter_value "dse.claims.w1");
+  check_bool "occupancy gauge recorded" true
+    (List.mem_assoc "dse.reorder.max_occupancy" (Obs.snapshot ()).Obs.snap_gauges)
 
 let test_attribution_json () =
   let r = run_sweep ~jobs:2 (Lazy.force estimator) in
@@ -318,8 +335,39 @@ let test_attribution_json () =
   List.iter
     (fun needle -> check_bool ("json has " ^ needle) true (contains json needle))
     [ "\"jobs\":2"; "\"work_frac\":"; "\"contention_frac\":"; "\"stall_frac\":";
-      "\"top_contender\":"; "\"workers\":["; "\"collector\":{"; "\"max_queue_depth\":";
-      "\"max_reorder_occupancy\":" ]
+      "\"top_contender\":"; "\"workers\":["; "\"collector\":{"; "\"max_reorder_occupancy\":" ]
+
+(* [dhdl profile] sweeps every level on a fresh Eval.t: a second jobs=1
+   level analyzes its points again instead of answering them from the
+   first level's caches. *)
+let dhdl_exe = Filename.concat (Filename.concat ".." "bin") "dhdl.exe"
+
+let test_cli_levels_start_cold () =
+  let args =
+    [| dhdl_exe; "profile"; "--app"; "dotproduct"; "--jobs"; "1,1"; "--points"; "60";
+       "--train-samples"; "40"; "--json" |]
+  in
+  let ic = Unix.open_process_args_in dhdl_exe args in
+  let out = In_channel.input_all ic in
+  check_bool "profile exits 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+  let module J = Dhdl_util.Json in
+  let list name j = Option.value ~default:[] (Option.bind (J.member name j) J.to_list) in
+  match J.parse out with
+  | Error msg -> Alcotest.failf "dhdl profile --json does not parse: %s" msg
+  | Ok json -> (
+    match list "levels" json with
+    | [ _; second ] ->
+      let workers =
+        Option.fold ~none:[] ~some:(list "workers") (J.member "attribution" second)
+      in
+      check_int "one worker at jobs=1" 1 (List.length workers);
+      List.iter
+        (fun w ->
+          let analyze = Option.bind (J.member "analyze_s" w) J.to_float in
+          check_bool "the second level analyzes its points" true
+            (match analyze with Some s -> s > 0.0 | None -> false))
+        workers
+    | levels -> Alcotest.failf "expected 2 levels, got %d" (List.length levels))
 
 let () =
   Alcotest.run "profile"
@@ -350,11 +398,13 @@ let () =
           Alcotest.test_case "off by default" `Quick test_off_by_default;
           Alcotest.test_case "sequential split" `Quick test_sequential_attribution;
           Alcotest.test_case "parallel split" `Quick test_parallel_attribution;
+          Alcotest.test_case "lanes add up" `Quick test_attribution_adds_up;
           Alcotest.test_case "resumed points are no worker's" `Quick
             test_resumed_points_are_no_workers;
           Alcotest.test_case "checkpoints bit-identical" `Quick
             test_profiling_keeps_checkpoints_bit_identical;
           Alcotest.test_case "obs instrumentation" `Quick test_attribution_with_obs_instrumentation;
           Alcotest.test_case "json payload" `Quick test_attribution_json;
+          Alcotest.test_case "dhdl profile levels start cold" `Quick test_cli_levels_start_cold;
         ] );
     ]
