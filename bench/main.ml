@@ -135,8 +135,8 @@ let run_ablations ~quick () =
      gda and for kmeans (whose gate refutes about 40% of its points), as
      points/s, each session's major collections and minor words, and
      profiled collector write seconds, plus one untimed session's
-     generator calls (gate probes included) and its [dse.index.hit]
-     count.
+     generator calls (its gate is the family's memo, which generates
+     nothing) and its [dse.index.hit] count.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
@@ -363,8 +363,8 @@ let run_dseperf ~quick () =
     let sessions = List.map (fun (r, _, _) -> r) runs in
     let profiled = repeat (fun () -> session ev ~space ~generate ~profile:true ()) in
     (* One more, untimed session counts what a warm point still elaborates
-       (gate probes included) and how many points the point index
-       answered. *)
+       (the gate, memoized by family, elaborates nothing) and how many
+       points the point index answered. *)
     let generate_calls, index_hits =
       let calls = ref 0 in
       let counted p =

@@ -469,13 +469,7 @@ let experiments_cmd =
     (* All experiments share one pipeline, so overlapping sweeps (fig5's
        points recur in fig6 and the ablations) hit the cache. *)
     let est () = Option.get ev in
-    (match which with
-    | `T2 -> print_string (Experiments.render_table2 ())
-    | `T3 -> print_string (Experiments.render_table3 (Experiments.table3 ~seed (est ())))
-    | `T4 -> print_string (Experiments.render_table4 (Experiments.table4 ~seed (est ())))
-    | `F5 -> print_string (Experiments.render_fig5 (Experiments.fig5 ~seed ~max_points:points (est ())))
-    | `F6 -> print_string (Experiments.render_fig6 (Experiments.fig6 ~seed ~max_points:points (est ())))
-    | `Abl ->
+    let print_ablations () =
       print_string
         (Experiments.render_ablations
            (Experiments.ablation_metapipe ~seed (est ()))
@@ -484,6 +478,14 @@ let experiments_cmd =
         (Experiments.render_sampling "gda" (Experiments.ablation_sampling ~seed (est ())));
       print_string (Experiments.render_device (Experiments.ablation_device ~seed (est ())));
       print_string (Experiments.render_bandwidth (Experiments.ablation_bandwidth ~seed (est ())))
+    in
+    (match which with
+    | `T2 -> print_string (Experiments.render_table2 ())
+    | `T3 -> print_string (Experiments.render_table3 (Experiments.table3 ~seed (est ())))
+    | `T4 -> print_string (Experiments.render_table4 (Experiments.table4 ~seed (est ())))
+    | `F5 -> print_string (Experiments.render_fig5 (Experiments.fig5 ~seed ~max_points:points (est ())))
+    | `F6 -> print_string (Experiments.render_fig6 (Experiments.fig6 ~seed ~max_points:points (est ())))
+    | `Abl -> print_ablations ()
     | `All ->
       print_string (Experiments.render_table2 ());
       print_newline ();
@@ -495,10 +497,7 @@ let experiments_cmd =
       print_newline ();
       print_string (Experiments.render_fig6 (Experiments.fig6 ~seed ~max_points:points (est ())));
       print_newline ();
-      print_string
-        (Experiments.render_ablations
-           (Experiments.ablation_metapipe ~seed (est ()))
-           (Experiments.ablation_nn_correction ~seed (est ()))))
+      print_ablations ())
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures.")

@@ -53,16 +53,15 @@ type cached_eval = {
   ce_bram : float;
 }
 
-(* Bounded content-addressed memo table: a [Fifo_table] (deterministic
-   eviction in insertion order) under a mutex held for the table
-   operation alone. Hit/miss/eviction counts are atomics so the
-   accounting itself never extends the critical section or races across
-   domains; [obs] names the Obs counter family ([obs ^ ".hit"] etc.)
-   each table reports under. *)
+(* Bounded memo table: a [Fifo_table] (deterministic eviction in
+   insertion order) under a mutex held for the table operation alone.
+   Hit/miss/eviction counts are atomics so the accounting itself never
+   extends the critical section or races across domains; [obs] names the
+   Obs counter family ([obs ^ ".hit"] etc.) each table reports under. *)
 module Cache = struct
-  type 'a t = {
+  type ('k, 'a) t = {
     m : Mutex.t;
-    tbl : (string, 'a) Fifo_table.t;
+    tbl : ('k, 'a) Fifo_table.t;
     hits : int Atomic.t;
     misses : int Atomic.t;
     evictions : int Atomic.t;
@@ -85,6 +84,10 @@ module Cache = struct
 
   let enabled c = Fifo_table.cap c.tbl > 0
 
+  let miss c =
+    Atomic.incr c.misses;
+    if Obs.enabled () then Obs.count c.miss_counter
+
   let find c k =
     Mutex.lock c.m;
     let r = Fifo_table.find_opt c.tbl k in
@@ -93,9 +96,7 @@ module Cache = struct
     | Some _ ->
       Atomic.incr c.hits;
       if Obs.enabled () then Obs.count c.hit_counter
-    | None ->
-      Atomic.incr c.misses;
-      if Obs.enabled () then Obs.count c.miss_counter);
+    | None -> miss c);
     r
 
   (* Two domains can race the same miss; the second [add] is a no-op. *)
@@ -111,10 +112,10 @@ end
 
 type t = {
   est : Estimator.t;
-  analysis : verdict Cache.t;
-  estimates : cached_eval Cache.t;
-  gates : Symgate.t Cache.t;
-  index : Design_key.t Cache.t;
+  analysis : (string, verdict) Cache.t;
+  estimates : (string, cached_eval) Cache.t;
+  gates : (Space.family, Symgate.t) Cache.t;
+  index : (string, Design_key.t) Cache.t;
 }
 
 type stats = { hits : int; misses : int; evictions : int }
@@ -124,8 +125,7 @@ type stats = { hits : int; misses : int; evictions : int }
    long-running server stays bounded. *)
 let default_cap = 131_072
 
-(* One gate per (space, sizes) a process sweeps: a handful per app. Each
-   entry holds a few KB of key and the derived systems. *)
+(* One gate per family a process sweeps: a handful per app. *)
 let gate_cap = 64
 
 let create ?(analysis_cap = default_cap) ?(estimate_cap = default_cap) est =
@@ -341,56 +341,25 @@ let evaluate t ?stages ?family ~absint ~index ~generate point =
       | Generate_failed exn -> Outcome.Failed (Outcome.Generator_error, describe exn)
       | exn -> Outcome.Failed (Outcome.Estimator_error, describe exn)))
 
-(* The gate memo key is exactly what [Symgate.of_probes] reads: the
-   parameter names and every generated probe's point and design, the
-   design by its [Design_key]. It is built from content because callers
-   (the server, each CLI sweep) pass a fresh [generate] closure per
-   session, so a key naming the closure would never hit; and two spaces
-   that share a name but not their sizes generate different probes. *)
-let gate_key ~params probes =
-  let b = Buffer.create 8192 in
-  List.iter (fun p -> Printf.bprintf b "%S," p) params;
-  List.iter
-    (fun pb ->
-      Buffer.add_char b '\n';
-      List.iter (fun (n, v) -> Printf.bprintf b "%S=%d," n v) pb.b_point;
-      Buffer.add_string b (Design_key.to_string (Lazy.force pb.b_key)))
-    probes;
-  Buffer.contents b
-
-(* Each probe point is bound through the point index, so a space swept
-   before keys its probes without generating them; a probe point the
-   index lacks is generated now, and dropped if its generator raises, as
-   [Symgate.probes] drops it. Only a memo miss forces the designs. *)
+(* Derivation reads only the space and its generator, and a family is
+   always paired with one generator (the contract in eval.mli), so the
+   family's first gate answers every later call without a probe. A space
+   without a family derives on every call, each counted as a miss. *)
 let gate t ~space ~generate =
-  let params = List.map fst (Space.dims space) in
-  let family = Space.family space in
-  let bypass = Faults.active () in
-  let bound =
-    List.filter_map
-      (fun p ->
-        match bind_with t ~bypass family p (fun () -> generate p) with
-        | b -> Some b
-        | exception _ -> None)
-      (Symgate.probe_sample space)
-  in
-  let derive () =
-    Symgate.of_probes ~params
-      (List.map
-         (fun b ->
-           { Symgate.point = b.b_point; design = Lazy.force b.b_design; key = Lazy.force b.b_key })
-         bound)
-  in
+  let derive () = Symgate.derive ~space ~generate () in
   if not (Cache.enabled t.gates) then derive ()
-  else begin
-    let k = gate_key ~params bound in
-    match Cache.find t.gates k with
-    | Some g -> g
+  else
+    match Space.family space with
     | None ->
-      let g = derive () in
-      Cache.add t.gates k g;
-      g
-  end
+      Cache.miss t.gates;
+      derive ()
+    | Some family -> (
+      match Cache.find t.gates family with
+      | Some g -> g
+      | None ->
+        let g = derive () in
+        Cache.add t.gates family g;
+        g)
 
 let cached_eval_of ?(cache = true) t design =
   let bypass = (not cache) || Faults.active () in

@@ -16,17 +16,16 @@
       the full design key, which makes repeated, overlapping or resumed
       sweeps near-free once warm;
     - {b gates} (the symbolic legality systems {!Symgate} derives for a
-      space) are keyed by the space's parameter names plus every probe's
-      point and design key, so a repeated sweep of one space, in any
-      session, derives its gate once (see {!gate});
+      space) are keyed by the space's family, a space's name plus the
+      dataset sizes it was built for ({!Space.family}), so a repeated
+      sweep of one family, in any session, derives its gate once (see
+      {!gate});
     - the {b point index} maps a (family, point) pair to that point's
-      design key, where a family is a space's name plus the dataset sizes
-      it was built for ({!Space.family}). It answers no question itself:
-      it lets a revisited point reach the two content-addressed caches
-      above without being generated or keyed. {!evaluate}, {!gate} and
-      {!bound_evaluation} look a point up first and generate its design
-      only when the analysis or estimate cache misses. A space without a
-      family never touches it.
+      design key. It answers no question itself: it lets a revisited
+      point reach the two content-addressed caches above without being
+      generated or keyed. {!evaluate} and {!bound_evaluation} look a
+      point up first and generate its design only when the analysis or
+      estimate cache misses. A space without a family never touches it.
 
     Cached values are pure functions of their key (one [Eval.t] wraps one
     estimator, hence one device and one trained correction), so results
@@ -36,17 +35,17 @@
     how often a design is generated and nothing else: hit/miss counts,
     checkpoints and served replies are the same with it or without it.
 
-    {b The index's contract.} A space that carries sizes is always
+    {b The family contract.} A space that carries sizes is always
     paired with its app's generator at those sizes: whoever passes such
     a space to {!evaluate} (through [Explore.run]) or {!gate}, and the
     request layer, which binds served points under the paper-size
     family, must pass [generate = app.generate ~sizes] for the app whose
-    [space sizes] built it. The index files a point's key under the
-    family alone, so a generator that broke the pairing would be answered
-    with another generator's designs. A wrapper that elaborates the same
-    designs (one that counts its calls, say) keeps the pairing; a caller
-    whose generator fails or elaborates differently builds its space
-    without sizes.
+    [space sizes] built it. The index files a point's key, and the gate
+    memo a gate, under the family alone, so a generator that broke the
+    pairing would be answered with another generator's designs or gate.
+    A wrapper that elaborates the same designs (one that counts its
+    calls, say) keeps the pairing; a caller whose generator fails or
+    elaborates differently builds its space without sizes.
 
     When fault injection is armed ([Faults.active ()]) the analysis and
     estimate caches and the point index are bypassed entirely — injected
@@ -87,7 +86,7 @@ type stats = { hits : int; misses : int; evictions : int }
     [analysis_cap] and [estimate_cap] bound the two per-design caches
     (entries, not bytes); a cap of [0] disables that cache. Defaults hold
     a full paper-scale sweep (75k points) without eviction. The gate memo
-    has a fixed bound of 64 spaces and is disabled with the analysis
+    has a fixed bound of 64 families and is disabled with the analysis
     cache ([analysis_cap = 0]). The point index holds as many points as
     the larger of the two caps, so it is off only when both caches are
     (what [dhdl dse --no-cache] builds). *)
@@ -137,19 +136,16 @@ val evaluation :
   ?cache:bool -> t -> Space.point -> Dhdl_ir.Ir.design -> Outcome.evaluation
 
 (** [gate t ~space ~generate] is [Symgate.derive ~space ~generate ()],
-    memoized. It keys the 48 probes, each through the point index when
-    [space] has a family, and skips the derivation itself (on a fresh
-    [t], with the probes generated and keyed, about 15 ms for kmeans or
-    gda) when an earlier call saw the same
-    parameter names, probe points and probe designs. A probe point the
-    index lacks is generated and keyed (a few ms for all 48), and one
-    whose generator raises is dropped, as {!Symgate.probes} drops it; the
-    designs themselves are generated only on a memo miss. The key is
-    built from content, not from [generate]'s identity: the server and
-    the CLI build a fresh closure per session, and one space name can
-    stand for several sizes. Derivation reads nothing else, so a hit
-    returns exactly what a fresh derivation would, the systems compiled
-    for {!Symgate.refutes} included. *)
+    memoized by [space]'s family: the first call for a family derives
+    (12–24 ms for gemm, kmeans or gda, its 48 probes generated and
+    keyed), and every later call returns that gate without generating,
+    keying or looking up any probe. Derivation reads only the space and
+    [generate], and the family contract pairs a family with one
+    generator, so a hit returns exactly what a fresh derivation would,
+    the systems compiled for {!Symgate.refutes} included; the server and
+    the CLI may pass a fresh closure per session. A space without a
+    family derives on every call. The memo holds 64 families, FIFO, and
+    its hits and misses count under the [dse.symgate.*] Obs counters. *)
 val gate :
   t -> space:Space.t -> generate:(Space.point -> Dhdl_ir.Ir.design) -> Symgate.t
 

@@ -151,6 +151,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     ~attrs:[ ("space", Space.name space); ("jobs", string_of_int jobs) ]
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
+  let cpu0 = Sys.time () in
   let points = Obs.span "dse.sample" (fun () -> Space.sample space ~seed ~max_points) in
   let total = List.length points in
   let param_names = List.map fst (Space.dims space) in
@@ -186,7 +187,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
      fixed-seed probe sample — so every point (on every domain) consults
      the identical constraint system and the bit-identical-checkpoint
      guarantee survives. [Eval.gate] derives it on the first sweep of a
-     space and answers later sweeps on the same [Eval.t] from its memo. It
+     family and answers later sweeps on the same [Eval.t] from its memo. It
      only runs when the proof passes it fronts for are on (otherwise
      pruning points the concrete pipeline would have kept changes
      results), and stands down while fault injection is armed, because its
@@ -258,7 +259,6 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let resumed = ref 0 in
   let failures = ref [] in
   let processed = ref 0 in
-  let cpu_seconds = ref 0.0 in
   (* The checkpoint is rendered as entries are recorded, each once;
      periodic writes flush the rendered bytes. Profiled rendering and
      writes both accumulate into the collector's [write] category. *)
@@ -327,7 +327,6 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     | Some (_, w) -> timed write_seconds (fun () -> Checkpoint.append w i entry)
     | None -> ());
     incr processed;
-    cpu_seconds := !cpu_seconds +. dt;
     if checkpoint_every > 0 && !processed mod checkpoint_every = 0 then write_checkpoint ()
   in
   (* The sweep loop. Each worker claims contiguous index ranges of [chunk]
@@ -505,6 +504,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   in
   let pareto = Obs.span "dse.pareto" (fun () -> pareto_of evaluations) in
   let elapsed = Unix.gettimeofday () -. t0 in
+  let cpu_seconds = Sys.time () -. cpu0 in
   let stats1 = Eval.stats ev in
   if Obs.enabled () then begin
     Obs.count ~by:(List.length (List.filter (fun e -> not e.valid) evaluations)) "dse.unfit";
@@ -528,7 +528,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     truncated = Atomic.get stop;
     jobs;
     elapsed_seconds = elapsed;
-    cpu_seconds = !cpu_seconds;
+    cpu_seconds;
     cache_hits = stats1.Eval.hits - stats0.Eval.hits;
     cache_misses = stats1.Eval.misses - stats0.Eval.misses;
     attribution;
@@ -553,10 +553,9 @@ let best r =
 
 (* Lint-pruned and failed points never produce an estimate, so the paper's
    ms/design metric (Table IV) divides by the evaluations that actually
-   came back from the estimator. Wall-clock and aggregate-CPU variants are
-   separate on purpose: with [jobs] > 1 wall-clock seconds/design shrinks
-   with the core count while CPU seconds/design stays comparable with
-   sequential (and older BENCH) numbers. *)
+   came back from the estimator. The wall-clock and CPU variants differ
+   once [jobs] > 1: the CPU one counts every domain's time, coordination
+   included. *)
 let seconds_per_design r =
   let estimated = List.length r.evaluations in
   if estimated <= 0 then 0.0 else r.elapsed_seconds /. float_of_int estimated

@@ -82,9 +82,8 @@ type result = {
   jobs : int;  (** Workers the sweep ran with (1 = the calling domain alone). *)
   elapsed_seconds : float;  (** Wall-clock duration of the whole sweep. *)
   cpu_seconds : float;
-      (** Aggregate CPU seconds spent inside point pipelines, summed over
-          all workers — equals roughly [elapsed_seconds] when [jobs = 1]
-          and up to [jobs ×] it when parallel. *)
+      (** The process's user + system CPU seconds over the sweep
+          ([Sys.time]: every domain's, a concurrent sweep's included). *)
   cache_hits : int;
       (** {!Eval} cache hits (analysis + estimate) during this sweep: the
           delta of {!Eval.stats} across the run. With a shared [Eval.t]
@@ -188,9 +187,10 @@ val run :
     designs: [ev]'s point index files each point's design key under the
     space's {!Space.family}, so a point this [Eval.t] has seen in that
     family, in any sweep or served request, reaches the caches without
-    being generated, and a warm re-sweep generates nothing, gate probes
-    included. A space made without sizes has no family and every point is
-    generated, as before.
+    being generated, and a warm re-sweep generates nothing: its gate is
+    {!Eval.gate}'s memo of the family. A space made without sizes has no
+    family, every point is generated and the gate is derived afresh, as
+    before.
     Each generated design runs through {!Dhdl_lint.Lint.check} against
     the estimator's device and points with error-level diagnostics are
     pruned before estimation. Errors split by origin: points with
@@ -323,14 +323,13 @@ val seconds_per_design : result -> float
 (** Average {e wall-clock} time per design point that actually produced an
     estimate — lint-pruned and failed points skip or abort the estimator
     and would deflate the metric (Table IV's metric). With [jobs > 1] this
-    shrinks with the worker count; use {!cpu_seconds_per_design} for a
-    number comparable across jobs levels. *)
+    can shrink with the worker count. *)
 
 val cpu_seconds_per_design : result -> float
-(** Average {e aggregate-CPU} time per estimated design point
-    ([cpu_seconds] over successful evaluations) — invariant to [jobs], so
-    throughput stays comparable with sequential and historical BENCH
-    entries. *)
+(** Average {e process CPU} time per estimated design point
+    ([cpu_seconds] over successful evaluations). With [jobs > 1] it
+    includes every domain's coordination, so it is not comparable with
+    the [jobs = 1] figure. *)
 
 val to_csv : result -> string
 (** The successful evaluations as CSV (one row per estimated point:

@@ -37,8 +37,9 @@ val legal : t -> point -> bool
     A family is a space's name plus the dataset sizes it was built for.
     Two spaces of one family pair every point with the same design, so
     [Eval]'s point index files a point's design key under
-    [(family, point)] and answers a revisit without generating it. That
-    rests on one contract, which every caller of [Explore.run] and
+    [(family, point)] and answers a revisit without generating it, and
+    [Eval.gate] files a space's gate under its family. That rests on one
+    contract, which every caller of [Explore.run] and
     [Eval.gate] keeps: a space that carries sizes is always paired with
     its app's generator at those sizes. *)
 

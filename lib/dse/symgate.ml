@@ -1,8 +1,7 @@
 (* The pre-elaboration legality gate.
 
-   [derive] is [probes] then [of_probes]. [probes] elaborates a small
-   fixed-seed sample of a space's points and keys each design; [of_probes]
-   groups them by [Design_key] skeleton (one app space can contain
+   [derive] elaborates a small fixed-seed sample of a space's points,
+   groups the designs by [Design_key] skeleton (one app space can contain
    several skeletons when meta-flags switch the generated graph shape)
    and hands each group to [Symbolic.derive] as its probe set. The
    result is a list of per-skeleton constraint systems, compiled once
@@ -10,9 +9,8 @@
    [refutes] routes a fresh binding to the unique system whose pinned
    parameters it satisfies and evaluates the predicate — well under a
    microsecond, no generation — and [verdict] also says why, for callers
-   that print it. The split lets [Eval.gate] key a memo by the probes'
-   content and skip [of_probes], the expensive half, when it has seen
-   them before; the memo keeps the compiled form with the systems.
+   that print it. [Eval.gate] memoizes [derive] by the space's family,
+   compiled form included.
 
    Routing is sound because a system's pinned parameters are exactly the
    ones constant across its probes: registry app generators branch on
@@ -28,47 +26,37 @@ module Predicate = Symbolic.Predicate
 
 type t = { g_systems : Symbolic.system list; g_compiled : Predicate.t }
 
-(* One generated probe. Derivation reads only the point and the design;
-   the key rides along for grouping and for [Eval.gate]'s memo key. *)
-type probe = { point : Space.point; design : Dhdl_ir.Ir.design; key : Design_key.t }
-
 let probe_seed = 0x5eed
 
-(* The fixed-seed sample [probes] elaborates, in order. *)
-let probe_sample ?(probe_points = 48) space =
-  Space.sample space ~seed:probe_seed ~max_points:probe_points
+(* The fixed-seed sample [derive] elaborates, in order. It depends on the
+   space alone, which lets [Eval.gate] key its memo by family. *)
+let probe_sample space = Space.sample space ~seed:probe_seed ~max_points:48
 
-let probes ?probe_points ~space ~generate () =
-  List.filter_map
-    (fun point ->
-      match generate point with
-      | design -> Some { point; design; key = Design_key.of_design design }
-      | exception _ -> None)
-    (probe_sample ?probe_points space)
-
-let of_probes ~params probes =
-  let groups : (string, probe list ref) Hashtbl.t = Hashtbl.create 4 in
+(* A probe whose generator raises is dropped. *)
+let derive ~space ~generate () =
+  let params = List.map fst (Space.dims space) in
+  let groups : (string, (Space.point * Dhdl_ir.Ir.design) list ref) Hashtbl.t =
+    Hashtbl.create 4
+  in
   let order = ref [] in
   List.iter
-    (fun probe ->
-      let sk = probe.key.Design_key.skeleton in
-      match Hashtbl.find_opt groups sk with
-      | Some l -> l := probe :: !l
-      | None ->
-        Hashtbl.add groups sk (ref [ probe ]);
-        order := sk :: !order)
-    probes;
+    (fun point ->
+      match generate point with
+      | exception _ -> ()
+      | design -> (
+        let sk = Design_key.skeleton (Design_key.of_design design) in
+        match Hashtbl.find_opt groups sk with
+        | Some l -> l := (point, design) :: !l
+        | None ->
+          Hashtbl.add groups sk (ref [ (point, design) ]);
+          order := sk :: !order))
+    (probe_sample space);
   let systems =
     List.rev_map
-      (fun sk ->
-        let probes = List.rev_map (fun p -> (p.point, p.design)) !(Hashtbl.find groups sk) in
-        Symbolic.derive ~skeleton:sk ~params ~probes)
+      (fun sk -> Symbolic.derive ~skeleton:sk ~params ~probes:(List.rev !(Hashtbl.find groups sk)))
       !order
   in
   { g_systems = systems; g_compiled = Predicate.compile ~params systems }
-
-let derive ?probe_points ~space ~generate () =
-  of_probes ~params:(List.map fst (Space.dims space)) (probes ?probe_points ~space ~generate ())
 
 let systems t = t.g_systems
 

@@ -32,9 +32,9 @@
     The serialization is written straight into its buffers ([Emit] in
     lib/util), but its bytes are exactly those of the earlier [Printf]
     serializer ([string_of_int], ["%h"], [Dtype.to_string]), which
-    test/oracle keeps verbatim and compares against. So every key, and
-    every cache entry, gate memo and golden file keyed by one, is
-    unchanged. *)
+    test/oracle keeps verbatim and compares against. So every key, every
+    cache entry and golden file keyed by one, and every gate system
+    grouped by one, is unchanged. *)
 
 type t = {
   skeleton : string;  (** hex digest of the parameter-free graph shape *)

@@ -12,6 +12,7 @@ type t = {
   brd : Target.board;
   char : Characterization.t;
   nn : Nn_correction.t;
+  fallbacks : int Atomic.t;  (* estimates that fell back to the raw model *)
 }
 
 type area = {
@@ -41,10 +42,10 @@ let create ?(dev = Target.stratix_v) ?(board = Target.max4_maia) ?(seed = 1234)
   in
   let r, g, u = Nn_correction.training_mse nn in
   Log.info (fun m -> m "training MSE: route %.2e, dup-regs %.2e, unavailable %.2e" r g u);
-  { dev; brd = board; char; nn }
+  { dev; brd = board; char; nn; fallbacks = Atomic.make 0 }
 
 let of_parts ?(dev = Target.stratix_v) ?(board = Target.max4_maia) char nn =
-  { dev; brd = board; char; nn }
+  { dev; brd = board; char; nn; fallbacks = Atomic.make 0 }
 
 (* Final assembly (Section IV.B.2): add the NN-estimated corrections to the
    raw counts, pack the characterized ~80% of packable LUTs pairwise
@@ -85,10 +86,10 @@ let assemble dev raw (c : Nn_correction.corrections) =
 (* Graceful degradation: a correction network whose prediction comes back
    negative (or a poisoned assembly) must not leak a nonsense area into a
    75,000-point sweep. When the NN-corrected numbers fail validation the
-   point falls back to the raw analytical model (zero corrections) and the
-   [estimator.nn_fallback] counter records the downgrade. The
-   [estimator.nn_correction] fault site lets tests force the poisoned
-   path deterministically. *)
+   point falls back to the raw analytical model (zero corrections), and
+   the estimator's own count and the [estimator.nn_fallback] Obs counter
+   record the downgrade. The [estimator.nn_correction] fault site lets
+   tests force the poisoned path deterministically. *)
 let no_corrections =
   {
     Nn_correction.routing_luts = 0;
@@ -106,23 +107,21 @@ let corrections_sane (c : Nn_correction.corrections) =
 let area_sane a =
   a.alms >= 0 && a.luts >= 0 && a.regs >= 0 && a.dsps >= 0 && a.brams >= 0
 
+let fall_back t raw =
+  Atomic.incr t.fallbacks;
+  Obs.count "estimator.nn_fallback";
+  assemble t.dev raw no_corrections
+
 let corrected_area t raw =
   let corrections =
     if Faults.fires "estimator.nn_correction" then
       { no_corrections with Nn_correction.routing_luts = min_int }
     else Nn_correction.correct t.nn raw
   in
-  if corrections_sane corrections then
+  if not (corrections_sane corrections) then fall_back t raw
+  else
     let area = assemble t.dev raw corrections in
-    if area_sane area then area
-    else begin
-      Obs.count "estimator.nn_fallback";
-      assemble t.dev raw no_corrections
-    end
-  else begin
-    Obs.count "estimator.nn_fallback";
-    assemble t.dev raw no_corrections
-  end
+    if area_sane area then area else fall_back t raw
 
 (* The untraced path stays free of telemetry closures so a disabled sink
    adds nothing to the paper's headline ms-per-design metric; the traced
@@ -169,6 +168,7 @@ let device t = t.dev
 let board t = t.brd
 let characterization t = t.char
 let corrections t = t.nn
+let nn_fallbacks t = Atomic.get t.fallbacks
 
 let timed_estimate t design =
   let start = Unix.gettimeofday () in
@@ -177,7 +177,7 @@ let timed_estimate t design =
 
 (* Persistence: marshal the whole estimator with a magic tag so stale files
    from other builds are rejected instead of misbehaving. *)
-let magic = "dhdl-estimator-v1:" ^ string_of_int (Hashtbl.hash Sys.ocaml_version)
+let magic = "dhdl-estimator-v2:" ^ string_of_int (Hashtbl.hash Sys.ocaml_version)
 
 let save t path =
   let oc = open_out_bin path in

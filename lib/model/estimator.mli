@@ -43,10 +43,15 @@ val estimate : t -> Dhdl_ir.Ir.design -> estimate
 (** Estimate one design point. Degrades gracefully: when the NN correction
     yields an insane area (negative corrections or a negative assembled
     count), the point falls back to the raw analytical model (zero
-    corrections) instead of poisoning the caller, and the
-    [estimator.nn_fallback] {!Dhdl_obs.Obs} counter is bumped. The
-    {!Dhdl_util.Faults} site [estimator.nn_correction] forces the poisoned
-    path for testing. *)
+    corrections) instead of poisoning the caller, and both {!nn_fallbacks}
+    and the [estimator.nn_fallback] {!Dhdl_obs.Obs} counter are bumped.
+    The {!Dhdl_util.Faults} site [estimator.nn_correction] forces the
+    poisoned path for testing. *)
+
+val nn_fallbacks : t -> int
+(** How many estimates by [t] fell back to the raw analytical model, on
+    any domain, with the telemetry sink on or off. A loaded estimator
+    starts from the count it was saved with. *)
 
 val estimate_area : t -> Dhdl_ir.Ir.design -> area
 val estimate_cycles : t -> Dhdl_ir.Ir.design -> float

@@ -68,7 +68,6 @@ type t = {
   cache : (string, P.reply) Fifo_table.t;  (* request id -> final reply *)
   crashes : (string, string list) Hashtbl.t;  (* request id -> errors, newest first *)
   sweeps : (string, sweep) Hashtbl.t;  (* session id -> running sweep *)
-  nn_base : int;  (* estimator.nn_fallback counter at startup *)
 }
 
 (* A cached reply matters only to a retry of its id, and a [Client.call]
@@ -88,7 +87,6 @@ let create cfg =
     cache = Fifo_table.create reply_cache_cap;
     crashes = Hashtbl.create 8;
     sweeps = Hashtbl.create 8;
-    nn_base = Obs.counter_value "estimator.nn_fallback";
   }
 
 let draining t = t.drain_flag
@@ -125,9 +123,11 @@ let remaining_seconds p =
       Float.max 0.001 (p.p_arrival +. (float_of_int ms /. 1000.0) -. Unix.gettimeofday ()))
     p.p_req.P.q_deadline_ms
 
-let nn_fallback_tripped t =
+(* Counted by the estimator itself, so the trigger works with the
+   telemetry sink off. *)
+let nn_fallback_tripped t ev =
   t.cfg.nn_fallback_limit > 0
-  && Obs.counter_value "estimator.nn_fallback" - t.nn_base >= t.cfg.nn_fallback_limit
+  && Estimator.nn_fallbacks (Eval.estimator ev) >= t.cfg.nn_fallback_limit
 
 (* ---------------- estimate / lint / analyze ------------------------- *)
 
@@ -142,7 +142,7 @@ let nn_fallback_tripped t =
    or NN-suspect server. *)
 let estimate_payload t ev ~depth app params =
   let p = Request.bind ev app params in
-  let degraded = depth >= t.cfg.degrade_depth || nn_fallback_tripped t in
+  let degraded = depth >= t.cfg.degrade_depth || nn_fallback_tripped t ev in
   if degraded then Obs.count "serve.degraded";
   Request.estimate_json (Request.estimate_bound ~degraded ev p)
 

@@ -21,8 +21,9 @@
       sweep's deadline, so an over-budget sweep truncates, checkpoints,
       and stays resumable.
     - {b Degradation}: when the queue is [degrade_depth] deep at
-      dispatch time, or the [estimator.nn_fallback] counter has tripped
-      [nn_fallback_limit] times since startup, estimate requests answer
+      dispatch time, or [config.estimator] has fallen back from its NN
+      corrections [nn_fallback_limit] times
+      ({!Dhdl_model.Estimator.nn_fallbacks}), estimate requests answer
       from the raw analytical model and flag [degraded: true].
     - {b Idempotent retries}: final replies are cached by request id, so
       a client resending an id (after a timeout it cannot distinguish
@@ -63,9 +64,9 @@ type config = {
   degrade_depth : int;  (** Queue depth at dispatch that degrades estimates. *)
   quarantine_threshold : int;  (** Handler crashes before a request is parked. *)
   nn_fallback_limit : int;
-      (** [estimator.nn_fallback] trips (measured via the Obs counter,
-          so only meaningful with the sink enabled) after which estimates
-          degrade; [0] disables this trigger. *)
+      (** Estimator NN fallbacks ({!Dhdl_model.Estimator.nn_fallbacks},
+          counted with the telemetry sink on or off) after which
+          estimates degrade; [0] disables this trigger. *)
   dse_jobs : int;
       (** Workers per sweep. Not part of a session's identity: a session
           resumes at this server's level whatever level it started at. *)

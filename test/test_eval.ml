@@ -2,7 +2,7 @@
    extensional equality with a direct (cache-free) pipeline, byte-identical
    checkpoints across {jobs} x {cache temperature} x {profile}, warm-cache
    resume, deterministic eviction, fault-injection cache bypass, the
-   symbolic-gate memo (derived once per space content, byte-identical
+   symbolic-gate memo (derived once per space family, byte-identical
    either way, kept out of the per-point cache counts), and grep-level
    pins that no caller outside Eval and the request layer still wires
    Estimator.estimate, the concrete analyses or Symgate.derive into a
@@ -126,10 +126,10 @@ let test_key_sees_structure () =
   check_bool "different apps, different skeletons" false (String.equal s1 s2)
 
 (* The direct-buffer key serializer writes the bytes the Printf one
-   wrote, so keys (and every cache and gate memo keyed by them) do not
-   move: the 7 apps at both size tables, 200 seeded bindings each, then
-   generated designs as built and with hostile leaves mapped in (nan,
-   infinities, -0., subnormals, odd dtypes, min_int / max_int). *)
+   wrote, so keys (and every cache keyed by them) do not move: the 7
+   apps at both size tables, 200 seeded bindings each, then generated
+   designs as built and with hostile leaves mapped in (nan, infinities,
+   -0., subnormals, odd dtypes, min_int / max_int). *)
 let test_key_bytes_registry () =
   let keyed, bad = Serial_oracle.registry_keys ~seed:17 ~bindings:200 in
   check_bool "most sampled bindings keyed" true (keyed >= 2_000);
@@ -332,7 +332,7 @@ let test_cache_counters_surfaced () =
   check_int "dse.cache.evict stays zero uncapped" 0 (counter "dse.cache.evict")
 
 (* ------------------------------------------------------------------ *)
-(* Gate memo: one derivation per space content per Eval                *)
+(* Gate memo: one derivation per space family per Eval                 *)
 (* ------------------------------------------------------------------ *)
 
 (* kmeans at paper sizes: its gate refutes part of the space, so a wrong
@@ -469,9 +469,9 @@ let test_gate_memo_checkpoint_identity () =
       Sys.remove fresh)
     [ 1; 4 ]
 
-let test_gate_memo_keyed_by_content () =
-  (* Same space name, different sizes: different probe designs, so the
-     memo must not answer one with the other's gate. *)
+let test_gate_memo_keyed_by_family () =
+  (* Same space name, different sizes: two families, so the memo must not
+     answer one with the other's gate. *)
   let ev = Eval.create (Lazy.force estimator) in
   let a = Lazy.force kmeans in
   let paper = km_paper () and small = a.App.test_sizes in
@@ -484,6 +484,49 @@ let test_gate_memo_keyed_by_content () =
   in
   check_counts "different sizes miss (hit, miss)" (0, 2) c;
   check_bool "and get different systems" false (Symgate.systems g_small = Symgate.systems g_paper)
+
+(* The same space without its sizes, hence without a family: what a
+   sweep sees with no point index and no gate memo. *)
+let unfamilied sp = Space.make ~name:(Space.name sp) ~dims:(Space.dims sp) ~legal:(Space.legal sp) ()
+
+let test_gate_memo_hit_runs_no_probe () =
+  (* A hit is found by the family alone: no probe is generated, keyed or
+     looked up in the point index. *)
+  let ev = Eval.create (Lazy.force estimator) in
+  let sizes = km_paper () in
+  let calls = ref 0 in
+  let counted p =
+    incr calls;
+    km_generate sizes p
+  in
+  let g1 = Eval.gate ev ~space:(km_space sizes) ~generate:counted in
+  check_int "the miss generates every probe"
+    (List.length (Symgate.probe_sample (km_space sizes)))
+    !calls;
+  calls := 0;
+  let (g2, index_lookups), c =
+    gate_counts (fun () ->
+        let g = Eval.gate ev ~space:(km_space sizes) ~generate:counted in
+        (g, Obs.counter_value "dse.index.hit" + Obs.counter_value "dse.index.miss"))
+  in
+  check_counts "the second call hits (hit, miss)" (1, 0) c;
+  check_bool "and returns the memoized gate" true (g1 == g2);
+  check_int "a hit calls no generator" 0 !calls;
+  check_int "a hit makes no index lookup" 0 index_lookups
+
+let test_gate_without_family () =
+  let ev = Eval.create (Lazy.force estimator) in
+  let sizes = km_paper () in
+  let bare = unfamilied (km_space sizes) in
+  let (g1, g2), c =
+    gate_counts (fun () ->
+        let g1 = Eval.gate ev ~space:bare ~generate:(km_generate sizes) in
+        let g2 = Eval.gate ev ~space:bare ~generate:(km_generate sizes) in
+        (g1, g2))
+  in
+  check_counts "each call derives (hit, miss)" (0, 2) c;
+  check_bool "into a value of its own" false (g1 == g2);
+  check_bool "with equal systems" true (Symgate.systems g1 = Symgate.systems g2)
 
 let test_gate_memo_off_without_cache () =
   let ev = Eval.create ~analysis_cap:0 (Lazy.force estimator) in
@@ -520,10 +563,6 @@ let test_gate_memo_outside_cache_stats () =
 (* ------------------------------------------------------------------ *)
 
 let gda = lazy (Dhdl_apps.Registry.find "gda")
-
-(* The same space without its sizes, hence without a family: what a
-   sweep sees with no point index. *)
-let unfamilied sp = Space.make ~name:(Space.name sp) ~dims:(Space.dims sp) ~legal:(Space.legal sp) ()
 
 (* One server-style session (fresh checkpoint, resume on, a checkpoint
    every 8 points) with a generator that counts its calls: the result,
@@ -903,7 +942,9 @@ let () =
           Alcotest.test_case "second run derives nothing" `Quick test_gate_memo_second_run;
           Alcotest.test_case "memo hit = fresh derive, jobs 1 and 4" `Quick
             test_gate_memo_checkpoint_identity;
-          Alcotest.test_case "keyed by content, not name" `Quick test_gate_memo_keyed_by_content;
+          Alcotest.test_case "keyed by family" `Quick test_gate_memo_keyed_by_family;
+          Alcotest.test_case "a hit runs no probe" `Quick test_gate_memo_hit_runs_no_probe;
+          Alcotest.test_case "no family, derived every call" `Quick test_gate_without_family;
           Alcotest.test_case "off with analysis_cap 0" `Quick test_gate_memo_off_without_cache;
           Alcotest.test_case "outside the cache stats" `Quick test_gate_memo_outside_cache_stats;
         ] );

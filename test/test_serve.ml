@@ -1007,12 +1007,15 @@ let test_degraded_under_queue_depth () =
   check_bool "drained queue restores full fidelity" false (bfield "degraded" p2);
   check_bool "degraded estimate is still usable" true (ifield "alms" (field "area" p1) >= 0)
 
-let test_degraded_on_nn_fallback () =
-  Obs.enable ();
-  Fun.protect ~finally:Obs.disable @@ fun () ->
+(* The trigger counts the supervisor's estimator's own fallbacks, so each
+   run gets an estimator of its own, built from the shared one's parts. *)
+let nn_fallback_degrades () =
   with_faults @@ fun () ->
   Faults.set_site "estimator.nn_correction" 1.0;
-  with_sup (sup_config ~nn_fallback_limit:1 ()) @@ fun sup ->
+  let est = Lazy.force estimator in
+  let own = Estimator.of_parts (Estimator.characterization est) (Estimator.corrections est) in
+  with_sup { (sup_config ~nn_fallback_limit:1 ()) with Supervisor.estimator = Lazy.from_val own }
+  @@ fun sup ->
   let p1 = payload (rpc sup (P.request ~id:"nn-1" ~app:"dotproduct" P.Estimate)) in
   check_bool "first estimate precedes the trip" false (bfield "degraded" p1);
   let p2 = payload (rpc sup (P.request ~id:"nn-2" ~app:"dotproduct" P.Estimate)) in
@@ -1022,6 +1025,17 @@ let test_degraded_on_nn_fallback () =
   check_str "areas agree across the degradation paths"
     (Sjson.render (field "area" p1))
     (Sjson.render (field "area" p2))
+
+let test_degraded_on_nn_fallback () =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable nn_fallback_degrades
+
+(* A default [dhdl serve] runs with the telemetry sink off, where the
+   estimator.nn_fallback Obs counter reads 0: the trigger counts on the
+   estimator's own fallbacks. *)
+let test_degraded_on_nn_fallback_sink_off () =
+  check_bool "the sink is off" false (Obs.enabled ());
+  nn_fallback_degrades ()
 
 let test_quarantine_after_repeated_crashes () =
   with_faults @@ fun () ->
@@ -1791,6 +1805,8 @@ let () =
           Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
           Alcotest.test_case "degraded under queue depth" `Quick test_degraded_under_queue_depth;
           Alcotest.test_case "degraded on nn fallback" `Quick test_degraded_on_nn_fallback;
+          Alcotest.test_case "degraded on nn fallback, sink off" `Quick
+            test_degraded_on_nn_fallback_sink_off;
           Alcotest.test_case "quarantine after crashes" `Quick test_quarantine_after_repeated_crashes;
           Alcotest.test_case "draining refuses new work" `Quick test_draining_refuses_new_work;
         ] );
