@@ -17,6 +17,7 @@ module Estimator = Dhdl_model.Estimator
 module App = Dhdl_apps.App
 module Explore = Dhdl_dse.Explore
 module Eval = Dhdl_dse.Eval
+module Profile = Dhdl_dse.Profile
 module Obs = Dhdl_obs.Obs
 
 let seed = 2016
@@ -112,16 +113,16 @@ let run_ablations ~quick () =
 (* DSE throughput: the start of the perf trajectory                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_dse.json (schema 14) from GDA sweeps plus a kmeans
+(* Writes BENCH_dse.json (schema 15) from GDA sweeps plus a kmeans
    symbolic-gate A/B, the estimator's setup and the served request's
    path. Every timed figure is the median, min and max of [warm_runs]
    runs (a single cold run moved by 40% or more between runs), and every
    attribution object is the median run's. Six axes:
 
    - jobs_sweep: cold wall-clock timing at jobs = 1, 2, 4 (a fresh
-     evaluation cache per run, telemetry on, no profiler — comparable
-     with every historical entry), plus a contention attribution from
-     *warm-cache* profiled repeats at the same level. Warm on purpose:
+     evaluation cache per run, telemetry on — comparable with every
+     historical entry), plus a contention attribution read from the
+     spans of *warm-cache* repeats at the same level. Warm on purpose:
      with the evaluated work memoized away the attribution isolates pure
      coordination overhead (record-lock waits, GC barriers, chunk recording),
      which is the quantity the parallel engine is accountable for on any
@@ -133,10 +134,11 @@ let run_ablations ~quick () =
      dse_start — a fresh checkpoint path, resume on, a checkpoint every
      [Supervisor.default_config]'s [dse_checkpoint_every] points — for
      gda and for kmeans (whose gate refutes about 40% of its points), as
-     points/s, each session's major collections and minor words, and
-     profiled collector write seconds, plus one untimed session's
-     generator calls (its gate is the family's memo, which generates
-     nothing) and its [dse.index.hit] count.
+     points/s and each session's major collections and minor words;
+     then, from as many untimed sessions with the sink on, the collector
+     write seconds and what is left of a warm point's lanes, and the
+     first one's generator calls (its gate is the family's memo, which
+     generates nothing) and [dse.index.hit] count.
    - symbolic_ab: a cold kmeans sweep (the app with a large symbolically
      refutable region at paper sizes) with the pre-elaboration legality
      gate on vs [--no-symbolic], counting generate calls directly — the
@@ -296,13 +298,20 @@ let run_dseperf ~quick () =
   let points = if quick then 200 else 1_000 in
   let space = app.App.space sizes in
   let generate p = app.App.generate ~sizes ~params:p in
-  let sweep ?(jobs = 1) ?(profile = false) ?(obs = false) ev =
-    if obs then Obs.enable ();
-    let cfg = Explore.Config.make ~seed ~max_points:points ~jobs ~profile () in
-    let r = Explore.run cfg ev ~space ~generate in
-    let snap = if obs then Some (Obs.snapshot ()) else None in
-    if obs then Obs.disable ();
-    (r, snap)
+  (* [f ()] with a fresh sink on, and the snapshot it left. *)
+  let recorded f =
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable @@ fun () ->
+    let v = f () in
+    (v, Obs.snapshot ())
+  in
+  let sweep ?(jobs = 1) ?(obs = false) ev =
+    let cfg = Explore.Config.make ~seed ~max_points:points ~jobs () in
+    let run () = Explore.run cfg ev ~space ~generate in
+    if obs then
+      let r, snap = recorded run in
+      (r, Some snap)
+    else (run (), None)
   in
   let pps (r : Explore.result) =
     if r.Explore.elapsed_seconds > 0.0 then
@@ -310,10 +319,10 @@ let run_dseperf ~quick () =
     else 0.0
   in
   let elapsed (r : Explore.result) = r.Explore.elapsed_seconds in
-  let attr_of (r : Explore.result) =
-    match r.Explore.attribution with
+  let attr_of snap =
+    match Profile.of_snapshot snap with
     | Some attr -> attr
-    | None -> failwith "profiled sweep returned no attribution"
+    | None -> failwith "the sweep recorded no spans"
   in
   let times runs = spread_json "%.3f" (List.map elapsed runs) in
   let rates runs = spread_json "%.1f" (List.map pps runs) in
@@ -338,47 +347,49 @@ let run_dseperf ~quick () =
       .Dhdl_serve.Supervisor.dse_checkpoint_every
   in
   let session_path = Filename.concat (Filename.get_temp_dir_name ()) "dhdl_bench_session.jsonl" in
-  let session ev ~space ~generate ~profile () =
+  let session ev ~space ~generate () =
     if Sys.file_exists session_path then Sys.remove session_path;
     let cfg =
       Explore.Config.make ~seed ~max_points:points ~checkpoint:session_path
-        ~checkpoint_every:every ~resume:true ~profile ()
+        ~checkpoint_every:every ~resume:true ()
     in
     let r = Explore.run cfg ev ~space ~generate in
     Sys.remove session_path;
     r
   in
   let warm_session ev ~space ~generate =
-    let module P = Dhdl_dse.Profile in
+    let module P = Profile in
     (* [Gc.minor_words], not [quick_stat]'s, which counts only the
        minor heaps already collected. *)
     let gc_session () =
       let majors = (Gc.quick_stat ()).Gc.major_collections and words = Gc.minor_words () in
-      let r = session ev ~space ~generate ~profile:false () in
+      let r = session ev ~space ~generate () in
       ( r,
         float_of_int ((Gc.quick_stat ()).Gc.major_collections - majors),
         Gc.minor_words () -. words )
     in
     let runs = repeat gc_session in
     let sessions = List.map (fun (r, _, _) -> r) runs in
-    let profiled = repeat (fun () -> session ev ~space ~generate ~profile:true ()) in
-    (* One more, untimed session counts what a warm point still elaborates
+    (* Untimed sink-on sessions count what a warm point still elaborates
        (the gate, memoized by family, elaborates nothing) and how many
-       points the point index answered. *)
-    let generate_calls, index_hits =
-      let calls = ref 0 in
-      let counted p =
-        incr calls;
-        generate p
-      in
-      Obs.enable ();
-      Fun.protect ~finally:Obs.disable @@ fun () ->
-      ignore (session ev ~space ~generate:counted ~profile:false ());
-      (!calls, Obs.counter_value "dse.index.hit")
+       points the point index answered, and give the lanes. *)
+    let traced =
+      repeat (fun () ->
+          let calls = ref 0 in
+          let counted p =
+            incr calls;
+            generate p
+          in
+          let _, snap = recorded (session ev ~space ~generate:counted) in
+          (!calls, snap))
+    in
+    let generate_calls, first = List.hd traced in
+    let index_hits =
+      Option.value ~default:0 (List.assoc_opt "dse.index.hit" first.Obs.snap_counters)
     in
     (* Beside the collector's checkpoint writes, what is left of a warm
        point: its generate and cache-probe (design key) lanes. *)
-    let attrs = List.map attr_of profiled in
+    let attrs = List.map (fun (_, snap) -> attr_of snap) traced in
     let lane f = spread_json "%.6f" (List.map f attrs) in
     let workers f (a : P.t) = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
     Printf.sprintf
@@ -406,8 +417,8 @@ let run_dseperf ~quick () =
     warm_session ev ~space ~generate
   in
   let warm_session = Printf.sprintf "{\"gda\":%s,\"kmeans\":%s}" warm_gda warm_kmeans in
-  (* Cold timing + warm profiled attribution per jobs level. The warm
-     repeats share [ev_seq]'s cache. *)
+  (* Cold timing + warm attribution per jobs level, from the spans of
+     sink-on repeats that share [ev_seq]'s cache. *)
   let jobs_levels = [ 1; 2; 4 ] in
   let levels =
     List.map
@@ -416,8 +427,9 @@ let run_dseperf ~quick () =
           if jobs = 1 then cold_runs
           else repeat (fun () -> fst (sweep ~jobs ~obs:true (fresh_eval ())))
         in
-        let warm = repeat (fun () -> fst (sweep ~jobs ~profile:true ev_seq)) in
-        (jobs, cold, warm, attr_of (median_run elapsed warm)))
+        let warm = repeat (fun () -> sweep ~jobs ~obs:true ev_seq) in
+        let _, snap = median_run (fun (r, _) -> elapsed r) warm in
+        (jobs, cold, List.map fst warm, attr_of (Option.get snap)))
       jobs_levels
   in
   (* Symbolic-gate A/B on kmeans: fresh caches both sides so the only
@@ -437,18 +449,15 @@ let run_dseperf ~quick () =
     let r = Explore.run cfg (fresh_eval ()) ~space:sym_space ~generate in
     (r, !calls)
   in
-  (* Cold per-lane split: separate profiled jobs=1 sweeps on fresh caches,
-     so the median run's worker lanes say where a cold point's time goes
-     (the timed cold runs above stay unprofiled, comparable with
-     history). *)
-  let profs = repeat (fun () -> fst (sweep ~profile:true (fresh_eval ()))) in
+  (* Cold per-lane split: the median cold run's spans say where a cold
+     point's time goes. *)
   let cold_attribution =
-    let module P = Dhdl_dse.Profile in
-    let a = attr_of (median_run elapsed profs) in
+    let module P = Profile in
+    let a = attr_of (Option.get (snd (median_run (fun (r, _) -> elapsed r) colds))) in
     let lane f = List.fold_left (fun acc w -> acc +. f w) 0.0 a.P.workers in
     Printf.sprintf
-      "{\"jobs\":1,\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"generate_s\":%.4f,\"probe_s\":%.4f,\"analyze_s\":%.4f,\"estimate_s\":%.4f}"
-      warm_runs (times profs) (rates profs)
+      "{\"jobs\":1,\"runs\":%d,\"elapsed_s\":%s,\"points_per_sec\":%s,\"setup_s\":%.4f,\"generate_s\":%.4f,\"probe_s\":%.4f,\"analyze_s\":%.4f,\"estimate_s\":%.4f}"
+      warm_runs (times cold_runs) (rates cold_runs) a.P.setup_s
       (lane (fun w -> w.P.w_generate_s))
       (lane (fun w -> w.P.w_probe_s))
       (lane (fun w -> w.P.w_analyze_s))
@@ -515,7 +524,7 @@ let run_dseperf ~quick () =
       (per_design Explore.seconds_per_design cold)
       (per_design Explore.cpu_seconds_per_design cold)
       (spread_json "%.4f" (List.map elapsed warm))
-      (Dhdl_dse.Profile.to_json attr)
+      (Profile.to_json attr)
   in
   let cold_median = Dhdl_util.Stats.median (List.map pps cold_runs) in
   let warm_median = Dhdl_util.Stats.median warm_pps in
@@ -528,7 +537,7 @@ let run_dseperf ~quick () =
   in
   let json =
     Printf.sprintf
-      "{\"schema\":14,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is a profiled repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits separate profiled cold jobs=1 gda sweeps into their worker lanes. warm_session re-runs warm gda and kmeans sweeps as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence); major_collections and minor_words are each timed session's deltas of Gc.quick_stat's major collections and of Gc.minor_words; generate_calls and index_hits come from one more untimed session with a counting generator and the telemetry sink on. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
+      "{\"schema\":15,\"label\":%S,\"app\":\"gda\",\"points\":%d,\"estimated\":%d,\"lint_pruned\":%d,\"recommended_domain_count\":%d,\"runs\":%d,\"host_note\":\"points_per_sec and scaling depend on the host; a recommended_domain_count of 1 (e.g. a single-core container) makes every jobs>1 level pure coordination overhead. Cold levels use a fresh evaluation cache per run; warm_attribution is read from the spans of a sink-on repeat on a warm cache, isolating coordination from estimation work. symbolic_ab is a cold kmeans sweep with the pre-elaboration legality gate on vs off, counting generate calls. cold_attribution splits the median cold jobs=1 gda run into setup and its worker lanes, read from that run's spans. warm_session re-runs warm gda and kmeans sweeps as server sessions (fresh checkpoint, resume on, the server's checkpoint cadence): points_per_sec, major_collections and minor_words from sink-off sessions, the lanes from as many sink-on ones; major_collections and minor_words are each timed session's deltas of Gc.quick_stat's major collections and of Gc.minor_words; generate_calls and index_hits come from the first sink-on session, which counts its generator calls. setup builds the CLI's estimator (seed 2016, 200 training samples) from scratch: characterization, NN training and the whole build. serve times App.resolve per app at paper sizes (us per call), the codec of a 64-spec gda estimate_batch request and its reply (us per call), that batch's handler run on the calling thread by a fresh supervisor (ms), and pings: count sequential pings, one connection each, against a freshly forked Server.run per run (mean, p50, p99 and max us per ping, and how many took over 1 ms). Every timed figure is the median, min and max of runs runs; every attribution object and count is the median run's.\",\"elapsed_s\":%s,\"points_per_sec\":%s,\"ms_per_design_p50\":%s,\"ms_per_design_p95\":%s,\"cache_ab\":%s,\"warm_session\":%s,\"cold_attribution\":%s,\"symbolic_ab\":%s,\"setup\":%s,\"serve\":%s,\"jobs_sweep\":[%s]}\n"
       !run_label r1.Explore.sampled estimated r1.Explore.lint_pruned
       (Domain.recommended_domain_count ())
       warm_runs (times cold_runs) (rates cold_runs) (percentiles 50.0) (percentiles 95.0)
@@ -554,7 +563,7 @@ let run_dseperf ~quick () =
   Printf.printf "serve path: %s\n" serve;
   List.iter
     (fun (jobs, cold, _, attr) ->
-      let module P = Dhdl_dse.Profile in
+      let module P = Profile in
       let top_name, top_s = P.top_contender attr in
       Printf.printf
         "  jobs=%d: cold %.2f s wall, %.0f points/sec; warm attribution: work %.1f%%, \
@@ -575,7 +584,7 @@ let run_dseperf ~quick () =
     (gen_off - gen_on);
   Printf.printf "ms per design (sequential, cold; medians): p50 %s, p95 %s\n" (percentiles 50.0)
     (percentiles 95.0);
-  Printf.printf "cold lanes (profiled jobs=1, median run): %s\n" cold_attribution;
+  Printf.printf "cold lanes (jobs=1, median run): %s\n" cold_attribution;
   Printf.printf "written to BENCH_dse.json\n"
 
 (* ------------------------------------------------------------------ *)

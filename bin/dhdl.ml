@@ -131,11 +131,12 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Enable the sink when any telemetry output was requested, run the command
-   body, then export. The sink stays disabled (and the instrumented paths
-   stay on their no-op fast path) when no flag is given. *)
-let with_obs ~trace ~jsonl ~metrics f =
-  let wanted = metrics || trace <> None || jsonl <> None in
+(* Enable the sink when any telemetry output or a profile was requested,
+   run the command body, then export. The sink stays disabled (and the
+   instrumented paths stay on their no-op fast path) when no flag is
+   given. *)
+let with_obs ?(profile = false) ~trace ~jsonl ~metrics f =
+  let wanted = profile || metrics || trace <> None || jsonl <> None in
   if not wanted then f ()
   else begin
     Obs.enable ();
@@ -275,12 +276,23 @@ let profile_flag_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Attribute every worker-second of the sweep to \
-           {generate, lint/absint, estimate, send-block, idle}, where send-block is the wait for \
-           the record lock, and every second spent recording under that lock (the collector) to \
-           {write, merge}, and print the attribution report after the sweep. Results and \
-           checkpoints stay bit-identical; see $(b,dhdl profile) for the multi-level scaling \
-           report.")
+          "Turn the telemetry sink on and print, after the sweep, where its time went, read \
+           from the sweep's spans: setup, every worker-second split into \
+           {generate, cache-probe, lint/absint, estimate, send-block, idle}, where send-block \
+           is the wait for the record lock, and every second spent recording under that lock \
+           (the collector) split into {write, merge}. Results and checkpoints stay \
+           bit-identical; see $(b,dhdl profile) for the multi-level scaling report.")
+
+(* A sweep runs N workers whatever the host, but past the domains the
+   host recommends the extra ones only take turns on its cores. *)
+let warn_jobs jobs =
+  let n = Domain.recommended_domain_count () in
+  if jobs > n then
+    Printf.eprintf
+      "dhdl: warning: --jobs %d exceeds the %d domain(s) this host recommends; the extra \
+       workers only add coordination\n\
+       %!"
+      jobs n
 
 let no_eval_cache_arg =
   Arg.(
@@ -310,13 +322,13 @@ let no_symbolic_arg =
 let dse_cmd =
   let run app seed train points cache trace jsonl metrics jobs no_cache checkpoint resume
       deadline inject faults_seed no_absint no_symbolic profile =
-    with_obs ~trace ~jsonl ~metrics @@ fun () ->
+    with_obs ~profile ~trace ~jsonl ~metrics @@ fun () ->
     let a = Request.app app in
     let cfg =
       Explore.Config.make ~seed ~max_points:points ~absint:(not no_absint)
-        ~symbolic:(not no_symbolic) ~jobs ?checkpoint ~resume ?deadline_seconds:deadline
-        ~profile ()
+        ~symbolic:(not no_symbolic) ~jobs ?checkpoint ~resume ?deadline_seconds:deadline ()
     in
+    warn_jobs jobs;
     Option.iter
       (fun p ->
         Dhdl_util.Faults.configure ~seed:faults_seed ~p ();
@@ -374,11 +386,12 @@ let dse_cmd =
         (match checkpoint with
         | Some f -> Printf.sprintf "; resume with --checkpoint %s --resume" f
         | None -> " (no checkpoint; use --checkpoint FILE to make this resumable)");
-    Option.iter
-      (fun attr ->
-        print_newline ();
-        print_string (Profile.render attr))
-      result.Explore.attribution
+    if profile then
+      Option.iter
+        (fun attr ->
+          print_newline ();
+          print_string (Profile.render attr))
+        (Profile.of_snapshot (Obs.snapshot ()))
   in
   Cmd.v
     (Cmd.info "dse" ~doc:"Explore a benchmark's design space and print the Pareto frontier.")
@@ -659,25 +672,23 @@ let profile_cmd =
              efficiency, Amdahl serial fraction, and the full time attribution).")
   in
   let run app jobs_list seed train points cache json trace jsonl metrics =
-    with_obs ~trace ~jsonl ~metrics @@ fun () ->
+    with_obs ~profile:true ~trace ~jsonl ~metrics @@ fun () ->
     if jobs_list = [] then failwith "expected at least one --jobs level";
     let a = Request.app app in
     let est = make_estimator ?cache ~quiet:json ~seed ~train_samples:train () in
     let space = a.App.space a.App.paper_sizes in
     let generate p = a.App.generate ~sizes:a.App.paper_sizes ~params:p in
     (* Every level sweeps on a fresh Eval.t, so none is answered from an
-       earlier level's caches. *)
+       earlier level's caches, and is read from the sink right after it
+       runs, while it is the most recent sweep there. *)
     let levels =
       List.map
         (fun jobs ->
-          let cfg = Explore.Config.make ~seed ~max_points:points ~jobs ~profile:true () in
+          let cfg = Explore.Config.make ~seed ~max_points:points ~jobs () in
           let r = Explore.run cfg (Eval.create est) ~space ~generate in
-          let attr =
-            match r.Explore.attribution with
-            | Some attr -> attr
-            | None -> failwith "profiled sweep returned no attribution"
-          in
-          (jobs, r, attr))
+          match Profile.of_snapshot (Obs.snapshot ()) with
+          | Some attr -> (jobs, r, attr)
+          | None -> failwith "the sweep recorded no spans")
         jobs_list
     in
     let pts_per_sec (r : Explore.result) =
@@ -868,6 +879,7 @@ let serve_cmd =
   let run socket sessions queue_cap degrade quarantine seed train cache jobs inject faults_seed
       trace jsonl metrics =
     with_obs ~trace ~jsonl ~metrics @@ fun () ->
+    warn_jobs jobs;
     Option.iter
       (fun p ->
         Dhdl_util.Faults.configure ~seed:faults_seed ~p ();

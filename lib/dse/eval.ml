@@ -6,30 +6,6 @@ module Faults = Dhdl_util.Faults
 module Fifo_table = Dhdl_util.Fifo_table
 module Obs = Dhdl_obs.Obs
 
-type stages = {
-  mutable s_generate : float;
-  mutable s_probe : float;
-  mutable s_analyze : float;
-  mutable s_estimate : float;
-}
-
-let fresh_stages () = { s_generate = 0.0; s_probe = 0.0; s_analyze = 0.0; s_estimate = 0.0 }
-
-(* Time one stage into [acc] via [add] when profiling; exactly [f ()]
-   otherwise, so the unprofiled pipeline pays one option match per stage
-   and no clock reads. *)
-let timed stages add f =
-  match stages with
-  | None -> f ()
-  | Some acc ->
-    let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> add acc (Unix.gettimeofday () -. t0)) f
-
-let add_generate a d = a.s_generate <- a.s_generate +. d
-let add_probe a d = a.s_probe <- a.s_probe +. d
-let add_analyze a d = a.s_analyze <- a.s_analyze +. d
-let add_estimate a d = a.s_estimate <- a.s_estimate +. d
-
 (* Analysis verdict for one design, as cached: which prune class (if any)
    the enabled lint/absint passes put it in. Error-level diagnostics split
    three ways: heuristic lint errors prune the point (counted as lint);
@@ -172,8 +148,8 @@ let non_finite_detail (e : Outcome.evaluation) =
    estimator and therefore one device, so it is constant per cache. *)
 let analysis_cache_key ~absint key = key ^ if absint then "/la" else "/l-"
 
-let run_analysis t ?stages ~absint design =
-  timed stages add_analyze @@ fun () ->
+let run_analysis t ~absint design =
+  Obs.span "eval.analyze" @@ fun () ->
   let dev = Estimator.device t.est in
   let diags =
     if absint then Lint.check ~dev design else Lint.check ~dev ~only:Lint.heuristic_codes design
@@ -188,21 +164,19 @@ let run_analysis t ?stages ~absint design =
 
 (* [key] is the rendered design key and [design] the design, both lazy:
    a hit forces neither the design nor, on an index hit, a generator. *)
-let analysis_verdict t ?stages ~bypass ~absint ~key design =
-  if bypass || not (Cache.enabled t.analysis) then
-    run_analysis t ?stages ~absint (Lazy.force design)
+let analysis_verdict t ~bypass ~absint ~key design =
+  if bypass || not (Cache.enabled t.analysis) then run_analysis t ~absint (Lazy.force design)
   else begin
-    let ck = timed stages add_probe @@ fun () -> analysis_cache_key ~absint (Lazy.force key) in
-    match timed stages add_probe (fun () -> Cache.find t.analysis ck) with
+    let ck = analysis_cache_key ~absint (Lazy.force key) in
+    match Cache.find t.analysis ck with
     | Some v -> v
     | None ->
-      let v = run_analysis t ?stages ~absint (Lazy.force design) in
-      timed stages add_probe (fun () -> Cache.add t.analysis ck v);
+      let v = run_analysis t ~absint (Lazy.force design) in
+      Cache.add t.analysis ck v;
       v
   end
 
-let run_estimate t ?stages design =
-  timed stages add_estimate @@ fun () ->
+let run_estimate t design =
   let e = Estimator.estimate t.est design in
   let alm, dsp, bram = Estimator.utilization t.est e.Estimator.area in
   {
@@ -213,15 +187,15 @@ let run_estimate t ?stages design =
     ce_bram = bram;
   }
 
-let cached_estimate t ?stages ~bypass ~key design =
-  if bypass || not (Cache.enabled t.estimates) then run_estimate t ?stages (Lazy.force design)
+let cached_estimate t ~bypass ~key design =
+  if bypass || not (Cache.enabled t.estimates) then run_estimate t (Lazy.force design)
   else begin
-    let ck = timed stages add_probe @@ fun () -> Lazy.force key in
-    match timed stages add_probe (fun () -> Cache.find t.estimates ck) with
+    let ck = Lazy.force key in
+    match Cache.find t.estimates ck with
     | Some v -> v
     | None ->
-      let v = run_estimate t ?stages (Lazy.force design) in
-      timed stages add_probe (fun () -> Cache.add t.estimates ck v);
+      let v = run_estimate t (Lazy.force design) in
+      Cache.add t.estimates ck v;
       v
   end
 
@@ -247,9 +221,8 @@ let index_slot t ~bypass family point =
 
 (* [generate ()] runs now on an index miss, so its exception escapes
    [bind_with]; on a hit it runs when [b_design] is first forced. *)
-let bind_with t ?stages ~bypass family point generate =
+let bind_with t ~bypass family point generate =
   let slot, filed =
-    timed stages add_probe @@ fun () ->
     match index_slot t ~bypass family point with
     | None -> (None, None)
     | Some s as slot -> (slot, Cache.find t.index s)
@@ -298,14 +271,14 @@ exception Generate_failed of exn
    memoized estimate would replay another point's fault decision and
    break the bit-identical-under-faults guarantee the fault tests pin;
    and a point the index answered would skip its [dse.generator] site. *)
-let evaluate t ?stages ?family ~absint ~index ~generate point =
+let evaluate t ?family ~absint ~index ~generate point =
   let bypass = Faults.active () in
   let generate () =
     Faults.inject ~key:index "dse.generator";
-    timed stages add_generate (fun () -> generate point)
+    Obs.span "eval.generate" (fun () -> generate point)
   in
   let lazily () = try generate () with exn -> raise (Generate_failed exn) in
-  match bind_with t ?stages ~bypass family point lazily with
+  match bind_with t ~bypass family point lazily with
   | exception Generate_failed exn -> Outcome.Failed (Outcome.Generator_error, describe exn)
   | b -> (
     (* Rendered once, lazily, and shared between the two cached stages:
@@ -315,7 +288,7 @@ let evaluate t ?stages ?family ~absint ~index ~generate point =
     match
       try
         Faults.inject ~key:index "dse.lint";
-        Ok (analysis_verdict t ?stages ~bypass ~absint ~key design)
+        Ok (analysis_verdict t ~bypass ~absint ~key design)
       with
       | Generate_failed exn -> Error (Outcome.Generator_error, describe exn)
       | exn -> Error (Outcome.Lint_error, describe exn)
@@ -327,7 +300,7 @@ let evaluate t ?stages ?family ~absint ~index ~generate point =
     | Ok Clean -> (
       try
         Faults.inject ~key:index "dse.estimator";
-        let e = evaluation_of_cached point (cached_estimate t ?stages ~bypass ~key design) in
+        let e = evaluation_of_cached point (cached_estimate t ~bypass ~key design) in
         let e =
           if Faults.fires ~key:index "dse.non_finite" then
             { e with Outcome.estimate = { e.Outcome.estimate with Estimator.cycles = Float.nan } }

@@ -56,23 +56,15 @@
 
     Thread-safety: an [Eval.t] may be shared freely across domains (the
     parallel sweep engine and the serve supervisor both do); the tables
-    are mutex-guarded and hit/miss accounting is atomic. *)
+    are mutex-guarded and hit/miss accounting is atomic.
+
+    {b Timing.} [Eval] reads no clock. With the {!Dhdl_obs.Obs} sink on,
+    {!evaluate} records an [eval.generate] span around each generator
+    call and an [eval.analyze] span around each lint/absint run (cache
+    misses only); the estimator records its own [estimate] span.
+    {!Profile} builds a sweep's lanes from these spans. *)
 
 module Estimator = Dhdl_model.Estimator
-
-(** Per-pipeline-stage wall-second accumulators, written only when a
-    caller passes [?stages] (the profiled sweep path). [s_probe] is the
-    time spent deriving keys and probing/filling the caches — kept apart
-    from [s_analyze] so cache overhead never masquerades as analysis
-    work in [Profile]'s attribution. *)
-type stages = {
-  mutable s_generate : float;
-  mutable s_probe : float;
-  mutable s_analyze : float;
-  mutable s_estimate : float;
-}
-
-val fresh_stages : unit -> stages
 
 type t
 
@@ -114,7 +106,6 @@ val stats : t -> stats
     generator at the family's sizes (see the contract above). *)
 val evaluate :
   t ->
-  ?stages:stages ->
   ?family:Space.family ->
   absint:bool ->
   index:int ->

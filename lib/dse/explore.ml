@@ -45,7 +45,6 @@ type result = {
   cpu_seconds : float;
   cache_hits : int;
   cache_misses : int;
-  attribution : Profile.t option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -67,7 +66,6 @@ module Config = struct
     checkpoint_every : int;
     resume : bool;
     deadline_seconds : float option;
-    profile : bool;
     stop_requested : (unit -> bool) option;
   }
 
@@ -78,7 +76,7 @@ module Config = struct
 
   let make ?(seed = 2016) ?(max_points = 75_000) ?(absint = true) ?(symbolic = true) ?(jobs = 1)
       ?(tick_every = 1000) ?checkpoint ?(checkpoint_every = 500) ?(resume = false)
-      ?deadline_seconds ?(profile = false) ?stop_requested () =
+      ?deadline_seconds ?stop_requested () =
     if resume && checkpoint = None then failwith "--resume requires --checkpoint FILE";
     if jobs < 1 then failwith (Printf.sprintf "jobs must be >= 1 (got %d)" jobs);
     if jobs > max_jobs then failwith (Printf.sprintf "jobs must be <= %d (got %d)" max_jobs jobs);
@@ -90,7 +88,7 @@ module Config = struct
       failwith (Printf.sprintf "deadline must be a finite number of seconds >= 0 (got %g)" d)
     | _ -> ());
     { seed; max_points; absint; symbolic; jobs; tick_every; checkpoint; checkpoint_every; resume;
-      deadline_seconds; profile; stop_requested }
+      deadline_seconds; stop_requested }
 end
 
 let pareto_of evals =
@@ -98,6 +96,7 @@ let pareto_of evals =
   Pareto.frontier (fun e -> (e.estimate.Estimator.cycles, e.alm_pct)) valid
 
 let stage_counter stage = "dse.failed." ^ Outcome.stage_name stage
+let stages = [ Generator_error; Lint_error; Estimator_error; Non_finite_estimate ]
 
 let load_resume ~path ~space ~seed ~max_points ~total ~param_names =
   if not (Sys.file_exists path) then Hashtbl.create 1
@@ -134,9 +133,6 @@ let load_resume ~path ~space ~seed ~max_points ~total ~param_names =
         tbl
       end
 
-(* With the Obs sink on, every 100th point gets a [dse.point] span. *)
-let point_span_every = 100
-
 (* Points per cursor claim and per recorded chunk. At jobs = 4, chunks
    of 1, 4, 16 and 64 points swept within 10% of each other and ranked
    differently from run to run, so the size is fixed. *)
@@ -144,7 +140,7 @@ let chunk = 16
 
 let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let { Config.seed; max_points; absint; symbolic; jobs; tick_every; checkpoint; checkpoint_every;
-        resume; deadline_seconds; profile; stop_requested } =
+        resume; deadline_seconds; stop_requested } =
     cfg
   in
   Obs.span "dse.run"
@@ -159,28 +155,19 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     (* Register every counter up front so reports show the full set at
        zero even for clean or empty sweeps. *)
     Obs.count ~by:total "dse.points_sampled";
-    Obs.count ~by:0 "dse.lint_pruned";
-    Obs.count ~by:0 "dse.absint_pruned";
-    Obs.count ~by:0 "dse.dep_pruned";
-    Obs.count ~by:0 "dse.sym_pruned";
-    Obs.count ~by:0 "dse.estimated";
-    Obs.count ~by:0 "dse.unfit";
-    Obs.count ~by:0 "dse.cache.hit";
-    Obs.count ~by:0 "dse.cache.miss";
-    Obs.count ~by:0 "dse.cache.evict";
-    Obs.count ~by:0 "dse.symgate.hit";
-    Obs.count ~by:0 "dse.symgate.miss";
-    Obs.count ~by:0 "dse.index.hit";
-    Obs.count ~by:0 "dse.index.miss";
-    Obs.count ~by:0 "dse.index.evict";
     List.iter
-      (fun stage -> Obs.count ~by:0 (stage_counter stage))
-      [ Generator_error; Lint_error; Estimator_error; Non_finite_estimate ]
+      (fun name -> Obs.count ~by:0 name)
+      ([ "dse.lint_pruned"; "dse.absint_pruned"; "dse.dep_pruned"; "dse.sym_pruned";
+         "dse.estimated"; "dse.unfit"; "dse.cache.hit"; "dse.cache.miss"; "dse.cache.evict";
+         "dse.symgate.hit"; "dse.symgate.miss"; "dse.index.hit"; "dse.index.miss";
+         "dse.index.evict" ]
+      @ List.map stage_counter stages)
   end;
   let prior =
     match checkpoint with
     | Some path when resume ->
-      load_resume ~path ~space ~seed ~max_points ~total ~param_names
+      Obs.span "dse.resume" (fun () ->
+          load_resume ~path ~space ~seed ~max_points ~total ~param_names)
     | _ -> Hashtbl.create 1
   in
   (* The symbolic gate is fetched once, before any worker starts, from a
@@ -220,32 +207,29 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
      of the design key — and stand down entirely while fault injection is
      armed), which is what lets every jobs level promise the same results
      at any cache temperature. *)
-  let compute ?stages i p =
+  let evaluate i p =
+    Faults.with_key i @@ fun () ->
+    (* Pre-elaboration gate: a refuted point never generates, and every
+       other point pays the full pipeline. *)
+    match gate with
+    | Some g when Symgate.refutes g p -> Outcome.Sym_pruned
+    | _ -> Eval.evaluate ev ?family ~absint ~index:i ~generate p
+  in
+  (* With the sink on, each computed point is a [dse.point] span and an
+     estimated one a [dse.ms_per_design] sample; with it off, the point
+     reads no clock. *)
+  let compute i p =
     match Hashtbl.find_opt prior i with
-    | Some e -> (e, true, 0.0)
+    | Some e -> e
+    | None when not (Obs.enabled ()) -> evaluate i p
     | None ->
       let start = Unix.gettimeofday () in
-      let e =
-        Faults.with_key i @@ fun () ->
-        Obs.span_sampled ~every:point_span_every ~i "dse.point" @@ fun () ->
-        (* Pre-elaboration gate: a refuted point never generates, and
-           every other point pays the full pipeline as before. Verdict
-           time is attributed to the probe stage when profiling. *)
-        let refuted =
-          match gate with
-          | None -> false
-          | Some g ->
-            let t0 = if stages <> None then Unix.gettimeofday () else 0.0 in
-            let r = Symgate.refutes g p in
-            (match stages with
-            | Some s -> s.Eval.s_probe <- s.Eval.s_probe +. (Unix.gettimeofday () -. t0)
-            | None -> ());
-            r
-        in
-        if refuted then Outcome.Sym_pruned
-        else Eval.evaluate ev ?stages ?family ~absint ~index:i ~generate p
-      in
-      (e, false, Unix.gettimeofday () -. start)
+      let e = Obs.span "dse.point" (fun () -> evaluate i p) in
+      (match e with
+      | Outcome.Evaluated _ ->
+        Obs.observe "dse.ms_per_design" ((Unix.gettimeofday () -. start) *. 1000.0)
+      | _ -> ());
+      e
   in
   (* Recording state. Only the holder of the record lock (below) touches
      any of this, so the checkpoint file has one writer at a time and the
@@ -260,8 +244,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let failures = ref [] in
   let processed = ref 0 in
   (* The checkpoint is rendered as entries are recorded, each once;
-     periodic writes flush the rendered bytes. Profiled rendering and
-     writes both accumulate into the collector's [write] category. *)
+     periodic writes flush the rendered bytes. *)
   let writer =
     Option.map
       (fun path ->
@@ -278,36 +261,23 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
             } ))
       checkpoint
   in
-  (* [f ()], its seconds added to [acc] when profiling. *)
-  let timed acc f =
-    if profile then begin
-      let t0 = Unix.gettimeofday () in
-      f ();
-      acc := !acc +. (Unix.gettimeofday () -. t0)
-    end
-    else f ()
-  in
-  let write_seconds = ref 0.0 in
   let write_checkpoint () =
     match writer with
     | None -> ()
-    | Some (path, w) ->
-      Obs.span "dse.checkpoint" @@ fun () ->
-      timed write_seconds (fun () -> Checkpoint.flush ~path w)
+    | Some (path, w) -> Obs.span "dse.checkpoint" (fun () -> Checkpoint.flush ~path w)
   in
   (* Merge one point's outcome, in sampling-index order. This is the one
      place an outcome is counted: a reused point only under
      [dse.resumed], a computed one under its own counter. *)
-  let record i p (entry, was_resumed, dt) =
+  let record i p entry =
     Obs.tick ~every:tick_every ~label:("dse " ^ Space.name space) ~total i;
+    let was_resumed = Hashtbl.mem prior i in
     if was_resumed then incr resumed;
     if Obs.enabled () then begin
       if was_resumed then Obs.count "dse.resumed"
       else
         match entry with
-        | Outcome.Evaluated _ ->
-          Obs.count "dse.estimated";
-          Obs.observe "dse.ms_per_design" (dt *. 1000.0)
+        | Outcome.Evaluated _ -> Obs.count "dse.estimated"
         | Outcome.Pruned -> Obs.count "dse.lint_pruned"
         | Outcome.Absint_pruned -> Obs.count "dse.absint_pruned"
         | Outcome.Dep_pruned -> Obs.count "dse.dep_pruned"
@@ -323,9 +293,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       failures := { f_index = i; f_point = p; f_stage; f_message } :: !failures
     | Outcome.Evaluated _ -> ());
     entries := (i, entry) :: !entries;
-    (match writer with
-    | Some (_, w) -> timed write_seconds (fun () -> Checkpoint.append w i entry)
-    | None -> ());
+    Option.iter (fun (_, w) -> Checkpoint.append w i entry) writer;
     incr processed;
     if checkpoint_every > 0 && !processed mod checkpoint_every = 0 then write_checkpoint ()
   in
@@ -337,20 +305,14 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
      entries, counters and every periodic checkpoint come out in the same
      order, byte for byte, at every jobs level. Worker 0 runs on the
      calling domain and [jobs - 1] domains are spawned: at [jobs = 1]
-     nothing is spawned and the lock is never contended. When profiling,
-     every accumulator below is owned by exactly one worker (slots by
-     worker index) or updated under the record lock, so the profiler adds
-     no contention of its own. *)
+     nothing is spawned and the lock is never contended. With the sink
+     on, each worker's loop is a [dse.worker] span, a failed [try_lock]
+     a [dse.lock_wait] span and each recording a [dse.record] span:
+     {!Profile} builds the sweep's lanes from them. *)
   let points_arr = Array.of_list points in
-  let record_range lo arr = Array.iteri (fun j r -> record (lo + j) points_arr.(lo + j) r) arr in
+  let record_range lo arr = Array.iteri (fun j e -> record (lo + j) points_arr.(lo + j) e) arr in
   let cursor = Atomic.make 0 in
   let stop = Atomic.make false in
-  let obs_prof = profile && Obs.enabled () in
-  let stage_slots = Array.init jobs (fun _ -> Eval.fresh_stages ()) in
-  let point_slots = Array.make jobs 0 in
-  let send_slots = Array.init jobs (fun _ -> ref 0.0) in
-  let record_slots = Array.init jobs (fun _ -> ref 0.0) in
-  let wall_slots = Array.make jobs 0.0 in
   (* Under [lock]: chunks filed ahead of [next] (the first chunk not yet
      recorded) wait in [filed], and [failure] keeps the first exception a
      worker raised. *)
@@ -374,14 +336,14 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       incr next;
       record_filed ()
   in
-  (* Send-block is the wait for the lock, timed only when [try_lock]
-     fails. A failed record (a checkpoint flush) stops the sweep, and
-     nothing is recorded after it. *)
-  let send k lo arr =
-    if not (Mutex.try_lock lock) then timed send_slots.(k) (fun () -> Mutex.lock lock);
+  (* The lock wait is a span only when [try_lock] fails. A failed
+     record (a checkpoint flush) stops the sweep, and nothing is recorded
+     after it. *)
+  let send lo arr =
+    if not (Mutex.try_lock lock) then Obs.span "dse.lock_wait" (fun () -> Mutex.lock lock);
     (if Option.is_none !failure then
        try
-         timed record_slots.(k) (fun () ->
+         Obs.span "dse.record" (fun () ->
              filed.(lo / chunk) <- Some arr;
              incr parked;
              record_filed ();
@@ -390,21 +352,18 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     Mutex.unlock lock
   in
   let worker k =
-    let stages = if profile then Some stage_slots.(k) else None in
-    let t_w0 = if profile then Unix.gettimeofday () else 0.0 in
+    Obs.span "dse.worker" ~attrs:[ ("worker", string_of_int k) ] @@ fun () ->
     let rec loop () =
       if not (Atomic.get stop) then begin
         let lo = Atomic.fetch_and_add cursor chunk in
         if lo < total then begin
           let hi = min total (lo + chunk) in
-          let buf = Array.make (hi - lo) (Outcome.Pruned, false, 0.0) in
+          let buf = Array.make (hi - lo) Outcome.Pruned in
           let n = ref 0 in
           while lo + !n < hi && not (Atomic.get stop) do
             let i = lo + !n in
-            let ((_, reused, _) as r) = compute ?stages i points_arr.(i) in
-            buf.(!n) <- r;
+            buf.(!n) <- compute i points_arr.(i);
             incr n;
-            if profile && not reused then point_slots.(k) <- point_slots.(k) + 1;
             (* The deadline (or a cancel request) is checked after each
                consumed point, and tripping it stops every worker from
                pulling further points. *)
@@ -413,16 +372,12 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
           (* A range cut short by a stop request goes out shorter; one
              the stop emptied goes out not at all (the post-join sweep
              records past the gap). *)
-          if !n > 0 then send k lo (if !n = Array.length buf then buf else Array.sub buf 0 !n);
+          if !n > 0 then send lo (if !n = Array.length buf then buf else Array.sub buf 0 !n);
           loop ()
         end
       end
     in
-    loop ();
-    if profile then begin
-      wall_slots.(k) <- Unix.gettimeofday () -. t_w0;
-      if obs_prof then Obs.count ~by:point_slots.(k) (Printf.sprintf "dse.claims.w%d" k)
-    end
+    loop ()
   in
   let guard f =
     try f ()
@@ -430,7 +385,6 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
       let bt = Printexc.get_raw_backtrace () in
       Mutex.protect lock (fun () -> fail_locked e bt)
   in
-  let t_loop0 = if profile then Unix.gettimeofday () else 0.0 in
   (* Spawned workers' telemetry lands in per-domain buffers, one trace
      lane each; worker 0's stays on the calling domain's. A spawn that
      fails stops the sweep like any other worker exception. *)
@@ -450,53 +404,11 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
      stop emptied, whose successors finished). Record them too, still in
      index order: the checkpoint format addresses entries by index, so a
      resumed sweep reuses every one of them. *)
-  let tail_seconds = ref 0.0 in
-  timed tail_seconds (fun () ->
-      for c = !next to Array.length filed - 1 do
-        Option.iter (record_range (c * chunk)) filed.(c)
-      done);
-  let attribution =
-    if not profile then None
-    else begin
-      let wall = Unix.gettimeofday () -. t_loop0 in
-      (* The collector is every second spent recording, by whichever
-         worker held the lock; each worker's wall leaves its own out. *)
-      let c_wall = Array.fold_left (fun acc r -> acc +. !r) !tail_seconds record_slots in
-      if obs_prof then Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_parked);
-      Some
-        {
-          Profile.jobs;
-          wall_s = wall;
-          workers =
-            List.init jobs (fun k ->
-                let a = stage_slots.(k) in
-                let w_wall_s = wall_slots.(k) -. !(record_slots.(k)) in
-                let send_block = !(send_slots.(k)) in
-                let accounted =
-                  a.Eval.s_generate +. a.Eval.s_probe +. a.Eval.s_analyze +. a.Eval.s_estimate
-                  +. send_block
-                in
-                {
-                  Profile.w_domain = k;
-                  w_points = point_slots.(k);
-                  w_wall_s;
-                  w_generate_s = a.Eval.s_generate;
-                  w_probe_s = a.Eval.s_probe;
-                  w_analyze_s = a.Eval.s_analyze;
-                  w_estimate_s = a.Eval.s_estimate;
-                  w_send_block_s = send_block;
-                  w_idle_s = Float.max 0.0 (w_wall_s -. accounted);
-                });
-          collector =
-            {
-              Profile.c_wall_s = c_wall;
-              c_write_s = !write_seconds;
-              c_merge_s = Float.max 0.0 (c_wall -. !write_seconds);
-            };
-          max_reorder_occupancy = !max_parked;
-        }
-    end
-  in
+  if !next < Array.length filed then
+    Obs.span "dse.record" (fun () ->
+        for c = !next to Array.length filed - 1 do
+          Option.iter (record_range (c * chunk)) filed.(c)
+        done);
   if checkpoint <> None then write_checkpoint ();
   let evaluations =
     List.rev_map (function _, Outcome.Evaluated e -> Some e | _ -> None) !entries
@@ -507,6 +419,7 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
   let cpu_seconds = Sys.time () -. cpu0 in
   let stats1 = Eval.stats ev in
   if Obs.enabled () then begin
+    Obs.gauge "dse.reorder.max_occupancy" (float_of_int !max_parked);
     Obs.count ~by:(List.length (List.filter (fun e -> not e.valid) evaluations)) "dse.unfit";
     Obs.gauge "dse.points_per_sec"
       (if elapsed > 0.0 then float_of_int !processed /. elapsed else 0.0)
@@ -531,7 +444,6 @@ let run (cfg : Config.t) (ev : Eval.t) ~space ~generate =
     cpu_seconds;
     cache_hits = stats1.Eval.hits - stats0.Eval.hits;
     cache_misses = stats1.Eval.misses - stats0.Eval.misses;
-    attribution;
   }
 
 let unfit_count r = List.length (List.filter (fun e -> not e.valid) r.evaluations)
@@ -540,7 +452,7 @@ let failed_count r = List.length r.failures
 let failure_counts r =
   List.map
     (fun stage -> (stage, List.length (List.filter (fun f -> f.f_stage = stage) r.failures)))
-    [ Generator_error; Lint_error; Estimator_error; Non_finite_estimate ]
+    stages
 
 let best r =
   match r.pareto with

@@ -90,12 +90,6 @@ type result = {
           under concurrent sweeps the attribution of a hit to one sweep
           is approximate; totals across sweeps are exact. *)
   cache_misses : int;  (** Counterpart of [cache_hits]. *)
-  attribution : Profile.t option;
-      (** Where every worker- and collector-second went ([Some] iff
-          [Config.profile] was set): per-worker
-          {generate, analyze, estimate, send-block, idle} and collector
-          (recording under the record lock) {write, merge} accounting,
-          plus the peak of parked chunks. See {!Profile}. *)
 }
 
 (** Sweep configuration: one validated record instead of the
@@ -125,13 +119,6 @@ module Config : sig
     checkpoint_every : int;  (** Periodic write cadence; 0 = only at end. *)
     resume : bool;  (** Reuse entries from [checkpoint] before computing. *)
     deadline_seconds : float option;  (** Stop consuming points after this. *)
-    profile : bool;
-        (** Attribute worker/collector time (see {!Profile}); fills
-            [result.attribution]. Independent of the Obs sink — when both
-            are on, the parked-chunk gauge and per-worker point counters
-            are also recorded. Off (the default) the sweep pays only a per-stage
-            branch, keeping jobs=1 throughput within noise of unprofiled
-            builds. *)
     stop_requested : (unit -> bool) option;
         (** Cooperative cancellation hook, polled after every consumed
             point (all jobs levels). Returning [true] stops the sweep
@@ -156,7 +143,6 @@ module Config : sig
     ?checkpoint_every:int ->
     ?resume:bool ->
     ?deadline_seconds:float ->
-    ?profile:bool ->
     ?stop_requested:(unit -> bool) ->
     unit ->
     t
@@ -282,26 +268,29 @@ val run :
     [dse.failed.estimator] / [dse.failed.non_finite] — all pre-registered
     at zero — plus [dse.resumed] on resume; each outcome is counted
     once, when it is recorded, a reused point only under
-    [dse.resumed]), a
-    [dse.ms_per_design] histogram over estimated points, a per-point
-    [dse.point] span for every 100th point, and a progress tick on stderr
-    every [tick_every] points (default 1000). With the sink disabled (the
-    default) none of this costs anything.
+    [dse.resumed]), a [dse.ms_per_design] histogram over estimated
+    points, the [dse.reorder.max_occupancy] gauge (the most chunks ever
+    parked ahead of an unrecorded one), and a progress tick on stderr
+    every [tick_every] points (default 1000).
 
-    {b Profiling.} With [config.profile = true] the sweep additionally
-    attributes every worker-second to
-    {generate, cache-probe, analyze, estimate, send-block, idle}
-    (send-block is the wait for the record lock) and every second spent
-    recording under that lock — the collector — to {write, merge},
-    returning the breakdown in [result.attribution] (see {!Profile}).
-    Attribution accumulators are owned by exactly one worker each or
-    kept under the record lock, so profiling adds no cross-domain
-    contention and — because it never touches the point pipeline's
-    inputs — leaves results and checkpoints bit-identical to unprofiled
-    runs at every jobs level. When the Obs sink is {e also} enabled, the
-    sweep records the [dse.reorder.max_occupancy] gauge (peak parked
-    chunks) and per-worker [dse.claims.w<k>] counters of the points
-    worker [k] computed. *)
+    {b Spans.} The sink is also the sweep's only timer. A [dse.run] span
+    covers the whole call. Setup is [dse.sample], [dse.resume] (the
+    checkpoint load), [dse.symgate] and, at the end, [dse.pareto]. Each
+    worker's loop is a [dse.worker] span (attribute [worker], its index)
+    on its own track: 0 for worker 0, on the calling domain, and [k] for
+    spawned worker [k]. Inside it every computed point is a [dse.point]
+    span, a wait for the record lock a [dse.lock_wait] span (only when
+    [Mutex.try_lock] fails, so never at [jobs = 1]) and each recording
+    under the lock a [dse.record] span, which holds the periodic
+    [dse.checkpoint] writes. Recording past a truncation gap is one more
+    [dse.record] and the final flush one more [dse.checkpoint], both
+    after the join. {!Profile.of_snapshot} turns these spans into lanes.
+    Spawned workers record into their own domain buffers, so during a
+    sweep only worker 0 takes the sink mutex and the telemetry adds no
+    contention between workers. Spans never touch the pipeline's inputs,
+    so results and checkpoints are bit-identical with the sink on or
+    off. With the sink disabled (the default) none of this costs a clock
+    read. *)
 
 val unfit_count : result -> int
 (** Evaluated points that do not fit the device ([valid = false]) —

@@ -123,23 +123,15 @@ let corrected_area t raw =
     let area = assemble t.dev raw corrections in
     if area_sane area then area else fall_back t raw
 
-(* The untraced path stays free of telemetry closures so a disabled sink
-   adds nothing to the paper's headline ms-per-design metric; the traced
-   path breaks the estimate into its three per-phase spans (area model, NN
-   correction, cycle model). *)
+(* One [estimate] span, split into its three phases: area model, NN
+   correction and cycle model. *)
 let estimate t design =
-  if not (Obs.enabled ()) then
-    let raw = Area_model.raw_estimate t.char t.dev design in
-    let area = corrected_area t raw in
-    let cycles = Cycle_model.estimate ~board:t.brd design in
-    { area; cycles; seconds = cycles /. (t.brd.Target.fabric_mhz *. 1e6); raw }
-  else
-    Obs.span "estimate" ~attrs:[ ("design", design.Dhdl_ir.Ir.d_name) ] @@ fun () ->
-    let raw = Obs.span "estimate.area_model" (fun () -> Area_model.raw_estimate t.char t.dev design) in
-    let area = Obs.span "estimate.nn_correction" (fun () -> corrected_area t raw) in
-    let cycles = Obs.span "estimate.cycle_model" (fun () -> Cycle_model.estimate ~board:t.brd design) in
-    Obs.count "estimator.estimates";
-    { area; cycles; seconds = cycles /. (t.brd.Target.fabric_mhz *. 1e6); raw }
+  Obs.span "estimate" ~attrs:[ ("design", design.Dhdl_ir.Ir.d_name) ] @@ fun () ->
+  let raw = Obs.span "estimate.area_model" (fun () -> Area_model.raw_estimate t.char t.dev design) in
+  let area = Obs.span "estimate.nn_correction" (fun () -> corrected_area t raw) in
+  let cycles = Obs.span "estimate.cycle_model" (fun () -> Cycle_model.estimate ~board:t.brd design) in
+  Obs.count "estimator.estimates";
+  { area; cycles; seconds = cycles /. (t.brd.Target.fabric_mhz *. 1e6); raw }
 
 let estimate_area t design = (estimate t design).area
 let estimate_cycles t design = Cycle_model.estimate ~board:t.brd design

@@ -67,7 +67,7 @@ type local = {
   l_counters : (string, int ref) Hashtbl.t;
   l_hists : (string, hist) Hashtbl.t;
   l_track : int;
-  mutable l_spans : span list;  (* reverse completion order, local seq *)
+  mutable l_spans : span list;  (* reverse completion order, local start seq *)
   mutable l_depth : int;
   mutable l_seq : int;
 }
@@ -153,9 +153,6 @@ let span ?(attrs = []) name f =
                   sp_seq = seq; sp_track = 0; sp_attrs = attrs }
                 :: s.spans))
         f)
-
-let span_sampled ~every ~i ?attrs name f =
-  if !live && every > 0 && i mod every = 0 then span ?attrs name f else f ()
 
 let bump counters name by =
   match Hashtbl.find_opt counters name with
@@ -246,8 +243,8 @@ let with_domain_buffer ?(track = 0) f =
     let flush () =
       slot := saved;
       (* One lock acquisition merges everything the domain recorded. Spans
-         get fresh global sequence numbers in their local completion order,
-         so the snapshot's seq sort keeps each domain's spans coherent. The
+         get fresh global sequence numbers in their local start order, so
+         the snapshot lists each domain's spans parent before child. The
          time spent waiting for the merge lock is itself recorded. *)
       let t0 = now_us s in
       Mutex.lock s.mutex;
@@ -269,7 +266,7 @@ let with_domain_buffer ?(track = 0) f =
           let seq = s.seq in
           s.seq <- seq + 1;
           s.spans <- { sp with sp_seq = seq } :: s.spans)
-        (List.rev l.l_spans);
+        (List.sort (fun a b -> compare a.sp_seq b.sp_seq) l.l_spans);
       hist_observe ~cap:s.hist_cap s.hists flush_wait_hist waited
     in
     Fun.protect ~finally:flush f

@@ -70,11 +70,6 @@ val span : ?attrs:attrs -> string -> (unit -> 'a) -> 'a
 (** [span name f] times [f] and records a completed span (also on
     exception). When disabled this is exactly [f ()]. *)
 
-val span_sampled : every:int -> i:int -> ?attrs:attrs -> string -> (unit -> 'a) -> 'a
-(** Record the span only for every [every]-th index ([i mod every = 0],
-    [every > 0]); otherwise just run [f]. For per-point spans in long DSE
-    sweeps where tracing every point would swamp the sink. *)
-
 val count : ?by:int -> string -> unit
 (** Increment a named counter. [count ~by:0 name] registers the counter at
     zero without incrementing (so reports show it even when never hit). *)
@@ -102,17 +97,19 @@ val with_domain_buffer : ?track:int -> (unit -> 'a) -> 'a
     when [f] returns (also on exception). Parallel DSE worker domains wrap
     their whole work loop in this so per-point telemetry never contends
     on the hot path. [track] (default 0) tags the buffered spans' lane
-    identity: the parallel DSE engine passes worker index [+ 1], keeping
-    track 0 for the collector/main domain. Counter totals merge exactly;
-    histogram reservoirs merge by replaying the kept samples into the
-    global reservoir with the dropped remainder added to the true count;
-    buffered spans receive fresh global sequence numbers at flush time, so
-    they sort after spans already in the sink. The time the flush spends
-    waiting for the sink mutex is recorded in the [obs.flush_wait_us]
-    histogram — the only self-contention the profiler can add, kept
-    measurable on purpose. {!counter_value} and {!snapshot} only see the
-    buffer's contents after the flush. Scopes nest (inner flushes restore
-    the outer buffer); with the sink disabled this is exactly [f ()]. *)
+    identity: a sweep passes each spawned worker's index [k >= 1], and
+    worker 0, on the calling domain, records on track 0. Counter totals
+    merge exactly; histogram reservoirs merge by replaying the kept
+    samples into the global reservoir with the dropped remainder added to
+    the true count; buffered spans receive fresh global sequence numbers
+    at flush time, in the order they started, so they sort after spans
+    already in the sink and a parent before its children. The time the
+    flush spends waiting for the sink mutex is recorded in the
+    [obs.flush_wait_us] histogram — the only self-contention the profiler
+    can add, kept measurable on purpose. {!counter_value} and {!snapshot}
+    only see the buffer's contents after the flush. Scopes nest (inner
+    flushes restore the outer buffer); with the sink disabled this is
+    exactly [f ()]. *)
 
 val fresh_track : unit -> int
 (** Allocate a fresh {e request} lane: a track id from a process-wide

@@ -1,6 +1,6 @@
 (* The keyed Eval API: canonical design keys, the memoizing pipeline's
    extensional equality with a direct (cache-free) pipeline, byte-identical
-   checkpoints across {jobs} x {cache temperature} x {profile}, warm-cache
+   checkpoints across {jobs} x {cache temperature} x {sink}, warm-cache
    resume, deterministic eviction, fault-injection cache bypass, the
    symbolic-gate memo (derived once per space family, byte-identical
    either way, kept out of the per-point cache counts), and grep-level
@@ -222,15 +222,21 @@ let test_faults_bypass_cache () =
   check_int "no misses under faults" 0 s.Eval.misses
 
 (* ------------------------------------------------------------------ *)
-(* Sweep-level identity across jobs x cache x profile                  *)
+(* Sweep-level identity across jobs x cache x sink                     *)
 (* ------------------------------------------------------------------ *)
 
-let sweep ?(jobs = 1) ?(profile = false) ?checkpoint ?(resume = false) ev =
+(* [sink] runs the sweep with the Obs sink on, every span recorded. *)
+let sweep ?(jobs = 1) ?(sink = false) ?checkpoint ?(resume = false) ev =
   let cfg =
-    Explore.Config.make ~seed:11 ~max_points:60 ~jobs ~profile ?checkpoint ~resume
-      ~checkpoint_every:4 ~tick_every:0 ()
+    Explore.Config.make ~seed:11 ~max_points:60 ~jobs ?checkpoint ~resume ~checkpoint_every:4
+      ~tick_every:0 ()
   in
-  Explore.run cfg ev ~space:(space ()) ~generate
+  let go () = Explore.run cfg ev ~space:(space ()) ~generate in
+  if sink then begin
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable go
+  end
+  else go ()
 
 let strip (r : Explore.result) =
   (r.Explore.evaluations, r.Explore.pareto, r.Explore.failures, r.Explore.sampled,
@@ -243,30 +249,30 @@ let test_checkpoint_identity_matrix () =
   let golden = tmp "matrix_golden.jsonl" in
   let reference = sweep ~checkpoint:golden (Eval.create est) in
   let golden_bytes = read_file golden in
-  let cell ~jobs ~profile temperature =
+  let cell ~jobs ~sink temperature =
     let ev =
       match temperature with
       | `Cold -> Eval.create est
       | `Off -> Eval.create ~analysis_cap:0 ~estimate_cap:0 est
       | `Warm -> warm_ev
     in
-    let cp = tmp (Printf.sprintf "matrix_j%d_p%b_%s.jsonl" jobs profile
+    let cp = tmp (Printf.sprintf "matrix_j%d_s%b_%s.jsonl" jobs sink
                     (match temperature with `Cold -> "cold" | `Off -> "off" | `Warm -> "warm"))
     in
-    let r = sweep ~jobs ~profile ~checkpoint:cp ev in
+    let r = sweep ~jobs ~sink ~checkpoint:cp ev in
     check_bool
-      (Printf.sprintf "results identical (jobs=%d profile=%b)" jobs profile)
+      (Printf.sprintf "results identical (jobs=%d sink=%b)" jobs sink)
       true
       (strip r = strip reference);
     check_str
-      (Printf.sprintf "checkpoint bytes identical (jobs=%d profile=%b)" jobs profile)
+      (Printf.sprintf "checkpoint bytes identical (jobs=%d sink=%b)" jobs sink)
       golden_bytes (read_file cp);
     Sys.remove cp
   in
   List.iter
     (fun jobs ->
       List.iter
-        (fun profile -> List.iter (cell ~jobs ~profile) [ `Cold; `Off; `Warm ])
+        (fun sink -> List.iter (cell ~jobs ~sink) [ `Cold; `Off; `Warm ])
         [ false; true ])
     [ 1; 4 ];
   Sys.remove golden
@@ -928,7 +934,7 @@ let () =
         ] );
       ( "sweep identity",
         [
-          Alcotest.test_case "checkpoints across jobs x cache x profile" `Quick
+          Alcotest.test_case "checkpoints across jobs x cache x sink" `Quick
             test_checkpoint_identity_matrix;
           Alcotest.test_case "chunked parallel under 5% faults" `Quick
             test_chunked_parallel_under_faults;

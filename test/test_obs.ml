@@ -61,16 +61,23 @@ let test_span_records_on_exception () =
   Obs.span "after" (fun () -> ());
   check_int "depth restored" 0 (span_named (Obs.snapshot ()) "after").Obs.sp_depth
 
-let test_span_sampled () =
+(* A domain buffer numbers its spans in start order when it flushes, as
+   the global path does: the parent, which finishes last, keeps the
+   smaller seq. *)
+let test_buffered_spans_in_start_order () =
   with_fake_sink @@ fun () ->
-  for i = 0 to 9 do
-    Obs.span_sampled ~every:5 ~i "sampled" (fun () -> ())
-  done;
-  check_int "every 5th point recorded" 2 (List.length (Obs.snapshot ()).Obs.snap_spans);
-  for i = 0 to 9 do
-    Obs.span_sampled ~every:0 ~i "never" (fun () -> ())
-  done;
-  check_int "rate 0 records nothing" 2 (List.length (Obs.snapshot ()).Obs.snap_spans)
+  Obs.with_domain_buffer ~track:1 (fun () ->
+      Obs.span "parent" (fun () ->
+          advance_ms 1.0;
+          Obs.span "child" (fun () -> advance_ms 2.0)));
+  let snap = Obs.snapshot () in
+  Alcotest.(check (list string))
+    "start order" [ "parent"; "child" ]
+    (List.map (fun sp -> sp.Obs.sp_name) snap.Obs.snap_spans);
+  let parent = span_named snap "parent" and child = span_named snap "child" in
+  check_bool "parent seq < child seq" true (parent.Obs.sp_seq < child.Obs.sp_seq);
+  check_int "parent depth" 0 parent.Obs.sp_depth;
+  check_int "child depth" 1 child.Obs.sp_depth
 
 (* ------------------------- counters / gauges / histograms ------------- *)
 
@@ -234,7 +241,8 @@ let () =
         [
           Alcotest.test_case "nested timing" `Quick test_nested_span_timing;
           Alcotest.test_case "exception safety" `Quick test_span_records_on_exception;
-          Alcotest.test_case "sampling" `Quick test_span_sampled;
+          Alcotest.test_case "buffered spans in start order" `Quick
+            test_buffered_spans_in_start_order;
         ] );
       ( "metrics",
         [

@@ -1,8 +1,10 @@
 (* Contention-profiler suite: bounded histogram reservoirs, multi-domain
    telemetry merging with per-track identity, the JSONL re-import path,
-   and the sweep time-attribution record — including the guarantee that
-   profiling never perturbs results or checkpoint bytes. Runs under both
-   `dune runtest` and the focused `dune build @profile` pre-merge alias. *)
+   the sweep time-attribution record read from the sweep's own spans —
+   including the guarantee that the sink never perturbs results or
+   checkpoint bytes — and the CLI's warning for more jobs than the host
+   recommends. Runs under both `dune runtest` and the focused
+   `dune build @profile` pre-merge alias. *)
 
 module Obs = Dhdl_obs.Obs
 module Explore = Dhdl_dse.Explore
@@ -205,13 +207,35 @@ let test_summary_from_jsonl_rejects_garbage () =
 
 let estimator = lazy (Estimator.create ~seed:7 ~train_samples:60 ~epochs:100 ())
 
-let run_sweep ?checkpoint ?resume ?(jobs = 1) ?(profile = true) ?(max_points = 60) est =
+(* One dotproduct sweep, with the sink on unless [sink] is false: the
+   result and the snapshot the sweep left in the sink (empty with the
+   sink off). *)
+let sweep_snap ?checkpoint ?resume ?(jobs = 1) ?(sink = true) ?(max_points = 60) est =
   let app = Dhdl_apps.Registry.find "dotproduct" in
   let sizes = [ ("n", 65_536) ] in
-  let cfg = Explore.Config.make ~seed:11 ~max_points ?checkpoint ?resume ~jobs ~profile () in
-  Explore.run cfg (Eval.create est)
-    ~space:(app.App.space sizes)
-    ~generate:(fun p -> app.App.generate ~sizes ~params:p)
+  let cfg = Explore.Config.make ~seed:11 ~max_points ?checkpoint ?resume ~jobs () in
+  let go () =
+    let r =
+      Explore.run cfg (Eval.create est)
+        ~space:(app.App.space sizes)
+        ~generate:(fun p -> app.App.generate ~sizes ~params:p)
+    in
+    (r, Obs.snapshot ())
+  in
+  if sink then begin
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable go
+  end
+  else go ()
+
+let attr_of snap =
+  match Profile.of_snapshot snap with
+  | Some a -> a
+  | None -> Alcotest.fail "the sweep recorded no dse.run span"
+
+let run_sweep ?checkpoint ?resume ?jobs ?max_points est =
+  let r, snap = sweep_snap ?checkpoint ?resume ?jobs ?max_points est in
+  (r, attr_of snap)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("dhdl_profile_" ^ name)
 
@@ -221,38 +245,45 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let attr_of (r : Explore.result) =
-  match r.Explore.attribution with
-  | Some a -> a
-  | None -> Alcotest.fail "profiled sweep returned no attribution"
-
 let check_fractions attr =
   let sum =
     Profile.work_fraction attr +. Profile.contention_fraction attr +. Profile.stall_fraction attr
   in
   Alcotest.(check (float 1e-9)) "work + contention + stall = 1" 1.0 sum
 
+(* [dse.point] spans per track: the points each worker computed. *)
+let points_per_track snap =
+  List.fold_left
+    (fun acc sp ->
+      if sp.Obs.sp_name <> "dse.point" then acc
+      else
+        let n = Option.value ~default:0 (List.assoc_opt sp.Obs.sp_track acc) in
+        (sp.Obs.sp_track, n + 1) :: List.remove_assoc sp.Obs.sp_track acc)
+    [] snap.Obs.snap_spans
+
+(* Profiling is the sink: with it off a sweep leaves nothing to read. *)
 let test_off_by_default () =
-  let r = run_sweep ~profile:false (Lazy.force estimator) in
-  check_bool "no attribution unless asked" true (r.Explore.attribution = None)
+  let _, snap = sweep_snap ~sink:false (Lazy.force estimator) in
+  check_int "no spans with the sink off" 0 (List.length snap.Obs.snap_spans);
+  check_bool "no attribution" true (Profile.of_snapshot snap = None)
 
 let test_sequential_attribution () =
-  (* Note: the Obs sink is disabled here — attribution must not depend on
-     telemetry being on. *)
-  let r = run_sweep (Lazy.force estimator) in
-  let attr = attr_of r in
+  let r, attr = run_sweep (Lazy.force estimator) in
   check_int "one worker at jobs=1" 1 (List.length attr.Profile.workers);
   let w = List.hd attr.Profile.workers in
   check_int "worker owns every processed point" r.Explore.processed w.Profile.w_points;
-  check_bool "no channel at jobs=1" true (w.Profile.w_send_block_s = 0.0);
+  check_bool "no lock wait at jobs=1" true (w.Profile.w_send_block_s = 0.0);
   check_bool "stages measured" true
-    (w.Profile.w_generate_s +. w.Profile.w_analyze_s +. w.Profile.w_estimate_s > 0.0);
+    (w.Profile.w_generate_s > 0.0 && w.Profile.w_analyze_s > 0.0 && w.Profile.w_estimate_s > 0.0);
+  check_bool "setup measured" true (attr.Profile.setup_s > 0.0);
   check_fractions attr
 
 let test_parallel_attribution () =
-  let r = run_sweep ~jobs:3 (Lazy.force estimator) in
-  let attr = attr_of r in
+  let r, attr = run_sweep ~jobs:3 (Lazy.force estimator) in
+  check_int "jobs from the dse.run span" 3 attr.Profile.jobs;
   check_int "one record per worker domain" 3 (List.length attr.Profile.workers);
+  check_bool "workers in index order" true
+    (List.map (fun w -> w.Profile.w_domain) attr.Profile.workers = [ 0; 1; 2 ]);
   check_int "cursor claims partition the points" r.Explore.processed
     (List.fold_left (fun acc w -> acc + w.Profile.w_points) 0 attr.Profile.workers);
   check_bool "collector wall measured" true (attr.Profile.collector.Profile.c_wall_s > 0.0);
@@ -261,80 +292,99 @@ let test_parallel_attribution () =
     && attr.Profile.max_reorder_occupancy <= r.Explore.processed);
   check_fractions attr
 
-(* The lanes add up on the real sweep. At jobs = 1 the worker's wall and
-   the collector's (the seconds it spent recording) make the sweep's
-   wall, within 2 ms or 2%; at jobs = 3 no contended resource held more
-   seconds than the workers ran. *)
+(* The lanes add up on the real sweep. At jobs = 1 setup, the worker's
+   wall and the collector's (the seconds it spent recording, and the
+   final flush) make the dse.run span, within 2 ms or 2%; at jobs = 3 no
+   contended resource held more seconds than the workers ran. *)
 let test_attribution_adds_up () =
   let est = Lazy.force estimator in
   let path = tmp "adds_up.jsonl" in
-  let a = attr_of (run_sweep ~checkpoint:path est) in
+  let _, a = run_sweep ~checkpoint:path est in
   Sys.remove path;
   let w = List.hd a.Profile.workers in
-  let sum = w.Profile.w_wall_s +. a.Profile.collector.Profile.c_wall_s in
+  let c = a.Profile.collector.Profile.c_wall_s in
+  let sum = a.Profile.setup_s +. w.Profile.w_wall_s +. c in
   if Float.abs (sum -. a.Profile.wall_s) > Float.max 0.002 (0.02 *. a.Profile.wall_s) then
-    Alcotest.failf "jobs=1: worker %.6f s + collector %.6f s = %.6f s, sweep wall %.6f s"
-      w.Profile.w_wall_s a.Profile.collector.Profile.c_wall_s sum a.Profile.wall_s;
-  let a = attr_of (run_sweep ~jobs:3 est) in
+    Alcotest.failf "jobs=1: setup %.6f s + worker %.6f s + collector %.6f s = %.6f s, dse.run %.6f s"
+      a.Profile.setup_s w.Profile.w_wall_s c sum a.Profile.wall_s;
+  let _, a = run_sweep ~jobs:3 est in
   let name, secs = Profile.top_contender a in
   if secs > Profile.worker_seconds a then
     Alcotest.failf "jobs=3: top contender %s %.6f s exceeds %.6f worker-seconds" name secs
       (Profile.worker_seconds a)
 
-(* A worker's points are the points it computed. Resumed from half a
-   checkpoint, the reused half belongs to no worker, at either jobs
-   level. *)
+(* A worker's points are the points it computed: its track's dse.point
+   spans. Resumed from half a checkpoint, the reused half belongs to no
+   track, at either jobs level. *)
 let test_resumed_points_are_no_workers () =
   let est = Lazy.force estimator in
   let full = tmp "resume_full.jsonl" and half = tmp "resume_half.jsonl" in
-  ignore (run_sweep ~checkpoint:full ~profile:false est);
+  ignore (sweep_snap ~checkpoint:full ~sink:false est);
   let c = match Checkpoint.load ~path:full with Ok c -> c | Error msg -> Alcotest.fail msg in
   let kept = List.length c.Checkpoint.entries / 2 in
   List.iter
     (fun jobs ->
       Checkpoint.save ~path:half
         { c with Checkpoint.entries = List.filteri (fun i _ -> i < kept) c.Checkpoint.entries };
-      let r = run_sweep ~checkpoint:half ~resume:true ~jobs est in
+      let r, snap = sweep_snap ~checkpoint:half ~resume:true ~jobs est in
       check_int (Printf.sprintf "jobs=%d reused half" jobs) kept r.Explore.resumed;
+      let tracks = points_per_track snap in
+      check_bool
+        (Printf.sprintf "jobs=%d points only on worker tracks" jobs)
+        true
+        (List.for_all (fun (t, _) -> t >= 0 && t < jobs) tracks);
+      check_int
+        (Printf.sprintf "jobs=%d dse.point spans = processed - resumed" jobs)
+        (r.Explore.processed - r.Explore.resumed)
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 tracks);
       check_int
         (Printf.sprintf "jobs=%d worker points = processed - resumed" jobs)
         (r.Explore.processed - r.Explore.resumed)
-        (List.fold_left (fun acc w -> acc + w.Profile.w_points) 0 (attr_of r).Profile.workers))
+        (List.fold_left (fun acc w -> acc + w.Profile.w_points) 0 (attr_of snap).Profile.workers))
     [ 1; 4 ];
   Sys.remove full;
   Sys.remove half
 
 let test_profiling_keeps_checkpoints_bit_identical () =
   let est = Lazy.force estimator in
-  let plain = tmp "plain.jsonl" and p1 = tmp "prof1.jsonl" and p4 = tmp "prof4.jsonl" in
-  let a = run_sweep ~checkpoint:plain ~profile:false est in
-  let b = run_sweep ~checkpoint:p1 est in
-  let c = run_sweep ~checkpoint:p4 ~jobs:4 est in
-  check_bool "evaluations unchanged by profiling" true
-    (a.Explore.evaluations = b.Explore.evaluations
-    && b.Explore.evaluations = c.Explore.evaluations);
-  check_string "profiled jobs=1 checkpoint matches unprofiled" (read_file plain) (read_file p1);
-  check_string "profiled jobs=4 checkpoint matches unprofiled" (read_file plain) (read_file p4)
+  let plain = tmp "plain.jsonl" in
+  let a, _ = sweep_snap ~checkpoint:plain ~sink:false est in
+  List.iter
+    (fun jobs ->
+      let path = tmp (Printf.sprintf "sink_j%d.jsonl" jobs) in
+      let b, _ = sweep_snap ~checkpoint:path ~jobs est in
+      check_bool
+        (Printf.sprintf "jobs=%d evaluations unchanged by the sink" jobs)
+        true
+        (a.Explore.evaluations = b.Explore.evaluations);
+      check_string
+        (Printf.sprintf "sink-on jobs=%d checkpoint matches sink-off jobs=1" jobs)
+        (read_file plain) (read_file path);
+      Sys.remove path)
+    [ 1; 2; 4 ];
+  Sys.remove plain
 
+(* The spans [Profile] reads are all there, and only worker tracks hold
+   points: dse.point spans per track partition the processed points. *)
 let test_attribution_with_obs_instrumentation () =
-  Obs.enable ();
-  Fun.protect ~finally:Obs.disable @@ fun () ->
-  let r = run_sweep ~jobs:2 (Lazy.force estimator) in
-  let attr = attr_of r in
-  check_fractions attr;
-  (* With both profiling and the sink on, cursor claims surface as
-     per-worker counters that partition the processed points. *)
-  check_int "claim counters partition the points" r.Explore.processed
-    (Obs.counter_value "dse.claims.w0" + Obs.counter_value "dse.claims.w1");
+  let r, snap = sweep_snap ~jobs:2 (Lazy.force estimator) in
+  check_fractions (attr_of snap);
+  let names = List.sort_uniq compare (List.map (fun sp -> sp.Obs.sp_name) snap.Obs.snap_spans) in
+  List.iter
+    (fun name -> check_bool ("span " ^ name) true (List.mem name names))
+    [ "dse.run"; "dse.sample"; "dse.symgate"; "dse.worker"; "dse.point"; "dse.record";
+      "dse.pareto"; "eval.generate"; "eval.analyze"; "estimate" ];
+  check_int "per-track dse.point spans partition the points" r.Explore.processed
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (points_per_track snap));
   check_bool "occupancy gauge recorded" true
-    (List.mem_assoc "dse.reorder.max_occupancy" (Obs.snapshot ()).Obs.snap_gauges)
+    (List.mem_assoc "dse.reorder.max_occupancy" snap.Obs.snap_gauges)
 
 let test_attribution_json () =
-  let r = run_sweep ~jobs:2 (Lazy.force estimator) in
-  let json = Profile.to_json (attr_of r) in
+  let _, attr = run_sweep ~jobs:2 (Lazy.force estimator) in
+  let json = Profile.to_json attr in
   List.iter
     (fun needle -> check_bool ("json has " ^ needle) true (contains json needle))
-    [ "\"jobs\":2"; "\"work_frac\":"; "\"contention_frac\":"; "\"stall_frac\":";
+    [ "\"jobs\":2"; "\"setup_s\":"; "\"work_frac\":"; "\"contention_frac\":"; "\"stall_frac\":";
       "\"top_contender\":"; "\"workers\":["; "\"collector\":{"; "\"max_reorder_occupancy\":" ]
 
 (* [dhdl profile] sweeps every level on a fresh Eval.t: a second jobs=1
@@ -368,6 +418,33 @@ let test_cli_levels_start_cold () =
             (match analyze with Some s -> s > 0.0 | None -> false))
         workers
     | levels -> Alcotest.failf "expected 2 levels, got %d" (List.length levels))
+
+(* [dhdl dse --jobs N] past the host's recommended domain count says so
+   in one warning line on stderr, and still sweeps; at [--jobs 1] it is
+   silent. *)
+let dse_stderr jobs =
+  let args =
+    [| dhdl_exe; "dse"; "dotproduct"; "-n"; "20"; "--train-samples"; "40"; "--jobs";
+       string_of_int jobs |]
+  in
+  let out, inp, err = Unix.open_process_args_full dhdl_exe args (Unix.environment ()) in
+  close_out inp;
+  let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
+  let status = Unix.close_process_full (out, inp, err) in
+  check_bool (Printf.sprintf "jobs=%d exits 0" jobs) true (status = Unix.WEXITED 0);
+  check_bool (Printf.sprintf "jobs=%d sweeps" jobs) true (contains stdout "ms per design point");
+  List.filter
+    (String.starts_with ~prefix:"dhdl: warning:")
+    (String.split_on_char '\n' stderr)
+
+let test_cli_jobs_warning () =
+  let jobs = Domain.recommended_domain_count () + 1 in
+  if jobs <= Explore.Config.max_jobs then
+    check_int
+      (Printf.sprintf "one warning at jobs=%d" jobs)
+      1
+      (List.length (dse_stderr jobs));
+  check_int "no warning at jobs=1" 0 (List.length (dse_stderr 1))
 
 let () =
   Alcotest.run "profile"
@@ -407,4 +484,6 @@ let () =
           Alcotest.test_case "json payload" `Quick test_attribution_json;
           Alcotest.test_case "dhdl profile levels start cold" `Quick test_cli_levels_start_cold;
         ] );
+      ( "jobs",
+        [ Alcotest.test_case "warning past the host's domains" `Quick test_cli_jobs_warning ] );
     ]
